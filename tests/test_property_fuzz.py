@@ -5,9 +5,11 @@ SURVEY.md §7.4 hard part 2)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dots_ocr_ray.fixtures import TAG_SOUP_TOKENS
 from dots_ocr_ray.kernel.cleaner import clean_model_output
-from dots_ocr_ray.kernel.extract import extract_page
+from dots_ocr_ray.kernel.extract import ExtractConfig, extract_page
 from dots_ocr_ray.kernel.html_parse import segment_html, strip_tags
+from dots_ocr_ray.kernel.serialize import spans_to_markdown
 
 
 @settings(max_examples=200, deadline=None)
@@ -19,6 +21,25 @@ def test_extract_page_total(html, text):
     # offsets are consistent with the serialized text
     for s in out["spans"]:
         assert 0 <= s["char_start"] <= s["char_end"] <= len(out["extracted_text"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(TAG_SOUP_TOKENS), max_size=60), st.booleans(), st.booleans())
+def test_tag_soup_serialization_lockstep(tokens, describe, rebuild):
+    """Tag soup reaches the structured parse (random bytes rarely do):
+    both markdown columns equal serialize.spans_to_markdown over the
+    returned spans, and each span's offsets slice out its own item."""
+    config = ExtractConfig(describe_pictures=describe, rebuild_directory=rebuild)
+    out = extract_page("https://x.test/p", "".join(tokens), None, config)
+    spans = out["spans"]
+    text = out["extracted_text"]
+    assert text == spans_to_markdown(spans)
+    assert out["extracted_text_nohf"] == spans_to_markdown(spans, no_page_hf=True)
+    pos = 0
+    for s in spans:
+        assert s["char_start"] == pos
+        assert text[s["char_start"] : s["char_end"]] == spans_to_markdown([s])
+        pos = s["char_end"] + 2
 
 
 @settings(max_examples=200, deadline=None)
