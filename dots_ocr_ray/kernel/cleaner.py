@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 
 _DICT_PATTERN = re.compile(r'\{[^{}]*?"bbox"\s*:\s*\[[^\]]*?\][^{}]*?\}', re.DOTALL)
 _BBOX_PATTERN = re.compile(r'"bbox"\s*:\s*\[([^\]]+)\]')
@@ -173,29 +174,45 @@ def clean_string_data(data_str: str) -> list[dict] | None:
 def remove_duplicate_pairs_and_bboxes(data_list: list[dict]) -> list[dict]:
     """Repetition dedup (output_cleaner.py:347-416): (category,text)
     occurring ≥5 times → keep first; identical bbox occurring ≥2 times →
-    keep first; original order preserved."""
+    keep first; original order preserved.  Returns ``data_list`` itself
+    when nothing repeats."""
     if not data_list or len(data_list) <= 1:
         return data_list
-    pair_positions: dict[tuple, list[int]] = {}
-    bbox_positions: dict[tuple, list[int]] = {}
-    for i, item in enumerate(data_list):
-        if isinstance(item, dict) and "category" in item and "text" in item:
-            key = (item.get("category", ""), item.get("text", ""))
-            pair_positions.setdefault(key, []).append(i)
-        if isinstance(item, dict) and "bbox" in item:
-            bbox = item.get("bbox")
-            if isinstance(bbox, (list, tuple)) and len(bbox) > 0:
-                bbox_positions.setdefault(tuple(bbox), []).append(i)
-    to_remove: set[int] = set()
-    for positions in pair_positions.values():
-        if len(positions) >= PAIR_DUP_THRESHOLD:
-            to_remove.update(positions[1:])
-    for positions in bbox_positions.values():
-        if len(positions) >= BBOX_DUP_THRESHOLD:
-            to_remove.update(positions[1:])
-    if not to_remove:
+    pairs = [
+        (item["category"], item["text"])
+        if isinstance(item, dict) and "category" in item and "text" in item
+        else None
+        for item in data_list
+    ]
+    bboxes = [
+        tuple(bbox)
+        if isinstance(item, dict) and isinstance(bbox := item.get("bbox"), (list, tuple)) and bbox
+        else None
+        for item in data_list
+    ]
+    pair_counts = Counter(pairs)
+    bbox_counts = Counter(bboxes)
+    pair_counts.pop(None, None)
+    bbox_counts.pop(None, None)
+    if (
+        max(pair_counts.values(), default=0) < PAIR_DUP_THRESHOLD
+        and max(bbox_counts.values(), default=0) < BBOX_DUP_THRESHOLD
+    ):
         return data_list
-    return [item for i, item in enumerate(data_list) if i not in to_remove]
+    seen_pairs: set = set()
+    seen_bboxes: set = set()
+    out = []
+    for item, pair, bbox in zip(data_list, pairs, bboxes):
+        repeat = False
+        if pair is not None and pair_counts[pair] >= PAIR_DUP_THRESHOLD:
+            repeat = pair in seen_pairs
+            seen_pairs.add(pair)
+        if bbox is not None and bbox_counts[bbox] >= BBOX_DUP_THRESHOLD:
+            repeat = repeat or bbox in seen_bboxes
+            seen_bboxes.add(bbox)
+        if not repeat:
+            out.append(item)
+    return out
 
 
 def clean_model_output(model_output) -> list[dict]:

@@ -17,6 +17,14 @@ order → markdown — with the reference's degradation ladder
 Never raises; row count is preserved by construction.  Pure and
 deterministic — the distributed pipeline and the single-process oracle
 both call :func:`extract_page`.
+
+The benchmark's traced run (``perfbench/spans.py``) times each kernel
+phase by replacing a name in this module's globals, so
+:func:`extract_page` must keep calling ``segment_html``,
+``prune_boilerplate``, ``remove_duplicate_pairs_and_bboxes`` and
+``strip_tags`` through them (and the stage must keep calling
+``extract_page`` through ``stages.extract_stage``'s globals).
+``tests/test_trace_hooks.py`` fails when one is renamed or bypassed.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 from dots_ocr_ray.kernel.cleaner import remove_duplicate_pairs_and_bboxes
 from dots_ocr_ray.kernel.headings import rebuild_directory_by_toc
 from dots_ocr_ray.kernel.html_parse import prune_boilerplate, segment_html, strip_tags
-from dots_ocr_ray.kernel.serialize import clean_text, get_formula_in_markdown, spans_to_markdown
+from dots_ocr_ray.kernel.serialize import serialize_spans
 from dots_ocr_ray.kernel.textops import fold_newlines
 
 STATUS_FINISHED = "finished"
@@ -70,16 +78,6 @@ def _decode_html(html: bytes | str | None) -> str:
 
 def _intersects(b, g) -> bool:
     return not (b[2] <= g[0] or g[2] <= b[0] or b[3] <= g[1] or g[3] <= b[1])
-
-
-def _serialized_item(span: dict) -> str | None:
-    """The markdown item a span contributes (None = skipped) — must stay
-    in lockstep with serialize.spans_to_markdown's branches."""
-    category = span.get("category", "Text")
-    text = span.get("text", "") or ""
-    if category == "Formula":
-        return get_formula_in_markdown(text)
-    return clean_text(text)
 
 
 def extract_page(
@@ -129,31 +127,12 @@ def extract_page(
         for s in spans:
             s["text"] = ""
 
-    # serialize each span ONCE; both markdown variants and the char
-    # offsets derive from the same item list (byte-equal to calling
-    # spans_to_markdown twice — covered by the byte-identity tests)
-    items = [_serialized_item(s) for s in spans]
-    extracted = "\n\n".join(items)
-    extracted_nohf = "\n\n".join(
-        item
-        for item, s in zip(items, spans)
-        if s.get("category") not in ("Page-header", "Page-footer")
-    )
-    _assign_char_offsets(spans, items)
+    extracted, extracted_nohf, out_spans = serialize_spans(spans)
     return {
         "url": url,
         "extracted_text": extracted,
         "extracted_text_nohf": extracted_nohf,
-        "spans": [
-            {
-                "category": s["category"],
-                "bbox": [int(v) for v in s["bbox"]],
-                "char_start": s["char_start"],
-                "char_end": s["char_end"],
-                "text": s.get("text", "") or "",
-            }
-            for s in spans
-        ],
+        "spans": out_spans,
         "status": status,
     }
 
@@ -206,17 +185,3 @@ def _outline_from_spans(spans: list[dict]) -> list[dict]:
         x1, y1, x2, y2 = s["bbox"]
         toc.append({"level": level, "text": s.get("text", ""), "to": [x1, y1]})
     return toc
-
-
-def _assign_char_offsets(spans: list[dict], items: list[str]) -> None:
-    """char_start/char_end into extracted_text, derived from the exact
-    serialization walk so offsets always agree with the joined output."""
-    pos = 0
-    first = True
-    for s, item in zip(spans, items):
-        if not first:
-            pos += 2  # the "\n\n" joiner
-        s["char_start"] = pos
-        pos += len(item)
-        s["char_end"] = pos
-        first = False

@@ -104,3 +104,36 @@ def spans_to_markdown(spans: list[dict], no_page_hf: bool = False) -> str:
         else:
             items.append(clean_text(text))
     return "\n\n".join(items)
+
+
+def serialize_spans(spans: list[dict]) -> tuple[str, str, list[dict]]:
+    """One walk over spans in reading order → ``(markdown, markdown
+    without Page-header/Page-footer, output spans)``.
+
+    The two markdowns are byte-equal to :func:`spans_to_markdown` with
+    and without ``no_page_hf``; each output span is ``{category, bbox,
+    char_start, char_end, text}`` with the offsets of its item in the
+    first markdown.  The bbox list is passed through, not copied."""
+    items: list[str] = []
+    nohf: list[str] = []
+    out: list[dict] = []
+    pos = 0
+    for span in spans:
+        text = span.get("text", "") or ""
+        category = span.get("category", "Text")
+        item = get_formula_in_markdown(text) if category == "Formula" else clean_text(text)
+        items.append(item)
+        if category not in ("Page-header", "Page-footer"):
+            nohf.append(item)
+        end = pos + len(item)
+        out.append(
+            {
+                "category": category,
+                "bbox": span["bbox"],
+                "char_start": pos,
+                "char_end": end,
+                "text": text,
+            }
+        )
+        pos = end + 2  # the "\n\n" joiner
+    return "\n\n".join(items), "\n\n".join(nohf), out

@@ -22,7 +22,9 @@ def fold_newlines(text: str) -> str:
     Mirrors the reference's native-text normalization
     (dots_ocr/utils/pdf_extractor.py:55-56).
     """
-    return _SINGLE_NEWLINE.sub(" ", text).strip()
+    if "\n" in text:
+        text = _SINGLE_NEWLINE.sub(" ", text)
+    return text.strip()
 
 
 def md5_hex(data: bytes | str) -> str:

@@ -19,7 +19,7 @@ import hashlib
 
 import pyarrow as pa
 
-from dots_ocr_ray.kernel.serialize import spans_to_markdown
+from dots_ocr_ray.kernel.serialize import serialize_spans
 from dots_ocr_ray.schema import SPAN_TYPE
 
 
@@ -66,16 +66,9 @@ class PictureDescribeActor:
                     s["text"] = self.caption_fn(f"{url}#{i}")
                     changed = True
             if changed:
-                md = spans_to_markdown(spans, no_page_hf=False)
-                nohf = spans_to_markdown(spans, no_page_hf=True)
-                # refresh char offsets via the kernel's OWN offset walk
-                # so they can never drift from the serialization rules
-                from dots_ocr_ray.kernel.extract import (
-                    _assign_char_offsets,
-                    _serialized_item,
-                )
-
-                _assign_char_offsets(spans, [_serialized_item(s) for s in spans])
+                # the kernel's own serialize walk: markdown and offsets
+                # can never drift from what extract_page wrote
+                md, nohf, spans = serialize_spans(spans)
             else:
                 md = None
                 nohf = None

@@ -15,7 +15,6 @@ out so downstream blocks stay small.
 from __future__ import annotations
 
 import hashlib
-import time
 
 import pyarrow as pa
 
@@ -60,7 +59,6 @@ class ExtractorActor:
         self._trusted_kernel = kernel_fn is None or kernel_fn is extract_page
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        t0 = time.perf_counter()
         urls = batch.column("url").to_pylist()
         htmls = batch.column("html").to_pylist()
         texts = batch.column("text").to_pylist() if "text" in batch.column_names else [None] * len(urls)
@@ -120,7 +118,6 @@ class ExtractorActor:
                 f_end.append(s["char_end"])
                 f_text.append(s["text"])
             span_offsets.append(len(f_cat))
-        _ = time.perf_counter() - t0  # wall time folded into metrics stage
 
         bbox_child = pa.FixedSizeListArray.from_arrays(pa.array(f_bbox, type=pa.int32()), 4)
         span_struct = pa.StructArray.from_arrays(

@@ -10,10 +10,11 @@ semantics, update the constants in the same commit and say why.
 
 import json
 
-from dots_ocr_ray.fixtures import make_mega_page, make_pages_table, make_tag_soup
+from dots_ocr_ray.fixtures import make_mega_page, make_pages_table
 from dots_ocr_ray.kernel.extract import ExtractConfig, extract_page
 from dots_ocr_ray.kernel.textops import md5_hex
 from dots_ocr_ray.oracle import oracle_extract
+from tag_soup import make_tag_soup
 
 GOLDEN_TEXT_MD5 = "a1b243d4fd7a9d972249cdef80154d42"
 GOLDEN_NOHF_MD5 = "d4815a699132077ea0b0c95969901e30"

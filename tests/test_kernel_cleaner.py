@@ -3,6 +3,9 @@ output_cleaner.py semantics, M7/M8/D1/D2)."""
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dots_ocr_ray.kernel.cleaner import (
     clean_list_data,
     clean_model_output,
@@ -102,3 +105,45 @@ def test_clean_model_output_never_raises():
     assert clean_model_output(12345) == []
     assert clean_model_output("") == []
     assert clean_model_output("complete garbage }{") == []
+
+
+def _dedup_by_positions(data_list):
+    """Reference: the reference's position-list form of the repetition
+    dedup (output_cleaner.py:347-416)."""
+    if not data_list or len(data_list) <= 1:
+        return data_list
+    pair_positions, bbox_positions = {}, {}
+    for i, item in enumerate(data_list):
+        if isinstance(item, dict) and "category" in item and "text" in item:
+            pair_positions.setdefault((item["category"], item["text"]), []).append(i)
+        if isinstance(item, dict) and isinstance(item.get("bbox"), (list, tuple)) and item["bbox"]:
+            bbox_positions.setdefault(tuple(item["bbox"]), []).append(i)
+    to_remove = set()
+    for positions in pair_positions.values():
+        if len(positions) >= 5:
+            to_remove.update(positions[1:])
+    for positions in bbox_positions.values():
+        if len(positions) >= 2:
+            to_remove.update(positions[1:])
+    return [item for i, item in enumerate(data_list) if i not in to_remove]
+
+
+_ITEMS = st.one_of(
+    st.sampled_from([None, 3, "x"]),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "category": st.sampled_from(["Text", "Title"]),
+            "text": st.sampled_from(["a", "b"]),
+            "bbox": st.sampled_from([[1, 2, 3, 4], [1, 2, 3, 5], (1, 2, 3, 4), [], None, "ab"]),
+        },
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ITEMS, max_size=14))
+def test_dedup_matches_position_reference(items):
+    out = remove_duplicate_pairs_and_bboxes(items)
+    expected = _dedup_by_positions(items)
+    assert [id(x) for x in out] == [id(x) for x in expected]

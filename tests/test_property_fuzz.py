@@ -5,11 +5,11 @@ SURVEY.md §7.4 hard part 2)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dots_ocr_ray.fixtures import TAG_SOUP_TOKENS
 from dots_ocr_ray.kernel.cleaner import clean_model_output
 from dots_ocr_ray.kernel.extract import ExtractConfig, extract_page
 from dots_ocr_ray.kernel.html_parse import segment_html, strip_tags
 from dots_ocr_ray.kernel.serialize import spans_to_markdown
+from tag_soup import TAG_SOUP_TOKENS
 
 
 @settings(max_examples=200, deadline=None)
