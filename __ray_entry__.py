@@ -11,7 +11,7 @@ columns by name).
 
 The extraction queries run the REAL Ray pipeline (documents wrapped
 into Common-Crawl-style pages by a deterministic rule, then the
-actor-pool extraction kernel); the SQL mirrors the expected output of
+extraction kernel as a streaming task stage); the SQL mirrors the expected output of
 that rule — see dots_ocr_ray/fixtures.py:page_row_from_document.
 """
 
@@ -69,7 +69,7 @@ def _extract_ds(sf_dir: str):
     from dots_ocr_ray.sources.pages import pages_from_documents
 
     pages = pages_from_documents(sf_dir, override_num_blocks=8)
-    return extract_pages(pages, batch_size=64, dispatch="tasks")
+    return extract_pages(pages, batch_size=64)
 
 
 def _q_extract_text(sf_dir: str):
@@ -125,7 +125,7 @@ def _q_extract_span_stats(sf_dir: str):
 def _q_describe_docs(sf_dir: str):
     """A2 second-stage describe pool under the hard oracle: fixture
     pages carry alt-less <img> tags (IMAGE_MOD rule), extraction emits
-    empty Picture spans, and the describe actor pool captions them with
+    empty Picture spans, and the describe stage captions them with
     the deterministic fake captioner + re-serializes the markdown.
     Golden-parquet oracle (tools/make_golden.py:golden_describe_docs)."""
     from dots_ocr_ray.pipelines.extract import extract_pages
@@ -133,8 +133,8 @@ def _q_describe_docs(sf_dir: str):
     from dots_ocr_ray.stages.describe import describe_pictures
 
     pages = pages_from_documents(sf_dir, override_num_blocks=8, with_images=True)
-    extracted = extract_pages(pages, batch_size=64, dispatch="tasks")
-    described = describe_pictures(extracted, batch_size=64, dispatch="tasks")
+    extracted = extract_pages(pages, batch_size=64)
+    described = describe_pictures(extracted, batch_size=64)
     return described.select_columns(["doc_id", "extracted_text", "n_spans", "status"])
 
 
@@ -480,7 +480,7 @@ def _q_extract_category_counts(sf_dir: str):
     from dots_ocr_ray.sources.pages import pages_from_documents
 
     pages = pages_from_documents(sf_dir, override_num_blocks=8)
-    ds = extract_pages(pages, ExtractConfig(mode=MODE_LAYOUT_ONLY), batch_size=64, dispatch="tasks")
+    ds = extract_pages(pages, ExtractConfig(mode=MODE_LAYOUT_ONLY), batch_size=64)
 
     def _explode(batch: pa.Table) -> pa.Table:
         cats = []
@@ -530,7 +530,7 @@ def _q_domain_stats(sf_dir: str):
     from dots_ocr_ray.sources.pages import pages_from_documents
 
     pages = pages_from_documents(sf_dir, override_num_blocks=8)
-    extracted = extract_pages(pages, batch_size=64, dispatch="tasks")
+    extracted = extract_pages(pages, batch_size=64)
     out = metrics_by_domain(extracted, n_salt=8)
     return out.select_columns(["domain", "rows", "ok"])
 
@@ -832,7 +832,7 @@ def _q_extract_grounding(sf_dir: str):
     # column ≥ 150.  The region below therefore selects exactly the
     # Title span on every normal row.
     cfg = ExtractConfig(mode=MODE_GROUNDING, grounding_bbox=(0, 0, 148, 3))
-    ds = extract_pages(pages, cfg, batch_size=64, dispatch="tasks")
+    ds = extract_pages(pages, cfg, batch_size=64)
     return ds.select_columns(["doc_id", "extracted_text", "status", "n_spans"])
 
 
@@ -1754,8 +1754,8 @@ def _q_ann_pq_topk(sf_dir: str):
 
 
 def entry() -> Any:
-    """Flagship pipeline: documents@sf0.001 → pages → actor-pool
-    extraction → result Dataset (driver checks rows>=0, stable schema)."""
+    """Flagship pipeline: documents@sf0.001 → pages → streaming
+    extraction tasks → result Dataset (rows >= 0, stable schema)."""
     ds = _extract_ds("/root/testdata/sf0.001")
     return ds.select_columns(
         ["url", "lang", "extracted_text", "extracted_text_nohf", "status", "n_spans", "bytes_in"]
@@ -7423,7 +7423,7 @@ def _q_warc_extract_counts(sf_dir: str):
     (ISO 28500 response records, one gzip member each — 8 shards by
     doc_id, Ray task per shard, cached under /tmp), then the full
     WARC path runs for real — record parse, HTTP payload split,
-    streaming gzip (sources/warc.py:read_warc) → actor-pool extraction
+    streaming gzip (sources/warc.py:read_warc) → streaming task extraction
     (pipelines/extract.py:extract_pages) → per-status rollup.  WARC
     records carry no crawler text column, so fallback-rule docs land
     in 'failed' — the oracle mirrors that with the same arithmetic as
@@ -7479,7 +7479,7 @@ def _q_warc_extract_counts(sf_dir: str):
             f.write("ok")
 
     pages = read_warc(sorted(globmod.glob(os.path.join(warc_dir, "*.warc.gz"))))
-    extracted = extract_pages(pages, batch_size=64, dispatch="tasks")
+    extracted = extract_pages(pages, batch_size=64)
 
     def _partial(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

@@ -92,14 +92,14 @@ def run_headline() -> dict:
     files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
     n_rows, html_bytes = _corpus_stats(pages_dir)
     out_dir = "/tmp/graft_bench/out"
-    concurrency = max(2, NUM_CPUS - 1)
+    slots = max(2, NUM_CPUS - 1)
 
     # warm-up: small untimed run pre-imports the package in the workers
     warm_dir = "/tmp/graft_bench/warm"
     shutil.rmtree(warm_dir, ignore_errors=True)
-    # one warm shard per pool slot so the timed run pays zero actor
-    # cold-starts (worker processes + imports + actor inits all warm)
-    extract_shards(files[: min(len(files), 2 * concurrency)], warm_dir, dispatch="tasks")
+    # two warm shards per task slot so the timed run pays no worker
+    # cold-starts (worker processes started, package imported)
+    extract_shards(files[: min(len(files), 2 * slots)], warm_dir)
 
     shutil.rmtree(out_dir, ignore_errors=True)
     # drain page-cache writeback from the warm-up/previous run so the
@@ -107,7 +107,7 @@ def run_headline() -> dict:
     os.sync()
     time.sleep(2)
     t0 = time.perf_counter()
-    metrics = extract_shards(files, out_dir, concurrency=concurrency, batch_size=256, resume=False, dispatch="tasks")
+    metrics = extract_shards(files, out_dir, batch_size=256, resume=False)
     stats = check_fail_gate(metrics, threshold=0.25)
     elapsed = time.perf_counter() - t0
     return {

@@ -3,7 +3,7 @@
     ray job submit --working-dir . -- \\
         python -m dots_ocr_ray.cli extract \\
             --input '/data/pages/*.parquet' --out /data/extracted \\
-            --mode parse_all --partitioning shard
+            --mode parse_all
 
 Only this CLI owns the Ray session (guarded init — under ``ray job
 submit`` the cluster connection already exists).  Library code never
@@ -33,13 +33,7 @@ def _ensure_ray():
 
 def cmd_extract(args: argparse.Namespace) -> int:
     from dots_ocr_ray.kernel.extract import ExtractConfig
-    from dots_ocr_ray.pipelines.extract import (
-        check_fail_gate,
-        extract_pages,
-        extract_shards,
-        read_pages,
-        write_extracted,
-    )
+    from dots_ocr_ray.pipelines.extract import check_fail_gate, extract_shards
 
     _ensure_ray()
     files = sorted(glob.glob(args.input)) if any(c in args.input for c in "*?[") else [args.input]
@@ -51,25 +45,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
         describe_pictures=args.describe_pictures,
         rebuild_directory=args.rebuild_directory,
     )
-    if args.input_format == "warc":
-        from dots_ocr_ray.sources.warc import read_warc
-
-        ds = read_warc(files)
-        extracted = extract_pages(
-            ds, config, concurrency=args.concurrency, num_partitions=args.num_partitions,
-        )
-        metrics = write_extracted(extracted, args.out, num_partitions=args.num_partitions)
-    elif args.partitioning == "shard":
-        metrics = extract_shards(
-            files, args.out, config, concurrency=args.concurrency,
-            resume=not args.overwrite, max_rows_per_task=args.max_rows_per_task,
-        )
-    else:
-        ds = read_pages(files)
-        extracted = extract_pages(
-            ds, config, concurrency=args.concurrency, num_partitions=args.num_partitions,
-        )
-        metrics = write_extracted(extracted, args.out, num_partitions=args.num_partitions)
+    metrics = extract_shards(
+        files, args.out, config,
+        resume=not args.overwrite, max_rows_per_task=args.max_rows_per_task,
+    )
     stats = check_fail_gate(metrics, threshold=args.fail_threshold)
     print(json.dumps({"out": args.out, "partitions": metrics.num_rows, **stats}))
     return 0
@@ -196,16 +175,10 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(prog="dots_ocr_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    ex = sub.add_parser("extract", help="run the extraction pipeline over a pages table")
-    ex.add_argument("--input", required=True, help="pages parquet (or WARC) path or glob")
-    ex.add_argument("--input-format", default="parquet", choices=["parquet", "warc"],
-                    help="warc: read *.warc/.warc.gz via the pure-Python WARC source")
+    ex = sub.add_parser("extract", help="run the extraction pipeline over pages shards (one output partition per shard)")
+    ex.add_argument("--input", required=True, help="pages parquet or *.warc/*.warc.gz path or glob")
     ex.add_argument("--out", required=True, help="output directory (shared storage on a cluster)")
     ex.add_argument("--mode", default="parse_all", choices=["parse_all", "layout_only", "text_only"])
-    ex.add_argument("--partitioning", default="shard", choices=["shard", "urlhash"],
-                    help="shard: zero-shuffle, partition==input shard; urlhash: md5(url) partitions")
-    ex.add_argument("--num-partitions", type=int, default=64)
-    ex.add_argument("--concurrency", type=int, default=None)
     ex.add_argument("--fail-threshold", type=float, default=0.1)
     ex.add_argument("--describe-pictures", action="store_true")
     ex.add_argument("--rebuild-directory", action="store_true")

@@ -1060,19 +1060,6 @@ def _signature_batch(
     )
 
 
-class MinHashSignatures:
-    """Actor form of the signature stage (kept for callers that want an
-    explicit pool); the pipeline itself dispatches stateless tasks via
-    :func:`_signature_batch` — no per-worker state heavier than the
-    cached permutation tables."""
-
-    def __init__(self, text_col: str = "text", id_col: str = "doc_id", num_perm: int = 128, shingle_k: int = 5):
-        self.kw = {"text_col": text_col, "id_col": id_col, "num_perm": num_perm, "shingle_k": shingle_k}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _signature_batch(batch, **self.kw)
-
-
 def minhash_candidate_pairs(
     ds: ray.data.Dataset,
     *,
@@ -2010,15 +1997,6 @@ def minhash_dedup_incremental(
         return batch.filter(pa.array(~_is_new(ids, arr), type=pa.bool_()))
 
     return new_ds.map_batches(_keep, batch_format="pyarrow")
-
-
-def _collect_ids(ds: ray.data.Dataset, col: str) -> np.ndarray:
-    chunks = [
-        _int_col(b, col)
-        for b in ds.iter_batches(batch_format="pyarrow")
-        if b.num_rows
-    ]
-    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
 
 def best_survivor_per_cluster(

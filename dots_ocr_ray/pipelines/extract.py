@@ -1,17 +1,19 @@
 """The flagship extraction pipeline (SURVEY.md §7.1).
 
-    pages parquet ──read_parquet(columns pruned)──▶ Dataset
-      └─ [resume] filter out completed partitions (anti-join vs markers)
-      └─ map_batches(ExtractorActor, batch_format="pyarrow",
-                     concurrency=N)                 ← the actor pool
-      └─ either: write partitioned parquet + done markers (resumable)
-         or:     stream results onward
-      └─ metrics: per-batch partial counts → tiny groupby → METRICS rows
+    shard files (parquet / warc) ──from_items(one block per unit)──▶ Dataset
+      └─ [resume] skip units whose done marker exists and parses
+      └─ map_batches(_run_shard_task): per unit, stream the shard's
+         batches through ExtractorActor → part-XXXXX.parquet + .done
+         marker → one METRICS row
+      └─ fold in the metrics of resumed units from their markers
+      └─ _job_stats.json: job totals + the Ray Data per-stage stats
       └─ fail gate: failed/total > 10% raises (reference configs.py:79)
 
-Everything streams; nothing materializes the full dataset on the
-driver.  The ``html`` payload column is dropped inside the extract
-stage so only narrow result blocks move through shuffles/sinks.
+:func:`extract_shards` is the only path that writes extraction output.
+:func:`extract_pages` is the same kernel as a streaming stage over a
+pages Dataset, for queries and pipelines that consume the result
+directly.  The ``html`` payload column is dropped inside the extract
+stage so only narrow result blocks move downstream.
 """
 
 from __future__ import annotations
@@ -21,20 +23,13 @@ import time
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data
 
 from dots_ocr_ray.kernel.extract import ExtractConfig
 from dots_ocr_ray.kernel.textops import md5_hex
 from dots_ocr_ray.schema import METRICS_SCHEMA, TASK_FAIL_THRESHOLD
-from dots_ocr_ray.stages.extract_stage import ExtractorActor, url_partition_id
-from dots_ocr_ray.state.manifest import (
-    completed_partitions,
-    list_partition_files,
-    write_partition_atomic,
-)
-
-DEFAULT_NUM_PARTITIONS = 64
+from dots_ocr_ray.stages.extract_stage import ExtractorActor
+from dots_ocr_ray.state.manifest import completed_partitions, write_partition_atomic
 
 
 def read_pages(path: str, columns: list[str] | None = None, override_num_blocks: int | None = None) -> ray.data.Dataset:
@@ -45,220 +40,35 @@ def read_pages(path: str, columns: list[str] | None = None, override_num_blocks:
     return ray.data.read_parquet(path, columns=columns, **kwargs)
 
 
-_TASK_EXTRACTORS: dict = {}
-
-
-def _extract_batch_task(batch: pa.Table, *, config, num_partitions: int) -> pa.Table:
-    """Task-dispatch wrapper around the SAME ExtractorActor logic: the
-    instance is built once per WORKER PROCESS (module-level cache —
-    worker processes stay warm across tasks) instead of once per pool
-    actor, so a query-sized run pays zero pool-ramp.  Output is
-    bit-identical to the actor path (same __call__)."""
-    key = (repr(config), num_partitions)
-    actor = _TASK_EXTRACTORS.get(key)
-    if actor is None:
-        actor = ExtractorActor(config=config, num_partitions=num_partitions)
-        _TASK_EXTRACTORS.clear()  # one live config per worker is plenty
-        _TASK_EXTRACTORS[key] = actor
-    return actor(batch)
+def _extract_batch(batch: pa.Table, *, config: ExtractConfig) -> pa.Table:
+    """One pages batch through the extraction stage (module-level so Ray
+    pickles it by reference).  Building the extractor is free: its
+    ``__init__`` only stores the config and kernel."""
+    return ExtractorActor(config=config)(batch)
 
 
 def extract_pages(
     pages: ray.data.Dataset,
     config: ExtractConfig | None = None,
     *,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 64,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-    out_dir: str | None = None,
-    resume: bool = True,
-    num_cpus: float = 1.0,
-    dispatch: str = "actors",
 ) -> ray.data.Dataset:
-    """Run the extraction stage over a pages Dataset.
+    """Run the extraction stage over a pages Dataset as stateless tasks
+    and return the extracted Dataset, streaming and unwritten.
 
-    ``dispatch="actors"`` (default) is the model seam: an actor pool
-    whose per-actor ``__init__`` is where a real VLM/layout model
-    loads once (reference A1/A3).  ``dispatch="tasks"`` runs the SAME
-    kernel as plain tasks with a per-worker-process warm instance —
-    right for the built-in heuristic kernel whose state is compiled
-    regexes (module-warm anyway): no pool ramp, identical output.
-
-    ``num_cpus`` sets the per-actor CPU reservation (per-stage resource
-    sizing: raise it for a heavier model-backed extractor so
-    concurrency × num_cpus still fits the node).
-
-    With ``out_dir`` the result is written as hash-partitioned parquet
-    with done markers (resumable: already-marked partitions are filtered
-    BEFORE extraction — the reference's md5 skip gate, J4) and the
-    returned Dataset reads back the full output directory.  Without it
-    the extracted Dataset is returned streaming, unwritten.
+    A model-backed kernel whose ``__init__`` loads weights runs as an
+    actor pool by passing :class:`ExtractorActor` (with its
+    ``kernel_fn``) to ``map_batches`` directly.
 
     ``batch_size`` is deliberately small: one row can carry MBs of html,
-    and batch × concurrency must fit the worker heap (SURVEY §7.4).
+    and batch × parallelism must fit the worker heap (SURVEY §7.4).
     """
-    ds = pages
-    if out_dir and resume:
-        done = completed_partitions(out_dir)
-        if done:
-            done_ref = done  # captured by value in the closure; small set
-
-            def _not_done(batch: pa.Table) -> pa.Table:
-                pids = [url_partition_id(u, num_partitions) for u in batch.column("url").to_pylist()]
-                mask = pa.array([p not in done_ref for p in pids])
-                return batch.filter(mask)
-
-            ds = ds.map_batches(_not_done, batch_format="pyarrow", batch_size=batch_size)
-
-    if dispatch == "tasks":
-        extracted = ds.map_batches(
-            _extract_batch_task,
-            fn_kwargs={"config": config or ExtractConfig(), "num_partitions": num_partitions},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            num_cpus=num_cpus,
-        )
-    else:
-        if concurrency is None:
-            # autoscaling pool leaving headroom for read/write stages so
-            # the pool doesn't starve them (ray_guide: size
-            # concurrency×num_cpus below the node's CPU count); min 1 so
-            # small jobs skip the ramp
-            from dots_ocr_ray.util import autoscale_pool
-
-            concurrency = autoscale_pool()
-
-        extracted = ds.map_batches(
-            ExtractorActor,
-            fn_constructor_kwargs={"config": config or ExtractConfig(), "num_partitions": num_partitions},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=num_cpus,
-        )
-
-    if out_dir is None:
-        return extracted
-
-    write_extracted(extracted, out_dir, num_partitions=num_partitions)
-    part_files = list_partition_files(out_dir)
-    if not part_files:
-        # empty corpus (or every partition filtered by resume AND no
-        # prior output): an empty dataset with the result schema, not a
-        # read_parquet([]) ValueError
-        from dots_ocr_ray.schema import RESULT_SCHEMA
-
-        return ray.data.from_arrow(RESULT_SCHEMA.empty_table())
-    # read back through the resolved filesystem so out_dir may be a URI
-    from dots_ocr_ray.state.manifest import resolve_fs
-
-    fs, _ = resolve_fs(out_dir)
-    return ray.data.read_parquet([resolve_fs(p)[1] for p in part_files], filesystem=fs)
-
-
-def write_extracted(
-    extracted: ray.data.Dataset,
-    out_dir: str,
-    *,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> pa.Table:
-    """Write extraction results as hash-partitioned parquet with done
-    markers, emitting per-partition lineage/metrics in the SAME pass.
-
-    The exchange is a two-phase write-then-compact through the output
-    store (the standard shared-storage shuffle for petabyte batch
-    jobs): phase 1 streams extraction batches and appends each
-    partition_id's rows to staging files under ``out_dir/_staging``;
-    phase 2 compacts each partition's staging files into its final
-    ``part-XXXXX.parquet`` (rows sorted by url → byte-deterministic)
-    + marker, one task per partition, emitting the METRICS_SCHEMA row.
-
-    Both phases are embarrassingly parallel — no object-store
-    all-to-all.  Measured against the alternatives on this node:
-    sort-shuffle groupby cost ~10 s of barrier on a 20 k-row corpus;
-    the hash-shuffle strategy's aggregator actors deadlock against a
-    near-full extract actor pool.  At cluster scale ``out_dir`` must be
-    shared storage (it is the job's output store anyway).
-    """
-    import os
-    import uuid
-
-    import pyarrow.fs as pafs
-    import pyarrow.parquet as pq
-
-    from dots_ocr_ray.state.manifest import resolve_fs
-
-    # per-RUN staging subdir: a crashed previous run leaves its staging
-    # files behind, and compacting those together with this run's rows
-    # silently duplicates data (the marker md5 is computed over the
-    # duplicated table, so the corruption would be undetectable).  A
-    # unique run dir means phase 2 only ever sees this run's files;
-    # stale run dirs are swept here, before any new staging is written.
-    # All staging IO resolves through pyarrow.fs so out_dir may be a
-    # filesystem URI (manifest.py S6 seam); FileSystem objects pickle
-    # into the staging/compact tasks.
-    fs, root = resolve_fs(out_dir)
-    root_stage = f"{root}/_staging"
-    if fs.get_file_info(root_stage).type == pafs.FileType.Directory:
-        fs.delete_dir(root_stage)
-    stage_dir = f"{root_stage}/{uuid.uuid4().hex}"
-    fs.create_dir(stage_dir, recursive=True)
-
-    def _stage(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"partition_id": pa.array([], type=pa.int32())})
-        tag = uuid.uuid4().hex  # staging names need uniqueness only
-        pids = pc.unique(batch.column("partition_id")).to_pylist()
-        for pid in pids:
-            sub = batch.filter(pc.equal(batch.column("partition_id"), pid))
-            with fs.open_output_stream(f"{stage_dir}/{pid:05d}-{tag}.parquet") as sink:
-                pq.write_table(sub, sink, compression="lz4")
-        return pa.table({"partition_id": pa.array(pids, type=pa.int32())})
-
-    extracted.map_batches(_stage, batch_format="pyarrow").materialize()
-
-    staged = [
-        os.path.basename(fi.path)
-        for fi in fs.get_file_info(pafs.FileSelector(stage_dir, recursive=False))
-        if fi.type == pafs.FileType.File
-    ]
-    pids = sorted({int(name.split("-")[0]) for name in staged if name.endswith(".parquet")})
-
-    def _compact(batch: pa.Table) -> pa.Table:
-        rows = []
-        for pid in batch.column("pid").to_pylist():
-            t0 = time.perf_counter()
-            files = sorted(n for n in staged if n.startswith(f"{pid:05d}-"))
-            group = pa.concat_tables(
-                [pq.read_table(f"{stage_dir}/{n}", filesystem=fs) for n in files]
-            )
-            # deterministic within-partition order → byte-stable files
-            group = group.sort_by("url")
-            content = md5_hex("".join(group.column("extracted_text").to_pylist()))
-            write_partition_atomic(out_dir, pid, group, content)
-            statuses = group.column("status").to_pylist()
-            rows.append(
-                {
-                    "partition_id": pid,
-                    "input_rows": group.num_rows,
-                    "ok": sum(s == "finished" for s in statuses),
-                    "fallback": sum(s == "fallback" for s in statuses),
-                    "failed": sum(s == "failed" for s in statuses),
-                    "bytes_in": pc.sum(group.column("bytes_in")).as_py() or 0,
-                    "wall_ms": int((time.perf_counter() - t0) * 1000),
-                }
-            )
-        return pa.Table.from_pylist(rows, schema=METRICS_SCHEMA)
-
-    metrics_ds = ray.data.from_items([{"pid": p} for p in pids]).map_batches(
-        _compact, batch_format="pyarrow", batch_size=1
+    return pages.map_batches(
+        _extract_batch,
+        fn_kwargs={"config": config or ExtractConfig()},
+        batch_format="pyarrow",
+        batch_size=batch_size,
     )
-    metrics = pa.Table.from_pylist(metrics_ds.take_all(), schema=METRICS_SCHEMA)
-    try:
-        fs.delete_dir(root_stage)
-    except (FileNotFoundError, OSError):
-        pass
-    return metrics
 
 
 def _shard_record_batches(path: str, batch_size: int, row_groups: list[int] | None = None):
@@ -326,11 +136,9 @@ def _process_one_shard(
     batch_size: int,
     n_shards: int,
     row_groups: list[int] | None = None,
-) -> dict | None:
+) -> dict:
     """One whole input shard → final partition file + marker; returns
-    the partition's metrics row (None for an empty shard)."""
-    import pyarrow.parquet as pq
-
+    the partition's metrics row."""
     # honor the task's 1-CPU allocation: pyarrow's internal pool would
     # otherwise fan compression/decompression across every PHYSICAL
     # core, silently oversubscribing the node (and faking scaling
@@ -401,20 +209,17 @@ def _run_shard_task(
     """map_batches wrapper around :func:`_process_one_shard`
     (module-level so Ray pickles it by reference and worker processes
     keep the imported module warm across tasks)."""
-    rows = []
     rgs = (
         batch.column("row_groups").to_pylist()
         if "row_groups" in batch.column_names
         else [None] * batch.num_rows
     )
-    for shard, path, rg in zip(
-        batch.column("shard").to_pylist(), batch.column("path").to_pylist(), rgs
-    ):
-        row = _process_one_shard(shard, path, out_dir, config, batch_size, n_shards, rg)
-        if row is not None:
-            rows.append(row)
-    if not rows:
-        return METRICS_SCHEMA.empty_table()
+    rows = [
+        _process_one_shard(shard, path, out_dir, config, batch_size, n_shards, rg)
+        for shard, path, rg in zip(
+            batch.column("shard").to_pylist(), batch.column("path").to_pylist(), rgs
+        )
+    ]
     return pa.Table.from_pylist(rows, schema=METRICS_SCHEMA)
 
 
@@ -423,92 +228,73 @@ def extract_shards(
     out_dir: str,
     config: ExtractConfig | None = None,
     *,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 256,
     resume: bool = True,
-    dispatch: str = "ray_data",
     max_rows_per_task: int | None = None,
 ) -> pa.Table:
-    """Zero-shuffle flagship: output partition == input shard.
+    """Zero-shuffle flagship: output partition == input shard.  The only
+    path that writes extraction output.
 
-    A Dataset OF SHARD PATHS fans out one task per input parquet shard;
-    each task reads its shard, runs the extraction kernel, writes the
-    final ``part-{shard:05d}.parquet`` + done marker and returns the
-    partition's METRICS_SCHEMA row.  No exchange at all: rows keep
-    input-file order (deterministic), checkpointing is input-aligned
-    (the reference's md5 skip gate operates at exactly this unit — one
-    input document, dotsocr_service.py:253-348), and scaling is linear
-    in shards.  Use :func:`extract_pages` + :func:`write_extracted`
-    instead when downstream work needs url-hash-partitioned output.
+    A Dataset OF SHARD PATHS (parquet or ``*.warc``/``*.warc.gz``) fans
+    out one task per input shard; each task reads its shard, runs the
+    extraction kernel, writes the final ``part-{shard:05d}.parquet`` +
+    done marker and returns the partition's METRICS_SCHEMA row.  No
+    exchange at all: rows keep input-file order (deterministic),
+    checkpointing is input-aligned (the reference's md5 skip gate
+    operates at exactly this unit — one input document,
+    dotsocr_service.py:253-348), and scaling is linear in shards.
 
     Skew note: one mega-shard straggles a wave — keep shard count ≥ 2×
     task slots when producing the input layout (SURVEY §7.4 hard part
     6), or set ``max_rows_per_task`` to split oversized parquet shards
     into row-group runs (deterministic unit ids, so resume is exact as
     long as the file list and threshold are unchanged).
-    Returns the metrics table for ALL partitions (completed ones read
-    back from their markers).
 
-    ``concurrency`` is accepted for API symmetry but ignored: the
-    workers are stateless TASKS (the scheduler packs them onto all
-    available CPUs), not an actor pool.
+    With ``resume``, a unit whose done marker exists and parses is
+    skipped and its metrics row is rebuilt from the marker; a corrupt
+    marker means the unit is extracted again.  Returns the metrics table
+    for ALL partitions and writes ``_job_stats.json`` next to them.
     """
-    import pyarrow.parquet as pq
+    import functools
+
+    from dots_ocr_ray.state.manifest import read_marker, write_job_stats
 
     cfg = config or ExtractConfig()
     units = _shard_units(shard_files, max_rows_per_task)
     done = completed_partitions(out_dir) if resume else set()
+    # each marker is read once, here: a marker that does not parse
+    # leaves its unit to be redone instead of crashing the fold below
+    markers = {pid: meta for pid in sorted(done) if (meta := read_marker(out_dir, pid)) is not None}
     items = [
         {"shard": i, "path": p, "row_groups": rg}
         for i, (p, rg) in enumerate(units)
-        if i not in done
+        if i not in markers
     ]
-
-    import functools
 
     fresh = []
     dataset_stats = None
     if items:
-        if dispatch == "tasks":
-            # raw-task dispatch for the shard MANIFEST (job-orchestration
-            # layer): a fixed list of coarse work units doesn't need the
-            # Dataset planner — measured ~25 ms for 129 tasks vs ~1 s of
-            # streaming-executor fixed cost.  Row-level work inside each
-            # task still runs the same Arrow-batch extractor.
-            remote_fn = ray.remote(num_cpus=1)(_process_one_shard)
-            refs = [
-                remote_fn.remote(
-                    it["shard"], it["path"], out_dir, cfg, batch_size,
-                    max(1, len(units)), it["row_groups"],
-                )
-                for it in items
-            ]
-            fresh = [r for r in ray.get(refs) if r is not None]
-        else:
-            # one block per shard so every shard is an independent task —
-            # from_items may pack the tiny manifest into few blocks, which
-            # would serialize whole groups of shards onto one worker.
-            # STATELESS tasks (not an actor pool): the extractor holds no
-            # heavy per-worker state (compiled regexes are module-level,
-            # the reference's lazy-singleton seam A3/A4), and tasks reuse
-            # warm worker processes with zero pool-ramp cost per run.
-            work = ray.data.from_items(items, override_num_blocks=len(items))
-            fn = functools.partial(
-                _run_shard_task,
-                out_dir=out_dir,
-                config=cfg,
-                batch_size=batch_size,
-                n_shards=max(1, len(units)),
-            )
-            metrics_ds = work.map_batches(fn, batch_size=1, batch_format="pyarrow")
-            fresh = metrics_ds.take_all()
-            dataset_stats = metrics_ds.stats()
+        # one block per shard so every shard is an independent task —
+        # from_items may pack the tiny manifest into few blocks, which
+        # would serialize whole groups of shards onto one worker.
+        # STATELESS tasks (not an actor pool): the extractor holds no
+        # heavy per-worker state (compiled regexes are module-level,
+        # the reference's lazy-singleton seam A3/A4), and tasks reuse
+        # warm worker processes with zero pool-ramp cost per run.
+        work = ray.data.from_items(items, override_num_blocks=len(items))
+        fn = functools.partial(
+            _run_shard_task,
+            out_dir=out_dir,
+            config=cfg,
+            batch_size=batch_size,
+            n_shards=max(1, len(units)),
+        )
+        metrics_ds = work.map_batches(fn, batch_size=1, batch_format="pyarrow")
+        fresh = metrics_ds.take_all()
+        dataset_stats = metrics_ds.stats()
 
     # fold in already-completed partitions from their markers (resume)
-    from dots_ocr_ray.state.manifest import read_marker
-
-    for pid in sorted(done):
-        meta = read_marker(out_dir, pid) or {}
+    for pid, meta in markers.items():
         fresh.append(
             {
                 "partition_id": pid,
@@ -524,17 +310,14 @@ def extract_shards(
 
     # persist per-run execution stats next to the outputs (the
     # reference's tracing/metrics analog, app/utils/metrics.py:9-26):
-    # job totals always; the Ray Data per-stage stats string when the
-    # run went through the Dataset planner (raw-task dispatch has none)
-    from dots_ocr_ray.state.manifest import write_job_stats
-
+    # job totals and the Ray Data per-stage stats string (None when
+    # every unit was resumed and nothing ran)
     write_job_stats(
         out_dir,
         {
             "job": "extract_shards",
-            "dispatch": dispatch,
             "num_units": len(units),
-            "resumed_partitions": len(done),
+            "resumed_partitions": len(markers),
             "fresh_partitions": len(items),
             "totals": {
                 c: int(pc.sum(tbl.column(c)).as_py() or 0)
@@ -546,73 +329,17 @@ def extract_shards(
     return tbl
 
 
-def compute_metrics(extracted: ray.data.Dataset) -> ray.data.Dataset:
-    """Per-partition lineage/metrics (north_rule): partial counts inside
-    map_batches (combiner) → small groupby — no full-row shuffle."""
-
-    def _partials(batch: pa.Table) -> pa.Table:
-        t0 = time.perf_counter()
-        pids = batch.column("partition_id").to_pylist()
-        statuses = batch.column("status").to_pylist()
-        nbytes = batch.column("bytes_in").to_pylist()
-        agg: dict[int, list[int]] = {}
-        for pid, st, b in zip(pids, statuses, nbytes):
-            row = agg.setdefault(pid, [0, 0, 0, 0, 0, 0])
-            row[0] += 1
-            row[1] += st == "finished"
-            row[2] += st == "fallback"
-            row[3] += st == "failed"
-            row[4] += b
-        # attribute the batch's wall time PROPORTIONALLY to each
-        # partition's row share: charging the full batch wall to every
-        # pid in the batch inflated the summed wall by the number of
-        # distinct pids per batch
-        wall_us = (time.perf_counter() - t0) * 1e6
-        n_rows = max(len(pids), 1)
-        for row in agg.values():
-            row[5] = int(wall_us * row[0] / n_rows / 1000)
-        return pa.table(
-            {
-                "partition_id": pa.array(list(agg.keys()), type=pa.int32()),
-                "input_rows": pa.array([r[0] for r in agg.values()], type=pa.int64()),
-                "ok": pa.array([r[1] for r in agg.values()], type=pa.int64()),
-                "fallback": pa.array([r[2] for r in agg.values()], type=pa.int64()),
-                "failed": pa.array([r[3] for r in agg.values()], type=pa.int64()),
-                "bytes_in": pa.array([r[4] for r in agg.values()], type=pa.int64()),
-                "wall_ms": pa.array([r[5] for r in agg.values()], type=pa.int64()),
-            }
-        )
-
-    partials = extracted.map_batches(_partials, batch_format="pyarrow")
-    aggregated = partials.groupby("partition_id").sum(
-        ["input_rows", "ok", "fallback", "failed", "bytes_in", "wall_ms"]
-    )
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        mapping = {f"sum({c})": c for c in ["input_rows", "ok", "fallback", "failed", "bytes_in", "wall_ms"]}
-        return batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-
-    return aggregated.map_batches(_rename, batch_format="pyarrow")
-
-
-def check_fail_gate(metrics, threshold: float = TASK_FAIL_THRESHOLD) -> dict:
+def check_fail_gate(metrics: pa.Table, threshold: float = TASK_FAIL_THRESHOLD) -> dict:
     """Job-level fail-ratio gate (reference dotsocr_service.py:430-443,
-    threshold configs.py:79).  Accepts a metrics Dataset or Arrow table;
-    returns the totals; raises when breached."""
-    if isinstance(metrics, pa.Table):
-        tbl = metrics
-    else:
-        from dots_ocr_ray.schema import METRICS_SCHEMA
-
-        # schema-pinned: from_pylist([]) on an empty corpus would have
-        # no columns at all and KeyError instead of a zero-stats dict
-        tbl = pa.Table.from_pylist(metrics.take_all(), schema=METRICS_SCHEMA)
-    total = pc.sum(tbl.column("input_rows")).as_py() or 0
-    failed = pc.sum(tbl.column("failed")).as_py() or 0
+    threshold configs.py:79) over the METRICS table that
+    :func:`extract_shards` returns; returns the totals; raises when
+    breached."""
+    total = pc.sum(metrics.column("input_rows")).as_py() or 0
+    failed = pc.sum(metrics.column("failed")).as_py() or 0
     stats = {
         "total": total,
-        "ok": pc.sum(tbl.column("ok")).as_py() or 0,
-        "fallback": pc.sum(tbl.column("fallback")).as_py() or 0,
+        "ok": pc.sum(metrics.column("ok")).as_py() or 0,
+        "fallback": pc.sum(metrics.column("fallback")).as_py() or 0,
         "failed": failed,
     }
     if total and failed / total > threshold:

@@ -48,7 +48,6 @@ def prepare_training_data(
     chunk_tokens: int = 128,
     overlap_tokens: int = 16,
     train_fraction: float = 0.9,
-    extract_kwargs: dict | None = None,
     dedup_exact_limit: int | None = None,
     line_dedup_min_count: int | None = None,
     substring_dedup_k: int | None = None,
@@ -67,7 +66,7 @@ def prepare_training_data(
     survivor-proportional lands on the driver."""
     from dots_ocr_ray.pipelines.extract import extract_pages
 
-    extracted = extract_pages(pages, **(extract_kwargs or {}))
+    extracted = extract_pages(pages)
 
     def _narrow_with_id(batch: pa.Table) -> pa.Table:
         # stable doc id: the url hash used everywhere else in the engine

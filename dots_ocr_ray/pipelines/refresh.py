@@ -58,7 +58,6 @@ def refresh_corpus(
     *,
     minhash_threshold: float = 0.85,
     num_perm: int = 128,
-    extract_kwargs: dict | None = None,
 ) -> dict:
     """One recurring-crawl refresh run; returns lineage counts."""
     from dots_ocr_ray.pipelines.dedup import (
@@ -68,7 +67,7 @@ def refresh_corpus(
     )
     from dots_ocr_ray.pipelines.extract import extract_pages
 
-    extracted = extract_pages(new_pages, **(extract_kwargs or {}))
+    extracted = extract_pages(new_pages)
 
     def _narrow(batch: pa.Table) -> pa.Table:
         # doc_id = h(url ‖ content): minhash_dedup_incremental REQUIRES

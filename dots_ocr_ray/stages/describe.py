@@ -1,11 +1,11 @@
-"""Second-stage Picture enrichment pool (reference A2).
+"""Second-stage Picture enrichment (reference A2).
 
 The reference fans Picture cells out to a SECOND model pool after
 layout parsing (`_describe_pictures_in_page`,
 app/utils/executor/ocr_task.py:150-203: crop each Picture cell, call
 the describe model, write the result into ``cell["text"]``).  Here the
-same two-pool shape: extraction emits rows with Picture spans, then
-this actor pool rewrites those spans' text — with the captioner itself
+same two-stage shape: extraction emits rows with Picture spans, then
+this stage rewrites those spans' text — with the captioner itself
 stubbed behind a deterministic fake (no vision model in this
 environment; the seam is the ``caption_fn``).
 
@@ -95,45 +95,34 @@ class PictureDescribeActor:
         )
 
 
+def _describe_batch(batch: pa.Table, **kwargs) -> pa.Table:
+    return PictureDescribeActor(**kwargs)(batch)
+
+
 def describe_pictures(
     extracted,
     *,
-    concurrency=None,
     batch_size: int = 64,
     caption_fn=None,
     describe_special: bool = False,
-    dispatch: str = "actors",
 ):
-    """Chain the describe pool after extraction (the reference's
-    optional ``describe_picture`` job flag as a pipeline stage).
+    """Chain the describe stage after extraction (the reference's
+    optional ``describe_picture`` job flag as a pipeline stage), as
+    stateless tasks with a per-batch instance — construction is free for
+    the deterministic captioner.  A model-backed captioner runs as an
+    actor pool by passing :class:`PictureDescribeActor` to
+    ``map_batches`` directly.
 
-    ``describe_special=True`` extends the pool to Table and Formula
+    ``describe_special=True`` extends the stage to Table and Formula
     spans and overwrites their text with the caption — the reference's
     category=["Picture","Table","Formula"] path (ocr_task.py:602-613).
-
-    ``dispatch="tasks"`` runs the same stage as plain tasks (per-batch
-    instance — construction is free for the deterministic captioner);
-    the actor pool stays the default as the real-model seam.
     """
-    from dots_ocr_ray.util import autoscale_pool
-
     kwargs = {"caption_fn": caption_fn}
     if describe_special:
         kwargs.update({"categories": DESCRIBE_ALL_CATEGORIES, "overwrite": True})
-    if dispatch == "tasks":
-
-        def _describe_batch(batch: pa.Table) -> pa.Table:
-            return PictureDescribeActor(**kwargs)(batch)
-
-        return extracted.map_batches(
-            _describe_batch,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
     return extracted.map_batches(
-        PictureDescribeActor,
-        fn_constructor_kwargs=kwargs,
+        _describe_batch,
+        fn_kwargs=kwargs,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency or autoscale_pool(),
     )

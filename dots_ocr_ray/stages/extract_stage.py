@@ -1,11 +1,13 @@
-"""The extraction actor-pool stage (reference A1/A3/A4 seam).
+"""The extraction stage (reference A1/A3/A4 seam).
 
 The reference holds warm model state per worker (vLLM client /
 lazy Paddle + LayoutLM singletons, layout_service.py:167-172,237-242);
-here the warm state is the compiled kernel configuration, constructed
-once per actor in ``__init__`` and applied per Arrow batch in
-``__call__`` — the ``map_batches(Cls, concurrency=N,
-batch_format="pyarrow")`` pattern.
+here ``__init__`` is where such state would load, and ``__call__``
+applies the kernel per Arrow batch.  The built-in kernel's state is
+module-level (compiled regexes), so the package's own paths build one
+instance per batch or shard inside stateless tasks; a model-backed
+``kernel_fn`` runs as an actor pool via ``map_batches(ExtractorActor,
+concurrency=N, batch_format="pyarrow")``.
 
 Input batch: pages columns (url, html, text[, lang]).  Output batch:
 RESULT_SCHEMA columns — the wide ``html`` payload is dropped on the way

@@ -2,7 +2,8 @@
 
 The reference gates whole jobs on an ``.md5`` marker next to the
 outputs (dotsocr_service.py:253-384, storage.py:165-228); here the unit
-is one hash-keyed partition:
+is one output partition, which is one input shard (or one row-group run
+of an oversized shard):
 
     out_dir/
       part-00007.parquet        # the data
@@ -11,7 +12,7 @@ is one hash-keyed partition:
 Markers commit atomically *after* the partition file (write to a temp
 name, ``os.replace``, then marker) so a crashed run never leaves a
 marker for a half-written partition — resume skips exactly the
-partitions whose markers exist (SURVEY.md §7.4 hard part 5).
+partitions whose markers exist and parse (SURVEY.md §7.4 hard part 5).
 
 All listing and marker IO goes through ``pyarrow.fs`` so ``out_dir``
 may be a filesystem URI (the reference's S6 object storage,
@@ -48,10 +49,6 @@ def resolve_fs(path: str) -> tuple[pafs.FileSystem, str]:
 
 def partition_file(out_dir: str, partition_id: int) -> str:
     return os.path.join(out_dir, f"part-{partition_id:05d}.parquet")
-
-
-def marker_file(out_dir: str, partition_id: int) -> str:
-    return os.path.join(out_dir, f"part-{partition_id:05d}.done")
 
 
 def _list_names(out_dir: str) -> dict[str, pafs.FileInfo]:
@@ -156,10 +153,17 @@ def read_job_stats(out_dir: str) -> dict | None:
 
 
 def read_marker(out_dir: str, partition_id: int) -> dict | None:
+    """The marker's fields, or None when it is missing or does not
+    parse (a truncated or corrupt marker means "not done")."""
     fs, root = resolve_fs(out_dir)
     marker = f"{root}/part-{partition_id:05d}.done"
     info = fs.get_file_info(marker)
     if info.type != pafs.FileType.File:
         return None
     with fs.open_input_stream(marker) as f:
-        return json.loads(f.read().decode("utf-8"))
+        raw = f.read()
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        return None
+    return meta if isinstance(meta, dict) else None

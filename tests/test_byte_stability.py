@@ -29,8 +29,8 @@ def test_shard_outputs_byte_identical_across_runs(ray_session, tmp_path):
         pq.write_table(pages.slice(s * 12, 12), f)
         files.append(f)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    extract_shards(files, out_a, concurrency=2)
-    extract_shards(files, out_b, concurrency=2, dispatch="tasks")  # even across dispatchers
+    extract_shards(files, out_a)
+    extract_shards(files, out_b)
     ha, hb = _file_hashes(out_a), _file_hashes(out_b)
     assert ha and ha == hb
 

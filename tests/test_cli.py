@@ -40,19 +40,6 @@ def test_cli_extract_shard_mode(ray_session, shard_dir, tmp_path, capsys):
     assert summary2["total"] == 32
 
 
-def test_cli_extract_urlhash_mode(ray_session, shard_dir, tmp_path, capsys):
-    out_dir = str(tmp_path / "out2")
-    rc = main(
-        [
-            "extract", "--input", f"{shard_dir}/*.parquet", "--out", out_dir,
-            "--partitioning", "urlhash", "--num-partitions", "8", "--fail-threshold", "0.5",
-        ]
-    )
-    assert rc == 0
-    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert summary["total"] == 32
-
-
 def test_cli_no_input(ray_session, tmp_path, capsys):
     rc = main(["extract", "--input", str(tmp_path / "none-*.parquet"), "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -76,22 +63,33 @@ def test_cli_fail_gate_trips(ray_session, tmp_path, capsys):
         main(["extract", "--input", str(src), "--out", str(tmp_path / "o3")])
 
 
-def test_cli_extract_from_warc(tmp_path):
+def test_cli_extract_from_warc(ray_session, tmp_path, capsys):
+    """A .warc.gz input goes through the same shard job as parquet:
+    one output partition per WARC file, with markers, and resume."""
     from dots_ocr_ray.cli import main
     from dots_ocr_ray.sources.warc import make_warc_bytes
 
-    recs = [{"url": f"https://w.test/{i}", "html": f"<p>warc body {i}</p>"} for i in range(6)]
-    warc = tmp_path / "in.warc.gz"
-    warc.write_bytes(make_warc_bytes(recs, compress=True))
-    out = tmp_path / "out"
-    rc = main(["extract", "--input", str(warc), "--input-format", "warc", "--out", str(out)])
-    assert rc == 0
-    import glob as g
+    for s in range(2):
+        recs = [{"url": f"https://w.test/{s}/{i}", "html": f"<p>warc body {s} {i}</p>"} for i in range(3)]
+        (tmp_path / f"in-{s}.warc.gz").write_bytes(make_warc_bytes(recs, compress=True))
+    out = str(tmp_path / "out")
+    argv = ["extract", "--input", f"{tmp_path}/*.warc.gz", "--out", out]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["total"] == 6 and summary["partitions"] == 2
+    parts = sorted(glob.glob(os.path.join(out, "part-*.parquet")))
+    assert [os.path.basename(p) for p in parts] == ["part-00000.parquet", "part-00001.parquet"]
+    assert [pq.read_table(p).num_rows for p in parts] == [3, 3]
+    assert len(glob.glob(os.path.join(out, "part-*.done"))) == 2
 
-    import pyarrow.parquet as pq
-
-    rows = sum(pq.read_table(f).num_rows for f in g.glob(f"{out}/part-*.parquet"))
-    assert rows == 6
+    # resume: only the unit whose part file is gone runs again
+    os.remove(os.path.join(out, "part-00001.parquet"))
+    mtime0 = os.path.getmtime(parts[0])
+    assert main(argv) == 0
+    summary2 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary2["total"] == 6
+    assert os.path.getmtime(parts[0]) == mtime0
+    assert pq.read_table(parts[1]).num_rows == 3
 
 
 def test_cli_prepare_from_warc(tmp_path):

@@ -9,8 +9,8 @@ from dots_ocr_ray.stages.describe import describe_pictures
 
 def test_describe_pictures_fills_empty_picture_spans(ray_session):
     pages = make_pages_table(64, seed=42)
-    extracted = extract_pages(ray.data.from_arrow(pages), batch_size=16, concurrency=2)
-    described = describe_pictures(extracted, concurrency=2).to_pandas()
+    extracted = extract_pages(ray.data.from_arrow(pages), batch_size=16)
+    described = describe_pictures(extracted).to_pandas()
     assert len(described) == 64
     had_pics = False
     for row in described.itertuples():
@@ -30,8 +30,8 @@ def test_describe_is_deterministic(ray_session):
     pages = make_pages_table(32, seed=42)
     runs = []
     for _ in range(2):
-        extracted = extract_pages(ray.data.from_arrow(pages), batch_size=8, concurrency=2)
-        df = describe_pictures(extracted, concurrency=2).to_pandas()
+        extracted = extract_pages(ray.data.from_arrow(pages), batch_size=8)
+        df = describe_pictures(extracted).to_pandas()
         runs.append(df.sort_values("url").reset_index(drop=True).extracted_text.tolist())
     assert runs[0] == runs[1]
 
@@ -41,8 +41,8 @@ def test_describe_special_covers_table_and_formula(ray_session):
     (ocr_task.py:602-613): Picture AND Table AND Formula span text is
     REPLACED by the caption, and offsets stay exact."""
     pages = make_pages_table(128, seed=42)
-    extracted = extract_pages(ray.data.from_arrow(pages), batch_size=16, concurrency=2)
-    described = describe_pictures(extracted, concurrency=2, describe_special=True).to_pandas()
+    extracted = extract_pages(ray.data.from_arrow(pages), batch_size=16)
+    described = describe_pictures(extracted, describe_special=True).to_pandas()
     seen = set()
     for row in described.itertuples():
         for s in row.spans:
@@ -57,10 +57,10 @@ def test_describe_special_covers_table_and_formula(ray_session):
 def test_describe_untouched_rows_pass_through(ray_session):
     # rows with no Picture spans keep their exact markdown
     pages = make_pages_table(16, seed=42)
-    extracted = extract_pages(ray.data.from_arrow(pages), batch_size=8, concurrency=2)
+    extracted = extract_pages(ray.data.from_arrow(pages), batch_size=8)
     before = extracted.to_pandas().sort_values("url").reset_index(drop=True)
-    extracted2 = extract_pages(ray.data.from_arrow(pages), batch_size=8, concurrency=2)
-    after = describe_pictures(extracted2, concurrency=2).to_pandas().sort_values("url").reset_index(drop=True)
+    extracted2 = extract_pages(ray.data.from_arrow(pages), batch_size=8)
+    after = describe_pictures(extracted2).to_pandas().sort_values("url").reset_index(drop=True)
     for b, a in zip(before.itertuples(), after.itertuples()):
         has_pic = any(s["category"] == "Picture" for s in b.spans)
         if not has_pic:

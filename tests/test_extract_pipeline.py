@@ -8,7 +8,7 @@ import ray.data
 
 from dots_ocr_ray.fixtures import make_mega_page, make_pages_table
 from dots_ocr_ray.oracle import oracle_extract
-from dots_ocr_ray.pipelines.extract import check_fail_gate, compute_metrics, extract_pages
+from dots_ocr_ray.pipelines.extract import check_fail_gate, extract_pages, extract_shards
 from dots_ocr_ray.schema import RESULT_SCHEMA
 
 
@@ -62,16 +62,24 @@ def test_output_schema(ray_session, pages_table):
         assert name in tbl.column_names
 
 
-def test_metrics_and_fail_gate(ray_session, pages_table):
-    extracted = _run(pages_table)
-    metrics = compute_metrics(extracted)
+def _shard_metrics(pages: pa.Table, tmp_path) -> pa.Table:
+    """Metrics table of an extract_shards job over ``pages`` as one shard."""
+    import pyarrow.parquet as pq
+
+    src = str(tmp_path / "pages.parquet")
+    pq.write_table(pages, src)
+    return extract_shards([src], str(tmp_path / "out"), batch_size=8)
+
+
+def test_metrics_and_fail_gate(ray_session, pages_table, tmp_path):
+    metrics = _shard_metrics(pages_table, tmp_path)
     stats = check_fail_gate(metrics, threshold=0.5)
     assert stats["total"] == pages_table.num_rows
     assert stats["ok"] + stats["fallback"] + stats["failed"] == stats["total"]
     assert stats["ok"] > 0 and stats["failed"] > 0  # fixture includes failed rows
 
 
-def test_fail_gate_raises_over_threshold(ray_session):
+def test_fail_gate_raises_over_threshold(ray_session, tmp_path):
     # all-empty pages → 100% failed → gate must trip at the 10% default
     bad = pa.Table.from_pydict(
         {
@@ -82,7 +90,7 @@ def test_fail_gate_raises_over_threshold(ray_session):
             "lang": ["en"] * 10,
         }
     )
-    metrics = compute_metrics(_run(bad))
+    metrics = _shard_metrics(bad, tmp_path)
     with pytest.raises(RuntimeError, match="job failed"):
         check_fail_gate(metrics)
 
@@ -187,31 +195,3 @@ def test_host_failure_wilson_bounds(ray_session):
     assert out.loc["b.com", "wilson_lb_micro"] == int(np.floor(1e6 * wilson_lb(10, 100)))
     # wilson_lb(1,2) ≈ 0.095 — far below the raw 0.5 ratio
     assert out.loc["a.com", "wilson_lb_micro"] < 150_000
-
-
-def test_task_dispatch_bit_identical_to_actor_pool(ray_session):
-    """extract_pages(dispatch="tasks") — the no-pool-ramp path for the
-    stateless heuristic kernel — must produce bit-identical results to
-    the actor-pool path (same ExtractorActor.__call__ under both)."""
-    from dots_ocr_ray.pipelines.extract import extract_pages
-    from dots_ocr_ray.sources.pages import pages_from_documents
-
-    sf = "/root/testdata/sf0.001"
-    a = (
-        extract_pages(pages_from_documents(sf, override_num_blocks=4), batch_size=64)
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    b = (
-        extract_pages(
-            pages_from_documents(sf, override_num_blocks=4),
-            batch_size=64,
-            dispatch="tasks",
-        )
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    assert a.drop(columns=["spans"]).equals(b.drop(columns=["spans"]))
-    assert (a["spans"].astype(str) == b["spans"].astype(str)).all()

@@ -32,7 +32,7 @@ def _read_out(out_dir):
 def test_shard_pipeline_byte_identity(ray_session, shard_files, tmp_path):
     files, pages = shard_files
     out_dir = str(tmp_path / "out")
-    metrics = extract_shards(files, out_dir, concurrency=2)
+    metrics = extract_shards(files, out_dir)
     assert metrics.num_rows == 4
     out = _read_out(out_dir)
     assert out.num_rows == 48
@@ -46,15 +46,17 @@ def test_shard_pipeline_byte_identity(ray_session, shard_files, tmp_path):
 def test_shard_resume_skips_done(ray_session, shard_files, tmp_path):
     files, _ = shard_files
     out_dir = str(tmp_path / "out")
-    m1 = extract_shards(files, out_dir, concurrency=2)
+    m1 = extract_shards(files, out_dir)
+    full = _read_out(out_dir)
     assert completed_partitions(out_dir) == {0, 1, 2, 3}
     # drop shard 2; rerun must recompute ONLY it, others untouched
     os.remove(os.path.join(out_dir, "part-00002.parquet"))
     os.remove(os.path.join(out_dir, "part-00002.done"))
     mtimes = {p: os.path.getmtime(os.path.join(out_dir, f"part-{p:05d}.parquet")) for p in (0, 1, 3)}
-    m2 = extract_shards(files, out_dir, concurrency=2)
+    m2 = extract_shards(files, out_dir)
     for p in (0, 1, 3):
         assert os.path.getmtime(os.path.join(out_dir, f"part-{p:05d}.parquet")) == mtimes[p]
+    assert _read_out(out_dir).equals(full)  # byte-equal content after resume
     # metrics identical whether computed fresh or folded back from markers
     a = sorted(m1.to_pylist(), key=lambda r: r["partition_id"])
     b = sorted(m2.to_pylist(), key=lambda r: r["partition_id"])
@@ -110,8 +112,7 @@ def test_mega_shard_split_by_row_groups(ray_session, tmp_path):
 
 def test_extract_shards_persists_job_stats(ray_session, tmp_path, shard_files):
     """Every run leaves _job_stats.json next to the partitions: job
-    totals always, the Ray Data per-stage stats string for the Dataset
-    dispatch (raw-task dispatch records none)."""
+    totals, and the Ray Data per-stage stats string of the run."""
     from dots_ocr_ray.state.manifest import read_job_stats
 
     files, _ = shard_files
@@ -119,11 +120,38 @@ def test_extract_shards_persists_job_stats(ray_session, tmp_path, shard_files):
     metrics = extract_shards(files, out, batch_size=64)
     stats = read_job_stats(out)
     assert stats["job"] == "extract_shards"
+    assert stats["fresh_partitions"] == 4 and stats["resumed_partitions"] == 0
     assert stats["totals"]["input_rows"] == sum(metrics.column("input_rows").to_pylist())
     assert isinstance(stats["dataset_stats"], str) and stats["dataset_stats"]
 
     # resumed run: stats rewritten, zero fresh partitions
     extract_shards(files, out, batch_size=64)
     stats2 = read_job_stats(out)
-    assert stats2["fresh_partitions"] == 0
+    assert stats2["fresh_partitions"] == 0 and stats2["resumed_partitions"] == 4
     assert stats2["totals"]["input_rows"] == stats["totals"]["input_rows"]
+
+
+def test_truncated_marker_redoes_partition(ray_session, shard_files, tmp_path):
+    """A done marker cut short (a crash mid-write on a store without
+    atomic rename) must not crash resume: its partition counts as not
+    done and is extracted again, not folded in from the bad marker."""
+    from dots_ocr_ray.state.manifest import read_marker
+
+    files, _ = shard_files
+    out_dir = str(tmp_path / "out")
+    m1 = extract_shards(files, out_dir)
+    full = _read_out(out_dir)
+    marker = os.path.join(out_dir, "part-00001.done")
+    with open(marker, "rb") as f:
+        raw = f.read()
+    with open(marker, "wb") as f:
+        f.write(raw[: len(raw) // 2])
+    assert read_marker(out_dir, 1) is None
+
+    m2 = extract_shards(files, out_dir)
+    redone = [r["partition_id"] for r in m2.to_pylist() if r["wall_ms"] > 0]
+    assert redone == [1]
+    assert read_marker(out_dir, 1)["rows"] == 12
+    assert _read_out(out_dir).equals(full)
+    for k in ("partition_id", "input_rows", "ok", "fallback", "failed", "bytes_in"):
+        assert m2.column(k).to_pylist() == m1.column(k).to_pylist(), k

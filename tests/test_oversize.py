@@ -21,7 +21,7 @@ def test_split_oversize(ray_session):
     assert oversize.count() == 1
     assert normal.count() == 16
     # oversize stream still extracts fine at batch_size=1
-    out = extract_pages(oversize, batch_size=1, concurrency=2).to_pandas()
+    out = extract_pages(oversize, batch_size=1).to_pandas()
     assert out.status[0] == "finished"
 
 
@@ -33,7 +33,7 @@ def test_truncate_oversize(ray_session):
     assert max(len(h) for h in df.html) == 100_000
     # the kernel's repair ladder handles the cut-mid-tag tail: no raise
     out = extract_pages(ray.data.from_arrow(pa.Table.from_pandas(df[ds.schema().names])),
-                        batch_size=4, concurrency=2).to_pandas()
+                        batch_size=4).to_pandas()
     assert len(out) == 17
     assert set(out.status) <= {"finished", "fallback", "failed"}
 

@@ -1,18 +1,15 @@
 """Resumable-output tests (reference S9/J4 md5-gate analog,
-SURVEY.md §5.4): rerun after partial completion recomputes only the
-missing partitions and bytes match."""
+SURVEY.md §5.4): markers, their content hash, and the manifest layer.
+Resume of a partially completed job is tested in test_extract_shards."""
 
-import glob
 import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-import ray.data
-
 from dots_ocr_ray.fixtures import make_pages_table
-from dots_ocr_ray.pipelines.extract import extract_pages
+from dots_ocr_ray.pipelines.extract import extract_shards
 from dots_ocr_ray.state.manifest import completed_partitions, read_marker
 
 
@@ -21,78 +18,55 @@ def out_dir(tmp_path):
     return str(tmp_path / "out")
 
 
-def _read_all(out_dir):
-    tables = [pq.read_table(p) for p in sorted(glob.glob(os.path.join(out_dir, "part-*.parquet")))]
-    return pa.concat_tables(tables).sort_by("url")
+def _write_shards(tmp_path, pages: pa.Table, n_shards: int) -> list[str]:
+    files = []
+    per = -(-pages.num_rows // n_shards)
+    for s in range(n_shards):
+        f = str(tmp_path / f"in-{s:02d}.parquet")
+        pq.write_table(pages.slice(s * per, per), f)
+        files.append(f)
+    return files
 
 
-def test_resume_skips_completed_partitions(ray_session, out_dir):
-    pages = make_pages_table(64, seed=42)
-    ds = ray.data.from_arrow(pages)
-    extract_pages(ds, batch_size=8, out_dir=out_dir, num_partitions=8)
-    full = _read_all(out_dir)
-    assert full.num_rows == 64
-    done = completed_partitions(out_dir)
-    assert len(done) >= 4
-
-    # simulate a crash: delete half the partitions (data + marker)
-    victims = sorted(done)[: len(done) // 2]
-    survivors = sorted(done)[len(done) // 2 :]
-    mtimes_before = {}
-    for pid in victims:
-        os.remove(os.path.join(out_dir, f"part-{pid:05d}.parquet"))
-        os.remove(os.path.join(out_dir, f"part-{pid:05d}.done"))
-    for pid in survivors:
-        mtimes_before[pid] = os.path.getmtime(os.path.join(out_dir, f"part-{pid:05d}.parquet"))
-
-    # rerun: only the missing partitions may be (re)written
-    extract_pages(ray.data.from_arrow(pages), batch_size=8, out_dir=out_dir, num_partitions=8)
-    for pid in survivors:
-        assert os.path.getmtime(os.path.join(out_dir, f"part-{pid:05d}.parquet")) == mtimes_before[pid]
-    resumed = _read_all(out_dir)
-    assert resumed.equals(full)  # byte-equal content after resume
-
-
-def test_marker_carries_content_hash(ray_session, out_dir):
-    pages = make_pages_table(16, seed=42)
-    extract_pages(ray.data.from_arrow(pages), batch_size=8, out_dir=out_dir, num_partitions=4)
+def test_marker_carries_content_hash(ray_session, tmp_path, out_dir):
+    files = _write_shards(tmp_path, make_pages_table(16, seed=42), 4)
+    extract_shards(files, out_dir, batch_size=8)
+    assert completed_partitions(out_dir) == {0, 1, 2, 3}
     for pid in completed_partitions(out_dir):
         meta = read_marker(out_dir, pid)
         assert meta["rows"] > 0 and len(meta["content_md5"]) == 32
 
 
-def test_stale_staging_not_compacted(ray_session, out_dir):
-    """A crashed run's leftover _staging files must NOT be folded into
-    the next run's partitions (they would silently duplicate rows, and
-    the marker md5 — computed over the duplicated table — would hide
-    it)."""
-    pages = make_pages_table(48, seed=7)
-    extract_pages(ray.data.from_arrow(pages), batch_size=8, out_dir=out_dir, num_partitions=8)
-    full = _read_all(out_dir)
-
-    # simulate a crash mid-phase-1: stale staging rows exist for a
-    # partition that ALSO gets re-extracted by the next run
-    stale_dir = os.path.join(out_dir, "_staging", "deadbeef")
-    os.makedirs(stale_dir, exist_ok=True)
-    victim = sorted(completed_partitions(out_dir))[0]
-    stale_rows = pq.read_table(os.path.join(out_dir, f"part-{victim:05d}.parquet"))
-    pq.write_table(stale_rows, os.path.join(stale_dir, f"{victim:05d}-stale.parquet"))
-    os.remove(os.path.join(out_dir, f"part-{victim:05d}.parquet"))
-    os.remove(os.path.join(out_dir, f"part-{victim:05d}.done"))
-
-    extract_pages(ray.data.from_arrow(pages), batch_size=8, out_dir=out_dir, num_partitions=8)
-    resumed = _read_all(out_dir)
-    assert resumed.num_rows == full.num_rows  # no duplicated rows
-    assert resumed.equals(full)
-
-
-def test_empty_corpus_returns_empty_dataset(ray_session, out_dir):
+def test_empty_shard_gets_marker_and_metrics_row(ray_session, tmp_path, out_dir):
+    """An empty input shard still commits a 0-row partition and its done
+    marker, and reports a 0-row metrics row: without the marker, every
+    resume of a finished job would re-read the shard."""
     from dots_ocr_ray.schema import RESULT_SCHEMA
 
-    empty = make_pages_table(0, seed=1)
-    out = extract_pages(ray.data.from_arrow(empty), batch_size=8, out_dir=out_dir, num_partitions=4)
-    assert out.count() == 0
-    assert out.schema().names == RESULT_SCHEMA.names
+    empty = _write_shards(tmp_path, make_pages_table(0, seed=1), 1)
+    metrics = extract_shards(empty, out_dir, batch_size=8)
+    assert metrics.drop_columns(["wall_ms"]).to_pylist() == [
+        {"partition_id": 0, "input_rows": 0, "ok": 0, "fallback": 0, "failed": 0, "bytes_in": 0}
+    ]
+    assert completed_partitions(out_dir) == {0}
+    meta = read_marker(out_dir, 0)
+    assert meta["rows"] == 0 and meta["failed"] == 0
+    part = pq.read_table(os.path.join(out_dir, "part-00000.parquet"))
+    assert part.num_rows == 0 and part.schema.names == RESULT_SCHEMA.names
+    # resume: folded back from the marker, nothing re-run
+    again = extract_shards(empty, out_dir, batch_size=8)
+    assert again.column("input_rows").to_pylist() == [0]
+    assert again.column("wall_ms").to_pylist() == [0]
+
+
+def test_corrupt_marker_reads_as_none(tmp_path):
+    """A marker that does not parse reads as absent, never raises."""
+    d = str(tmp_path)
+    for pid, payload in ((1, b'{"partition_id": 1, "ro'), (2, b"\xff\xfe"), (3, b"[1, 2]")):
+        with open(os.path.join(d, f"part-{pid:05d}.done"), "wb") as f:
+            f.write(payload)
+        assert read_marker(d, pid) is None
+    assert read_marker(d, 9) is None  # missing
 
 
 def test_no_marker_for_missing_data(tmp_path):
@@ -121,10 +95,3 @@ def test_manifest_via_filesystem_uri(tmp_path):
     files = list_partition_files(uri)
     assert len(files) == 1 and files[0].startswith("file://")
     assert pq.read_table(files[0]).num_rows == 2
-
-
-def test_extract_pages_with_uri_out_dir(ray_session, tmp_path):
-    pages = make_pages_table(16, seed=42)
-    uri = f"file://{tmp_path}/out"
-    out = extract_pages(ray.data.from_arrow(pages), batch_size=8, out_dir=uri, num_partitions=4)
-    assert out.count() == 16

@@ -64,3 +64,36 @@ def test_kernel_layers_recorded(patched_namespaces):
         "kernel.strip_tags",
     ):
         assert name in names, name
+
+
+def test_shard_task_layers_recorded(patched_namespaces, tmp_path):
+    """The shard task as the Ray job calls it, in-process: the task,
+    unit, read and partition-write layers must all be recorded."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    spans = _load_spans()
+    rec = spans.Recorder()
+    spans.install_worker(rec)
+
+    import dots_ocr_ray.pipelines.extract as px
+    from dots_ocr_ray.kernel.extract import ExtractConfig
+    from dots_ocr_ray.fixtures import make_pages_table
+
+    src = str(tmp_path / "shard.parquet")
+    pq.write_table(make_pages_table(6, seed=42), src)
+    out_dir = str(tmp_path / "job")
+    work = pa.table({"shard": [0], "path": [src], "row_groups": pa.array([None], pa.list_(pa.int64()))})
+    cpus, io = pa.cpu_count(), pa.io_thread_count()
+    try:
+        metrics = px._run_shard_task(work, out_dir=out_dir, config=ExtractConfig(), batch_size=4, n_shards=1)
+    finally:  # the task pins pyarrow to one thread for its process
+        pa.set_cpu_count(cpus)
+        pa.set_io_thread_count(io)
+    assert metrics.column("input_rows").to_pylist() == [6]
+    assert os.path.exists(os.path.join(out_dir, "part-00000.done"))
+    names = [s[3] for s in rec.spans]
+    for name in ("pipelines.task", "pipelines.unit", "pipelines.read", "state.write_partition", "stages.call"):
+        assert name in names, name
+    assert names.count("pipelines.read") == 3  # two batches, then the exhausted generator
+    assert {s[0] for s in rec.spans} == {"job"}  # job id = the out_dir's name

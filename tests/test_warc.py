@@ -64,7 +64,7 @@ def test_extract_from_warc_end_to_end(ray_session, tmp_path):
     from dots_ocr_ray.pipelines.extract import extract_pages
 
     path = _write(tmp_path, "t.warc.gz", compress=True)
-    out = extract_pages(read_warc(path), batch_size=8, concurrency=2).to_pandas()
+    out = extract_pages(read_warc(path), batch_size=8).to_pandas()
     assert len(out) == 3
     by_url = dict(zip(out.url, out.extracted_text))
     assert "hello world" in by_url["https://a.test/x"]
