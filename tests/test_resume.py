@@ -1,15 +1,20 @@
 """Resumable-output tests (reference S9/J4 md5-gate analog,
-SURVEY.md §5.4): markers, their content hash, and the manifest layer.
-Resume of a partially completed job is tested in test_extract_shards."""
+SURVEY.md §5.4): rerun after partial completion recomputes only the
+missing partitions and bytes match; markers, their content hash, and
+the manifest layer."""
 
+import glob
 import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+import ray
+import ray.data
+
 from dots_ocr_ray.fixtures import make_pages_table
-from dots_ocr_ray.pipelines.extract import extract_shards
+from dots_ocr_ray.pipelines.extract import extract_pages, extract_shards
 from dots_ocr_ray.state.manifest import completed_partitions, read_marker
 
 
@@ -26,6 +31,40 @@ def _write_shards(tmp_path, pages: pa.Table, n_shards: int) -> list[str]:
         pq.write_table(pages.slice(s * per, per), f)
         files.append(f)
     return files
+
+
+def _read_all(out_dir):
+    tables = [pq.read_table(p) for p in sorted(glob.glob(os.path.join(out_dir, "part-*.parquet")))]
+    return pa.concat_tables(tables).sort_by("url")
+
+
+def test_resume_skips_completed_partitions(ray_session, tmp_path, out_dir):
+    pages = make_pages_table(64, seed=42)
+    files = _write_shards(tmp_path, pages, 8)
+    extract_shards(files, out_dir, batch_size=8)
+    full = _read_all(out_dir)
+    assert full.num_rows == 64
+    done = completed_partitions(out_dir)
+    assert done == set(range(8))
+
+    # simulate a crash: delete half the partitions (data + marker)
+    victims = sorted(done)[: len(done) // 2]
+    survivors = sorted(done)[len(done) // 2 :]
+    mtimes_before = {}
+    for pid in victims:
+        os.remove(os.path.join(out_dir, f"part-{pid:05d}.parquet"))
+        os.remove(os.path.join(out_dir, f"part-{pid:05d}.done"))
+    for pid in survivors:
+        mtimes_before[pid] = os.path.getmtime(os.path.join(out_dir, f"part-{pid:05d}.parquet"))
+
+    # rerun: only the missing partitions may be (re)written
+    metrics = extract_shards(files, out_dir, batch_size=8)
+    for pid in survivors:
+        assert os.path.getmtime(os.path.join(out_dir, f"part-{pid:05d}.parquet")) == mtimes_before[pid]
+    assert completed_partitions(out_dir) == done
+    assert metrics.num_rows == 8 and sum(metrics.column("input_rows").to_pylist()) == 64
+    resumed = _read_all(out_dir)
+    assert resumed.equals(full)  # byte-equal content after resume
 
 
 def test_marker_carries_content_hash(ray_session, tmp_path, out_dir):
@@ -95,3 +134,20 @@ def test_manifest_via_filesystem_uri(tmp_path):
     files = list_partition_files(uri)
     assert len(files) == 1 and files[0].startswith("file://")
     assert pq.read_table(files[0]).num_rows == 2
+
+
+def test_extract_pages_with_uri_out_dir(ray_session, tmp_path):
+    """A file:// URI out_dir for the writer gives the same rows as the
+    streaming extract_pages stage over the same pages (partition_id
+    aside: the writer sets it to the input shard)."""
+    pages = make_pages_table(16, seed=42)
+    files = _write_shards(tmp_path, pages, 4)
+    uri = f"file://{tmp_path}/out"
+    metrics = extract_shards(files, uri, batch_size=8)
+    assert sum(metrics.column("input_rows").to_pylist()) == 16
+    assert completed_partitions(uri) == {0, 1, 2, 3}
+    written = _read_all(str(tmp_path / "out"))
+    streamed = extract_pages(ray.data.from_arrow(pages), batch_size=8).materialize()
+    assert streamed.count() == 16
+    streamed = pa.concat_tables(ray.get(streamed.to_arrow_refs())).sort_by("url")
+    assert written.drop_columns(["partition_id"]).to_pylist() == streamed.drop_columns(["partition_id"]).to_pylist()
