@@ -2946,6 +2946,7 @@ def _q_shipping_priority(sf_dir: str):
 
     from dots_ocr_ray.pipelines.dedup import semi_join_ids
     from dots_ocr_ray.pipelines.relational import hash_join
+    from dots_ocr_ray.util import bucket_exchange
 
     cutoff = pa.scalar(__import__("datetime").datetime(1998, 1, 1))
 
@@ -2954,20 +2955,15 @@ def _q_shipping_priority(sf_dir: str):
         columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     )
 
-    NUM_BUCKETS = 64
-
     def _rev_rows(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.greater(batch.column("l_shipdate"), cutoff))
-        ok = batch.column("l_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        h = (ok.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
         rev = pc.multiply(
             batch.column("l_extendedprice"),
             pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
         )
         return pa.table(
             {
-                "bucket": pa.array((h % np.uint64(NUM_BUCKETS)).astype(np.int64)),
-                "l_orderkey": pa.array(ok, pa.int64()),
+                "l_orderkey": batch.column("l_orderkey").cast(pa.int64()),
                 "rev": rev,
             }
         )
@@ -3025,9 +3021,7 @@ def _q_shipping_priority(sf_dir: str):
         id_cols=("o_orderkey",),
         exact=True,
     )
-    revenue = lineitem_kept.groupby("bucket").map_groups(
-        _rev_reduce, batch_format="pyarrow"
-    )
+    revenue = bucket_exchange(lineitem_kept, "l_orderkey", _rev_reduce, num_buckets=64)
 
     def _rename_ok(batch: pa.Table) -> pa.Table:
         return batch.select(

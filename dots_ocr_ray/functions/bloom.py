@@ -1,13 +1,12 @@
-"""Deterministic Bloom filter for broadcast semi/anti joins.
+"""Deterministic Bloom filter behind the distributed semi/anti joins.
 
 At 10^12 documents the "completed urls" / "already-seen keys" side of a
 resume or dedup anti-join no longer fits as a plain Python set in every
 task.  A Bloom filter keeps the broadcast payload at ~1.2 GB per 10^9
-keys at 1% false positives.  Both joins are APPROXIMATE in one
-direction: a false positive makes the anti-join wrongly SKIP (and the
-semi-join wrongly keep) ~fp_rate of the not-in-set keys, so when
-completeness matters the output must be exact-verified against the
-true key set downstream; false negatives never occur.
+keys at 1% false positives.  Membership is APPROXIMATE in one
+direction: a false positive claims ~fp_rate of the not-in-set keys, so
+``dedup.semi_join_ids`` / ``anti_join_ids`` exact-verify the possible
+members; false negatives never occur.
 
 Pure numpy + blake2b: deterministic across processes, ships through
 ``ray.put`` once, read per actor/task.
@@ -19,19 +18,8 @@ import hashlib
 import math
 
 import numpy as np
-import pyarrow as pa
 
-import ray
-import ray.data
-
-
-def _mix64(vals: np.ndarray, seed: int) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over uint64 — the int-key hash
-    for :meth:`BloomFilter.add_int_array` (deterministic, C-speed)."""
-    z = vals.astype(np.uint64) + np.uint64(seed)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+from dots_ocr_ray.util import GOLDEN64, _mix64
 
 
 class BloomFilter:
@@ -68,7 +56,7 @@ class BloomFilter:
         return bf
 
     def _int_positions(self, vals: np.ndarray, i: int) -> np.ndarray:
-        h1 = _mix64(vals, 0x9E3779B97F4A7C15)
+        h1 = _mix64(vals, GOLDEN64)
         h2 = _mix64(vals, 0xC2B2AE3D27D4EB4F) | np.uint64(1)
         return (h1 + np.uint64(i) * h2) % np.uint64(self.n_bits)
 
@@ -124,47 +112,3 @@ class BloomFilter:
         for k in keys:
             bf.add(k)
         return bf
-
-
-def bloom_anti_join(
-    ds: ray.data.Dataset, bloom: BloomFilter, key_col: str = "url"
-) -> ray.data.Dataset:
-    """Drop rows whose key is (probably) in the filter — APPROXIMATE.
-
-    A Bloom false positive (~``fp_rate`` of the not-in-set keys) makes
-    this DROP a row that was never processed, so that row's output is
-    permanently missing from this run.  Use it as a cheap first-pass
-    skip filter only; when completeness matters, exact-verify the
-    dropped side against the true done-set downstream (e.g. the marker
-    manifest or an exact key table) before declaring the job complete.
-    False negatives cannot occur: every key actually in the filter is
-    always dropped."""
-    bloom_ref = ray.put(bloom)
-
-    def _filter(batch: pa.Table) -> pa.Table:
-        from dots_ocr_ray.util import cached_object
-
-        bf = cached_object(bloom_ref)
-        mask = pa.array([k not in bf for k in batch.column(key_col).to_pylist()])
-        return batch.filter(mask)
-
-    # task stage, bloom via the per-worker broadcast cache: no pool
-    # ramp and no 4-actor parallelism cap
-    return ds.map_batches(_filter, batch_format="pyarrow")
-
-
-def bloom_semi_join(
-    ds: ray.data.Dataset, bloom: BloomFilter, key_col: str = "url"
-) -> ray.data.Dataset:
-    """Keep rows whose key is (probably) in the filter; exact-verify
-    downstream if false positives matter."""
-    bloom_ref = ray.put(bloom)
-
-    def _filter(batch: pa.Table) -> pa.Table:
-        from dots_ocr_ray.util import cached_object
-
-        bf = cached_object(bloom_ref)
-        mask = pa.array([k in bf for k in batch.column(key_col).to_pylist()])
-        return batch.filter(mask)
-
-    return ds.map_batches(_filter, batch_format="pyarrow")

@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from dots_ocr_ray.util import GOLDEN64
+
 _MERSENNE = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
 
@@ -20,7 +22,7 @@ def stable_u64(s: str) -> int:
     return int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-_SHINGLE_B = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier; u64 wraparound
+_SHINGLE_B = np.uint64(GOLDEN64)  # odd multiplier; u64 wraparound
 
 
 def shingles(text: str, k: int = 5) -> set[int]:

@@ -301,6 +301,8 @@ def prune_boilerplate(spans: list[dict], extra_blocklist: tuple[str, ...] = ()) 
 
 _TAG_STRIP_RE = re.compile(r"<[^>]*>")
 _SCRIPT_STYLE_RE = re.compile(r"<(script|style)\b[^>]*>.*?</\1\s*>", re.IGNORECASE | re.DOTALL)
+_SCRIPT_STYLE_OPEN_RE = re.compile(r"<(script|style)\b", re.IGNORECASE)
+_SCRIPT_STYLE_CLOSE_RE = re.compile(r"</(script|style)\s*>", re.IGNORECASE)
 _ENTITY_RE = re.compile(r"&(amp|lt|gt|quot|#39|nbsp);")
 _ENTITY_MAP = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "#39": "'", "nbsp": " "}
 
@@ -308,11 +310,55 @@ _ENTITY_MAP = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "#39": "'", "nbsp"
 def strip_tags(html_text: str) -> str:
     """Whole-page tag strip — the fallback extractor (the analog of the
     reference's prompt_ocr whole-page-text fallback,
-    dots_ocr/model/inference.py:235-253)."""
-    no_scripts = _SCRIPT_STYLE_RE.sub(" ", html_text)
-    text = _TAG_STRIP_RE.sub(" ", no_scripts)
+    dots_ocr/model/inference.py:235-253).
+
+    Linear time, with the output of ``_SCRIPT_STYLE_RE.sub`` then
+    ``_TAG_STRIP_RE.sub``: a tag match ends at a ``>``, so the tag pass
+    stops at the page's last ``>`` (a bare ``<`` after it would
+    otherwise scan to the end, once per ``<``)."""
+    no_scripts = _drop_script_style(html_text)
+    last_gt = no_scripts.rfind(">") + 1
+    text = _TAG_STRIP_RE.sub(" ", no_scripts[:last_gt]) + no_scripts[last_gt:]
     text = _ENTITY_RE.sub(lambda m: _ENTITY_MAP[m.group(1)], text)
     return re.sub(r"\s+", " ", text).strip()
+
+
+def _drop_script_style(html_text: str) -> str:
+    """``_SCRIPT_STYLE_RE.sub(" ", html_text)`` in linear time.
+
+    The plain sub tries every open tag, and one with no close after it
+    scans to the end of the page.  Here an open tag is tried only when
+    a close tag of its name starts after the open tag's ``>`` (the
+    ``[^>]*`` cannot cross one); a match is still the regex's own.  The
+    name is told by its length: IGNORECASE matches one character per
+    pattern character, so ``script`` is 6 long and ``style`` 5."""
+    last_close = {}
+    for m in _SCRIPT_STYLE_CLOSE_RE.finditer(html_text):
+        last_close[len(m.group(1))] = m.span()
+    if not last_close:
+        return html_text
+    out = []
+    pos = search = 0
+    gt = -1
+    while True:
+        m = _SCRIPT_STYLE_OPEN_RE.search(html_text, search)
+        if m is None:
+            break
+        if gt < m.end():
+            gt = html_text.find(">", m.end())
+            if gt < 0:
+                break
+        close = last_close.get(len(m.group(1)))
+        if close is not None and close[0] > gt:
+            hit = _SCRIPT_STYLE_RE.match(html_text, m.start(), close[1])
+            if hit:
+                out.append(html_text[pos : hit.start()])
+                out.append(" ")
+                pos = search = hit.end()
+                continue
+        search = m.start() + 1
+    out.append(html_text[pos:])
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

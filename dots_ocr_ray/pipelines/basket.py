@@ -33,7 +33,7 @@ import pyarrow as pa
 import ray.data
 
 from dots_ocr_ray.util import (
-    bounded_blocks,
+    bucket_exchange,
     merge_int_counts,
     merge_pair_counts,
     sorted_lookup,
@@ -161,30 +161,21 @@ def association_rules(
             min(r["lo"] for r in mm) < 0 or max(r["hi"] for r in mm) >= int(_PACK_LIMIT)
         )
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        k = batch.column(basket_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        its = batch.column(item_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            bkt = (k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(
-                num_buckets
-            )
+    def _ids(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                basket_col: pa.array(k, type=pa.int64()),
-                item_col: pa.array(its, type=pa.int64()),
-                "__bucket": pa.array(bkt.astype(np.int32), type=pa.int32()),
+                basket_col: batch.column(basket_col).cast(pa.int64()),
+                item_col: batch.column(item_col).cast(pa.int64()),
             }
         )
 
-    tagged = bounded_blocks(
-        ds.map_batches(_tag, batch_format="pyarrow"), rows_per_block=1_048_576
-    )
     packed = not wide_ids
-    partials = tagged.groupby("__bucket").map_groups(
+    partials = bucket_exchange(
+        ds.map_batches(_ids, batch_format="pyarrow"),
+        basket_col,
         lambda g: _pair_partials(g, basket_col, item_col, packed=packed),
-        batch_format="pyarrow",
-    )
-    partials = partials.materialize()
+        num_buckets=num_buckets,
+    ).materialize()
 
     if packed:
         pair_counts = merge_int_counts(

@@ -18,10 +18,10 @@ garbage in systems that skip the check).  Paths resolve through
 ``pyarrow.fs`` (same seam as state/manifest.py), so ``s3://…`` layouts
 work unchanged.
 
-The bucket hash is :func:`~dots_ocr_ray.pipelines.relational.
-_stable_key_hash` — the SAME function the on-line ``hash_join``
-exchange uses, so a bucketed write is exactly "the hash_join exchange,
-persisted".
+The bucket hash is :func:`~dots_ocr_ray.util._stable_key_hash` — the
+SAME function the on-line :func:`~dots_ocr_ray.util.bucket_exchange`
+(and so ``hash_join``) buckets one key column with, so a bucketed
+write is exactly "the hash_join exchange, persisted".
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ MANIFEST_NAME = "_buckets.json"
 
 
 def _bucket_of(col: pa.ChunkedArray | pa.Array, num_buckets: int) -> np.ndarray:
-    from dots_ocr_ray.pipelines.relational import _stable_key_hash
+    from dots_ocr_ray.util import _stable_key_hash
 
     return (_stable_key_hash(col) % np.uint64(num_buckets)).astype(np.int32)
 

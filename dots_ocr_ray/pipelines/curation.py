@@ -37,9 +37,9 @@ import ray
 import ray.data
 
 from dots_ocr_ray.functions.hashing import stable_u64
-from dots_ocr_ray.util import cached_object, round_half_away, sorted_membership
+from dots_ocr_ray.util import GOLDEN64, cached_object, round_half_away, sorted_membership
 
-_BIGRAM_B = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier, u64 wraparound
+_BIGRAM_B = np.uint64(GOLDEN64)  # odd multiplier, u64 wraparound
 
 
 def hashed_ngram_features(text: str, dim: int) -> np.ndarray:

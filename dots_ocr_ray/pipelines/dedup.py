@@ -64,6 +64,7 @@ from dots_ocr_ray.functions.hashing import (
 from dots_ocr_ray.kernel.textops import md5_hex
 from dots_ocr_ray.util import (
     bounded_blocks,
+    bucket_exchange,
     cached_object,
     sorted_lookup,
     sorted_membership,
@@ -246,10 +247,9 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 def exact_distinct_pairs(
     pairs_ds: ray.data.Dataset, *, num_buckets: int = 64
 ) -> ray.data.Dataset:
-    """EXACT distinct (a, b) pairs: ONE bucket-keyed exchange
-    (deterministic numeric hash of the pair) + per-bucket vectorized
-    ``np.unique`` — Python cost O(num_buckets), never O(distinct
-    pairs).
+    """EXACT distinct int64 (a, b) pairs: ONE
+    :func:`~dots_ocr_ray.util.bucket_keyed_fold` distinct on the pair —
+    Python cost O(num_buckets), never O(distinct pairs).
 
     :func:`distinct_pairs` (sort + per-block unique) is cheaper but
     leaves ≤ num_blocks−1 boundary stragglers, fine for idempotent
@@ -258,40 +258,9 @@ def exact_distinct_pairs(
     triangle counting — and a native multi-key ``groupby().count()``
     would pay per-DISTINCT-GROUP reduce cost (measured ~12 s for 1.2M
     distinct pairs vs <1 s for the 64-bucket form)."""
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch.column("b").to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = (a * np.uint64(0x9E3779B97F4A7C15) + np.uint64(1)) ^ (
-            b * np.uint64(0xC2B2AE3D27D4EB4F)
-        )
-        return pa.table(
-            {
-                "a": batch.column("a").cast(pa.int64()),
-                "b": batch.column("b").cast(pa.int64()),
-                "__bucket": pa.array(
-                    (h % np.uint64(num_buckets)).astype(np.int32), type=pa.int32()
-                ),
-            }
-        )
-
-    def _uniq(group: pa.Table) -> pa.Table:
-        a = group.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = group.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
-        u = np.unique(np.stack([a, b], axis=1), axis=0)
-        return pa.table(
-            {
-                "a": pa.array(u[:, 0], type=pa.int64()),
-                "b": pa.array(u[:, 1], type=pa.int64()),
-            }
-        )
-
-    from dots_ocr_ray.util import bounded_blocks as _bb
-
-    tagged = _bb(
-        pairs_ds.map_batches(_tag, batch_format="pyarrow"), rows_per_block=1_048_576
-    )
-    return tagged.groupby("__bucket").map_groups(_uniq, batch_format="pyarrow")
+    return bucket_keyed_fold(pairs_ds, ["a", "b"], {}, num_buckets=num_buckets)
 
 
 def distinct_pairs(pairs_ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -851,7 +820,7 @@ def _propagate_labels(pairs_ds: ray.data.Dataset, max_rounds: int) -> ray.data.D
     # ROUND (the triangle-count profile measured 178 s for one such
     # reduce); the fold is O(num_buckets) Python
     labels = (
-        _bkf(edges.map_batches(_nodes, batch_format="pyarrow"), "node", "distinct")
+        _bkf(edges.map_batches(_nodes, batch_format="pyarrow"), "node", {})
         .map_batches(_self_label, batch_format="pyarrow")
         .materialize()
     )
@@ -895,8 +864,7 @@ def _propagate_labels(pairs_ds: ray.data.Dataset, max_rounds: int) -> ray.data.D
         labels = _bkf(
             sent.map_batches(_msgs, batch_format="pyarrow").union(labels),
             "node",
-            "min",
-            val_col="label",
+            {"label": ("min", "label")},
         ).materialize()
         # pointer jumping: label ← label(label).  One more keyed join
         # per round turns O(diameter) convergence into O(log diameter)
@@ -1159,20 +1127,6 @@ def minhash_pairs_from_sigs(
     # per-bucket map_groups: ≤ HOT_BUCKET_CAP → all pairs (verified
     # downstream), hot buckets → star-link to the bucket's min doc
     # (other bands' buckets recover pairs a star misses).
-    _MIX_A = np.uint64(0x9E3779B97F4A7C15)
-    _MIX_B = np.uint64(0xC2B2AE3D27D4EB4F)
-
-    def _tag_bucket(batch: pa.Table) -> pa.Table:
-        key = batch.column("band_key").to_numpy(zero_copy_only=False).astype(np.uint64)
-        bid = batch.column("band_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            # 256 coarse buckets: the fold's parallelism ceiling on a
-            # multi-node cluster, still trivially few Python calls
-            bkt = ((key * _MIX_A) ^ (bid * _MIX_B)) % np.uint64(256)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
-
     def _bucket_pairs(group: pa.Table) -> pa.Table:
         bid = group.column("band_id").to_numpy(zero_copy_only=False).astype(np.int64)
         key = group.column("band_key").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1204,11 +1158,9 @@ def minhash_pairs_from_sigs(
             return _empty_pairs()
         return _pairs_table(np.concatenate(out_a), np.concatenate(out_b))
 
-    cand = (
-        bands_ds.map_batches(_tag_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_bucket_pairs, batch_format="pyarrow")
-    )
+    # 256 coarse buckets: the fold's parallelism ceiling on a
+    # multi-node cluster, still trivially few Python calls
+    cand = bucket_exchange(bands_ds, ["band_id", "band_key"], _bucket_pairs, num_buckets=256)
     if pair_filter is not None:
         cand = cand.map_batches(pair_filter, batch_format="pyarrow")
     cand = bounded_blocks(distinct_pairs(cand), rows_per_block=262144)
@@ -1351,18 +1303,6 @@ def hash64_cluster(
     # Python call per bucket — the same fold rework as the MinHash
     # band exchange; Hamming verification runs vectorized per
     # bucket-SIZE class inside the coarse group
-    _MIX_A = np.uint64(0x9E3779B97F4A7C15)
-    _MIX_B = np.uint64(0xC2B2AE3D27D4EB4F)
-
-    def _tag_bucket(batch: pa.Table) -> pa.Table:
-        key = batch.column("key").to_numpy(zero_copy_only=False).astype(np.uint64)
-        blk = batch.column("block").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bkt = ((key * _MIX_A) ^ (blk * _MIX_B)) % np.uint64(256)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
-
     def _pairs(group: pa.Table) -> pa.Table:
         blk = group.column("block").to_numpy(zero_copy_only=False).astype(np.int64)
         key = group.column("key").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1403,14 +1343,15 @@ def hash64_cluster(
         db = np.concatenate(out_b)
         return _pairs_table(np.minimum(da, db), np.maximum(da, db))
 
-    exploded = bounded_blocks(sims.map_batches(_explode, batch_format="pyarrow"), rows_per_block=262144)
     # duplicate pairs across pigeonhole blocks are harmless to both CC
     # paths (union-find and min-propagation are idempotent), so no
     # distinct barrier here
-    pairs = (
-        exploded.map_batches(_tag_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_pairs, batch_format="pyarrow")
+    pairs = bucket_exchange(
+        sims.map_batches(_explode, batch_format="pyarrow"),
+        ["block", "key"],
+        _pairs,
+        num_buckets=256,
+        rows_per_block=262144,
     )
     return cluster_assign(ids_ds, pairs, id_col=id_col, method=cc_method)
 
@@ -1723,16 +1664,6 @@ def line_dedup(
     # coarse 256-way exchange on hash(doc): ALL docs in a bucket
     # reassemble with ONE lexsort + run-offset binary_join — no Python
     # call per document (the merge_document_pages fold discipline)
-    _MIX_R = np.uint64(0x9E3779B97F4A7C15)
-
-    def _tag_doc(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bkt = (ids * _MIX_R) % np.uint64(256)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
-
     def _reassemble(group: pa.Table) -> pa.Table:
         ids = group.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         ords = group.column("ord").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1791,11 +1722,8 @@ def line_dedup(
             out = out.append_column(c, batch.column(c))
         return out
 
-    reassembled = (
-        bounded_blocks(kept, rows_per_block=262144)
-        .map_batches(_tag_doc, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_reassemble, batch_format="pyarrow")
+    reassembled = bucket_exchange(
+        kept, id_col, _reassemble, num_buckets=256, rows_per_block=262144
     )
     totals = ds.map_batches(_totals, batch_format="pyarrow")
     keep_types: dict[str, pa.DataType] = {}
@@ -2299,25 +2227,10 @@ def snm_dedup(
             }
         )
 
-    exploded = bounded_blocks(
-        ranks.map_batches(_window_explode, batch_format="pyarrow"),
-        rows_per_block=262144,
-    )
-
     # coarse 256-way exchange over hashed window groups (the same fold
     # rework as the MinHash band exchange): one Python call per coarse
     # bucket, triu adjacency vectorized per window-size class — never
     # one call per window group (corpus-scale count)
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
-
-    def _tag_wg(batch: pa.Table) -> pa.Table:
-        wg = batch.column("wg").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bkt = (wg * _MIX) % np.uint64(256)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
-
     def _pairs(group: pa.Table) -> pa.Table:
         wg = group.column("wg").to_numpy(zero_copy_only=False).astype(np.int64)
         ids = group.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2349,10 +2262,12 @@ def snm_dedup(
         db = np.concatenate(out_b)
         return _pairs_table(np.minimum(da, db), np.maximum(da, db))
 
-    cand = (
-        exploded.map_batches(_tag_wg, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_pairs, batch_format="pyarrow")
+    cand = bucket_exchange(
+        ranks.map_batches(_window_explode, batch_format="pyarrow"),
+        "wg",
+        _pairs,
+        num_buckets=256,
+        rows_per_block=262144,
     )
     verified = jaccard_verify_pairs(
         cand, ds, id_col=id_col, text_col=text_col, n=n, threshold=threshold

@@ -89,13 +89,7 @@ def merge_document_pages(
     # between a fold and a stall
     import numpy as np
 
-    from dots_ocr_ray.pipelines.relational import _stable_key_hash
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        bkt = (_stable_key_hash(batch.column(doc_col)) % np.uint64(256)).astype(
-            np.int32
-        )
-        return batch.append_column("__bucket", pa.array(bkt, type=pa.int32()))
+    from dots_ocr_ray.util import bucket_exchange
 
     def _merge(group: pa.Table) -> pa.Table:
         group = group.sort_by(
@@ -131,11 +125,7 @@ def merge_document_pages(
             }
         )
 
-    return (
-        pages.map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_merge, batch_format="pyarrow")
-    )
+    return bucket_exchange(pages, doc_col, _merge, num_buckets=256)
 
 
 def latest_page_per_url(pages: ray.data.Dataset, *, url_col: str = "url", ts_col: str = "warc_ts") -> ray.data.Dataset:
@@ -171,25 +161,13 @@ def latest_page_per_url(pages: ray.data.Dataset, *, url_col: str = "url", ts_col
     # per coarse hash bucket (urls partition across buckets), not one
     # Python call per url — corpus-scale url counts never pay per-key
     # Python
-    import numpy as np
-
-    from dots_ocr_ray.pipelines.relational import _stable_key_hash
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        bkt = (_stable_key_hash(batch.column(url_col)) % np.uint64(256)).astype(
-            np.int32
-        )
-        return batch.append_column("__bucket", pa.array(bkt, type=pa.int32()))
+    from dots_ocr_ray.util import bucket_exchange
 
     def _latest_fold(group: pa.Table) -> pa.Table:
         return _local_latest(group.drop_columns(["__bucket"]))
 
     combined = pages.map_batches(_local_latest, batch_format="pyarrow")
-    return (
-        combined.map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_latest_fold, batch_format="pyarrow")
-    )
+    return bucket_exchange(combined, url_col, _latest_fold, num_buckets=256)
 
 
 def window_dedup(
@@ -315,26 +293,21 @@ def aligned_page_pairs(
     import numpy as np
     import pyarrow.compute as pc
 
-    from dots_ocr_ray.pipelines.relational import _stable_key_hash
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bucket_exchange
 
     pattern = r"^((?:[^/]*/){%d})[^/]+/" % strip_segment
 
-    def _tag(batch: pa.Table) -> pa.Table:
+    def _rows(batch: pa.Table) -> pa.Table:
         key = pc.replace_substring_regex(
             batch.column(url_col), pattern=pattern, replacement=r"\1"
         )
-        out = pa.table(
+        return pa.table(
             {
                 "page_key": key,
                 "lang": batch.column(lang_col).cast(pa.string()),
                 "doc_id": batch.column(id_col).cast(pa.int64()),
             }
         )
-        bkt = (_stable_key_hash(out.column("page_key")) % np.uint64(num_buckets)).astype(
-            np.int32
-        )
-        return out.append_column("__bucket", pa.array(bkt, type=pa.int32()))
 
     def _fold(group: pa.Table) -> pa.Table:
         keys = group.column("page_key").to_numpy(zero_copy_only=False)
@@ -379,10 +352,12 @@ def aligned_page_pairs(
             }
         )
 
-    return (
-        bounded_blocks(ds.map_batches(_tag, batch_format="pyarrow"))
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(_rows, batch_format="pyarrow"),
+        "page_key",
+        _fold,
+        num_buckets=num_buckets,
+        rows_per_block=65536,
     )
 
 
@@ -634,19 +609,14 @@ def crawl_diff(
     """
     import numpy as np
 
-    from dots_ocr_ray.pipelines.relational import _stable_key_hash
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bucket_exchange
 
     def _tag(side: int):
         def _fn(batch: pa.Table) -> pa.Table:
-            bucket = (
-                _stable_key_hash(batch.column(id_col)) % np.uint64(num_buckets)
-            ).astype(np.int32)
             return pa.table(
                 {
                     id_col: batch.column(id_col),
                     hash_col: batch.column(hash_col),
-                    "__bucket": pa.array(bucket, type=pa.int32()),
                     "__side": pa.array(
                         np.full(batch.num_rows, side, np.int8), type=pa.int8()
                     ),
@@ -655,11 +625,10 @@ def crawl_diff(
 
         return _fn
 
-    tagged = bounded_blocks(
-        old_ds.map_batches(_tag(0), batch_format="pyarrow").union(
-            new_ds.map_batches(_tag(1), batch_format="pyarrow")
-        )
-    )
+    sides = [
+        old_ds.map_batches(_tag(0), batch_format="pyarrow"),
+        new_ds.map_batches(_tag(1), batch_format="pyarrow"),
+    ]
 
     def _diff(group: pa.Table) -> pa.Table:
         df = group.select([id_col, hash_col, "__side"]).to_pandas()
@@ -684,7 +653,7 @@ def crawl_diff(
             }
         )
 
-    return tagged.groupby("__bucket").map_groups(_diff, batch_format="pyarrow")
+    return bucket_exchange(sides, id_col, _diff, num_buckets=num_buckets, rows_per_block=65536)
 
 
 _JSONLD_RE = None  # compiled lazily once per worker process
@@ -855,13 +824,7 @@ def url_templates(
     # construction" turns out generous on an adversarial corpus
     import numpy as np
 
-    from dots_ocr_ray.pipelines.relational import _stable_key_hash
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        bkt = (_stable_key_hash(batch.column("template")) % np.uint64(256)).astype(
-            np.int32
-        )
-        return batch.append_column("__bucket", pa.array(bkt, type=pa.int32()))
+    from dots_ocr_ray.util import bucket_exchange
 
     def _fold(group: pa.Table) -> pa.Table:
         group = group.sort_by(
@@ -897,11 +860,8 @@ def url_templates(
             }
         )
 
-    return (
-        urls.map_batches(_template, batch_format="pyarrow")
-        .map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
+    return bucket_exchange(
+        urls.map_batches(_template, batch_format="pyarrow"), "template", _fold, num_buckets=256
     )
 
 

@@ -370,65 +370,34 @@ def host_failure_wilson(
     (exact integer counts → identical IEEE doubles → micro-floor)."""
     import numpy as np
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    def _rows(batch: pa.Table) -> pa.Table:
         hosts = pc.extract_regex(
             batch.column(url_col), r"^https?://(?P<host>[^/]+)"
         ).combine_chunks().field("host")
         failed = pc.cast(
             pc.equal(batch.column(status_col), "failed"), pa.int64()
         )
-        part = pa.table({"host": hosts, "f": failed}).group_by("host").aggregate(
-            [("f", "sum"), ("f", "count")]
-        )
-        return part.rename_columns(["host", "f", "n"])
+        return pa.table({"host": hosts, "f": failed})
 
-    # coarse 256-way exchange on hash(host); the fold sums every
-    # host's partials with one sort + reduceat and evaluates the
-    # Wilson bound VECTORIZED with the same elementwise IEEE operand
-    # order the scalar form (and the SQL oracle) uses — one Python
-    # call per coarse bucket, not per host
-    from dots_ocr_ray.pipelines.relational import _stable_key_hash
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        bkt = (_stable_key_hash(batch.column("host")) % np.uint64(256)).astype(
-            np.int32
-        )
-        return batch.append_column("__bucket", pa.array(bkt, type=pa.int32()))
-
-    def _fold(group: pa.Table) -> pa.Table:
-        group = group.sort_by([("host", "ascending")])
-        m = group.num_rows
-        hosts = group.column("host")
-        if isinstance(hosts, pa.ChunkedArray):
-            hosts = hosts.combine_chunks()
-        new_run = np.ones(m, dtype=bool)
-        if m > 1:
-            new_run[1:] = pc.not_equal(hosts.slice(1), hosts.slice(0, m - 1)).to_numpy(
-                zero_copy_only=False
-            )
-        starts = np.flatnonzero(new_run)
-        nv = group.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
-        fv = group.column("f").to_numpy(zero_copy_only=False).astype(np.int64)
-        n = np.add.reduceat(nv, starts).astype(np.float64)
-        f = np.add.reduceat(fv, starts).astype(np.float64)
+    # the Wilson bound is evaluated VECTORIZED per folded batch with the
+    # same elementwise IEEE operand order the scalar form (and the SQL
+    # oracle) uses
+    def _wilson(batch: pa.Table) -> pa.Table:
+        n = batch.column("n").to_numpy(zero_copy_only=False).astype(np.float64)
+        f = batch.column("f").to_numpy(zero_copy_only=False).astype(np.float64)
         p = f * 1.0 / n
         z2 = z * z
         arg = p * (1.0 - p) / n + z2 / (4.0 * n * n)
         lb = (p + z2 / (2 * n) - z * np.sqrt(arg)) / (1 + z2 / n)
-        return pa.table(
-            {
-                "host": hosts.take(pa.array(starts)),
-                "n": pa.array(n.astype(np.int64), pa.int64()),
-                "f": pa.array(f.astype(np.int64), pa.int64()),
-                "wilson_lb_micro": pa.array(
-                    np.floor(1000000 * lb).astype(np.int64), pa.int64()
-                ),
-            }
+        return batch.append_column(
+            "wilson_lb_micro", pa.array(np.floor(1000000 * lb).astype(np.int64), pa.int64())
         )
 
-    return (
-        extracted.map_batches(_partial, batch_format="pyarrow")
-        .map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
-    )
+    return bucket_keyed_fold(
+        extracted.map_batches(_rows, batch_format="pyarrow"),
+        "host",
+        {"n": ("count", None), "f": ("sum", "f")},
+        num_buckets=256,
+    ).map_batches(_wilson, batch_format="pyarrow")

@@ -30,105 +30,68 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from dots_ocr_ray.util import bounded_blocks, cached_object
+from dots_ocr_ray.util import GOLDEN64, bounded_blocks, bucket_exchange, cached_object
 
 
-def _bucket_sum(
-    partials: ray.data.Dataset,
-    *,
-    key_col: str = "host",
-    val_col: str = "c",
-    num_buckets: int = 64,
-) -> ray.data.Dataset:
-    """SUM(val) GROUP BY key for HIGH-CARDINALITY int keys: one
-    bucket-keyed exchange (deterministic hash) + per-bucket vectorized
-    unique+add fold — Python cost O(num_buckets).  A native
-    ``groupby(key).sum`` pays per DISTINCT KEY on the reduce (~12 s
-    per 10^6 keys), which dominates iterative graph loops at web-graph
-    node counts."""
+def _endpoints(pairs: ray.data.Dataset, col: str) -> ray.data.Dataset:
+    """Both endpoints of every (a, b) pair row, as one int64 column."""
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        h = k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        return pa.table(
-            {
-                key_col: pa.array(k, type=pa.int64()),
-                val_col: batch.column(val_col).cast(pa.float64()),
-                "__bucket": pa.array(
-                    (h % np.uint64(num_buckets)).astype(np.int32), type=pa.int32()
-                ),
-            }
-        )
+    def _ends(batch: pa.Table) -> pa.Table:
+        a = batch.column("a").to_numpy(zero_copy_only=False)
+        b = batch.column("b").to_numpy(zero_copy_only=False)
+        return pa.table({col: pa.array(np.concatenate([a, b]), type=pa.int64())})
 
-    def _fold(group: pa.Table) -> pa.Table:
-        k = group.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        v = group.column(val_col).to_numpy(zero_copy_only=False).astype(np.float64)
-        uniq, inv = np.unique(k, return_inverse=True)
-        sums = np.zeros(len(uniq))
-        np.add.at(sums, inv, v)
-        return pa.table(
-            {
-                key_col: pa.array(uniq, type=pa.int64()),
-                val_col: pa.array(sums, type=pa.float64()),
-            }
-        )
+    return pairs.map_batches(_ends, batch_format="pyarrow")
 
-    tagged = bounded_blocks(
-        partials.map_batches(_tag, batch_format="pyarrow"), rows_per_block=1_048_576
-    )
-    return tagged.groupby("__bucket").map_groups(_fold, batch_format="pyarrow")
+
+def _distinct_nodes(pairs: ray.data.Dataset, num_buckets: int) -> ray.data.Dataset:
+    """The distinct endpoints of an (a, b) pair dataset, as ``host``."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    return bucket_keyed_fold(
+        _endpoints(pairs, "host"), "host", {}, num_buckets=num_buckets
+    ).materialize()
+
+
+def _node_degrees(pairs: ray.data.Dataset) -> ray.data.Dataset:
+    """(node, deg): the number of (a, b) rows each endpoint is in."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    # native groupby("node").sum pays per DISTINCT NODE on the reduce —
+    # profiled at 178 s of triangle_count's ~193 s total at 3M nodes;
+    # the bucket fold does the same sum in ~2 s
+    return bucket_keyed_fold(_endpoints(pairs, "node"), "node", {"deg": ("count", None)})
 
 
 def degree_table(
     edges: ray.data.Dataset, *, src: str = "src", dst: str = "dst", num_buckets: int = 64
 ) -> ray.data.Dataset:
-    """Per-node (out_deg, in_deg) from an edge Dataset in ONE keyed
-    exchange: each batch pre-aggregates both directions into
-    (host, out_partial, in_partial) rows, then a BUCKET-keyed groupby
-    (deterministic hash of the host) folds each bucket with one
-    vectorized unique+add pass — Python cost O(num_buckets), where a
-    native ``groupby(host).sum`` pays per DISTINCT NODE on the reduce
+    """Per-node (out_deg, in_deg) from an edge Dataset in ONE
+    :func:`~dots_ocr_ray.util.bucket_keyed_fold`: each edge yields a
+    (src, 1, 0) and a (dst, 0, 1) row, summed per host.  A native
+    ``groupby(host).sum`` pays per DISTINCT NODE on the reduce
     (measured ~12 s at 10^6 nodes; web graphs have 10^9)."""
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    def _partials(batch: pa.Table) -> pa.Table:
+    def _ends(batch: pa.Table) -> pa.Table:
         s = batch.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
         d = batch.column(dst).to_numpy(zero_copy_only=False).astype(np.int64)
-        hosts = np.unique(np.concatenate([s, d]))
-        out_c = np.bincount(np.searchsorted(hosts, s), minlength=len(hosts))
-        in_c = np.bincount(np.searchsorted(hosts, d), minlength=len(hosts))
-        h = hosts.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        n = len(s)
         return pa.table(
             {
-                "host": pa.array(hosts, type=pa.int64()),
-                "o": pa.array(out_c.astype(np.int64), type=pa.int64()),
-                "i": pa.array(in_c.astype(np.int64), type=pa.int64()),
-                "__bucket": pa.array(
-                    (h % np.uint64(num_buckets)).astype(np.int32), type=pa.int32()
-                ),
+                "host": pa.array(np.concatenate([s, d]), type=pa.int64()),
+                "o": pa.array(np.repeat([1, 0], n), type=pa.int64()),
+                "i": pa.array(np.repeat([0, 1], n), type=pa.int64()),
             }
         )
 
-    def _fold(group: pa.Table) -> pa.Table:
-        hosts = group.column("host").to_numpy(zero_copy_only=False).astype(np.int64)
-        o = group.column("o").to_numpy(zero_copy_only=False).astype(np.int64)
-        i = group.column("i").to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq, inv = np.unique(hosts, return_inverse=True)
-        out_sum = np.zeros(len(uniq), dtype=np.int64)
-        in_sum = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(out_sum, inv, o)
-        np.add.at(in_sum, inv, i)
-        return pa.table(
-            {
-                "host": pa.array(uniq, type=pa.int64()),
-                "out_deg": pa.array(out_sum, type=pa.int64()),
-                "in_deg": pa.array(in_sum, type=pa.int64()),
-            }
-        )
-
-    partials = bounded_blocks(
-        edges.map_batches(_partials, batch_format="pyarrow"), rows_per_block=262144
+    return bucket_keyed_fold(
+        edges.map_batches(_ends, batch_format="pyarrow"),
+        "host",
+        {"out_deg": ("sum", "o"), "in_deg": ("sum", "i")},
+        num_buckets=num_buckets,
+        rows_per_block=262144,
     )
-    return partials.groupby("__bucket").map_groups(_fold, batch_format="pyarrow")
 
 
 def _collect_int_col(ds: ray.data.Dataset, col: str) -> np.ndarray:
@@ -338,10 +301,10 @@ def pagerank(
                 }
             )
 
-        contribs = _bucket_sum(
-            joined.map_batches(_contrib_d, batch_format="pyarrow"),
-            key_col="host",
-            val_col="c",
+        from dots_ocr_ray.util import bucket_keyed_fold
+
+        contribs = bucket_keyed_fold(
+            joined.map_batches(_contrib_d, batch_format="pyarrow"), "host", {"c": ("sum", "c")}
         )
 
         merged = hash_join(
@@ -710,8 +673,6 @@ def frontier_schedule(
     """
     import re as _re
 
-    from dots_ocr_ray.pipelines.relational import _stable_key_hash
-
     _host_re = _re.compile(r"^[a-z]+://([^/]+)")
 
     def _with_host(batch: pa.Table) -> pa.Table:
@@ -720,13 +681,10 @@ def frontier_schedule(
         for u in urls:
             m = _host_re.match(u or "")
             hosts.append(m.group(1) if m else "")
-        host_arr = pa.array(hosts, type=pa.string())
-        bkt = (_stable_key_hash(host_arr) % np.uint64(256)).astype(np.int32)
         return pa.table(
             {
                 url_col: batch.column(url_col).cast(pa.string()),
-                "host": host_arr,
-                "__bucket": pa.array(bkt, type=pa.int32()),
+                "host": pa.array(hosts, type=pa.string()),
             }
         )
 
@@ -752,14 +710,8 @@ def frontier_schedule(
             }
         )
 
-    from dots_ocr_ray.util import bounded_blocks
-
     with_host = frontier.map_batches(_with_host, batch_format="pyarrow")
-    return (
-        bounded_blocks(with_host, rows_per_block=262144)
-        .groupby("__bucket")
-        .map_groups(_rank, batch_format="pyarrow")
-    )
+    return bucket_exchange(with_host, "host", _rank, num_buckets=256, rows_per_block=262144)
 
 
 def triangle_count(
@@ -876,32 +828,7 @@ def triangle_count(
             return pa.table({"n_triangles": pa.array([closed], type=pa.int64())})
         # wedge set too hot even under the edge budget → distributed
 
-    def _deg_partials(batch: pa.Table) -> pa.Table:
-        nodes = np.concatenate(
-            [
-                batch.column("a").to_numpy(zero_copy_only=False),
-                batch.column("b").to_numpy(zero_copy_only=False),
-            ]
-        )
-        uniq, cnt = np.unique(nodes, return_counts=True)
-        return pa.table(
-            {
-                "node": pa.array(uniq, type=pa.int64()),
-                "deg": pa.array(cnt.astype(np.int64), type=pa.int64()),
-            }
-        )
-
-    from dots_ocr_ray.util import bucket_keyed_fold
-
-    # native groupby("node").sum pays per DISTINCT NODE on the reduce —
-    # profiled at 178 s of this plan's ~193 s total at 3M nodes; the
-    # bucket fold does the same sum in ~2 s
-    degrees = bucket_keyed_fold(
-        E.map_batches(_deg_partials, batch_format="pyarrow"),
-        "node",
-        "sum",
-        val_col="deg",
-    )
+    degrees = _node_degrees(E)
 
     def _deg_named(name: str):
         def _fn(batch: pa.Table) -> pa.Table:
@@ -1235,11 +1162,7 @@ def bfs_depths(
         )
         from dots_ocr_ray.util import bucket_keyed_fold as _bkf
 
-        candidates = _bkf(
-            touched.map_batches(_dst_partial, batch_format="pyarrow"),
-            "host",
-            "distinct",
-        )
+        candidates = _bkf(touched.map_batches(_dst_partial, batch_format="pyarrow"), "host", {})
         new_ds = hash_join(
             candidates,
             visited_ds,
@@ -1423,10 +1346,10 @@ def hits(
                 }
             )
 
-        summed = _bucket_sum(
-            joined.map_batches(_partial, batch_format="pyarrow"),
-            key_col="host",
-            val_col="c",
+        from dots_ocr_ray.util import bucket_keyed_fold
+
+        summed = bucket_keyed_fold(
+            joined.map_batches(_partial, batch_format="pyarrow"), "host", {"c": ("sum", "c")}
         )
 
         merged = hash_join(
@@ -1609,33 +1532,7 @@ def label_propagation(
     if und.count() == 0:
         return ray.data.from_arrow(empty)
 
-    # per-block node partials -> exact distinct via ONE bucket-keyed
-    # exchange (per-bucket np.unique fold — never per-distinct-node
-    # Python, the degree_table pattern)
-    def _nodes(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        h = np.unique(np.concatenate([a, b])).astype(np.int64)
-        bkt = (h.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(num_buckets)
-        return pa.table(
-            {
-                "host": pa.array(h, type=pa.int64()),
-                "__bucket": pa.array(bkt.astype(np.int32), type=pa.int32()),
-            }
-        )
-
-    def _node_fold(group: pa.Table) -> pa.Table:
-        h = np.unique(group.column("host").to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table({"host": pa.array(h, type=pa.int64())})
-
-    node_ds = (
-        bounded_blocks(
-            und.map_batches(_nodes, batch_format="pyarrow"), rows_per_block=1_048_576
-        )
-        .groupby("__bucket")
-        .map_groups(_node_fold, batch_format="pyarrow")
-        .materialize()
-    )
+    node_ds = _distinct_nodes(und, num_buckets)
     n_nodes = node_ds.count()
 
     if n_nodes <= broadcast_limit:
@@ -1714,18 +1611,6 @@ def label_propagation(
             }
         )
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        h = batch.column("host").to_numpy(zero_copy_only=False).astype(np.uint64)
-        return batch.append_column(
-            "__bucket",
-            pa.array(
-                ((h * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(num_buckets)).astype(
-                    np.int32
-                ),
-                type=pa.int32(),
-            ),
-        )
-
     def _argmax_fold(group: pa.Table) -> pa.Table:
         node = group.column("host").to_numpy(zero_copy_only=False).astype(np.int64)
         lab = group.column("label").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1749,14 +1634,9 @@ def label_propagation(
             right_schema=pa.schema([("s", pa.int64()), ("label", pa.int64())]),
         )
         votes = joined.map_batches(_vote_rows, batch_format="pyarrow").union(labels)
-        labels = (
-            bounded_blocks(
-                votes.map_batches(_tag, batch_format="pyarrow"), rows_per_block=1_048_576
-            )
-            .groupby("__bucket")
-            .map_groups(_argmax_fold, batch_format="pyarrow")
-            .materialize()
-        )
+        labels = bucket_exchange(
+            votes, "host", _argmax_fold, num_buckets=num_buckets
+        ).materialize()
 
     def _rename(batch: pa.Table) -> pa.Table:
         return batch.rename_columns(
@@ -1785,7 +1665,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 def _walk_choice_hash(cur: np.ndarray, walk: np.ndarray, step: int, seed: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # wrap-around IS the hash
         mixed = (
-            cur.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+            cur.astype(np.uint64) * np.uint64(GOLDEN64)
             ^ walk.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
             ^ np.uint64(step) * np.uint64(0xD6E8FEB86659FD93)
             ^ np.uint64(seed)
@@ -1841,30 +1721,7 @@ def random_walks(
     # preserving: it dedups (a, b) tuples as given)
     dedges = exact_distinct_pairs(edges.map_batches(_as_pair, batch_format="pyarrow"))
 
-    def _nodes(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        h = np.unique(np.concatenate([a, b])).astype(np.int64)
-        bkt = (h.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(num_buckets)
-        return pa.table(
-            {
-                "host": pa.array(h, type=pa.int64()),
-                "__bucket": pa.array(bkt.astype(np.int32), type=pa.int32()),
-            }
-        )
-
-    def _node_fold(group: pa.Table) -> pa.Table:
-        h = np.unique(group.column("host").to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table({"host": pa.array(h, type=pa.int64())})
-
-    node_ds = (
-        bounded_blocks(
-            dedges.map_batches(_nodes, batch_format="pyarrow"), rows_per_block=1_048_576
-        )
-        .groupby("__bucket")
-        .map_groups(_node_fold, batch_format="pyarrow")
-        .materialize()
-    )
+    node_ds = _distinct_nodes(dedges, num_buckets)
     n_nodes = node_ds.count()
     empty = pa.table(
         {
@@ -1956,13 +1813,6 @@ def random_walks(
     # ---- distributed tier: adjacency rows + one join per step --------
     from dots_ocr_ray.pipelines.relational import hash_join
 
-    def _tag_a(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
-        bkt = (a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(num_buckets)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
-
     def _adj_fold(group: pa.Table) -> pa.Table:
         a = group.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
         b = group.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1979,14 +1829,7 @@ def random_walks(
             }
         )
 
-    adj = (
-        bounded_blocks(
-            dedges.map_batches(_tag_a, batch_format="pyarrow"), rows_per_block=1_048_576
-        )
-        .groupby("__bucket")
-        .map_groups(_adj_fold, batch_format="pyarrow")
-        .materialize()
-    )
+    adj = bucket_exchange(dedges, "a", _adj_fold, num_buckets=num_buckets).materialize()
     adj_schema = pa.schema([("cur", pa.int64()), ("nbrs", pa.list_(pa.int64()))])
 
     def _init_frontier(batch: pa.Table) -> pa.Table:
@@ -2188,8 +2031,6 @@ def robots_filter(
     def _match_rows(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as _pc
 
-        from dots_ocr_ray.pipelines.relational import _stable_key_hash
-
         urls = batch.column(url_col)
         path = batch.column("path")
         prefix = batch.column("prefix")
@@ -2206,13 +2047,11 @@ def robots_filter(
         )
         mlen = np.where(starts, [len(x) for x in pre_np], -1).astype(np.int64)
         allow_np = np.asarray(_pc.fill_null(allow, True).to_pylist(), dtype=bool)
-        bkt = (_stable_key_hash(urls) % np.uint64(num_buckets)).astype(np.int32)
         return pa.table(
             {
                 url_col: urls,
                 "mlen": pa.array(mlen, type=pa.int64()),
                 "mallow": pa.array(allow_np, type=pa.bool_()),
-                "__bucket": pa.array(bkt, type=pa.int32()),
             }
         )
 
@@ -2232,13 +2071,11 @@ def robots_filter(
             }
         )
 
-    verdicts = (
-        bounded_blocks(
-            joined.map_batches(_match_rows, batch_format="pyarrow"),
-            rows_per_block=1_048_576,
-        )
-        .groupby("__bucket")
-        .map_groups(_resolve, batch_format="pyarrow")
+    verdicts = bucket_exchange(
+        joined.map_batches(_match_rows, batch_format="pyarrow"),
+        url_col,
+        _resolve,
+        num_buckets=num_buckets,
     )
     return hash_join(
         pages,
@@ -2271,15 +2108,7 @@ def skipgram_pairs(
     pair key.  Total: two exchanges, output bounded by |hosts|² cells.
     """
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        s = batch.column("start_host").to_numpy(zero_copy_only=False).astype(np.uint64)
-        w = batch.column("walk_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = s * np.uint64(0x9E3779B97F4A7C15) ^ w * np.uint64(0xC2B2AE3D27D4EB4F)
-        return batch.append_column(
-            "__bucket",
-            pa.array((h % np.uint64(num_buckets)).astype(np.int32), type=pa.int32()),
-        )
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     def _pair_fold(group: pa.Table) -> pa.Table:
         s = group.column("start_host").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2317,47 +2146,11 @@ def skipgram_pairs(
             }
         )
 
-    per_walk = (
-        bounded_blocks(
-            walks.map_batches(_tag, batch_format="pyarrow"), rows_per_block=1_048_576
-        )
-        .groupby("__bucket")
-        .map_groups(_pair_fold, batch_format="pyarrow")
+    per_walk = bucket_exchange(
+        walks, ["start_host", "walk_id"], _pair_fold, num_buckets=num_buckets
     )
-
-    def _tag2(batch: pa.Table) -> pa.Table:
-        c = batch.column("center").to_numpy(zero_copy_only=False).astype(np.uint64)
-        x = batch.column("context").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = c * np.uint64(0x9E3779B97F4A7C15) ^ x * np.uint64(0xD6E8FEB86659FD93)
-        return batch.append_column(
-            "__bucket",
-            pa.array((h % np.uint64(num_buckets)).astype(np.int32), type=pa.int32()),
-        )
-
-    def _sum_fold(group: pa.Table) -> pa.Table:
-        c = group.column("center").to_numpy(zero_copy_only=False).astype(np.int64)
-        x = group.column("context").to_numpy(zero_copy_only=False).astype(np.int64)
-        n = group.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
-        pair = np.stack([c, x], axis=1)
-        uniq, inv = np.unique(pair, axis=0, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, n)
-        return pa.table(
-            {
-                "center": pa.array(uniq[:, 0], type=pa.int64()),
-                "context": pa.array(uniq[:, 1], type=pa.int64()),
-                "n": pa.array(sums, type=pa.int64()),
-            }
-        )
-
-    return (
-        bounded_blocks(
-            per_walk.map_batches(_tag2, batch_format="pyarrow"),
-            rows_per_block=1_048_576,
-        )
-        .groupby("__bucket")
-        .map_groups(_sum_fold, batch_format="pyarrow")
+    return bucket_keyed_fold(
+        per_walk, ["center", "context"], {"n": ("sum", "n")}, num_buckets=num_buckets
     )
 
 
@@ -2503,8 +2296,7 @@ def _modularity_distributed(
     integer numerator ``4m·Σe_c − ΣD_c²`` as the broadcast tier, so
     the two tiers are bit-identical."""
     from dots_ocr_ray.pipelines.relational import hash_join
-
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     def _rename(host_out: str, lab_out: str):
         def _fn(batch: pa.Table) -> pa.Table:
@@ -2539,49 +2331,34 @@ def _modularity_distributed(
         right_schema=lab_b_schema,
     )
 
-    def _partials(batch: pa.Table) -> pa.Table:
+    def _ends(batch: pa.Table) -> pa.Table:
         la = batch.column("la").to_numpy(zero_copy_only=False).astype(np.int64)
         lb = batch.column("lb").to_numpy(zero_copy_only=False).astype(np.int64)
-        intra = la[la == lb]
-        iu, ic = np.unique(intra, return_counts=True)
-        du, dcnt = np.unique(np.concatenate([la, lb]), return_counts=True)
-        lab_all = np.concatenate([iu, du])
-        e_part = np.concatenate([ic, np.zeros(len(du), dtype=np.int64)])
-        d_part = np.concatenate([np.zeros(len(iu), dtype=np.int64), dcnt])
-        with np.errstate(over="ignore"):
-            bkt = (lab_all.astype(np.uint64) * _MIX) % np.uint64(num_buckets)
         return pa.table(
             {
-                "label": pa.array(lab_all, type=pa.int64()),
-                "ec": pa.array(e_part.astype(np.int64), type=pa.int64()),
-                "dc": pa.array(d_part.astype(np.int64), type=pa.int64()),
-                "__bucket": pa.array(bkt.astype(np.int32), type=pa.int32()),
+                "label": pa.array(np.concatenate([la, lb]), type=pa.int64()),
+                "ec": pa.array(np.concatenate([la == lb, np.zeros(len(lb), bool)]).astype(np.int64)),
             }
         )
 
-    def _fold(group: pa.Table) -> pa.Table:
-        lab = group.column("label").to_numpy(zero_copy_only=False)
-        ec = group.column("ec").to_numpy(zero_copy_only=False)
-        dcv = group.column("dc").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(lab, return_inverse=True)
-        e_c = np.zeros(len(uniq), dtype=np.int64)
-        d_c = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(e_c, inv, ec)
-        np.add.at(d_c, inv, dcv)
-        s_ec = int(e_c.sum())
+    def _label_sums(batch: pa.Table) -> pa.Table:
+        e_c = batch.column("ec").to_numpy(zero_copy_only=False)
+        d_c = batch.column("dc").to_numpy(zero_copy_only=False)
         s_dsq = int((d_c.astype(object) ** 2).sum())
         return pa.table(
             {
-                "s_ec": pa.array([s_ec], type=pa.int64()),
+                "s_ec": pa.array([int(e_c.sum())], type=pa.int64()),
                 "s_dsq": pa.array([str(s_dsq)], type=pa.string()),
             }
         )
 
-    folds = (
-        j2.map_batches(_partials, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
-    )
+    # per label: e_c intra-community edges, D_c its degree sum
+    folds = bucket_keyed_fold(
+        j2.map_batches(_ends, batch_format="pyarrow"),
+        "label",
+        {"ec": ("sum", "ec"), "dc": ("count", None)},
+        num_buckets=num_buckets,
+    ).map_batches(_label_sums, batch_format="pyarrow")
     sum_ec = 0
     sum_dsq = 0
     for r in folds.take_all():
@@ -2589,35 +2366,10 @@ def _modularity_distributed(
         sum_dsq += int(r["s_dsq"])
 
     # n_communities comes from the ASSIGNMENT (a community of edge-less
-    # hosts still counts), via the same bucket partitioning: per-batch
-    # distinct labels, per-bucket exact distinct count, driver sums
-    # num_buckets scalars
-    def _lab_partial(batch: pa.Table) -> pa.Table:
-        u = np.unique(
-            batch.column("community").to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        with np.errstate(over="ignore"):
-            bkt = (u.astype(np.uint64) * _MIX) % np.uint64(num_buckets)
-        return pa.table(
-            {
-                "label": pa.array(u, type=pa.int64()),
-                "__bucket": pa.array(bkt.astype(np.int32), type=pa.int32()),
-            }
-        )
-
-    def _lab_fold(group: pa.Table) -> pa.Table:
-        n = len(np.unique(group.column("label").to_numpy(zero_copy_only=False)))
-        return pa.table({"n": pa.array([n], type=pa.int64())})
-
-    n_comm = sum(
-        int(r["n"])
-        for r in (
-            communities.map_batches(_lab_partial, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(_lab_fold, batch_format="pyarrow")
-            .take_all()
-        )
-    )
+    # hosts still counts)
+    n_comm = bucket_keyed_fold(
+        communities, "community", {}, num_buckets=num_buckets
+    ).count()
 
     num = 4 * m * sum_ec - sum_dsq
     q = round(num / (4.0 * m * m), 9)
@@ -2898,30 +2650,7 @@ def scc(
     # degree table — it is provably a singleton SCC (a mutual-cycle
     # partner's edges could not have been removed without it), so
     # assign it to itself from the ORIGINAL node set
-    def _node_rows(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        h = np.unique(np.concatenate([a, b])).astype(np.int64)
-        bkt = (h.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(64)
-        return pa.table(
-            {
-                "host": pa.array(h, type=pa.int64()),
-                "__bucket": pa.array(bkt.astype(np.int32), type=pa.int32()),
-            }
-        )
-
-    def _node_fold(group: pa.Table) -> pa.Table:
-        h = np.unique(group.column("host").to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table({"host": pa.array(h, type=pa.int64())})
-
-    all_nodes = (
-        bounded_blocks(
-            dedges.map_batches(_node_rows, batch_format="pyarrow"),
-            rows_per_block=1_048_576,
-        )
-        .groupby("__bucket")
-        .map_groups(_node_fold, batch_format="pyarrow")
-    )
+    all_nodes = _distinct_nodes(dedges, 64)
     if not assigned_parts:
         assigned = ray.data.from_arrow(empty)
     else:
@@ -3008,14 +2737,10 @@ def harmonic_centrality(
             h = batch.column("host").to_numpy(zero_copy_only=False).astype(np.int64)
             keep = d > 0
             d, h = d[keep], h[keep]
-            bkt = (h.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(
-                num_buckets
-            )
             return pa.table(
                 {
                     "host": pa.array(h, type=pa.int64()),
                     "c": pa.array(micro // d, type=pa.int64()),
-                    "__bucket": pa.array(bkt.astype(np.int32), type=pa.int32()),
                 }
             )
 
@@ -3034,25 +2759,13 @@ def harmonic_centrality(
     for p in parts[1:]:
         allc = allc.union(p)
 
-    def _fold(group: pa.Table) -> pa.Table:
-        h = group.column("host").to_numpy(zero_copy_only=False).astype(np.int64)
-        c = group.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq, inv = np.unique(h, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, c)
-        ns = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-        return pa.table(
-            {
-                "host": pa.array(uniq, type=pa.int64()),
-                "centrality_micro": pa.array(sums, type=pa.int64()),
-                "n_seeds_reaching": pa.array(ns, type=pa.int64()),
-            }
-        )
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    return (
-        bounded_blocks(allc, rows_per_block=1_048_576)
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
+    return bucket_keyed_fold(
+        allc,
+        "host",
+        {"centrality_micro": ("sum", "c"), "n_seeds_reaching": ("count", None)},
+        num_buckets=num_buckets,
     )
 
 
@@ -3182,16 +2895,7 @@ def common_neighbor_scores(
         b = batch.column("b").to_numpy(zero_copy_only=False)
         c = np.concatenate([a, b]).astype(np.int64)
         x = np.concatenate([b, a]).astype(np.int64)
-        h = c.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        return pa.table(
-            {
-                "c": pa.array(c, type=pa.int64()),
-                "x": pa.array(x, type=pa.int64()),
-                "__bucket": pa.array(
-                    (h % np.uint64(num_buckets)).astype(np.int32), type=pa.int32()
-                ),
-            }
-        )
+        return pa.table({"c": pa.array(c, type=pa.int64()), "x": pa.array(x, type=pa.int64())})
 
     def _expand(group: pa.Table) -> pa.Table:
         c = group.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3216,14 +2920,10 @@ def common_neighbor_scores(
 
     from dots_ocr_ray.util import bucket_keyed_fold
 
-    partials = (
-        bounded_blocks(
-            E.map_batches(_adj, batch_format="pyarrow"), rows_per_block=1_048_576
-        )
-        .groupby("__bucket")
-        .map_groups(_expand, batch_format="pyarrow")
+    partials = bucket_exchange(
+        E.map_batches(_adj, batch_format="pyarrow"), "c", _expand, num_buckets=num_buckets
     )
-    counts = bucket_keyed_fold(partials, "key", "sum", val_col="cn")
+    counts = bucket_keyed_fold(partials, "key", {"cn": ("sum", "cn")})
 
     def _edge_keys(batch: pa.Table) -> pa.Table:
         a = batch.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3273,7 +2973,6 @@ def degree_assortativity_stats(
     driver-resident."""
     from dots_ocr_ray.pipelines.dedup import exact_distinct_pairs
     from dots_ocr_ray.pipelines.relational import hash_join
-    from dots_ocr_ray.util import bucket_keyed_fold
 
     def _canon(batch: pa.Table) -> pa.Table:
         s = batch.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3293,24 +2992,7 @@ def degree_assortativity_stats(
 
     E = exact_distinct_pairs(edges.map_batches(_canon, batch_format="pyarrow")).materialize()
 
-    def _deg_partials(batch: pa.Table) -> pa.Table:
-        nodes = np.concatenate(
-            [
-                batch.column("a").to_numpy(zero_copy_only=False),
-                batch.column("b").to_numpy(zero_copy_only=False),
-            ]
-        )
-        uniq, cnt = np.unique(nodes, return_counts=True)
-        return pa.table(
-            {
-                "node": pa.array(uniq, type=pa.int64()),
-                "deg": pa.array(cnt.astype(np.int64), type=pa.int64()),
-            }
-        )
-
-    degrees = bucket_keyed_fold(
-        E.map_batches(_deg_partials, batch_format="pyarrow"), "node", "sum", val_col="deg"
-    )
+    degrees = _node_degrees(E)
     i64 = pa.int64()
 
     def _deg_named(name: str):

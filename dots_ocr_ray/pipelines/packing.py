@@ -361,14 +361,14 @@ def write_bytes_balanced_shards(
 
     Returns the manifest: one dict (shard, rows, est_bytes, path) per
     shard."""
-    from dots_ocr_ray.functions.bloom import _mix64
+    from dots_ocr_ray.util import GOLDEN64, _mix64
     from dots_ocr_ray.state.manifest import partition_file, write_partition_atomic
 
     ds = ds.materialize()  # sized in pass 1, shuffled in pass 3
 
     def _bucket_of(batch: pa.Table) -> np.ndarray:
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return (_mix64(ids, 0x9E3779B97F4A7C15) % n_buckets).astype(np.int64)
+        return (_mix64(ids, GOLDEN64) % n_buckets).astype(np.int64)
 
     def _size_partials(batch: pa.Table) -> pa.Table:
         buckets = _bucket_of(batch)

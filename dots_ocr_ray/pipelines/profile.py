@@ -1166,11 +1166,10 @@ def fd_violations(
     dep_col`` hold?): the number of determinant keys mapping to more
     than one distinct dependent value, plus total distinct keys.
 
-    Scale shape: per-batch distinct (det, dep) pairs (np.unique on the
-    packed pair), ONE bucket-keyed fold over int64-packed pairs
-    (:func:`~dots_ocr_ray.util.bucket_keyed_fold` distinct), then a
-    per-bucket dependent-count fold — the driver sees only two
-    scalars per bucket.  Both columns must be int64-castable; 31-bit
+    Scale shape: ONE :func:`~dots_ocr_ray.util.bucket_keyed_fold`
+    distinct over int64-packed (det, dep) pairs, then a second one
+    counting distinct dependents per determinant — the driver sees
+    only two scalars per block.  Both columns must be int64-castable; 31-bit
     ids pack exactly (the association_rules convention), and wider or
     negative ids route to a two-column path
     (:func:`~dots_ocr_ray.util.merge_pair_counts` distinct) — exact
@@ -1205,45 +1204,41 @@ def fd_violations(
     def _pairs(batch: pa.Table) -> pa.Table:
         det = batch.column(det_col).to_numpy(zero_copy_only=False).astype(np.int64)
         dep = batch.column(dep_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        key = (det << np.int64(32)) | dep
-        return pa.table({"pair": pa.array(np.unique(key), type=pa.int64())})
+        return pa.table({"pair": pa.array((det << np.int64(32)) | dep, type=pa.int64())})
 
     pairs = bucket_keyed_fold(
         ds.select_columns([det_col, dep_col]).map_batches(
             _pairs, batch_format="pyarrow"
         ),
         "pair",
-        "distinct",
+        {},
     )
 
-    def _counts(batch: pa.Table) -> pa.Table:
+    def _det(batch: pa.Table) -> pa.Table:
         p = batch.column("pair").to_numpy(zero_copy_only=False)
-        det = p >> np.int64(32)
-        uniq, cnt = np.unique(det, return_counts=True)
+        return pa.table({"det": pa.array(p >> np.int64(32), type=pa.int64())})
+
+    return _fd_totals(pairs.map_batches(_det, batch_format="pyarrow"), det_col, dep_col)
+
+
+def _fd_totals(det_rows: ray.data.Dataset, det_col: str, dep_col: str) -> pa.Table:
+    """The fd_violations row from one ``det`` row per distinct (det, dep)
+    pair: distinct deps per determinant (one keyed fold), then the
+    driver sums two scalars per block."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    def _totals(batch: pa.Table) -> pa.Table:
+        n = batch.column("n").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "n_keys": pa.array([len(uniq)], type=pa.int64()),
-                "n_violating": pa.array([int((cnt > 1).sum())], type=pa.int64()),
+                "n_keys": pa.array([len(n)], type=pa.int64()),
+                "n_violating": pa.array([int((n > 1).sum())], type=pa.int64()),
             }
         )
 
-    # pairs are bucketed by the pair key, NOT the determinant — the
-    # same det can land in several buckets, so per-batch counts would
-    # overcount.  Re-bucket by determinant first (one more bounded
-    # exchange), then count per bucket.
-    def _tag_det(batch: pa.Table) -> pa.Table:
-        p = batch.column("pair").to_numpy(zero_copy_only=False)
-        det = (p >> np.int64(32)).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bkt = (det * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(64)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
-
     folded = (
-        pairs.map_batches(_tag_det, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_counts, batch_format="pyarrow")
+        bucket_keyed_fold(det_rows, "det", {"n": ("count", None)})
+        .map_batches(_totals, batch_format="pyarrow")
         .to_pandas()
     )
     return pa.table(
@@ -1265,9 +1260,7 @@ def _fd_violations_wide(
     """Wide-id FD audit tier: (det, dep) stays TWO int64 columns.
     Per-batch lexsort-distinct pairs with cnt=1 merge through
     :func:`~dots_ocr_ray.util.merge_pair_counts` (global pair
-    distinct), then one determinant-keyed re-bucket counts distinct
-    and violating determinants per bucket — the driver sums two
-    scalars per bucket, same shape as the packed tier."""
+    distinct), then the same determinant fold as the packed tier."""
     from dots_ocr_ray.util import merge_pair_counts
 
     def _pairs2(batch: pa.Table) -> pa.Table:
@@ -1289,39 +1282,7 @@ def _fd_violations_wide(
     pairs = merge_pair_counts(
         narrow.map_batches(_pairs2, batch_format="pyarrow"), "det", "dep", "one"
     )
-
-    def _tag_det(batch: pa.Table) -> pa.Table:
-        det = batch.column("det").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bkt = (det * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(64)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
-
-    def _counts(batch: pa.Table) -> pa.Table:
-        det = batch.column("det").to_numpy(zero_copy_only=False)
-        uniq, cnt = np.unique(det, return_counts=True)
-        return pa.table(
-            {
-                "n_keys": pa.array([len(uniq)], type=pa.int64()),
-                "n_violating": pa.array([int((cnt > 1).sum())], type=pa.int64()),
-            }
-        )
-
-    folded = (
-        pairs.map_batches(_tag_det, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_counts, batch_format="pyarrow")
-        .to_pandas()
-    )
-    return pa.table(
-        {
-            "det": pa.array([det_col], type=pa.string()),
-            "dep": pa.array([dep_col], type=pa.string()),
-            "n_keys": pa.array([int(folded["n_keys"].sum())], type=pa.int64()),
-            "n_violating": pa.array([int(folded["n_violating"].sum())], type=pa.int64()),
-        }
-    )
+    return _fd_totals(pairs, det_col, dep_col)
 
 
 def ri_orphans(
@@ -1383,8 +1344,7 @@ def k_anonymity_audit(
     O(buckets) regardless of group cardinality."""
     import numpy as np
 
-    from dots_ocr_ray.pipelines.relational import _stable_key_hash
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bucket_exchange
 
     def _partials(batch: pa.Table) -> pa.Table:
         import pandas as pd
@@ -1416,10 +1376,6 @@ def k_anonymity_audit(
             }
         )
         return pa.concat_tables([n_tbl, p_tbl])
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        bkt = (_stable_key_hash(batch.column("key")) % np.uint64(256)).astype(np.int32)
-        return batch.append_column("__bucket", pa.array(bkt, type=pa.int32()))
 
     def _fold(group: pa.Table) -> pa.Table:
         import pandas as pd
@@ -1460,11 +1416,12 @@ def k_anonymity_audit(
             }
         )
 
-    folds = (
-        bounded_blocks(ds.map_batches(_partials, batch_format="pyarrow"))
-        .map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
+    folds = bucket_exchange(
+        ds.map_batches(_partials, batch_format="pyarrow"),
+        "key",
+        _fold,
+        num_buckets=256,
+        rows_per_block=65536,
     )
     n_groups = n_small = at_risk = 0
     min_g = min_l = None

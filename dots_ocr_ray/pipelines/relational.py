@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from dots_ocr_ray.util import bucket_exchange
 
 
 def lineitem_pricing_summary(sf_dir: str) -> ray.data.Dataset:
@@ -260,23 +261,11 @@ def grouped_topk(
     # holds every surviving candidate of its keys) — one Python call
     # per bucket, not per key, which is what lets per-HOST sampling
     # queries scale to corpus-sized key counts
-    import numpy as np
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        bkt = (_stable_key_hash(batch.column(key_col)) % np.uint64(256)).astype(
-            np.int32
-        )
-        return batch.append_column("__bucket", pa.array(bkt, type=pa.int32()))
-
     def _top_fold(group: pa.Table) -> pa.Table:
         return _local_prune(group.drop_columns(["__bucket"]))
 
     pruned = ds.map_batches(_local_prune, batch_format="pyarrow")
-    return (
-        pruned.map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_top_fold, batch_format="pyarrow")
-    )
+    return bucket_exchange(pruned, key_col, _top_fold, num_buckets=256)
 
 
 def exact_float_quantiles(
@@ -727,22 +716,6 @@ def top_customers_by_spend(sf_dir: str, k: int = 10) -> pa.Table:
 # distributed large × large equi-join
 
 
-def _stable_key_hash(col: pa.ChunkedArray | pa.Array) -> "np.ndarray":
-    """Deterministic per-process-stable uint64 hash of a key column:
-    splitmix64 for integer keys, pandas' fixed-key murmur
-    (``pd.util.hash_array``) for strings — both reproducible across
-    workers and runs (Python's builtin ``hash`` is salted per process
-    and must never key an exchange)."""
-    import numpy as np
-    import pandas as pd
-
-    from dots_ocr_ray.functions.bloom import _mix64
-
-    if pa.types.is_integer(col.type):
-        return _mix64(col.to_numpy(zero_copy_only=False).astype(np.int64), 0x9E3779B97F4A7C15)
-    return pd.util.hash_array(np.asarray(col.to_pylist(), dtype=object))
-
-
 def hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -794,10 +767,6 @@ def hash_join(
 
             if drop_null_keys:
                 batch = batch.filter(pc.is_valid(batch.column(on)))
-            bucket = (_stable_key_hash(batch.column(on)) % np.uint64(num_buckets)).astype(
-                np.int32
-            )
-            batch = batch.append_column("__bucket", pa.array(bucket, type=pa.int32()))
             return batch.append_column(
                 "__side", pa.array(np.full(batch.num_rows, side, np.int8), type=pa.int8())
             )
@@ -845,27 +814,20 @@ def hash_join(
             for c in all_cols:
                 if c not in cols_present:
                     batch = batch.append_column(c, pa.nulls(batch.num_rows, type=types[c]))
-            return batch.select(all_cols + ["__bucket", "__side"])
+            return batch.select(all_cols + ["__side"])
 
         return _fn
 
     all_cols = left_cols + [c for c in right_cols if c not in left_cols]
-    tagged = (
-        left.map_batches(_tag(0), batch_format="pyarrow")
-        .map_batches(_pad(left_cols, all_cols), batch_format="pyarrow")
-        .union(
-            right.map_batches(_tag(1), batch_format="pyarrow").map_batches(
-                _pad(right_cols, all_cols), batch_format="pyarrow"
-            )
-        )
-    )
-    # the union of two many-block inputs fans the bucket exchange into
-    # one task per tiny block; coalesce first (block-count hygiene —
-    # same rule as every sort exchange in this repo)
-    from dots_ocr_ray.util import bounded_blocks
-
-    tagged = bounded_blocks(tagged, rows_per_block=262144)
-    return tagged.groupby("__bucket").map_groups(_merge, batch_format="pyarrow")
+    sides = [
+        left.map_batches(_tag(0), batch_format="pyarrow").map_batches(
+            _pad(left_cols, all_cols), batch_format="pyarrow"
+        ),
+        right.map_batches(_tag(1), batch_format="pyarrow").map_batches(
+            _pad(right_cols, all_cols), batch_format="pyarrow"
+        ),
+    ]
+    return bucket_exchange(sides, on, _merge, num_buckets=num_buckets, rows_per_block=262144)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,6 +969,8 @@ def range_join(
         right.map_batches(_tag_right, batch_format="pyarrow")
     )
     tagged = bounded_blocks(tagged, rows_per_block=262144)
+    # not util.bucket_exchange: a band row is replicated into every range
+    # bucket it spans and the fold reads the band id, which a key hash cannot tag
     return tagged.groupby("__bucket").map_groups(_merge, batch_format="pyarrow")
 
 
@@ -1168,6 +1132,8 @@ def interval_overlap_join(
         right.map_batches(_tag(1, right_lo, right_hi, right_cols), batch_format="pyarrow")
     )
     tagged = bounded_blocks(tagged, rows_per_block=262144)
+    # not util.bucket_exchange: a band row is replicated into every range
+    # bucket it spans and the fold reads the band id, which a key hash cannot tag
     return tagged.groupby("__bucket").map_groups(_merge, batch_format="pyarrow")
 
 
@@ -1545,6 +1511,8 @@ def interval_agg_join(
         right.map_batches(_tag_right, batch_format="pyarrow")
     )
     tagged = bounded_blocks(tagged, rows_per_block=262144)
+    # not util.bucket_exchange: a band row is replicated into every range
+    # bucket it spans, which a key hash cannot tag
     partials = tagged.groupby("__bucket").map_groups(_partials, batch_format="pyarrow")
     summed = bounded_blocks(partials, rows_per_block=262144).groupby(key).sum(["s", "n"])
 
@@ -2375,12 +2343,7 @@ def sample_per_key(
         ranks = [
             hashlib.md5(f"{i}:{seed}".encode()).hexdigest() for i in ids
         ]
-        bkt = (_stable_key_hash(batch.column(key_col)) % np.uint64(num_buckets)).astype(
-            np.int32
-        )
-        return batch.append_column(
-            "__rank", pa.array(ranks, type=pa.string())
-        ).append_column("__bucket", pa.array(bkt, type=pa.int32()))
+        return batch.append_column("__rank", pa.array(ranks, type=pa.string()))
 
     def _fold(group: pa.Table) -> pa.Table:
         keys = group.column(key_col).to_numpy(zero_copy_only=False)
@@ -2389,14 +2352,8 @@ def sample_per_key(
         keep, _ = _first_k_per_run(keys[order], k)
         return group.take(order[keep]).drop_columns(["__rank", "__bucket"])
 
-    from dots_ocr_ray.util import bounded_blocks
-
-    return (
-        bounded_blocks(
-            ds.map_batches(_tag, batch_format="pyarrow"), rows_per_block=1_048_576
-        )
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
+    return bucket_exchange(
+        ds.map_batches(_tag, batch_format="pyarrow"), key_col, _fold, num_buckets=num_buckets
     )
 
 
@@ -2420,42 +2377,12 @@ def key_count_gini(
     the diagnostic's own output size."""
     import numpy as np
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        agg = (
-            batch.select([key_col])
-            .group_by(key_col)
-            .aggregate([([], "count_all")])
-        )
-        bkt = (_stable_key_hash(agg.column(key_col)) % np.uint64(num_buckets)).astype(
-            np.int32
-        )
-        return pa.table(
-            {
-                key_col: agg.column(key_col),
-                "c": agg.column("count_all").cast(pa.int64()),
-                "__bucket": pa.array(bkt, type=pa.int32()),
-            }
-        )
-
-    def _fold(group: pa.Table) -> pa.Table:
-        keys = group.column(key_col).to_numpy(zero_copy_only=False)
-        c = group.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, c)
-        return pa.table({"c": pa.array(sums, type=pa.int64())})
-
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     counts_chunks = []
-    for b in (
-        bounded_blocks(
-            ds.map_batches(_partial, batch_format="pyarrow"), rows_per_block=1_048_576
-        )
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
+    for b in bucket_keyed_fold(
+        ds, key_col, {"c": ("count", None)}, num_buckets=num_buckets
+    ).iter_batches(batch_format="pyarrow"):
         if b.num_rows:
             counts_chunks.append(b.column("c").to_numpy(zero_copy_only=False))
     if not counts_chunks:
@@ -2596,12 +2523,6 @@ def top_per_key(
     driver holds nothing."""
     import numpy as np
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        bkt = (_stable_key_hash(batch.column(key_col)) % np.uint64(num_buckets)).astype(
-            np.int32
-        )
-        return batch.append_column("__bucket", pa.array(bkt, type=pa.int32()))
-
     def _fold(group: pa.Table) -> pa.Table:
         keys = group.column(key_col).to_numpy(zero_copy_only=False)
         desc = group.column(desc_col).to_numpy(zero_copy_only=False)
@@ -2611,15 +2532,7 @@ def top_per_key(
         out = group.take(order[keep]).drop_columns(["__bucket"])
         return out.append_column("rk", pa.array((pos[keep] + 1).astype(np.int64), type=pa.int64()))
 
-    from dots_ocr_ray.util import bounded_blocks
-
-    return (
-        bounded_blocks(
-            ds.map_batches(_tag, batch_format="pyarrow"), rows_per_block=1_048_576
-        )
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
-    )
+    return bucket_exchange(ds, key_col, _fold, num_buckets=num_buckets)
 
 
 def volume_shipping(
@@ -2910,15 +2823,10 @@ def large_volume_orders(
     import numpy as np
     import pyarrow.dataset as pads
 
-    NUM_BUCKETS = 64
-
-    def _bucket(batch: pa.Table) -> pa.Table:
-        ok = batch.column("l_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        h = (ok.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
+    def _rows(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "bucket": pa.array((h % np.uint64(NUM_BUCKETS)).astype(np.int64)),
-                "ok": pa.array(ok, pa.int64()),
+                "ok": batch.column("l_orderkey").cast(pa.int64()),
                 "q": batch.column("l_quantity").cast(pa.float64()),
             }
         )
@@ -2943,13 +2851,13 @@ def large_volume_orders(
             }
         )
 
-    survivors = (
+    survivors = bucket_exchange(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
-        )
-        .map_batches(_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_reduce, batch_format="pyarrow")
+        ).map_batches(_rows, batch_format="pyarrow"),
+        "ok",
+        _reduce,
+        num_buckets=64,
     )
 
     orders = ray.data.read_parquet(
@@ -3046,19 +2954,12 @@ def waiting_suppliers(
 
     BIG = np.int64(2**62)
 
-    def _bucket(batch: pa.Table) -> pa.Table:
-        ok = batch.column("l_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        sk = batch.column("l_suppkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        r = pc.cast(
-            pc.equal(batch.column("l_returnflag"), "R"), pa.int8()
-        ).to_numpy(zero_copy_only=False)
-        h = (ok.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
+    def _rows(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "bucket": pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-                "ok": pa.array(ok, pa.int64()),
-                "sk": pa.array(sk, pa.int64()),
-                "r": pa.array(r.astype(np.int8), pa.int8()),
+                "ok": batch.column("l_orderkey").cast(pa.int64()),
+                "sk": batch.column("l_suppkey").cast(pa.int64()),
+                "r": pc.cast(pc.equal(batch.column("l_returnflag"), "R"), pa.int8()),
             }
         )
 
@@ -3090,14 +2991,14 @@ def waiting_suppliers(
             }
         )
 
-    per_order = (
+    per_order = bucket_exchange(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_orderkey", "l_suppkey", "l_returnflag"],
-        )
-        .map_batches(_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_reduce, batch_format="pyarrow")
+        ).map_batches(_rows, batch_format="pyarrow"),
+        "ok",
+        _reduce,
+        num_buckets=num_buckets,
     )
 
     orders_f = ray.data.read_parquet(

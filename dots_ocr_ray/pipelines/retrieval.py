@@ -37,7 +37,7 @@ from dots_ocr_ray.pipelines.bucketed import (
     write_bucketed,
 )
 from dots_ocr_ray.state.manifest import resolve_fs
-from dots_ocr_ray.util import split_whitespace_checked
+from dots_ocr_ray.util import bucket_exchange, split_whitespace_checked
 
 
 def postings_from_documents(
@@ -145,49 +145,16 @@ def keyword_search(
 
     n_required = len(terms) if mode == "and" else 1
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        # per-batch fold: (doc_id, n_terms_partial, tf_partial) — terms
-        # are distinct per (doc, token) by construction, so counting
-        # rows counts distinct matched terms
-        agg = (
-            batch.select(["doc_id", "tf"])
-            .group_by("doc_id")
-            .aggregate([("tf", "count"), ("tf", "sum")])
-        )
-        d = agg.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        bkt = (d.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(64)
-        return pa.table(
-            {
-                "doc_id": pa.array(d, type=pa.int64()),
-                "n": agg.column("tf_count").cast(pa.int64()),
-                "s": agg.column("tf_sum").cast(pa.int64()),
-                "__bucket": pa.array(bkt.astype(np.int32), type=pa.int32()),
-            }
-        )
+    def _required(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.greater_equal(batch.column("n_terms"), n_required))
 
-    def _fold(group: pa.Table) -> pa.Table:
-        d = group.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        n = group.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
-        s = group.column("s").to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq, inv = np.unique(d, return_inverse=True)
-        n_sum = np.zeros(len(uniq), dtype=np.int64)
-        s_sum = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(n_sum, inv, n)
-        np.add.at(s_sum, inv, s)
-        keep = n_sum >= n_required
-        return pa.table(
-            {
-                "doc_id": pa.array(uniq[keep], type=pa.int64()),
-                "n_terms": pa.array(n_sum[keep], type=pa.int64()),
-                "total_tf": pa.array(s_sum[keep], type=pa.int64()),
-            }
-        )
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    return (
-        postings.map_batches(_partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
-    )
+    # terms are distinct per (doc, token) by construction, so counting
+    # a doc's rows counts its distinct matched terms
+    return bucket_keyed_fold(
+        postings, "doc_id", {"n_terms": ("count", None), "total_tf": ("sum", "tf")}
+    ).map_batches(_required, batch_format="pyarrow")
 
 
 # --- positional phrase search -------------------------------------------------
@@ -306,14 +273,6 @@ def phrase_search(index_dir: str, phrase: list[str] | str) -> pa.Table:
         filter=pads.field("token").isin(uniq_terms),
     )
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            bkt = (ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(64)
-        return batch.append_column("__bucket", pa.array(bkt.astype(np.int32), type=pa.int32()))
-
     def _adjacency(group: pa.Table) -> pa.Table:
         import numpy as np
 
@@ -347,11 +306,7 @@ def phrase_search(index_dir: str, phrase: list[str] | str) -> pa.Table:
             }
         )
 
-    out = (
-        postings.map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_adjacency, batch_format="pyarrow")
-    )
+    out = bucket_exchange(postings, "doc_id", _adjacency, num_buckets=64)
     parts = [b for b in out.iter_batches(batch_format="pyarrow") if b.num_rows]
     return pa.concat_tables(parts) if parts else empty
 
@@ -393,16 +348,13 @@ def postings_compression_audit(
 
     postings = postings_from_documents(docs, text_col=text_col, id_col=id_col)
 
-    def _tag(batch: pa.Table) -> pa.Table:
+    def _tok_rows(batch: pa.Table) -> pa.Table:
         toks = batch.column("token").to_pylist()
         h = np.array([stable_u64(t) for t in toks], dtype=np.uint64)
         return pa.table(
             {
                 "tok_h": pa.array(h.astype(np.int64), type=pa.int64()),
                 "doc_id": batch.column("doc_id").cast(pa.int64()),
-                "__bucket": pa.array(
-                    (h % np.uint64(64)).astype(np.int32), type=pa.int32()
-                ),
             }
         )
 
@@ -427,12 +379,9 @@ def postings_compression_audit(
             }
         )
 
-    folded = (
-        postings.map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_audit, batch_format="pyarrow")
-        .to_pandas()
-    )
+    folded = bucket_exchange(
+        postings.map_batches(_tok_rows, batch_format="pyarrow"), "tok_h", _audit, num_buckets=64
+    ).to_pandas()
     return pa.table(
         {
             "n_postings": pa.array([int(folded["n"].sum())], type=pa.int64()),

@@ -424,69 +424,6 @@ def kmeans_assign(
     return ds.map_batches(_assign, batch_format="pyarrow")
 
 
-def group_centroids(
-    ds: ray.data.Dataset,
-    *,
-    vec_col: str = "embedding",
-    group_col: str = "label",
-) -> pa.Table:
-    """Per-group mean embedding (centroid), long form — the vector
-    aggregate behind per-domain / per-language corpus profiles.
-
-    Per-batch partial: one ``np.add.at`` scatter-add of the float64
-    vector matrix over the batch's group codes → (group, sum, n) rows;
-    the driver merge is O(n_groups × n_blocks) vector rows (kilobytes),
-    never the corpus.  Output: (group_col, idx 1-based, c) with the
-    mean rounded half-away to 4 decimals — directly SQL-mirrorable via
-    unnest + generate_subscripts + avg."""
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        mat = vec_matrix(batch.column(vec_col), dtype=np.float64)
-        g = batch.column(group_col).to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(g, return_inverse=True)
-        sums = np.zeros((len(uniq), mat.shape[1]), dtype=np.float64)
-        np.add.at(sums, inv, mat)
-        counts = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-        return pa.table(
-            {
-                group_col: pa.array(uniq),
-                "_sum": pa.array(list(sums), type=pa.list_(pa.float64())),
-                "_n": pa.array(counts, type=pa.int64()),
-            }
-        )
-
-    acc: dict = {}
-    group_type = None
-    for part in ds.map_batches(_partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None
-    ):
-        group_type = part.column(group_col).type
-        sums = vec_matrix(part.column("_sum"), dtype=np.float64)
-        ns = part.column("_n").to_numpy(zero_copy_only=False)
-        for key, vec, n in zip(part.column(group_col).to_pylist(), sums, ns):
-            if key in acc:
-                acc[key][0] += vec
-                acc[key][1] += int(n)
-            else:
-                acc[key] = [vec.copy(), int(n)]
-
-    g_out, i_out, c_out = [], [], []
-    for key in sorted(acc):
-        vec, n = acc[key]
-        mean = round_half_away(vec / n, 4)
-        for i, v in enumerate(mean, 1):
-            g_out.append(key)
-            i_out.append(i)
-            c_out.append(float(v))
-    return pa.table(
-        {
-            group_col: pa.array(g_out, type=group_type),
-            "idx": pa.array(i_out, type=pa.int64()),
-            "c": pa.array(c_out, type=pa.float64()),
-        }
-    )
-
-
 # ---------------------------------------------------------------------------
 # int8 embedding quantization (4x memory cut for the 100 TB ANN path)
 

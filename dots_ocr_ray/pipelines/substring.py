@@ -66,9 +66,15 @@ import ray
 import ray.data
 
 from dots_ocr_ray.functions.hashing import stable_u64
-from dots_ocr_ray.util import cached_object, sorted_membership, split_whitespace_checked
+from dots_ocr_ray.util import (
+    GOLDEN64,
+    bucket_exchange,
+    cached_object,
+    sorted_membership,
+    split_whitespace_checked,
+)
 
-_GRAM_B = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier; u64 wraparound
+_GRAM_B = np.uint64(GOLDEN64)  # odd multiplier; u64 wraparound
 
 
 def _tokens_from_batch(
@@ -303,16 +309,6 @@ def substring_dedup(
     # ship as one comma-joined string per doc: a list<int64> column
     # would be re-encoded as a tensor extension through the
     # pandas-merge join and lose its list kernels)
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
-
-    def _tag_doc(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bkt = (ids * _MIX) % np.uint64(256)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
-
     def _collect(group: pa.Table) -> pa.Table:
         ids = group.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         ords = group.column("ord").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -340,11 +336,7 @@ def substring_dedup(
             }
         )
 
-    starts_per_doc = (
-        dup_starts.map_batches(_tag_doc, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_collect, batch_format="pyarrow")
-    )
+    starts_per_doc = bucket_exchange(dup_starts, id_col, _collect, num_buckets=256)
     if keep_cols:
         sch = ds.schema()
         types = dict(zip(sch.names, sch.types))

@@ -48,7 +48,13 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from dots_ocr_ray.util import bounded_blocks, cached_object, sorted_lookup, sorted_membership
+from dots_ocr_ray.util import (
+    bounded_blocks,
+    bucket_exchange,
+    cached_object,
+    sorted_lookup,
+    sorted_membership,
+)
 
 _HOST_RE = re.compile(r"^[a-z]+://([^/]+)")
 
@@ -370,18 +376,6 @@ def template_block_strip(
     # coarse 256-way exchange on the mixed (gid_hi, gid_lo) hash + one
     # run-offset binary_join per bucket — no Python call per page
     # (same fold as dedup.line_dedup's reassembly)
-    _MIX_A = np.uint64(0x9E3779B97F4A7C15)
-    _MIX_B = np.uint64(0xC2B2AE3D27D4EB4F)
-
-    def _tag_gid(batch: pa.Table) -> pa.Table:
-        hi = batch.column("gid_hi").to_numpy(zero_copy_only=False).astype(np.uint64)
-        lo = batch.column("gid_lo").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bkt = ((hi * _MIX_A) ^ (lo * _MIX_B)) % np.uint64(256)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
-
     def _reassemble(group: pa.Table) -> pa.Table:
         hi = group.column("gid_hi").to_numpy(zero_copy_only=False).astype(np.int64)
         lo = group.column("gid_lo").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -419,11 +413,12 @@ def template_block_strip(
             }
         )
 
-    reassembled = (
-        bounded_blocks(kept.drop_columns(["key"]), rows_per_block=262144)
-        .map_batches(_tag_gid, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_reassemble, batch_format="pyarrow")
+    reassembled = bucket_exchange(
+        kept.drop_columns(["key"]),
+        ["gid_hi", "gid_lo"],
+        _reassemble,
+        num_buckets=256,
+        rows_per_block=262144,
     )
 
     def _totals(batch: pa.Table) -> pa.Table:

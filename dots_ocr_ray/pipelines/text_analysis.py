@@ -21,7 +21,7 @@ from dots_ocr_ray.kernel.textops import (
     quality_features,
     quality_keep,
 )
-from dots_ocr_ray.util import split_whitespace_checked
+from dots_ocr_ray.util import GOLDEN64, split_whitespace_checked
 
 # one shared host-extraction rule: schemes are case-insensitive per
 # RFC 3986 and raw crawl urls do arrive uppercase — a lowercase-only
@@ -139,19 +139,7 @@ def fingerprint_duplicates(sf_dir: str) -> ray.data.Dataset:
     # one Python call per coarse bucket, never per fingerprint group
     import numpy as np
 
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        fp = batch.column("fingerprint").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bkt = (fp * _MIX) % np.uint64(256)
-        return pa.table(
-            {
-                "fingerprint": batch.column("fingerprint"),
-                "doc_id": batch.column("doc_id"),
-                "__bucket": pa.array(bkt.astype(np.int32), type=pa.int32()),
-            }
-        )
+    from dots_ocr_ray.util import bucket_exchange
 
     def _group(group: pa.Table) -> pa.Table:
         fp = group.column("fingerprint").to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -182,10 +170,8 @@ def fingerprint_duplicates(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        annotated.map_batches(_partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_group, batch_format="pyarrow")
+    return bucket_exchange(
+        annotated.select_columns(["fingerprint", "doc_id"]), "fingerprint", _group, num_buckets=256
     )
 
 
@@ -1234,7 +1220,7 @@ def bigram_lm_scores(
     )
     from dots_ocr_ray.util import bounded_blocks, cached_object
 
-    _B = np.uint64(0x9E3779B97F4A7C15)
+    _B = np.uint64(GOLDEN64)
 
     def _doc_grams(batch: pa.Table):
         """(token hashes, offsets) plus per-position bigram keys."""
@@ -2910,49 +2896,15 @@ def eb_shrunken_rates(
     broadcast back over the folded table for the final map."""
     import numpy as np
 
-    from dots_ocr_ray.pipelines.relational import _stable_key_hash
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        bkt = (_stable_key_hash(batch.column(key_col)) % np.uint64(256)).astype(
-            np.int32
-        )
-        return batch.append_column("__bucket", pa.array(bkt, type=pa.int32()))
-
-    def _fold(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        group = group.sort_by([(key_col, "ascending")])
-        m = group.num_rows
-        keys = group.column(key_col)
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        new_run = np.ones(m, dtype=bool)
-        if m > 1:
-            new_run[1:] = pc.not_equal(keys.slice(1), keys.slice(0, m - 1)).to_numpy(
-                zero_copy_only=False
-            )
-        starts = np.flatnonzero(new_run)
-        nv = np.add.reduceat(
-            group.column(n_col).to_numpy(zero_copy_only=False).astype(np.int64), starts
-        )
-        kv = np.add.reduceat(
-            group.column(k_col).to_numpy(zero_copy_only=False).astype(np.int64), starts
-        )
-        return pa.table(
-            {
-                key_col: keys.take(pa.array(starts)),
-                "n": pa.array(nv.astype(np.int64), type=pa.int64()),
-                "k": pa.array(kv.astype(np.int64), type=pa.int64()),
-            }
-        )
-
-    folded = (
-        bounded_blocks(counts.map_batches(_tag, batch_format="pyarrow"))
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
-        .materialize()
-    )
+    folded = bucket_keyed_fold(
+        counts,
+        key_col,
+        {"n": ("sum", n_col), "k": ("sum", k_col)},
+        num_buckets=256,
+        rows_per_block=65536,
+    ).materialize()
 
     # exact integer moment partials — three scalars per bucket
     def _moments(batch: pa.Table) -> pa.Table:

@@ -35,6 +35,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from dots_ocr_ray.util import bucket_exchange
+
 
 def sessionize(
     sf_dir: str,
@@ -425,21 +427,14 @@ def asof_last_event(
     events = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
     )
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
     TS_MIN = np.int64(np.iinfo(np.int64).min)
 
-    def _tag(batch: pa.Table) -> pa.Table:
+    def _two_types(batch: pa.Table) -> pa.Table:
         keep = pc.is_in(
             batch.column("event_type"),
             value_set=pa.array([left_type, right_type]),
         )
-        batch = batch.filter(pc.fill_null(keep, False))
-        u = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bkt = (u * _MIX) % np.uint64(256)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
+        return batch.filter(pc.fill_null(keep, False))
 
     def _asof_fold(group: pa.Table) -> pa.Table:
         ts_type = group.schema.field("ts").type
@@ -504,10 +499,11 @@ def asof_last_event(
             }
         )
 
-    return (
-        events.map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_asof_fold, batch_format="pyarrow")
+    return bucket_exchange(
+        events.map_batches(_two_types, batch_format="pyarrow"),
+        "user_id",
+        _asof_fold,
+        num_buckets=256,
     )
 
 
@@ -674,16 +670,7 @@ def nearby_event_counts(
     events = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id"]
     )
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
     w_us = np.int64(window_s * 1_000_000)
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bkt = (u * _MIX) % np.uint64(256)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
 
     def _nearby_fold(group: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -738,11 +725,7 @@ def nearby_event_counts(
             }
         )
 
-    return (
-        events.map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_nearby_fold, batch_format="pyarrow")
-    )
+    return bucket_exchange(events, "user_id", _nearby_fold, num_buckets=256)
 
 
 def funnel_counts(
@@ -782,17 +765,8 @@ def funnel_counts(
     # user's ladder vectorized per user-run-size class (the stage loop
     # is len(stages) masked-min passes over (n_runs, size) matrices)
     # and emits one depth-histogram partial — no Python call per user
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
     TS_MIN = np.int64(np.iinfo(np.int64).min)
     TS_MAX = np.int64(np.iinfo(np.int64).max)
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        u = batch.column(user_col).to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bkt = (u * _MIX) % np.uint64(256)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
 
     def _depth_fold(group: pa.Table) -> pa.Table:
         hist = np.zeros(n_stages + 1, dtype=np.int64)
@@ -835,13 +809,14 @@ def funnel_counts(
             }
         )
 
-    from dots_ocr_ray.util import bounded_blocks
-
     per_depth = (
-        bounded_blocks(events.map_batches(_prune, batch_format="pyarrow"))
-        .map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_depth_fold, batch_format="pyarrow")
+        bucket_exchange(
+            events.map_batches(_prune, batch_format="pyarrow"),
+            user_col,
+            _depth_fold,
+            num_buckets=256,
+            rows_per_block=65536,
+        )
         .groupby("depth")
         .sum("n")
     )
@@ -1207,60 +1182,20 @@ def late_event_audit(sf_dir: str) -> "ray.data.Dataset":
         ],
     )
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], type=pa.int64()),
-                    "n_events": pa.array([], type=pa.int64()),
-                    "n_late": pa.array([], type=pa.int64()),
-                    "max_late_us": pa.array([], type=pa.int64()),
-                    "__bucket": pa.array([], type=pa.int32()),
-                }
-            )
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        late = batch.column("late_us").to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(uid, kind="stable")
-        uid, late = uid[order], late[order]
-        starts = np.concatenate([[0], np.nonzero(np.diff(uid))[0] + 1])
-        ends = np.concatenate([starts[1:], [len(uid)]])
-        n = (ends - starts).astype(np.int64)
-        n_late = np.add.reduceat((late > 0).astype(np.int64), starts)
-        max_late = np.maximum.reduceat(late, starts)
-        with np.errstate(over="ignore"):
-            bkt = (uid[starts].astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(64)
-        return pa.table(
-            {
-                "user_id": pa.array(uid[starts], type=pa.int64()),
-                "n_events": pa.array(n, type=pa.int64()),
-                "n_late": pa.array(n_late, type=pa.int64()),
-                "max_late_us": pa.array(max_late, type=pa.int64()),
-                "__bucket": pa.array(bkt.astype(np.int32), type=pa.int32()),
-            }
-        )
+    def _late_flag(batch: pa.Table) -> pa.Table:
+        late = batch.column("late_us").to_numpy(zero_copy_only=False)
+        return batch.append_column("is_late", pa.array((late > 0).astype(np.int64)))
 
-    def _fold(group: pa.Table) -> pa.Table:
-        uid = group.column("user_id").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(uid, return_inverse=True)
-        n = np.zeros(len(uniq), dtype=np.int64)
-        nl = np.zeros(len(uniq), dtype=np.int64)
-        ml = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(n, inv, group.column("n_events").to_numpy(zero_copy_only=False))
-        np.add.at(nl, inv, group.column("n_late").to_numpy(zero_copy_only=False))
-        np.maximum.at(ml, inv, group.column("max_late_us").to_numpy(zero_copy_only=False))
-        return pa.table(
-            {
-                "user_id": pa.array(uniq, type=pa.int64()),
-                "n_events": pa.array(n, type=pa.int64()),
-                "n_late": pa.array(nl, type=pa.int64()),
-                "max_late_us": pa.array(ml, type=pa.int64()),
-            }
-        )
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    return (
-        per_event.map_batches(_partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
+    return bucket_keyed_fold(
+        per_event.map_batches(_late_flag, batch_format="pyarrow"),
+        "user_id",
+        {
+            "n_events": ("count", None),
+            "n_late": ("sum", "is_late"),
+            "max_late_us": ("max", "late_us"),
+        },
     )
 
 
@@ -1292,16 +1227,6 @@ def interval_coverage(
     arithmetic — hash-exact under any partitioning."""
     import numpy as np
     import pyarrow as pa
-
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
-
-    def _tag(batch: pa.Table) -> pa.Table:
-        u = batch.column(user_col).to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bkt = (u * _MIX) % np.uint64(256)
-        return batch.append_column(
-            "__bucket", pa.array(bkt.astype(np.int32), type=pa.int32())
-        )
 
     def _cover_fold(group: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -1362,11 +1287,11 @@ def interval_coverage(
             }
         )
 
-    return (
-        events.select_columns([user_col, ts_col, value_col])
-        .map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_cover_fold, batch_format="pyarrow")
+    return bucket_exchange(
+        events.select_columns([user_col, ts_col, value_col]),
+        user_col,
+        _cover_fold,
+        num_buckets=256,
     )
 
 
@@ -1398,21 +1323,17 @@ def bot_regularity_scores(
     import numpy as np
     import pyarrow as pa
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        ids = batch.column(user_col).to_numpy(zero_copy_only=False).astype(np.int64)
+    def _ut(batch: pa.Table) -> pa.Table:
         ts = (
             batch.column(ts_col)
             .to_numpy(zero_copy_only=False)
             .astype("datetime64[us]")
             .astype(np.int64)
         )
-        with np.errstate(over="ignore"):
-            bkt = (ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(64)
         return pa.table(
             {
-                "u": pa.array(ids, type=pa.int64()),
+                "u": batch.column(user_col).cast(pa.int64()),
                 "t": pa.array(ts, type=pa.int64()),
-                "__bucket": pa.array(bkt.astype(np.int32), type=pa.int32()),
             }
         )
 
@@ -1452,11 +1373,11 @@ def bot_regularity_scores(
             }
         )
 
-    out = (
-        ds.select_columns([user_col, ts_col])
-        .map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
+    out = bucket_exchange(
+        ds.select_columns([user_col, ts_col]).map_batches(_ut, batch_format="pyarrow"),
+        "u",
+        _fold,
+        num_buckets=64,
     )
     parts = [b for b in out.iter_batches(batch_format="pyarrow") if b.num_rows]
     if not parts:
@@ -1492,10 +1413,7 @@ def event_trigrams(
     import numpy as np
     import pyarrow as pa
 
-    def _tag(batch: pa.Table) -> pa.Table:
-        ids = batch.column(user_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            bkt = (ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(64)
+    def _rows(batch: pa.Table) -> pa.Table:
         ts = (
             batch.column(ts_col)
             .to_numpy(zero_copy_only=False)
@@ -1504,11 +1422,10 @@ def event_trigrams(
         )
         return pa.table(
             {
-                "u": pa.array(ids, type=pa.int64()),
+                "u": batch.column(user_col).cast(pa.int64()),
                 "t": pa.array(ts, type=pa.int64()),
                 "e": batch.column(id_col).cast(pa.int64()),
                 "ty": batch.column(type_col).cast(pa.string()),
-                "__bucket": pa.array(bkt.astype(np.int32), type=pa.int32()),
             }
         )
 
@@ -1540,10 +1457,14 @@ def event_trigrams(
         )
 
     folded = (
-        ds.select_columns([user_col, ts_col, id_col, type_col])
-        .map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
+        bucket_exchange(
+            ds.select_columns([user_col, ts_col, id_col, type_col]).map_batches(
+                _rows, batch_format="pyarrow"
+            ),
+            "u",
+            _fold,
+            num_buckets=64,
+        )
         .groupby("tri")
         .sum("n")
         .to_pandas()

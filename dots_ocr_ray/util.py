@@ -235,55 +235,13 @@ def merge_int_counts(
     """Two-tier sum of (int64 key, int64 count) partial tables.
 
     Under ``driver_limit`` total partial rows the merge runs on the
-    driver in numpy (sort + reduceat — microseconds per 100k rows),
-    skipping the sort-exchange whose fixed cost dominates small count
+    driver through :func:`bucket_keyed_fold`'s numpy fold body,
+    skipping the exchange whose fixed cost dominates small count
     tables (the nations_with_presence lesson, generalized).  Above it
-    the ordinary ``groupby().sum()`` runs distributed.  Returns a
-    MATERIALIZED dataset with columns ``(key_col, cnt_col)`` either
-    way.  Callers whose key tables grow with the corpus (gram/line
-    counts) keep their scale path; only the exchange's fixed cost is
-    tiered away."""
-    import numpy as np
-    import pyarrow as pa
-
-    import ray.data
-
-    parts = parts.materialize()
-    if parts.count() <= driver_limit:
-        ks, cs = [], []
-        for b in parts.iter_batches(batch_format="pyarrow"):
-            if b.num_rows:
-                ks.append(b.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64))
-                cs.append(b.column(cnt_col).to_numpy(zero_copy_only=False).astype(np.int64))
-        if not ks:
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        key_col: pa.array([], type=pa.int64()),
-                        cnt_col: pa.array([], type=pa.int64()),
-                    }
-                )
-            )
-        k = np.concatenate(ks)
-        c = np.concatenate(cs)
-        order = np.argsort(k, kind="stable")
-        k, c = k[order], c[order]
-        starts = np.concatenate([[0], np.nonzero(np.diff(k))[0] + 1])
-        sums = np.add.reduceat(c, starts)
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    key_col: pa.array(k[starts], type=pa.int64()),
-                    cnt_col: pa.array(sums.astype(np.int64), type=pa.int64()),
-                }
-            )
-        )
-    summed = bounded_blocks(parts, rows_per_block=262144).groupby(key_col).sum(cnt_col)
-
-    def _rename(batch):
-        return batch.rename_columns([key_col, cnt_col])
-
-    return summed.map_batches(_rename, batch_format="pyarrow").materialize()
+    the same fold runs distributed as one :func:`bucket_keyed_fold`.
+    Returns a MATERIALIZED dataset with columns ``(key_col, cnt_col)``
+    either way."""
+    return _merge_counts(parts, [key_col], cnt_col, driver_limit, 64)
 
 
 def parquet_int_minmax(path: str, cols: list[str]):
@@ -383,84 +341,36 @@ def merge_pair_counts(
 ):
     """Two-tier SUM(cnt) GROUP BY (a, b) for TWO int64 key columns —
     the unpacked sibling of :func:`merge_int_counts` for pair keys
-    that don't fit a single int64 packing (ids ≥ 2^31).
-
-    Under ``driver_limit`` total partial rows: driver lexsort +
-    reduceat.  Above: one bucket-keyed exchange (bucket = mixed hash
-    of both keys) + per-bucket vectorized lexsort fold — Python cost
-    O(num_buckets), exchange moves each partial row once.  Returns a
+    that don't fit a single int64 packing (ids ≥ 2^31).  Returns a
     MATERIALIZED dataset with columns ``(a_col, b_col, cnt_col)``."""
-    import numpy as np
+    return _merge_counts(parts, [a_col, b_col], cnt_col, driver_limit, num_buckets)
+
+
+def _merge_counts(parts, keys: list, cnt_col: str, driver_limit: int, num_buckets: int):
     import pyarrow as pa
 
     import ray.data
 
-    def _fold_np(a, b, c):
-        order = np.lexsort((b, a))
-        a, b, c = a[order], b[order], c[order]
-        new = np.ones(len(a), dtype=bool)
-        new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        starts = np.nonzero(new)[0]
-        sums = np.add.reduceat(c, starts)
-        return a[starts], b[starts], sums.astype(np.int64)
-
-    empty = pa.table(
-        {
-            a_col: pa.array([], type=pa.int64()),
-            b_col: pa.array([], type=pa.int64()),
-            cnt_col: pa.array([], type=pa.int64()),
-        }
-    )
+    cols = [*keys, cnt_col]
     parts = parts.materialize()
-    if parts.count() <= driver_limit:
-        avs, bvs, cvs = [], [], []
-        for blk in parts.iter_batches(batch_format="pyarrow"):
-            if blk.num_rows:
-                avs.append(blk.column(a_col).to_numpy(zero_copy_only=False).astype(np.int64))
-                bvs.append(blk.column(b_col).to_numpy(zero_copy_only=False).astype(np.int64))
-                cvs.append(blk.column(cnt_col).to_numpy(zero_copy_only=False).astype(np.int64))
-        if not avs:
-            return ray.data.from_arrow(empty)
-        a, b, c = _fold_np(np.concatenate(avs), np.concatenate(bvs), np.concatenate(cvs))
+    if parts.count() > driver_limit:
+        return bucket_keyed_fold(
+            parts,
+            keys,
+            {cnt_col: ("sum", cnt_col)},
+            num_buckets=num_buckets,
+            rows_per_block=262144,
+        ).materialize()
+    blocks = [
+        pa.table({c: t.column(c).cast(pa.int64()) for c in cols})
+        for t in collect_arrow_blocks(parts)
+    ]
+    if not blocks:
         return ray.data.from_arrow(
-            pa.table(
-                {
-                    a_col: pa.array(a, type=pa.int64()),
-                    b_col: pa.array(b, type=pa.int64()),
-                    cnt_col: pa.array(c, type=pa.int64()),
-                }
-            )
+            pa.table({c: pa.array([], type=pa.int64()) for c in cols})
         )
-
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
-
-    def _tag(batch: "pa.Table") -> "pa.Table":
-        a = batch.column(a_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch.column(b_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            bkt = ((a.astype(np.uint64) * _MIX) ^ (b.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F))) % np.uint64(num_buckets)
-        return batch.append_column("__bucket", pa.array(bkt.astype(np.int32), type=pa.int32()))
-
-    def _fold(group: "pa.Table") -> "pa.Table":
-        a = group.column(a_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        b = group.column(b_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        c = group.column(cnt_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        if not len(a):
-            return empty
-        a, b, c = _fold_np(a, b, c)
-        return pa.table(
-            {
-                a_col: pa.array(a, type=pa.int64()),
-                b_col: pa.array(b, type=pa.int64()),
-                cnt_col: pa.array(c, type=pa.int64()),
-            }
-        )
-
-    return (
-        bounded_blocks(parts.map_batches(_tag, batch_format="pyarrow"), rows_per_block=262144)
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
-        .materialize()
+    return ray.data.from_arrow(
+        _fold_table(pa.concat_tables(blocks), keys, {cnt_col: ("sum", cnt_col)})
     )
 
 
@@ -490,69 +400,187 @@ def sorted_membership(sorted_arr, vals):
     return sorted_lookup(sorted_arr, vals)[0]
 
 
-def bucket_keyed_fold(
-    ds,
-    key_col: str,
-    op: str,
-    *,
-    val_col: str | None = None,
-    num_buckets: int = 64,
-    rows_per_block: int = 1_048_576,
-):
-    """Per-key aggregate for HIGH-CARDINALITY int64 keys: ONE
-    bucket-keyed exchange (deterministic hash of the key) + a
-    per-bucket vectorized numpy fold — Python cost O(num_buckets),
-    never O(distinct keys).
+GOLDEN64 = 0x9E3779B97F4A7C15
+"""2^64 / golden ratio, odd: the seed of the splitmix64 key hash and the
+multiplier of the package's rolling gram and shingle hashes.  This is
+the one place it is spelled out."""
 
-    Ray's native ``groupby(key).sum/min/count`` pays per DISTINCT KEY
-    on the reduce: measured **178 s for a 3M-key degree sum** (the
-    triangle-count profile) vs ~2 s for this fold — the difference
-    between an iterative graph round taking seconds and minutes.
 
-    ``op``: ``"sum"`` / ``"min"`` fold ``val_col`` (int64) per key;
-    ``"distinct"`` emits each key once (``val_col`` ignored).
-    Output columns: ``(key_col,)`` for distinct, else ``(key_col,
-    val_col)``."""
+def _mix64(vals, seed: int):
+    """Vectorized splitmix64 finalizer over uint64 (deterministic,
+    C-speed, wraps mod 2^64)."""
+    import numpy as np
+
+    z = vals.astype(np.uint64) + np.uint64(seed)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _stable_key_hash(col):
+    """Deterministic per-process-stable uint64 hash of a key column:
+    splitmix64 for integer keys, pandas' fixed-key murmur
+    (``pd.util.hash_array``) for strings — both reproducible across
+    workers and runs (Python's builtin ``hash`` is salted per process
+    and must never key an exchange)."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+
+    if pa.types.is_integer(col.type):
+        return _mix64(col.to_numpy(zero_copy_only=False).astype(np.int64), GOLDEN64)
+    return pd.util.hash_array(np.asarray(col.to_pylist(), dtype=object))
+
+
+def key_buckets(batch, keys: list, num_buckets: int):
+    """int32 bucket of every row of ``batch`` from its ``keys`` columns.
+
+    One key column buckets as ``_stable_key_hash(key) % num_buckets``,
+    the layout ``pipelines/bucketed.py`` writes to disk; each further
+    column is folded in through one more splitmix64 round.  Every bit
+    of the key reaches the bucket, so keys that share their low bits
+    (multiples of 64, ``det << 32 | dep`` packings) still spread."""
+    import numpy as np
+
+    h = _stable_key_hash(batch.column(keys[0]))
+    for k in keys[1:]:
+        h = _mix64(h ^ _stable_key_hash(batch.column(k)), GOLDEN64)
+    return (h % np.uint64(num_buckets)).astype(np.int32)
+
+
+def bucket_exchange(ds, keys, fold, *, num_buckets: int = 64, rows_per_block: int = 1_048_576):
+    """The package's one keyed exchange: hash ``keys`` (one column name
+    or a list; int or string columns) into an int32 ``__bucket``
+    column, bound the block count (:func:`bounded_blocks`), then
+    ``groupby("__bucket").map_groups(fold)``.
+
+    ``ds`` may be a list of datasets with the same schema (the sides of
+    a join or diff): each is tagged where it is produced, then they are
+    unioned, so the tag fuses into each side's own map tasks.
+
+    Every row of a key lands in one bucket, so ``fold`` — called once
+    per bucket with a pyarrow table that still carries ``__bucket`` —
+    sees all of that key's rows.  Python cost is O(num_buckets) fold
+    calls, never O(distinct keys); ``fold`` should be one vectorized
+    pass (sort, then reduce runs).  Returns the lazy folded dataset."""
+    import pyarrow as pa
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
+    def _tag(batch: "pa.Table") -> "pa.Table":
+        bkt = key_buckets(batch, keys, num_buckets)
+        return batch.append_column("__bucket", pa.array(bkt, type=pa.int32()))
+
+    tagged = [d.map_batches(_tag, batch_format="pyarrow") for d in (ds if isinstance(ds, list) else [ds])]
+    if len(tagged) > 1:
+        tagged = [tagged[0].union(*tagged[1:])]
+    return (
+        bounded_blocks(tagged[0], rows_per_block=rows_per_block)
+        .groupby("__bucket")
+        .map_groups(fold, batch_format="pyarrow")
+    )
+
+
+_FOLD_OPS = {"sum": "add", "min": "minimum", "max": "maximum", "count": None}
+
+
+def _sort_codes(col):
+    """A numpy array whose equal entries are exactly the equal keys of
+    ``col``: the int64 values, or dictionary codes (nulls encoded as
+    one more value) for strings and null-bearing columns."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if pa.types.is_integer(col.type) and not col.null_count:
+        return col.to_numpy().astype(np.int64)
+    enc = pc.dictionary_encode(col, null_encoding="encode")
+    return enc.indices.to_numpy().astype(np.int64)
+
+
+def _fold_table(table, keys: list, aggs: dict):
+    """The fold body of :func:`bucket_keyed_fold` on one pyarrow table:
+    stable sort by ``keys``, then one numpy ``reduceat`` per aggregate
+    over the key runs.  Output: the key columns (signed integer keys as
+    int64), then one column per ``aggs`` entry — int64 for counts
+    and integer values, float64 for floating values."""
     import numpy as np
     import pyarrow as pa
 
-    if op not in ("sum", "min", "distinct"):
-        raise ValueError(f"unsupported op={op!r}")
-    if op != "distinct" and val_col is None:
-        raise ValueError(f"op={op!r} needs val_col")
+    n = table.num_rows
+    codes = [_sort_codes(table.column(k)) for k in keys]
+    order = np.argsort(codes[0], kind="stable") if len(codes) == 1 else np.lexsort(codes[::-1])
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for c in codes:
+        c = c[order]
+        new[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new)
+    out = {}
+    for k in keys:
+        col = table.column(k).take(order[starts])
+        out[k] = col.cast(pa.int64()) if pa.types.is_signed_integer(col.type) else col
+    for name, (op, col) in aggs.items():
+        if op == "count":
+            out[name] = pa.array(np.diff(np.append(starts, n)), type=pa.int64())
+            continue
+        vals = table.column(col)
+        typ = pa.float64() if pa.types.is_floating(vals.type) else pa.int64()
+        v = vals.to_numpy(zero_copy_only=False).astype(typ.to_pandas_dtype())[order]
+        folded = getattr(np, _FOLD_OPS[op]).reduceat(v, starts) if n else v
+        out[name] = pa.array(folded, type=typ)
+    return pa.table(out)
 
-    def _tag(batch: "pa.Table") -> "pa.Table":
-        k = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            bkt = (k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(
-                num_buckets
-            )
-        cols = {key_col: pa.array(k, type=pa.int64())}
-        if op != "distinct":
-            cols[val_col] = batch.column(val_col).cast(pa.int64())
-        cols["__bucket"] = pa.array(bkt.astype(np.int32), type=pa.int32())
-        return pa.table(cols)
 
-    def _fold(group: "pa.Table") -> "pa.Table":
-        k = group.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq, inv = np.unique(k, return_inverse=True)
-        if op == "distinct":
-            return pa.table({key_col: pa.array(uniq, type=pa.int64())})
-        v = group.column(val_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        if op == "sum":
-            out = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(out, inv, v)
-        else:  # min
-            out = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-            np.minimum.at(out, inv, v)
-        return pa.table(
-            {key_col: pa.array(uniq, type=pa.int64()), val_col: pa.array(out, type=pa.int64())}
-        )
+def bucket_keyed_fold(
+    ds,
+    keys,
+    aggs: dict,
+    *,
+    num_buckets: int = 64,
+    rows_per_block: int = 1_048_576,
+):
+    """``SELECT keys, op(col) AS out ... GROUP BY keys`` as one
+    :func:`bucket_exchange` — Python cost O(num_buckets), never
+    O(distinct keys).
 
-    return (
-        bounded_blocks(
-            ds.map_batches(_tag, batch_format="pyarrow"), rows_per_block=rows_per_block
-        )
-        .groupby("__bucket")
-        .map_groups(_fold, batch_format="pyarrow")
+    ``keys`` is one column name or a list (int or string columns);
+    ``aggs`` maps each output column to ``(op, col)`` with ``op`` one
+    of ``"sum"``, ``"min"``, ``"max"`` (over int64 or float64 values)
+    or ``"count"`` (rows per key; ``col`` unused).  An empty ``aggs``
+    is SELECT DISTINCT keys.  Output columns are the keys (signed integer
+    keys as int64) then the ``aggs`` names; counts and integer values are
+    int64, floating values float64.  Values must be non-null.
+
+    Each input batch is folded first (a combiner: the exchange moves one
+    row per distinct key per batch), then each bucket folds the
+    partials, with ``count`` merging as a sum.  Both passes are the
+    same numpy body (sort, ``reduceat``), which also serves the driver
+    tier of :func:`merge_int_counts` / :func:`merge_pair_counts`.
+
+    Ray's native ``groupby(key).sum/min/count`` pays per DISTINCT KEY
+    on the reduce: measured **178 s for a 3M-key degree sum** (the
+    triangle-count profile) vs ~2 s for this fold."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    for out, (op, col) in aggs.items():
+        if op not in _FOLD_OPS:
+            raise ValueError(f"unsupported op={op!r} for {out!r}")
+        if op != "count" and col is None:
+            raise ValueError(f"op={op!r} for {out!r} needs a value column")
+    merge = {out: ("sum" if op == "count" else op, out) for out, (op, _) in aggs.items()}
+
+    def _combine(batch: "pa.Table") -> "pa.Table":
+        return _fold_table(batch, keys, aggs)
+
+    def _merge(group: "pa.Table") -> "pa.Table":
+        return _fold_table(group, keys, merge)
+
+    return bucket_exchange(
+        ds.map_batches(_combine, batch_format="pyarrow"),
+        keys,
+        _merge,
+        num_buckets=num_buckets,
+        rows_per_block=rows_per_block,
     )

@@ -45,23 +45,6 @@ def test_kmeans_assign_covers_corpus(ray_session):
     assert cids <= set(range(4)) and len(cids) >= 2
 
 
-def test_group_centroids_matches_numpy(ray_session):
-    from dots_ocr_ray.pipelines.similarity import group_centroids
-    from dots_ocr_ray.util import round_half_away
-
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(f"{SF}/embeddings.parquet", columns=["label", "embedding"])
-    labels = np.array(t.column("label").to_pylist())
-    mat = np.asarray(t.column("embedding").to_pylist(), dtype=np.float32).astype(np.float64)
-    ds = ray.data.read_parquet(f"{SF}/embeddings.parquet", columns=["label", "embedding"])
-    out = group_centroids(ds, group_col="label").to_pandas()
-    for lab in np.unique(labels):
-        want = round_half_away(mat[labels == lab].mean(axis=0), 4)
-        got = out[out.label == lab].sort_values("idx").c.to_numpy()
-        np.testing.assert_allclose(got, want, atol=2e-4)
-
-
 def test_normalize_text_hostile(ray_session):
     from dots_ocr_ray.pipelines.text_analysis import normalize_text
 

@@ -1,6 +1,7 @@
-"""bucket_keyed_fold (util.py): the O(num_buckets)-Python per-key
-aggregate must equal the native groupby sum/min/distinct exactly,
-including negative keys, skewed keys, and values at int64 extremes."""
+"""bucket_keyed_fold / bucket_exchange (util.py): the O(num_buckets)-Python
+keyed aggregate must equal pyarrow's ``Table.group_by().aggregate`` on a
+driver copy for every op, key shape and bucket count, and its bucket hash
+must spread keys that share their low bits."""
 
 import numpy as np
 import pyarrow as pa
@@ -8,27 +9,116 @@ import pytest
 
 import ray.data
 
-from dots_ocr_ray.util import bucket_keyed_fold
+from dots_ocr_ray.util import bucket_exchange, bucket_keyed_fold, key_buckets
+
+_ARROW_OP = {"sum": "sum", "min": "min", "max": "max", "count": "count"}
 
 
-def _table(ds):
-    t = pa.Table.from_pandas(ds.to_pandas(), preserve_index=False)
-    return t.sort_by(t.column_names[0])
+def _sorted(t: pa.Table, keys: list) -> pa.Table:
+    return t.sort_by([(k, "ascending") for k in keys])
+
+
+def _fold(ds, keys, aggs, **kw) -> pa.Table:
+    blocks = [b for b in ray.get(bucket_keyed_fold(ds, keys, aggs, **kw).to_arrow_refs()) if b.num_rows]
+    names = list(keys) + list(aggs)
+    if not blocks:
+        return pa.table({n: [] for n in names})
+    return _sorted(pa.concat_tables(blocks), keys).select(names)
+
+
+def _want(t: pa.Table, keys, aggs) -> pa.Table:
+    spec = [(col if op != "count" else keys[0], _ARROW_OP[op]) for op, col in aggs.values()]
+    got = t.group_by(keys, use_threads=False).aggregate(spec)
+    cols = {k: got.column(k) for k in keys}
+    for out, (op, col) in aggs.items():
+        src = f"{col if op != 'count' else keys[0]}_{_ARROW_OP[op]}"
+        cols[out] = got.column(src)
+    out = pa.table(cols)
+    for k in keys:
+        if pa.types.is_integer(out.column(k).type):
+            out = out.set_column(out.column_names.index(k), k, out.column(k).cast(pa.int64()))
+    return _sorted(out, keys)
+
+
+def _table(n: int, seed: int) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    k = rng.integers(-500, 500, size=n).astype(np.int64)
+    k[: n // 2] = 42  # skew: half the rows on one hot key
+    return pa.table(
+        {
+            "node": pa.array(k),
+            "k2": pa.array(rng.integers(0, 3, size=n).astype(np.int64)),
+            "host": pa.array([f"h{x % 37}" for x in k.tolist()]),
+            "v": pa.array(rng.integers(-(10**12), 10**12, size=n).astype(np.int64)),
+            "x": pa.array(rng.random(n) * 100.0),
+        }
+    )
+
+
+ALL_OPS = {
+    "s": ("sum", "v"),
+    "lo": ("min", "v"),
+    "hi": ("max", "v"),
+    "n": ("count", None),
+    "xs": ("sum", "x"),
+    "xmin": ("min", "x"),
+    "xmax": ("max", "x"),
+}
+
+
+@pytest.mark.parametrize("num_buckets", [1, 7, 64])
+@pytest.mark.parametrize("keys", [["node"], ["host"], ["node", "k2"], ["host", "k2"]])
+def test_fold_matches_arrow_group_by(ray_session, num_buckets, keys):
+    t = _table(6_000, seed=7)
+    ds = ray.data.from_arrow(t).repartition(9)
+    got = _fold(ds, keys, ALL_OPS, num_buckets=num_buckets)
+    want = _want(t, keys, ALL_OPS)
+    for name in keys + ["s", "lo", "hi", "n", "xmin", "xmax"]:
+        assert got.column(name).to_pylist() == want.column(name).to_pylist(), name
+    assert got.schema.field("s").type == pa.int64()
+    assert got.schema.field("n").type == pa.int64()
+    assert got.schema.field("xs").type == pa.float64()
+    # float sums differ from arrow's only by addition order
+    np.testing.assert_allclose(got.column("xs").to_numpy(), want.column("xs").to_numpy(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("keys", [["node"], ["host"], ["node", "k2"]])
+def test_fold_distinct(ray_session, keys):
+    t = _table(3_000, seed=11)
+    got = _fold(ray.data.from_arrow(t).repartition(5), keys, {}, num_buckets=7)
+    assert got.column_names == keys
+    want = _sorted(t.group_by(keys).aggregate([]), keys)
+    for k in keys:
+        assert got.column(k).to_pylist() == want.column(k).to_pylist()
+
+
+def test_fold_int64_extremes(ray_session):
+    big = np.iinfo(np.int64)
+    k = np.array([big.min, big.max, -1, big.min, big.max], dtype=np.int64)
+    v = np.array([big.min + 1, big.max, 0, 5, -7], dtype=np.int64)
+    ds = ray.data.from_arrow(pa.table({"k": k, "v": v})).repartition(3)
+    got = _fold(ds, ["k"], {"lo": ("min", "v"), "hi": ("max", "v")})
+    assert got.column("k").to_pylist() == [big.min, -1, big.max]
+    assert got.column("lo").to_pylist() == [big.min + 1, 0, -7]
+    assert got.column("hi").to_pylist() == [5, 0, big.max]
+
+
+def test_fold_empty_input(ray_session):
+    t = pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.int64())})
+    out = bucket_keyed_fold(ray.data.from_arrow(t), "k", {"s": ("sum", "v")})
+    assert out.count() == 0
 
 
 @pytest.mark.parametrize("num_buckets", [1, 7, 64])
 def test_fold_sum_matches_native(ray_session, num_buckets):
     rng = np.random.default_rng(7)
     k = rng.integers(-500, 500, size=20_000).astype(np.int64)
-    # skew: half the rows on one hot key
     k[:10_000] = 42
     v = rng.integers(-(10**12), 10**12, size=20_000).astype(np.int64)
-    ds = ray.data.from_arrow(
-        pa.table({"node": pa.array(k), "deg": pa.array(v)})
-    ).repartition(9)
+    ds = ray.data.from_arrow(pa.table({"node": pa.array(k), "deg": pa.array(v)})).repartition(9)
 
-    got = _table(bucket_keyed_fold(ds, "node", "sum", val_col="deg", num_buckets=num_buckets))
-    want = _table(ds.groupby("node").sum("deg"))
+    got = _fold(ds, ["node"], {"deg": ("sum", "deg")}, num_buckets=num_buckets)
+    want = _sorted(pa.Table.from_pandas(ds.groupby("node").sum("deg").to_pandas()), ["node"])
     assert got.column("node").to_pylist() == want.column("node").to_pylist()
     assert got.column("deg").to_pylist() == want.column("sum(deg)").to_pylist()
 
@@ -41,12 +131,12 @@ def test_fold_min_and_distinct(ray_session):
         pa.table({"node": pa.array(k), "label": pa.array(v.astype(np.int64))})
     ).repartition(5)
 
-    got = _table(bucket_keyed_fold(ds, "node", "min", val_col="label"))
-    want = _table(ds.groupby("node").min("label"))
+    got = _fold(ds, ["node"], {"label": ("min", "label")})
+    want = _sorted(pa.Table.from_pandas(ds.groupby("node").min("label").to_pandas()), ["node"])
     assert got.column("node").to_pylist() == want.column("node").to_pylist()
     assert got.column("label").to_pylist() == want.column("min(label)").to_pylist()
 
-    dist = _table(bucket_keyed_fold(ds, "node", "distinct"))
+    dist = _fold(ds, ["node"], {})
     assert dist.column_names == ["node"]
     assert dist.column("node").to_pylist() == sorted(set(k.tolist()))
 
@@ -54,20 +144,42 @@ def test_fold_min_and_distinct(ray_session):
 def test_fold_rejects_bad_args(ray_session):
     ds = ray.data.from_items([{"node": 1, "v": 2}])
     with pytest.raises(ValueError):
-        bucket_keyed_fold(ds, "node", "max", val_col="v")
+        bucket_keyed_fold(ds, "node", {"m": ("median", "v")})
     with pytest.raises(ValueError):
-        bucket_keyed_fold(ds, "node", "sum")
+        bucket_keyed_fold(ds, "node", {"s": ("sum", None)})
+
+
+@pytest.mark.parametrize("shape", ["shifted", "multiple_of_64"])
+def test_bucket_spread(shape):
+    """Keys that differ only above their low bits must still reach every
+    bucket: ``k * GOLDEN % 64`` put all multiples of 64 in one."""
+    n = 100_000
+    k = np.arange(n, dtype=np.int64)
+    k = k << 32 if shape == "shifted" else k * 64
+    bkt = key_buckets(pa.table({"k": k}), ["k"], 64)
+    counts = np.bincount(bkt, minlength=64)
+    assert (counts > 0).all()
+    assert counts.max() < 2 * n / 64
+
+
+def test_exchange_colocates_keys(ray_session):
+    """Every row of a key reaches the same fold call."""
+    t = _table(4_000, seed=3)
+
+    def _fold_hosts(group: pa.Table) -> pa.Table:
+        hosts = sorted(set(group.column("host").to_pylist()))
+        return pa.table({"host": hosts, "rows": [group.num_rows] * len(hosts)})
+
+    out = bucket_exchange(ray.data.from_arrow(t).repartition(6), "host", _fold_hosts, num_buckets=7)
+    hosts = [r["host"] for r in out.take_all()]
+    assert sorted(hosts) == sorted(set(t.column("host").to_pylist()))
 
 
 def test_merge_pair_counts_tiers_vs_pandas(ray_session):
     """merge_pair_counts ≡ pandas groupby-sum on (a, b), for BOTH the
     driver tier and the forced distributed tier, over extreme /
     negative int64 keys."""
-    import numpy as np
     import pandas as pd
-    import pyarrow as pa
-
-    import ray.data
 
     from dots_ocr_ray.util import merge_pair_counts
 
@@ -102,3 +214,21 @@ def test_merge_pair_counts_tiers_vs_pandas(ray_session):
             .reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(got, expect.astype("int64"))
+
+
+def test_merge_int_counts_tiers(ray_session):
+    """merge_int_counts: the driver tier and the distributed tier agree
+    with a plain numpy count."""
+    from dots_ocr_ray.util import merge_int_counts
+
+    rng = np.random.default_rng(5)
+    k = rng.integers(-50, 50, 2_000).astype(np.int64)
+    c = rng.integers(1, 4, 2_000).astype(np.int64)
+    ds = ray.data.from_arrow(pa.table({"k": k, "c": c})).repartition(4)
+    uniq, inv = np.unique(k, return_inverse=True)
+    want = np.zeros(len(uniq), np.int64)
+    np.add.at(want, inv, c)
+    for kw in ({}, {"driver_limit": 0}):
+        got = merge_int_counts(ds, "k", "c", **kw).to_pandas().sort_values("k")
+        assert got["k"].tolist() == uniq.tolist()
+        assert got["c"].tolist() == want.tolist()

@@ -97,3 +97,35 @@ def test_shard_task_layers_recorded(patched_namespaces, tmp_path):
         assert name in names, name
     assert names.count("pipelines.read") == 3  # two batches, then the exhausted generator
     assert {s[0] for s in rec.spans} == {"job"}  # job id = the out_dir's name
+
+
+def test_fold_layers_recorded(ray_session, patched_namespaces):
+    """The keyed-fold queries of the benchmark's ``fold_queries``
+    workload: each must still be seen by the ``util.bucket_keyed_fold``
+    and ``pipelines.bucket_groupby`` hooks, so their per-pass counts
+    stay meaningful."""
+    import pyarrow as pa
+
+    import ray.data
+
+    spans = _load_spans()
+    rec = spans.Recorder()
+    spans.install_local(rec)
+
+    from dots_ocr_ray.pipelines.graph import degree_assortativity_stats
+    from dots_ocr_ray.pipelines.profile import fd_violations
+
+    edges = ray.data.from_arrow(pa.table({"src": [1, 2, 3, 3, 4], "dst": [2, 3, 1, 4, 1]}))
+    assert degree_assortativity_stats(edges).num_rows == 1
+    names = [s[3] for s in rec.spans]
+    assert "util.bucket_keyed_fold" in names
+    assert "pipelines.bucket_groupby" in names
+
+    rec.spans.clear()
+    rows = ray.data.from_arrow(pa.table({"k": [1, 1, 2, 3, 3], "v": [10, 11, 20, 30, 30]}))
+    out = fd_violations(rows, det_col="k", dep_col="v")
+    assert out.column("n_keys").to_pylist() == [3]
+    assert out.column("n_violating").to_pylist() == [1]
+    names = [s[3] for s in rec.spans]
+    assert names.count("util.bucket_keyed_fold") == 2
+    assert names.count("pipelines.bucket_groupby") == 2
