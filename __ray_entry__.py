@@ -78,48 +78,20 @@ def _q_extract_text(sf_dir: str):
 
 
 def _q_extract_status_counts(sf_dir: str):
-    import pyarrow as pa
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    ds = _extract_ds(sf_dir)
-    counts = ds.groupby(["lang", "status"]).count()
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(
-            ["lang", "status", "n"] if batch.column_names[-1] == "count()" else batch.column_names
-        )
-
-    return counts.map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(_extract_ds(sf_dir), ["lang", "status"], {"n": ("count", None)})
 
 
 def _q_extract_span_stats(sf_dir: str):
-    """Single-pass sum+count partial aggregate — extraction runs ONCE
-    (two separate groupbys would re-execute the whole upstream
-    pipeline per consumer)."""
-    import pyarrow as pa
+    """Single-pass sum+count keyed fold — extraction runs ONCE (two
+    separate groupbys would re-execute the whole upstream pipeline per
+    consumer)."""
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    ds = _extract_ds(sf_dir)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select(["lang", "n_spans"])
-            .group_by("lang")
-            .aggregate([("n_spans", "sum"), ("n_spans", "count")])
-        )
-
-    agg = ds.map_batches(_partial, batch_format="pyarrow").groupby("lang").sum(
-        ["n_spans_sum", "n_spans_count"]
+    return bucket_keyed_fold(
+        _extract_ds(sf_dir), "lang", {"sum_spans": ("sum", "n_spans"), "n_docs": ("count", None)}
     )
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        mapping = {"sum(n_spans_sum)": "sum_spans", "sum(n_spans_count)": "n_docs"}
-        batch = batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-        for col in ("sum_spans", "n_docs"):
-            batch = batch.set_column(
-                batch.column_names.index(col), col, batch.column(col).cast(pa.int64())
-            )
-        return batch
-
-    return agg.map_batches(_rename, batch_format="pyarrow")
 
 
 def _q_describe_docs(sf_dir: str):
@@ -269,67 +241,27 @@ def _q_ann_lsh_topk(sf_dir: str):
 
 
 def _q_token_stats(sf_dir: str):
-    import pyarrow as pa
-
     import ray.data
 
     from dots_ocr_ray.pipelines.text_analysis import annotate_documents
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
     annotated = annotate_documents(docs, features=("tokens_ws",))
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select(["lang", "n_tokens_ws"])
-            .group_by("lang")
-            .aggregate([("n_tokens_ws", "sum"), ("n_tokens_ws", "count")])
-        )
-
-    agg = annotated.map_batches(_partial, batch_format="pyarrow").groupby("lang").sum(
-        ["n_tokens_ws_sum", "n_tokens_ws_count"]
+    return bucket_keyed_fold(
+        annotated, "lang", {"sum_tokens_ws": ("sum", "n_tokens_ws"), "n_docs": ("count", None)}
     )
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        mapping = {"sum(n_tokens_ws_sum)": "sum_tokens_ws", "sum(n_tokens_ws_count)": "n_docs"}
-        batch = batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-        for col in ("sum_tokens_ws", "n_docs"):
-            batch = batch.set_column(
-                batch.column_names.index(col), col, batch.column(col).cast(pa.int64())
-            )
-        return batch
-
-    return agg.map_batches(_rename, batch_format="pyarrow")
 
 
 def _q_quality_stats(sf_dir: str):
-    import pyarrow as pa
-
     import ray.data
 
     from dots_ocr_ray.pipelines.text_analysis import annotate_documents
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
     annotated = annotate_documents(docs, features=("quality",))
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = batch.column("quality_keep").cast(pa.int64())
-        return (
-            batch.select(["lang"])
-            .append_column("keep_i", keep)
-            .group_by("lang")
-            .aggregate([("keep_i", "sum"), ("keep_i", "count")])
-        )
-
-    partials = annotated.map_batches(_partial, batch_format="pyarrow")
-    agg = partials.groupby("lang").sum(["keep_i_sum", "keep_i_count"])
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        mapping = {"sum(keep_i_sum)": "n_keep", "sum(keep_i_count)": "n_docs"}
-        return batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-
-    return agg.map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(annotated, "lang", {"n_keep": ("sum", "quality_keep"), "n_docs": ("count", None)})
 
 
 def _q_lang_id(sf_dir: str):
@@ -443,6 +375,8 @@ def _q_customers_per_region(sf_dir: str):
     import ray
     import ray.data
 
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     nation = ray.data.read_parquet(f"{sf_dir}/nation.parquet").to_pandas()
     region = ray.data.read_parquet(f"{sf_dir}/region.parquet").to_pandas()
     n2r = dict(zip(nation["n_nationkey"], nation["n_regionkey"]))
@@ -451,25 +385,15 @@ def _q_customers_per_region(sf_dir: str):
 
     customers = ray.data.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _region(batch: pa.Table) -> pa.Table:
         from dots_ocr_ray.util import cached_object
 
         lookup = cached_object(lookup_ref)
         names = [lookup.get(k, "UNKNOWN") for k in batch.column("c_nationkey").to_pylist()]
-        return (
-            pa.table({"r_name": pa.array(names, type=pa.string())})
-            .group_by("r_name")
-            .aggregate([([], "count_all")])
-        )
+        return pa.table({"r_name": pa.array(names, type=pa.string())})
 
-    partials = customers.map_batches(_partial, batch_format="pyarrow")
-    agg = partials.groupby("r_name").sum("count_all")
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["r_name", "n_customers"])
-        return batch.set_column(1, "n_customers", batch.column("n_customers").cast(pa.int64()))
-
-    return agg.map_batches(_rename, batch_format="pyarrow")
+    regions = customers.map_batches(_region, batch_format="pyarrow")
+    return bucket_keyed_fold(regions, "r_name", {"n_customers": ("count", None)})
 
 
 def _q_extract_category_counts(sf_dir: str):
@@ -478,6 +402,7 @@ def _q_extract_category_counts(sf_dir: str):
     from dots_ocr_ray.kernel.extract import MODE_LAYOUT_ONLY, ExtractConfig
     from dots_ocr_ray.pipelines.extract import extract_pages
     from dots_ocr_ray.sources.pages import pages_from_documents
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     pages = pages_from_documents(sf_dir, override_num_blocks=8)
     ds = extract_pages(pages, ExtractConfig(mode=MODE_LAYOUT_ONLY), batch_size=64)
@@ -488,13 +413,7 @@ def _q_extract_category_counts(sf_dir: str):
             cats.extend(s["category"] for s in spans)
         return pa.table({"category": pa.array(cats, type=pa.string())})
 
-    counts = ds.map_batches(_explode, batch_format="pyarrow").groupby("category").count()
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["category", "n"])
-        return batch.set_column(1, "n", batch.column("n").cast(pa.int64()))
-
-    return counts.map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(ds.map_batches(_explode, batch_format="pyarrow"), "category", {"n": ("count", None)})
 
 
 def _q_crawl_dedup_latest(sf_dir: str):
@@ -542,29 +461,17 @@ def _q_events_props_agg(sf_dir: str):
 
     import ray.data
 
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     events = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "props"])
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _k(batch: pa.Table) -> pa.Table:
         ks = [json_mod.loads(p).get("k", 0) for p in batch.column("props").to_pylist()]
-        return (
-            pa.table(
-                {
-                    "event_type": batch.column("event_type"),
-                    "k": pa.array(ks, type=pa.int64()),
-                }
-            )
-            .group_by("event_type")
-            .aggregate([("k", "sum"), ("k", "count")])
-        )
+        return pa.table({"event_type": batch.column("event_type"), "k": pa.array(ks, type=pa.int64())})
 
-    partials = events.map_batches(_partial, batch_format="pyarrow")
-    agg = partials.groupby("event_type").sum(["k_sum", "k_count"])
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        mapping = {"sum(k_sum)": "sum_k", "sum(k_count)": "n"}
-        return batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-
-    return agg.map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(
+        events.map_batches(_k, batch_format="pyarrow"), "event_type", {"sum_k": ("sum", "k"), "n": ("count", None)}
+    )
 
 
 def _q_merge_docs(sf_dir: str):
@@ -878,10 +785,9 @@ def _q_crawl_frontier(sf_dir: str):
     hash-join on the url (no driver url set), then one keyed distinct."""
     import pyarrow as pa
 
-    import ray.data
-
     from dots_ocr_ray.pipelines.relational import hash_join
     from dots_ocr_ray.sources.pages import pages_from_documents
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     links = _q_extract_links(sf_dir)
 
@@ -905,15 +811,7 @@ def _q_crawl_frontier(sf_dir: str):
     def _rename(batch: pa.Table) -> pa.Table:
         return batch.rename_columns(["href"])
 
-    def _drop_n(batch: pa.Table) -> pa.Table:
-        return batch.select(["href"])
-
-    return (
-        uncrawled.map_batches(_rename, batch_format="pyarrow")
-        .groupby("href")
-        .count()
-        .map_batches(_drop_n, batch_format="pyarrow")
-    )
+    return bucket_keyed_fold(uncrawled.map_batches(_rename, batch_format="pyarrow"), "href", {})
 
 
 def _q_frontier_schedule(sf_dir: str):
@@ -1015,6 +913,8 @@ def _q_train_val_split(sf_dir: str):
 
     import ray.data
 
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
 
     def _split(batch: pa.Table) -> pa.Table:
@@ -1023,40 +923,18 @@ def _q_train_val_split(sf_dir: str):
         return batch.append_column("split", split)
 
     tagged = docs.map_batches(_split, batch_format="pyarrow")
-    counts = tagged.groupby(["lang", "split"]).count()
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["lang", "split", "n"])
-        return batch.set_column(2, "n", batch.column("n").cast(pa.int64()))
-
-    return counts.map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(tagged, ["lang", "split"], {"n": ("count", None)})
 
 
 def _q_chunk_stats(sf_dir: str):
-    import pyarrow as pa
-
     import ray.data
 
     from dots_ocr_ray.pipelines.chunking import chunk_documents
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     chunks = chunk_documents(docs, chunk_tokens=32, overlap_tokens=4)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.select(["doc_id", "chunk_id"])
-            .group_by("doc_id")
-            .aggregate([("chunk_id", "count")])
-        )
-
-    partials = chunks.map_batches(_partial, batch_format="pyarrow")
-    agg = partials.groupby("doc_id").sum("chunk_id_count")
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["doc_id", "n_chunks"])
-        return batch.set_column(1, "n_chunks", batch.column("n_chunks").cast(pa.int64()))
-
-    return agg.map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(chunks, "doc_id", {"n_chunks": ("count", None)})
 
 
 def _q_stratified_sample(sf_dir: str):
@@ -1134,13 +1012,15 @@ def _q_canonical_urls(sf_dir: str):
 
 def _q_token_postings(sf_dir: str):
     """Inverted-index shape: (token, doc) pairs exploded per document
-    (distinct within doc), one groupby keyed by token → per-token
-    document frequency + first posting.  The groupby key is the token
-    itself — uniformly spread by construction, and the explode is the
-    only row-amplifying stage (bounded by tokens/doc)."""
+    (distinct within doc), one keyed fold by token → per-token
+    document frequency + first posting.  The key is the token itself —
+    uniformly spread by construction, and the explode is the only
+    row-amplifying stage (bounded by tokens/doc)."""
     import pyarrow as pa
 
     import ray.data
+
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
@@ -1166,31 +1046,15 @@ def _q_token_postings(sf_dir: str):
         enc = toks.dictionary_encode()
         codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         uniq = np.unique(np.stack([doc_np, codes], axis=1), axis=0)
-        tbl = pa.table(
+        return pa.table(
             {
                 "token": enc.dictionary.take(pa.array(uniq[:, 1])),
                 "doc_id": pa.array(uniq[:, 0], type=pa.int64()),
             }
         )
-        # partial combine per batch: count + min doc per token
-        return tbl.group_by("token").aggregate([("doc_id", "count"), ("doc_id", "min")])
 
-    from ray.data.aggregate import Min, Sum
-
-    from dots_ocr_ray.util import bounded_blocks
-
-    partials = bounded_blocks(docs.map_batches(_pairs, batch_format="pyarrow"))
-    merged = partials.groupby("token").aggregate(Sum("doc_id_count"), Min("doc_id_min"))
-
-    def _final(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["token", "n_docs", "first_doc"])
-        return batch.set_column(
-            batch.column_names.index("n_docs"),
-            "n_docs",
-            batch.column("n_docs").cast(pa.int64()),
-        )
-
-    return merged.map_batches(_final, batch_format="pyarrow")
+    pairs = docs.map_batches(_pairs, batch_format="pyarrow")
+    return bucket_keyed_fold(pairs, "token", {"n_docs": ("count", None), "first_doc": ("min", "doc_id")})
 
 
 def _q_chars_quantiles_approx(sf_dir: str):
@@ -1396,7 +1260,7 @@ def _q_lineitem_order_priority(sf_dir: str):
     import ray.data
 
     from dots_ocr_ray.pipelines.relational import skew_join
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
@@ -1424,27 +1288,9 @@ def _q_lineitem_order_priority(sf_dir: str):
         ),
     )
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by("o_orderpriority").aggregate(
-            [("l_quantity", "sum"), ("l_quantity", "count")]
-        )
-
-    agg = (
-        bounded_blocks(joined.map_batches(_partial, batch_format="pyarrow"))
-        .groupby("o_orderpriority")
-        .sum(["l_quantity_sum", "l_quantity_count"])
+    return bucket_keyed_fold(
+        joined, "o_orderpriority", {"n_items": ("count", None), "sum_qty": ("sum", "l_quantity")}
     )
-
-    def _final(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_orderpriority": batch.column("o_orderpriority"),
-                "n_items": batch.column("sum(l_quantity_count)").cast(pa.int64()),
-                "sum_qty": batch.column("sum(l_quantity_sum)"),
-            }
-        )
-
-    return agg.map_batches(_final, batch_format="pyarrow")
 
 
 def _q_bucketed_customer_orders(sf_dir: str):
@@ -1540,29 +1386,11 @@ def _q_orders_customer_join(sf_dir: str):
         ),
     )
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by("c_nationkey").aggregate(
-            [("o_totalprice", "sum"), ("o_totalprice", "count")]
-        )
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    from dots_ocr_ray.util import bounded_blocks
-
-    agg = (
-        bounded_blocks(joined.map_batches(_partial, batch_format="pyarrow"))
-        .groupby("c_nationkey")
-        .sum(["o_totalprice_sum", "o_totalprice_count"])
+    return bucket_keyed_fold(
+        joined, "c_nationkey", {"n_orders": ("count", None), "total_spend": ("sum", "o_totalprice")}
     )
-
-    def _final(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_nationkey": batch.column("c_nationkey"),
-                "n_orders": batch.column("sum(o_totalprice_count)").cast(pa.int64()),
-                "total_spend": batch.column("sum(o_totalprice_sum)"),
-            }
-        )
-
-    return agg.map_batches(_final, batch_format="pyarrow")
 
 
 def _q_scrub_documents(sf_dir: str):
@@ -1774,7 +1602,7 @@ def _q_customers_without_orders(sf_dir: str):
     import ray.data
 
     from dots_ocr_ray.pipelines.relational import hash_join
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     customer = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
@@ -1796,25 +1624,7 @@ def _q_customers_without_orders(sf_dir: str):
         right_schema=pa.schema([("c_custkey", pa.int64())]),
     )
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        out = batch.group_by("c_mktsegment").aggregate([([], "count_all")])
-        return out.rename_columns(["c_mktsegment", "n"])
-
-    agg = (
-        bounded_blocks(kept.map_batches(_partial, batch_format="pyarrow"))
-        .groupby("c_mktsegment")
-        .sum("n")
-    )
-
-    def _final(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_mktsegment": batch.column("c_mktsegment"),
-                "n_customers": batch.column("sum(n)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(_final, batch_format="pyarrow")
+    return bucket_keyed_fold(kept, "c_mktsegment", {"n_customers": ("count", None)})
 
 
 def _q_acctbal_price_band(sf_dir: str):
@@ -1898,6 +1708,7 @@ def _q_jsonl_lang_counts(sf_dir: str):
     import ray.data
 
     from dots_ocr_ray.sources.jsonl import read_jsonl
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     base, built = _scratch_dir("jsonl", sf_dir)
     if not built:
@@ -1922,19 +1733,7 @@ def _q_jsonl_lang_counts(sf_dir: str):
 
         return batch.filter(pc.greater_equal(batch.column("doc_id"), 0))
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        out = batch.select(["lang"]).group_by(["lang"]).aggregate([([], "count_all")])
-        return out.rename_columns(["lang", "n"])
-
-    agg = (
-        ds.map_batches(_valid, batch_format="pyarrow")
-        .map_batches(_partial, batch_format="pyarrow")
-        .groupby("lang")
-        .sum("n")
-    )
-    return agg.map_batches(
-        lambda b: b.rename_columns(["lang", "n"]), batch_format="pyarrow"
-    )
+    return bucket_keyed_fold(ds.map_batches(_valid, batch_format="pyarrow"), "lang", {"n": ("count", None)})
 
 
 def _q_lang_source_rollup(sf_dir: str):
@@ -3189,40 +2988,17 @@ def _q_daily_anomalies(sf_dir: str):
     import ray.data
 
     from dots_ocr_ray.pipelines.relational import zscore_outliers
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     events = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
+    def _day(batch: pa.Table) -> pa.Table:
+        day = pc.floor_temporal(batch.column("ts"), unit="day").cast(pa.timestamp("us"))
+        return pa.table({"day": day, "event_type": batch.column("event_type")})
 
-        day = pc.floor_temporal(batch.column("ts"), unit="day").cast(
-            pa.timestamp("us")
-        ).cast(pa.int64())
-        t = pa.table(
-            {
-                "day": day,
-                "event_type": batch.column("event_type"),
-                "n": pa.array(np.ones(batch.num_rows, np.int64)),
-            }
-        )
-        return t.group_by(["day", "event_type"]).aggregate([("n", "sum")])
-
-    daily = (
-        events.map_batches(_partial, batch_format="pyarrow")
-        .groupby(["day", "event_type"])
-        .sum("n_sum")
+    daily = bucket_keyed_fold(
+        events.map_batches(_day, batch_format="pyarrow"), ["day", "event_type"], {"n": ("count", None)}
     )
-
-    def _shape(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "day": batch.column("day").cast(pa.timestamp("us")),
-                "event_type": batch.column("event_type"),
-                "n": batch.column("sum(n_sum)").cast(pa.int64()),
-            }
-        )
-
-    daily = daily.map_batches(_shape, batch_format="pyarrow")
     return zscore_outliers(daily, key_col="event_type", value_col="n", z_thresh=1.5)
 
 
@@ -3704,12 +3480,7 @@ def _q_volume_shipping(sf_dir: str):
     fact-fact hash join; final rollup is 2×2×years rows."""
     from dots_ocr_ray.pipelines.relational import volume_shipping
 
-    out = volume_shipping(sf_dir)
-
-    def _rename(batch):
-        return batch.rename_columns(["supp_nation", "cust_nation", "year", "revenue"])
-
-    return out.map_batches(_rename, batch_format="pyarrow")
+    return volume_shipping(sf_dir)
 
 
 def _q_pseudonymized_events(sf_dir: str):
@@ -4383,36 +4154,12 @@ def _q_event_transitions(sf_dir: str):
         import pyarrow.compute as pc
 
         keep = pc.not_equal(batch.column("next_type"), "")
-        b = batch.filter(keep)
-        agg = (
-            pa.table(
-                {"event_type": b.column("event_type"), "next_type": b.column("next_type")}
-            )
-            .group_by(["event_type", "next_type"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "event_type": agg.column("event_type"),
-                "next_type": agg.column("next_type"),
-                "n": agg.column("count_all").cast(pa.int64()),
-            }
-        )
+        return batch.filter(keep).select(["event_type", "next_type"])
 
-    summed = joined.map_batches(_pairs, batch_format="pyarrow").groupby(
-        ["event_type", "next_type"]
-    ).sum("n")
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    def _rename(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "next_type": batch.column("next_type"),
-                "n": batch.column("sum(n)").cast(pa.int64()),
-            }
-        )
-
-    return summed.map_batches(_rename, batch_format="pyarrow")
+    pairs = joined.map_batches(_pairs, batch_format="pyarrow")
+    return bucket_keyed_fold(pairs, ["event_type", "next_type"], {"n": ("count", None)})
 
 
 def _q_decayed_type_popularity(sf_dir: str):
@@ -4465,7 +4212,7 @@ def _q_returned_revenue_by_customer(sf_dir: str):
     import ray.data
 
     from dots_ocr_ray.pipelines.relational import hash_join
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bounded_blocks, bucket_keyed_fold
 
     lo = pa.scalar(datetime.datetime(1997, 1, 1))
     hi = pa.scalar(datetime.datetime(1997, 7, 1))
@@ -4515,21 +4262,7 @@ def _q_returned_revenue_by_customer(sf_dir: str):
         right_schema=pa.schema([("o_orderkey", pa.int64()), ("revenue", pa.float64())]),
     )
 
-    def _cust_partial(batch: pa.Table) -> pa.Table:
-        agg = (
-            batch.select(["o_custkey", "revenue"])
-            .group_by("o_custkey")
-            .aggregate([("revenue", "sum")])
-        )
-        return pa.table(
-            {"c_custkey": agg.column("o_custkey"), "revenue": agg.column("revenue_sum")}
-        )
-
-    per_cust = (
-        bounded_blocks(joined.map_batches(_cust_partial, batch_format="pyarrow"))
-        .groupby("c_custkey")
-        .sum("revenue")
-    )
+    per_cust = bucket_keyed_fold(joined, "o_custkey", {"revenue": ("sum", "revenue")})
 
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_nationkey"]
@@ -4556,12 +4289,7 @@ def _q_returned_revenue_by_customer(sf_dir: str):
         )
 
     def _rename_cust(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_custkey": batch.column("c_custkey").cast(pa.int64()),
-                "revenue": batch.column("sum(revenue)"),
-            }
-        )
+        return batch.rename_columns(["c_custkey", "revenue"])
 
     final = hash_join(
         per_cust.map_batches(_rename_cust, batch_format="pyarrow"),
@@ -4724,27 +4452,11 @@ def _q_order_window_overlap(sf_dir: str):
         ),
     )
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by("window_id").aggregate(
-            [("o_totalprice", "sum"), ("window_id", "count")]
-        )
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    agg = (
-        joined.map_batches(_partial, batch_format="pyarrow")
-        .groupby("window_id")
-        .sum(["window_id_count", "o_totalprice_sum"])
+    return bucket_keyed_fold(
+        joined, "window_id", {"n_orders": ("count", None), "total_value": ("sum", "o_totalprice")}
     )
-
-    def _finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "window_id": batch.column("window_id").cast(pa.int64()),
-                "n_orders": batch.column("sum(window_id_count)").cast(pa.int64()),
-                "total_value": batch.column("sum(o_totalprice_sum)").cast(pa.float64()),
-            }
-        )
-
-    return agg.map_batches(_finish, batch_format="pyarrow")
 
 
 def _q_host_trustrank(sf_dir: str):
@@ -5439,7 +5151,7 @@ def _q_dedup_eval(sf_dir: str):
 
     from dots_ocr_ray.fixtures import inject_near_dup_embeddings
     from dots_ocr_ray.pipelines.similarity import semdedup_prune
-    from dots_ocr_ray.util import vec_matrix
+    from dots_ocr_ray.util import bucket_keyed_fold, vec_matrix
 
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
 
@@ -5458,28 +5170,16 @@ def _q_dedup_eval(sf_dir: str):
     flags = semdedup_prune(ds.map_batches(_inject, batch_format="pyarrow"), threshold=0.95)
 
     # group minima of the PLANTED ids (3 groups, bounded by the rule)
-    def _planted_mins(batch: pa.Table) -> pa.Table:
+    def _planted(batch: pa.Table) -> pa.Table:
         import numpy as np
 
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
         ids = ids[ids % 9 == 4]
-        if len(ids) == 0:
-            return pa.table({"g": pa.array([], pa.int64()), "m": pa.array([], pa.int64())})
-        g = (ids // 9) % 3
-        out_g, out_m = [], []
-        for gg in np.unique(g):
-            out_g.append(int(gg))
-            out_m.append(int(ids[g == gg].min()))
-        return pa.table({"g": pa.array(out_g, pa.int64()), "m": pa.array(out_m, pa.int64())})
+        return pa.table({"g": pa.array((ids // 9) % 3, pa.int64()), "m": pa.array(ids, pa.int64())})
 
-    mins_tbl = (
-        ds.select_columns(["vec_id"])
-        .map_batches(_planted_mins, batch_format="pyarrow")
-        .groupby("g")
-        .min("m")
-        .to_pandas()
-    )
-    group_min = {int(r["g"]): int(r["min(m)"]) for _, r in mins_tbl.iterrows()}
+    planted = ds.select_columns(["vec_id"]).map_batches(_planted, batch_format="pyarrow")
+    mins_tbl = bucket_keyed_fold(planted, "g", {"m": ("min", "m")}).to_pandas()
+    group_min = {int(g): int(m) for g, m in zip(mins_tbl["g"], mins_tbl["m"])}
 
     def _confusion(batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -5987,6 +5687,7 @@ def _q_hrw_assignment(sf_dir: str):
     import ray.data
 
     from dots_ocr_ray.functions.partitioning import rendezvous_assign
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
@@ -5997,12 +5698,7 @@ def _q_hrw_assignment(sf_dir: str):
         rem = batch.column("doc_id").to_numpy(zero_copy_only=False) % 40
         return pa.table({"host": pa.array(lut[rem], type=pa.string())})
 
-    hosts = (
-        docs.map_batches(_host, batch_format="pyarrow")
-        .groupby("host")
-        .count()
-        .select_columns(["host"])
-    )
+    hosts = bucket_keyed_fold(docs.map_batches(_host, batch_format="pyarrow"), "host", {})
     out = rendezvous_assign(hosts, "host", 8, out_col="bucket8")
     out = rendezvous_assign(out, "host", 9, out_col="bucket9")
 
@@ -6162,6 +5858,7 @@ def _q_cdx_status_counts(sf_dir: str):
     import ray.data
 
     from dots_ocr_ray.sources.cdx import read_cdx
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     base, built = _scratch_dir("cdx", sf_dir)
     if not built:
@@ -6195,24 +5892,17 @@ def _q_cdx_status_counts(sf_dir: str):
         [os.path.join(base, "part0.cdx"), os.path.join(base, "part1.cdx.gz")]
     )
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        out = (
-            batch.select(["status", "length"])
-            .group_by("status")
-            .aggregate([("length", "sum"), ([], "count_all")])
-        )
-        return out.rename_columns(["status", "total_len", "n"])
+    def _lengths(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
 
-    agg = (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby("status")
-        .sum(["total_len", "n"])
+        # a record without a length adds nothing to SUM (the oracle's)
+        return pa.table({"status": batch.column("status"), "length": pc.fill_null(batch.column("length"), 0)})
+
+    return bucket_keyed_fold(
+        ds.map_batches(_lengths, batch_format="pyarrow"),
+        "status",
+        {"total_len": ("sum", "length"), "n": ("count", None)},
     )
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["status", "total_len", "n"])
-
-    return agg.map_batches(_rename, batch_format="pyarrow")
 
 
 def _q_hac_dendrogram(sf_dir: str):
@@ -6557,46 +6247,28 @@ def _q_warc_http_headers(sf_dir: str):
     def _headers(batch: pa.Table) -> pa.Table:
         from dots_ocr_ray.sources.warc import _open_warc, iter_warc_records, parse_http_envelope
 
-        st_out, ct_out, n_out, bl_out = [], [], [], []
-        partial: dict = {}
+        rows = []
         for path in batch.column("path").to_pylist():
             with _open_warc(path) as stream:
                 for headers, block in iter_warc_records(stream):
-                    if headers.get("warc-type") != "response":
-                        continue
-                    status, ctype, body_len = parse_http_envelope(block)
-                    key = (status, ctype)
-                    n, tot = partial.get(key, (0, 0))
-                    partial[key] = (n + 1, tot + body_len)
-        for (status, ctype), (n, tot) in partial.items():
-            st_out.append(status)
-            ct_out.append(ctype)
-            n_out.append(n)
-            bl_out.append(tot)
+                    if headers.get("warc-type") == "response":
+                        rows.append(parse_http_envelope(block))
+        status, ctype, body_len = zip(*rows) if rows else ((), (), ())
         return pa.table(
             {
-                "status": pa.array(st_out, type=pa.int32()),
-                "content_type": pa.array(ct_out, type=pa.string()),
-                "n": pa.array(n_out, type=pa.int64()),
-                "body_bytes": pa.array(bl_out, type=pa.int64()),
+                "status": pa.array(status, type=pa.int32()),
+                "content_type": pa.array(ctype, type=pa.string()),
+                "body_len": pa.array(body_len, type=pa.int64()),
             }
         )
 
-    agg = work.map_batches(_headers, batch_format="pyarrow").groupby(
-        ["status", "content_type"]
-    ).sum(["n", "body_bytes"])
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    def _final(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "status": batch.column("status"),
-                "content_type": batch.column("content_type"),
-                "n": batch.column("sum(n)").cast(pa.int64()),
-                "body_bytes": batch.column("sum(body_bytes)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(_final, batch_format="pyarrow")
+    return bucket_keyed_fold(
+        work.map_batches(_headers, batch_format="pyarrow"),
+        ["status", "content_type"],
+        {"n": ("count", None), "body_bytes": ("sum", "body_len")},
+    )
 
 
 def _q_robots_txt_rules(sf_dir: str):
@@ -6674,6 +6346,7 @@ def _q_charset_counts(sf_dir: str):
     import ray.data
 
     from dots_ocr_ray.kernel.html_parse import sniff_charset
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     labels = ("utf-8", "ISO-8859-1", "windows-1251", "GBK")
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
@@ -6691,21 +6364,9 @@ def _q_charset_counts(sf_dir: str):
             if d % 19 == 6:
                 body = b"\xff\xfe" + body
             out.append(sniff_charset(body))
-        t = pa.table({"charset": pa.array(out, type=pa.string())})
-        agg = t.group_by("charset").aggregate([([], "count_all")])
-        return agg.rename_columns(["charset", "n"])
+        return pa.table({"charset": pa.array(out, type=pa.string())})
 
-    agg = docs.map_batches(_sniff, batch_format="pyarrow").groupby("charset").sum("n")
-
-    def _final(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "charset": batch.column("charset"),
-                "n": batch.column("sum(n)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(_final, batch_format="pyarrow")
+    return bucket_keyed_fold(docs.map_batches(_sniff, batch_format="pyarrow"), "charset", {"n": ("count", None)})
 
 
 def _q_sitemap_urls(sf_dir: str):
@@ -7435,7 +7096,7 @@ def _q_warc_extract_counts(sf_dir: str):
     from dots_ocr_ray.fixtures import page_row_from_document
     from dots_ocr_ray.pipelines.extract import extract_pages
     from dots_ocr_ray.sources.warc import make_warc_bytes, read_warc
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     tag = _sf_fingerprint(sf_dir, extra="warc")
     warc_dir = f"/tmp/graft_warc_fixture/{tag}"
@@ -7475,32 +7136,17 @@ def _q_warc_extract_counts(sf_dir: str):
     pages = read_warc(sorted(globmod.glob(os.path.join(warc_dir, "*.warc.gz"))))
     extracted = extract_pages(pages, batch_size=64)
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _chars(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        lens = pc.utf8_length(
-            pc.fill_null(batch.column("extracted_text"), "")
-        ).cast(pa.int64())
-        t = pa.table({"status": batch.column("status"), "chars": lens})
-        out = t.group_by("status").aggregate([("chars", "sum"), ([], "count_all")])
-        return out.rename_columns(["status", "chars", "n"])
+        lens = pc.utf8_length(pc.fill_null(batch.column("extracted_text"), ""))
+        return pa.table({"status": batch.column("status"), "chars": lens})
 
-    agg = (
-        bounded_blocks(extracted.map_batches(_partial, batch_format="pyarrow"))
-        .groupby("status")
-        .sum(["chars", "n"])
+    return bucket_keyed_fold(
+        extracted.map_batches(_chars, batch_format="pyarrow"),
+        "status",
+        {"n_pages": ("count", None), "sum_chars": ("sum", "chars")},
     )
-
-    def _final(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "status": batch.column("status"),
-                "n_pages": batch.column("sum(n)").cast(pa.int64()),
-                "sum_chars": batch.column("sum(chars)").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(_final, batch_format="pyarrow")
 
 
 def _q_reading_order_sorted(sf_dir: str):

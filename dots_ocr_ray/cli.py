@@ -152,6 +152,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     import ray.data
 
     from dots_ocr_ray.pipelines.scan import read_png_dir, scan_pages
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     _ensure_ray()
     if args.input_format == "png":
@@ -166,8 +167,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         max_err=args.max_err,
     ).materialize()  # one execution feeds both the sink and the rollup
     out.write_parquet(args.out)
-    statuses = out.groupby("status").count().take_all()
-    print(json.dumps({"out": args.out, "status_counts": {r["status"]: r["count()"] for r in statuses}}))
+    statuses = sorted(bucket_keyed_fold(out, "status", {"n": ("count", None)}).take_all(), key=lambda r: r["status"])
+    print(json.dumps({"out": args.out, "status_counts": {r["status"]: r["n"] for r in statuses}}))
     return 0
 
 

@@ -95,7 +95,7 @@ def plan_partitions(
     weight_col: str,
     n_workers: int,
 ) -> ray.data.Dataset:
-    """Load-aware partition planning: one groupby folds per-key int64
+    """Load-aware partition planning: one keyed fold sums per-key int64
     weights (the only corpus-sized pass), then the BOUNDED key table
     (≤ ``LPT_KEY_BUDGET`` asserted — a plan bigger than that is not a
     plan) runs the LPT kernel and ships back as a Dataset of
@@ -105,7 +105,9 @@ def plan_partitions(
     stateless hashing leaves stragglers."""
     import pyarrow.compute as pc
 
-    folded = ds.groupby(key_col).sum(weight_col).materialize()
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    folded = bucket_keyed_fold(ds, key_col, {"weight": ("sum", weight_col)}).materialize()
     n_keys = folded.count()
     assert n_keys <= LPT_KEY_BUDGET, "plan_partitions: key table exceeds plan budget"
     tables = [ray.get(r) for r in folded.to_arrow_refs()]
@@ -121,11 +123,10 @@ def plan_partitions(
             )
         )
     tbl = pa.concat_tables(tables)
-    wcol = tbl.column_names[-1]  # sum(weight_col)
     weights = list(
         zip(
             (str(k) for k in tbl.column(key_col).to_pylist()),
-            (int(w) for w in pc.cast(tbl.column(wcol), pa.int64()).to_pylist()),
+            (int(w) for w in pc.cast(tbl.column("weight"), pa.int64()).to_pylist()),
         )
     )
     placed = lpt_assign(weights, n_workers)

@@ -203,37 +203,26 @@ def dp_release_counts(
     epsilon_micro: int = 1_000_000,
 ):
     """ε-DP noisy count release per key (Dwork et al. Laplace
-    mechanism, sensitivity 1 for disjoint counts): bounded per-batch
-    count partials + one tiny groupby, then the deterministic noise
+    mechanism, sensitivity 1 for disjoint counts): one tiny keyed
+    count fold, then the deterministic noise
     kernel per released key.  Output (key, noisy_count_micro) —
     noisy = 1e6·count + noise_micro, integer-exact."""
-    import numpy as np
     import pyarrow as pa
 
-    def _partials(batch: pa.Table) -> pa.Table:
-        keys, cnt = np.unique(
-            np.array(batch.column(key_col).to_pylist()), return_counts=True
-        )
-        return pa.table(
-            {
-                "key": pa.array(keys.tolist(), type=pa.string()),
-                "n": pa.array(cnt.astype(np.int64), type=pa.int64()),
-            }
-        )
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    folded = (
-        ds.select_columns([key_col])
-        .map_batches(_partials, batch_format="pyarrow")
-        .groupby("key")
-        .sum("n")
-        .to_pandas()
-    )
+    def _keys(batch: pa.Table) -> pa.Table:
+        return pa.table({"key": batch.column(key_col).cast(pa.string())})
+
+    folded = bucket_keyed_fold(
+        ds.select_columns([key_col]).map_batches(_keys, batch_format="pyarrow"), "key", {"n": ("count", None)}
+    ).to_pandas()
     keys, noisy = [], []
     for _, r in folded.sort_values("key").iterrows():
         k = str(r["key"])
         keys.append(k)
         noisy.append(
-            1_000_000 * int(r["sum(n)"])
+            1_000_000 * int(r["n"])
             + dp_laplace_noise_micro(k, epsilon_micro=epsilon_micro)
         )
     return pa.table(

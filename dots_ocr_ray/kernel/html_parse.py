@@ -133,8 +133,11 @@ def _scan(html_text: str, extra_re=None) -> list[tuple]:
     n = len(html_text)
     pos = 0
     search = _TOKEN_RE.search
+    # every token ends in '>', so none starts past the last one (a '<'
+    # there would otherwise scan to the end of the page, once per '<')
+    last_gt = html_text.rfind(">") + 1
     while True:
-        m = search(html_text, pos)
+        m = search(html_text, pos, last_gt)
         lt, end = (n, n) if m is None else m.span()
         if lt > pos and cat is not None and not drop_depth:
             data = html_text[pos:lt]
@@ -316,11 +319,16 @@ def strip_tags(html_text: str) -> str:
     ``_TAG_STRIP_RE.sub``: a tag match ends at a ``>``, so the tag pass
     stops at the page's last ``>`` (a bare ``<`` after it would
     otherwise scan to the end, once per ``<``)."""
-    no_scripts = _drop_script_style(html_text)
-    last_gt = no_scripts.rfind(">") + 1
-    text = _TAG_STRIP_RE.sub(" ", no_scripts[:last_gt]) + no_scripts[last_gt:]
+    text = _sub_tags(_drop_script_style(html_text))
     text = _ENTITY_RE.sub(lambda m: _ENTITY_MAP[m.group(1)], text)
     return re.sub(r"\s+", " ", text).strip()
+
+
+def _sub_tags(text: str) -> str:
+    """``_TAG_STRIP_RE.sub(" ", text)`` in linear time: a tag match ends
+    at a ``>``, so the pass stops at the last one."""
+    last_gt = text.rfind(">") + 1
+    return _TAG_STRIP_RE.sub(" ", text[:last_gt]) + text[last_gt:]
 
 
 def _drop_script_style(html_text: str) -> str:
@@ -368,6 +376,44 @@ _ANCHOR_RE = re.compile(
     r"<a\b[^>]*?\bhref\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s>]+))[^>]*>(.*?)</a>",
     re.IGNORECASE | re.DOTALL,
 )
+_ANCHOR_OPEN_RE = re.compile(r"<a\b", re.IGNORECASE)
+_HREF_ATTR_RE = re.compile(r"\bhref\s*=\s*[^\s>]", re.IGNORECASE)
+
+
+def _anchor_matches(html_text: str):
+    """``_ANCHOR_RE.finditer(html_text)`` in linear time.
+
+    The plain finditer tries every ``<a`` and each failure rescans to
+    the end of the page: for ``(.*?)</a>`` when no close follows, and
+    for the lazy attribute scan before ``href`` when no ``>`` does.  An
+    open tag can match only if an ``href=`` with a value starts before
+    the tag's first ``>`` and that ``>`` is not the page's last
+    ``</a>``'s (a ``</a>`` must follow it).  Both positions only move
+    forward, so each is searched once; a match is still the regex's
+    own."""
+    close = max(html_text.rfind("</a>"), html_text.rfind("</A>"))
+    if close < 0:
+        return
+    end = close + 4
+    search = 0
+    gt = href = -1
+    while True:
+        m = _ANCHOR_OPEN_RE.search(html_text, search, close)
+        if m is None:
+            return
+        start = m.start()
+        if gt < start + 2:
+            gt = html_text.find(">", start + 2, end)
+        if href < start + 2:
+            h = _HREF_ATTR_RE.search(html_text, start + 2, close)
+            href = end if h is None else h.start()
+        if href < gt < close:
+            hit = _ANCHOR_RE.match(html_text, start, end)
+            if hit:
+                yield hit
+                search = hit.end()
+                continue
+        search = start + 1
 
 
 def extract_links(url: str, html_text: str) -> list[dict]:
@@ -380,7 +426,7 @@ def extract_links(url: str, html_text: str) -> list[dict]:
     from urllib.parse import urljoin
 
     out: list[dict] = []
-    for m in _ANCHOR_RE.finditer(html_text or ""):
+    for m in _anchor_matches(html_text or ""):
         href = m.group(1) or m.group(2) or m.group(3) or ""
         href = html_mod.unescape(href.strip())
         if not href:
@@ -389,7 +435,7 @@ def extract_links(url: str, html_text: str) -> list[dict]:
             absolute = urljoin(url, href)
         except ValueError:
             continue
-        anchor = html_mod.unescape(re.sub(r"<[^>]*>", " ", m.group(4)))
+        anchor = html_mod.unescape(_sub_tags(m.group(4)))
         anchor = re.sub(r"\s+", " ", anchor).strip()
         out.append({"href": absolute, "anchor": anchor})
     return out

@@ -18,14 +18,12 @@ driver never sees per-chunk data.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 import ray
 import ray.data
 
 from dots_ocr_ray.kernel.cdc import cdc_chunks
-from dots_ocr_ray.util import bounded_blocks
 
 
 def chunk_hash_counts(
@@ -37,9 +35,9 @@ def chunk_hash_counts(
     max_size: int = 1024,
 ) -> ray.data.Dataset:
     """(chunk_hash, n_occurrences, chunk_bytes) per distinct chunk —
-    one keyed exchange over per-batch pre-aggregated partials."""
+    one keyed fold over the chunk stream."""
 
-    def _partials(batch: pa.Table) -> pa.Table:
+    def _chunks(batch: pa.Table) -> pa.Table:
         hashes: list[str] = []
         lengths: list[int] = []
         for t in batch.column(text_col).to_pylist():
@@ -49,31 +47,21 @@ def chunk_hash_counts(
             ):
                 hashes.append(h)
                 lengths.append(length)
-        part = pa.table(
+        return pa.table(
             {
                 "chunk_hash": pa.array(hashes, type=pa.string()),
                 "chunk_bytes": pa.array(lengths, type=pa.int64()),
-                "n": pa.array(np.ones(len(hashes), np.int64), type=pa.int64()),
             }
         )
-        # in-batch combiner: one row per distinct chunk leaves the task
-        return part.group_by(["chunk_hash", "chunk_bytes"]).aggregate([("n", "sum")])
 
-    parts = bounded_blocks(
-        docs.map_batches(_partials, batch_format="pyarrow"), rows_per_block=262144
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    counts = bucket_keyed_fold(
+        docs.map_batches(_chunks, batch_format="pyarrow"),
+        ["chunk_hash", "chunk_bytes"],
+        {"n_occurrences": ("count", None)},
     )
-    agg = parts.groupby(["chunk_hash", "chunk_bytes"]).sum("n_sum")
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "chunk_hash": batch.column("chunk_hash"),
-                "n_occurrences": batch.column("sum(n_sum)").cast(pa.int64()),
-                "chunk_bytes": batch.column("chunk_bytes").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(_rename, batch_format="pyarrow")
+    return counts.select_columns(["chunk_hash", "n_occurrences", "chunk_bytes"])
 
 
 def cdc_dedup_stats(

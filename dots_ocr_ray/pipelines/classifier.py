@@ -410,11 +410,11 @@ def nb_train(
     across engines and association orders (the bigram-LM /
     classifier-eval precedent).
 
-    Exchanges: one vocab exchange + one (token, label) count exchange
-    (both bounded by vocab × labels, never the corpus) + one tiny
+    Exchanges: one vocab fold + one (token, label) count fold (both
+    bounded by vocab × labels, never the corpus) + one tiny
     label-prior count."""
     from dots_ocr_ray.pipelines.text_analysis import build_vocab
-    from dots_ocr_ray.util import split_whitespace_checked
+    from dots_ocr_ray.util import bucket_keyed_fold, split_whitespace_checked
 
     vocab_tbl = build_vocab(train, text_col=text_col, vocab_size=vocab_size)
     vocab = sorted(vocab_tbl.column("token").to_pylist())
@@ -430,25 +430,9 @@ def nb_train(
         idx = pc.index_in(flat, value_set)
         keep = pc.is_valid(idx)
         labs = batch.column(label_col).take(parent.filter(keep))
-        tok_idx = idx.filter(keep)
-        agg = (
-            pa.table({"label": labs, "ti": tok_idx})
-            .group_by(["label", "ti"])
-            .aggregate([("ti", "count")])
-        )
-        return pa.table(
-            {
-                "label": agg.column("label"),
-                "ti": agg.column("ti").cast(pa.int64()),
-                "c": agg.column("ti_count").cast(pa.int64()),
-            }
-        )
+        return pa.table({"label": labs, "ti": idx.filter(keep).cast(pa.int64())})
 
-    counts = (
-        train.map_batches(_counts, batch_format="pyarrow")
-        .groupby(["label", "ti"])
-        .sum("c")
-    )
+    counts = bucket_keyed_fold(train.map_batches(_counts, batch_format="pyarrow"), ["label", "ti"], {"c": ("count", None)})
     labels_set: set[str] = set()
     rows: list[tuple[str, int, int]] = []
     for b in counts.iter_batches(batch_format="pyarrow"):
@@ -456,32 +440,14 @@ def nb_train(
             lab = b.column("label")[r].as_py()
             labels_set.add(lab)
             rows.append(
-                (lab, int(b.column("ti")[r].as_py()), int(b.column("sum(c)")[r].as_py()))
+                (lab, int(b.column("ti")[r].as_py()), int(b.column("c")[r].as_py()))
             )
 
-    def _prior_counts(batch: pa.Table) -> pa.Table:
-        agg = (
-            batch.select([label_col])
-            .group_by(label_col)
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "label": agg.column(label_col),
-                "n": agg.column("count_all").cast(pa.int64()),
-            }
-        )
-
     prior_counts: dict[str, int] = {}
-    for b in (
-        train.map_batches(_prior_counts, batch_format="pyarrow")
-        .groupby("label")
-        .sum("n")
-        .iter_batches(batch_format="pyarrow")
-    ):
+    for b in bucket_keyed_fold(train, label_col, {"n": ("count", None)}).iter_batches(batch_format="pyarrow"):
         for r in range(b.num_rows):
-            lab = b.column("label")[r].as_py()
-            prior_counts[lab] = int(b.column("sum(n)")[r].as_py())
+            lab = b.column(label_col)[r].as_py()
+            prior_counts[lab] = int(b.column("n")[r].as_py())
             labels_set.add(lab)
 
     labels = sorted(labels_set)

@@ -982,10 +982,9 @@ def cluster_assign(
         labels.map_batches(_labels_renamed, batch_format="pyarrow")
     )
 
-    def _rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["doc_id", "cluster_id"])
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    return unioned.groupby("doc_id").min("label").map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(unioned, "doc_id", {"cluster_id": ("min", "label")})
 
 
 # ---------------------------------------------------------------------------
@@ -1481,34 +1480,24 @@ def frequent_lines(
     ``min_count`` times → one row ``(line, n)`` per frequent line.
 
     One pass: every batch explodes its texts with the vectorized Arrow
-    split kernel and emits per-batch ``value_counts`` partials — lines
-    cross the wire pre-combined, once — then a single ``groupby(line)``
-    sums the partials.  The result is small by construction (only
+    split kernel, then one line-keyed fold counts them (lines cross
+    the wire pre-combined per batch, once).  The result is small by construction (only
     lines that repeat corpus-wide survive the HAVING filter)."""
 
-    def _partials(batch: pa.Table) -> pa.Table:
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    def _lines(batch: pa.Table) -> pa.Table:
         col = batch.column(text_col)
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        flat = pc.list_flatten(pc.split_pattern(col, "\n"))
-        vc = pc.value_counts(flat)
-        return pa.table(
-            {
-                "line": vc.field("values"),
-                "n": vc.field("counts").cast(pa.int64()),
-            }
-        )
+        return pa.table({"line": pc.list_flatten(pc.split_pattern(col, "\n"))})
 
-    partials = bounded_blocks(
-        ds.map_batches(_partials, batch_format="pyarrow"), rows_per_block=262144
-    )
-    summed = partials.groupby("line").sum("n")
+    counts = bucket_keyed_fold(ds.map_batches(_lines, batch_format="pyarrow"), "line", {"n": ("count", None)})
 
     def _having(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["line", "n"])
         return batch.filter(pc.greater_equal(batch.column("n"), min_count))
 
-    return summed.map_batches(_having, batch_format="pyarrow")
+    return counts.map_batches(_having, batch_format="pyarrow")
 
 
 # sentinel prefix for the distributed path: one synthetic line per doc
@@ -2179,22 +2168,12 @@ def snm_dedup(
 
     keys = bounded_blocks(ds.map_batches(_keys, batch_format="pyarrow"))
 
-    def _hist(batch: pa.Table) -> pa.Table:
-        counts = np.bincount(
-            batch.column("bucket").to_numpy(zero_copy_only=False), minlength=256
-        )
-        nz = np.nonzero(counts)[0]
-        return pa.table(
-            {
-                "bucket": pa.array(nz, type=pa.int64()),
-                "n": pa.array(counts[nz], type=pa.int64()),
-            }
-        )
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    hist = keys.map_batches(_hist, batch_format="pyarrow").groupby("bucket").sum("n")
+    hist = bucket_keyed_fold(keys, "bucket", {"n": ("count", None)})
     counts = np.zeros(256, dtype=np.int64)
     for row in hist.take_all():  # ≤256 rows — bounded by construction
-        counts[row["bucket"]] = row["sum(n)"]
+        counts[row["bucket"]] = row["n"]
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     offsets_ref = ray.put(offsets)
 

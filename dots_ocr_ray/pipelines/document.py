@@ -364,58 +364,40 @@ def aligned_page_pairs(
 def metrics_by_domain(extracted: ray.data.Dataset, n_salt: int = 16) -> ray.data.Dataset:
     """Per-domain status/bytes rollup with SALTED keys: hot domains
     (one domain can hold 30% of a crawl) are split into n_salt
-    sub-groups aggregated in the shuffle, then combined in a second,
-    tiny groupby — the hot-key pattern from SURVEY.md §7.3."""
+    sub-groups folded in the exchange, then combined in a second,
+    tiny keyed fold — the hot-key pattern from SURVEY.md §7.3."""
+    import numpy as np
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    def _salted(batch: pa.Table) -> pa.Table:
         from urllib.parse import urlparse
 
-        domains, salts = [], []
-        urls = batch.column("url").to_pylist()
-        for i, u in enumerate(urls):
+        domains = []
+        for u in batch.column("url").to_pylist():
             try:
                 domains.append(urlparse(u).netloc or "unknown")
             except Exception:
                 domains.append("unknown")
-            salts.append(i % n_salt)
-        statuses = batch.column("status").to_pylist()
-        nbytes = batch.column("bytes_in").to_pylist()
-        agg: dict[tuple, list[int]] = {}
-        for d, s, st, b in zip(domains, salts, statuses, nbytes):
-            row = agg.setdefault((d, s), [0, 0, 0])
-            row[0] += 1
-            row[1] += st == "finished"
-            row[2] += b
-        keys = list(agg.keys())
         return pa.table(
             {
-                "domain": pa.array([k[0] for k in keys], type=pa.string()),
-                "salt": pa.array([k[1] for k in keys], type=pa.int32()),
-                "rows": pa.array([agg[k][0] for k in keys], type=pa.int64()),
-                "ok": pa.array([agg[k][1] for k in keys], type=pa.int64()),
-                "bytes_in": pa.array([agg[k][2] for k in keys], type=pa.int64()),
+                "domain": pa.array(domains, type=pa.string()),
+                "salt": pa.array(np.arange(batch.num_rows) % n_salt, type=pa.int64()),
+                "ok": pc.equal(batch.column("status"), "finished").cast(pa.int64()),
+                "bytes_in": batch.column("bytes_in"),
             }
         )
 
-    partials = extracted.map_batches(_partial, batch_format="pyarrow")
-    salted = partials.groupby(["domain", "salt"]).sum(["rows", "ok", "bytes_in"])
-
-    def _desalt(batch: pa.Table) -> pa.Table:
-        mapping = {"sum(rows)": "rows", "sum(ok)": "ok", "sum(bytes_in)": "bytes_in"}
-        batch = batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-        return batch.drop_columns(["salt"]).group_by("domain").aggregate(
-            [("rows", "sum"), ("ok", "sum"), ("bytes_in", "sum")]
-        )
-
-    final = salted.map_batches(_desalt, batch_format="pyarrow").groupby("domain").sum(
-        ["rows_sum", "ok_sum", "bytes_in_sum"]
+    salted = bucket_keyed_fold(
+        extracted.map_batches(_salted, batch_format="pyarrow"),
+        ["domain", "salt"],
+        {"rows": ("count", None), "ok": ("sum", "ok"), "bytes_in": ("sum", "bytes_in")},
     )
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        mapping = {"sum(rows_sum)": "rows", "sum(ok_sum)": "ok", "sum(bytes_in_sum)": "bytes_in"}
-        return batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-
-    return final.map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(
+        salted,
+        "domain",
+        {"rows": ("sum", "rows"), "ok": ("sum", "ok"), "bytes_in": ("sum", "bytes_in")},
+    )
 
 
 def scd2_history(

@@ -149,48 +149,25 @@ def welch_t_by_category(
     count-mix drift report: "did mean document LENGTH move, beyond
     what the sample sizes explain?".
 
-    Exactness contract: each batch ships integer (n, Σx, Σx²) partials
-    per (category, half) — O(batches × categories) rows — and the
+    Exactness contract: one keyed fold sums integer (n, Σx, Σx²) per
+    (category, half) — O(categories) rows — and the
     driver computes t and the Welch–Satterthwaite df from the exact
     integer sums with a FIXED operand order mirrored literally in the
     SQL oracle, micro-floored.  Categories with n < 2 in either half
     are dropped (variance undefined)."""
 
-    def _partials(batch: pa.Table) -> pa.Table:
+    def _halves(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         vals = batch.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        cats = batch.column(category).to_pylist()
-        half = (ids % 2).astype(np.int64)
-        agg: dict[tuple, list[int]] = {}
-        for c, h, v in zip(cats, half, vals):
-            k = (c, int(h))
-            e = agg.setdefault(k, [0, 0, 0])
-            e[0] += 1
-            e[1] += int(v)
-            e[2] += int(v) * int(v)
-        keys = sorted(agg)
-        return pa.table(
-            {
-                category: pa.array([k[0] for k in keys], pa.string()),
-                "half": pa.array([k[1] for k in keys], pa.int64()),
-                "n": pa.array([agg[k][0] for k in keys], pa.int64()),
-                "sx": pa.array([agg[k][1] for k in keys], pa.int64()),
-                "sxx": pa.array([agg[k][2] for k in keys], pa.int64()),
-            }
-        )
+        return pa.table({category: batch.column(category), "half": ids % 2, "x": vals, "xx": vals * vals})
 
-    folded = (
-        ds.select_columns([id_col, category, value_col])
-        .map_batches(_partials, batch_format="pyarrow")
-        .groupby([category, "half"])
-        .aggregate(
-            *[
-                ray.data.aggregate.Sum(on=c, alias_name=c)
-                for c in ("n", "sx", "sxx")
-            ]
-        )
-        .to_pandas()
-    )
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    folded = bucket_keyed_fold(
+        ds.select_columns([id_col, category, value_col]).map_batches(_halves, batch_format="pyarrow"),
+        [category, "half"],
+        {"n": ("count", None), "sx": ("sum", "x"), "sxx": ("sum", "xx")},
+    ).to_pandas()
     rows = {"lang": [], "n0": [], "n1": [], "t_micro": [], "df_micro": []}
     by_cat: dict[str, dict[int, tuple[int, int, int]]] = {}
     for _, r in folded.iterrows():

@@ -421,19 +421,15 @@ def connected_hosts(sf_dir: str, *, method: str = "auto") -> ray.data.Dataset:
     propagation above it) exposed as a first-class graph operator;
     component = min host id of the component."""
     from dots_ocr_ray.pipelines.dedup import cluster_assign
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
     def _hosts(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"host": pa.array(np.unique(ids % CHAIN_HOSTS), type=pa.int64())})
+        return pa.table({"host": pa.array(ids % CHAIN_HOSTS, type=pa.int64())})
 
-    hosts = (
-        docs.map_batches(_hosts, batch_format="pyarrow")
-        .groupby("host")
-        .count()
-        .select_columns(["host"])
-    )
+    hosts = bucket_keyed_fold(docs.map_batches(_hosts, batch_format="pyarrow"), "host", {})
     assigned = cluster_assign(
         hosts, host_chain_edges_from_documents(sf_dir), id_col="host", method=method
     )
@@ -3102,7 +3098,7 @@ def betweenness_centrality(
 ) -> ray.data.Dataset:
     """Exact directed betweenness → ``(host, betweenness_micro)``,
     parallelized BY SOURCE: the distinct self-loop-free edge set is
-    folded once (one groupby exchange), broadcast via ``ray.put``
+    folded once (one keyed fold), broadcast via ``ray.put``
     (per-worker cached), and each Ray task runs the shared Brandes
     kernel for a slice of source nodes — |V| independent O(E) BFS
     passes, the textbook scale-out for exact betweenness.  Totals are
@@ -3114,7 +3110,7 @@ def betweenness_centrality(
     shortest paths, so the edge set must fit a worker
     (``BETWEENNESS_EDGE_BUDGET`` asserted).  For open web graphs use
     the sampled :func:`harmonic_centrality` family instead."""
-    from dots_ocr_ray.util import cached_object
+    from dots_ocr_ray.util import bucket_keyed_fold, cached_object
 
     def _canon(batch: pa.Table) -> pa.Table:
         s = batch.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3136,14 +3132,9 @@ def betweenness_centrality(
     assert_msg = "betweenness_centrality: distinct edges exceed the bounded tier"
     # materialize so the budget count and the driver collect execute the
     # dedup exchange ONCE (blocks stay in the object store either way)
-    pruned = (
-        edges.select_columns([src, dst])
-        .map_batches(_canon, batch_format="pyarrow")
-        .groupby(["src", "dst"])
-        .count()
-        .select_columns(["src", "dst"])
-        .materialize()
-    )
+    pruned = bucket_keyed_fold(
+        edges.select_columns([src, dst]).map_batches(_canon, batch_format="pyarrow"), ["src", "dst"], {}
+    ).materialize()
     n_edges = pruned.count()  # metadata-only on a materialized dataset
     assert n_edges <= BETWEENNESS_EDGE_BUDGET, assert_msg
     if n_edges == 0:
@@ -3187,13 +3178,7 @@ def betweenness_centrality(
         )
 
     parts = sources.map_batches(_deps, batch_format="pyarrow")
-
-    summed = parts.groupby("host").sum("c")
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["host", "betweenness_micro"])
-
-    return summed.map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(parts, "host", {"betweenness_micro": ("sum", "c")})
 
 
 def reciprocity(
@@ -3209,12 +3194,13 @@ def reciprocity(
 
     Exact integer output: one row ``(n_edges, n_mutual,
     reciprocity_micro = 10⁶·n_mutual // n_edges)``.  Shape: distinct
-    edges via one packed-key groupby, then ONE
+    edges via one packed-key fold, then ONE
     :func:`~dots_ocr_ray.pipelines.relational.hash_join` of the edge
     set with its own swapped copy (both sides corpus-sized — no
     broadcast assumption), per-batch match-count partials folded on
     the driver."""
     from dots_ocr_ray.pipelines.relational import hash_join
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     def _canon(batch: pa.Table) -> pa.Table:
         s = batch.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3228,14 +3214,9 @@ def reciprocity(
         u = np.unique(s << np.int64(32) | d)
         return pa.table({"key": pa.array(u, type=pa.int64())})
 
-    distinct = (
-        edges.select_columns([src, dst])
-        .map_batches(_canon, batch_format="pyarrow")
-        .groupby("key")
-        .count()
-        .select_columns(["key"])
-        .materialize()
-    )
+    distinct = bucket_keyed_fold(
+        edges.select_columns([src, dst]).map_batches(_canon, batch_format="pyarrow"), "key", {}
+    ).materialize()
     n_edges = distinct.count()
     if n_edges == 0:
         return ray.data.from_arrow(
@@ -3308,18 +3289,9 @@ def resolve_redirects(
             {"a": pa.array(s, pa.int64()), "b": pa.array(d, pa.int64())}
         )
 
-    def _min_dst(batch: pa.Table) -> pa.Table:
-        return (
-            batch.group_by("a").aggregate([("b", "min")]).rename_columns(["a", "b"])
-        )
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    ptr = (
-        edges.map_batches(_as_pair, batch_format="pyarrow")
-        .map_batches(_min_dst, batch_format="pyarrow")
-        .groupby("a")
-        .aggregate(ray.data.aggregate.Min(on="b", alias_name="b"))
-        .materialize()
-    )
+    ptr = bucket_keyed_fold(edges.map_batches(_as_pair, batch_format="pyarrow"), "a", {"b": ("min", "b")}).materialize()
     empty = pa.table(
         {
             "src": pa.array([], pa.int64()),
@@ -3509,16 +3481,10 @@ def fair_share_budget(
     < #unsaturated) goes +1 each to the unsaturated hosts in key
     order.  Shape: one bounded (key, demand) fold; the driver loop and
     the SQL oracle's window form compute the identical closed form."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     folded = (
-        demands.select_columns([key_col, demand_col])
-        .map_batches(
-            lambda t: t.group_by(key_col)
-            .aggregate([(demand_col, "sum")])
-            .rename_columns([key_col, "d"]),
-            batch_format="pyarrow",
-        )
-        .groupby(key_col)
-        .aggregate(ray.data.aggregate.Sum(on="d", alias_name="d"))
+        bucket_keyed_fold(demands.select_columns([key_col, demand_col]), key_col, {"d": ("sum", demand_col)})
         .to_pandas()
         .sort_values(["d", key_col])
         .reset_index(drop=True)

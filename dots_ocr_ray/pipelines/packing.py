@@ -40,9 +40,8 @@ def global_shuffle_index(
 
     1. key pass — md5 hex + top-byte bucket per row (256 buckets;
        bucket order == md5-string order prefix);
-    2. bucket histogram — per-batch ``np.bincount`` partials → one
-       tiny groupby → 256 counts on the driver → exclusive prefix
-       offsets broadcast via ``ray.put``;
+    2. bucket histogram — one tiny keyed fold → 256 counts on the
+       driver → exclusive prefix offsets broadcast via ``ray.put``;
     3. positions — ONE bucket-keyed exchange: each bucket group sorts
        by (md5, id) locally and emits offset[bucket] + arange.
 
@@ -70,23 +69,12 @@ def global_shuffle_index(
 
     keys = bounded_blocks(ds.map_batches(_keys, batch_format="pyarrow"))
 
-    def _hist(batch: pa.Table) -> pa.Table:
-        counts = np.bincount(
-            batch.column("bucket").to_numpy(zero_copy_only=False),
-            minlength=_N_BUCKETS,
-        )
-        nz = np.nonzero(counts)[0]
-        return pa.table(
-            {
-                "bucket": pa.array(nz, type=pa.int64()),
-                "n": pa.array(counts[nz], type=pa.int64()),
-            }
-        )
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    hist = keys.map_batches(_hist, batch_format="pyarrow").groupby("bucket").sum("n")
+    hist = bucket_keyed_fold(keys, "bucket", {"n": ("count", None)})
     counts = np.zeros(_N_BUCKETS, dtype=np.int64)
     for row in hist.take_all():  # ≤256 rows — bounded by construction
-        counts[row["bucket"]] = row["sum(n)"]
+        counts[row["bucket"]] = row["n"]
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     offsets_ref = ray.put(offsets)
 
@@ -163,7 +151,9 @@ def rebalance_mixture(
 
     Output: (id_col, key_col, n_copies) — n_copies may be 0
     (downsampled out)."""
-    counts = {r[key_col]: r["count()"] for r in ds.groupby(key_col).count().take_all()}
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    counts = {r[key_col]: r["n"] for r in bucket_keyed_fold(ds, key_col, {"n": ("count", None)}).take_all()}
     n_keys = len(counts)
     total = sum(counts.values())
     target = total // max(n_keys, 1)
@@ -213,7 +203,9 @@ def temperature_mixture(
     physical repeat/drop is a ``flat_map`` at materialization time."""
     import math
 
-    counts = {r[key_col]: r["count()"] for r in ds.groupby(key_col).count().take_all()}
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    counts = {r[key_col]: r["n"] for r in bucket_keyed_fold(ds, key_col, {"n": ("count", None)}).take_all()}
     total = sum(counts.values())
     ssum = sum(math.isqrt(n) for n in counts.values())
     plan: dict[str, tuple[int, int]] = {}
@@ -347,9 +339,9 @@ def write_bytes_balanced_shards(
     Scale shape (the same bounded-histogram plan as
     :func:`global_shuffle_index`):
 
-    1. per-batch partials: rows hash into ``n_buckets`` deterministic
-       id-keyed buckets; each batch emits (bucket, bytes) rows — the
-       only full-corpus pass, zero exchange;
+    1. rows hash into ``n_buckets`` deterministic id-keyed buckets and
+       one keyed fold sums their bytes per bucket — the only
+       full-corpus pass;
     2. the ≤``n_buckets``-row histogram lands on the driver, a prefix
        sum packs CONTIGUOUS buckets into shards of ≈ ``target_bytes``
        (bucket→shard is the broadcast plan: granularity is
@@ -361,7 +353,7 @@ def write_bytes_balanced_shards(
 
     Returns the manifest: one dict (shard, rows, est_bytes, path) per
     shard."""
-    from dots_ocr_ray.util import GOLDEN64, _mix64
+    from dots_ocr_ray.util import GOLDEN64, _mix64, bucket_keyed_fold
     from dots_ocr_ray.state.manifest import partition_file, write_partition_atomic
 
     ds = ds.materialize()  # sized in pass 1, shuffled in pass 3
@@ -370,25 +362,13 @@ def write_bytes_balanced_shards(
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         return (_mix64(ids, GOLDEN64) % n_buckets).astype(np.int64)
 
-    def _size_partials(batch: pa.Table) -> pa.Table:
-        buckets = _bucket_of(batch)
-        by = np.bincount(buckets, weights=_row_bytes(batch), minlength=n_buckets)
-        nz = np.nonzero(by)[0]
-        return pa.table(
-            {
-                "bucket": pa.array(nz, type=pa.int64()),
-                "b": pa.array(by[nz].astype(np.int64), type=pa.int64()),
-            }
-        )
+    def _sizes(batch: pa.Table) -> pa.Table:
+        return pa.table({"bucket": _bucket_of(batch), "b": _row_bytes(batch)})
 
-    hist = (
-        bounded_blocks(ds.map_batches(_size_partials, batch_format="pyarrow"))
-        .groupby("bucket")
-        .sum("b")
-    )
+    hist = bucket_keyed_fold(ds.map_batches(_sizes, batch_format="pyarrow"), "bucket", {"b": ("sum", "b")})
     bucket_bytes = np.zeros(n_buckets, dtype=np.int64)
     for row in hist.take_all():  # ≤ n_buckets rows — bounded
-        bucket_bytes[row["bucket"]] = row["sum(b)"]
+        bucket_bytes[row["bucket"]] = row["b"]
     # contiguous buckets pack into shards: shard id = how many full
     # target_bytes fit before the bucket's cumulative midpoint
     csum = np.cumsum(bucket_bytes)

@@ -223,35 +223,24 @@ def benford_audit(
     ``total·log10(1 + 1/d)`` with per-digit chi-square terms.
 
     Shape: cents-quantized values → vectorized first digit (decimal
-    string head, no float log tricks) → per-batch bounded (9-row)
-    partials → one tiny groupby; the driver computes the 9 expected /
+    string head, no float log tricks) → one tiny keyed fold (≤ 9
+    rows); the driver computes the 9 expected /
     chi-square terms with a FIXED operand order mirrored by the SQL
     oracle, micro-floored."""
-    import pyarrow.compute as pc
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     def _digits(batch: pa.Table) -> pa.Table:
         vals = batch.column(value_col).to_numpy(zero_copy_only=False)
         cents = np.round(vals * 100).astype(np.int64)
         cents = cents[cents > 0]
-        d = cents.astype("U1").astype(np.int64)
-        uniq, counts = np.unique(d, return_counts=True)
-        return pa.table(
-            {
-                "digit": pa.array(uniq, pa.int64()),
-                "n": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"digit": pa.array(cents.astype("U1").astype(np.int64), pa.int64())})
 
-    folded = (
-        ds.select_columns([value_col])
-        .map_batches(_digits, batch_format="pyarrow")
-        .groupby("digit")
-        .sum("n")
-        .to_pandas()
-    )
+    folded = bucket_keyed_fold(
+        ds.select_columns([value_col]).map_batches(_digits, batch_format="pyarrow"), "digit", {"n": ("count", None)}
+    ).to_pandas()
     folded = folded.sort_values("digit")
     digits = folded["digit"].astype(int).tolist()
-    ns = folded["sum(n)"].astype(int).tolist()
+    ns = folded["n"].astype(int).tolist()
     total = int(sum(ns))
     exp_micro, chi_micro = [], []
     for d, n in zip(digits, ns):
@@ -278,24 +267,18 @@ def chi2_independence(
     columns — the drift screen for "did the language mix shift per
     source between crawl drops" style questions.
 
-    Shape: each batch emits bounded (a, b, n) partial counts (pyarrow
-    ``group_by`` inside the batch, no Python row loop), one tiny
-    groupby folds them to the |A|x|B| contingency table, and the
+    Shape: one tiny keyed fold counts the |A|x|B| contingency table
+    (no Python row loop), and the
     driver computes row/column marginals and the per-cell expected
     count ``ra * 1.0 * cb / N`` (double BEFORE the cross product so
     the SQL mirror cannot overflow BIGINT) plus the chi-square term
     ``(n - e)^2 / e`` in a FIXED operand order mirrored literally by
     the oracle; both are micro-floored."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     folded = (
-        ds.select_columns([a_col, b_col])
-        .map_batches(
-            lambda t: t.group_by([a_col, b_col]).aggregate([([], "count_all")]),
-            batch_format="pyarrow",
-        )
-        .groupby([a_col, b_col])
-        .sum("count_all")
+        bucket_keyed_fold(ds.select_columns([a_col, b_col]), [a_col, b_col], {"n": ("count", None)})
         .to_pandas()
-        .rename(columns={"sum(count_all)": "n"})
         .sort_values([a_col, b_col])
         .reset_index(drop=True)
     )
@@ -341,42 +324,30 @@ def mann_whitney_u(
     the nonparametric "did this source's length distribution shift"
     screen that tolerates the heavy tails a t-test can't.
 
-    Shape: values are FLOORED to integer units, each batch emits one
-    bounded (value, n_a, n) partial per distinct floored value
-    (exchange ∝ distinct values, not rows), and the driver assigns
+    Shape: values are FLOORED to integer units, one keyed fold counts
+    (n_a, n) per distinct floored value (exchange ∝ distinct values,
+    not rows), and the driver assigns
     tie-midranks from the cumulative counts in DOUBLED integer units
     (midrank2 = 2·cum_before + n_v + 1, always odd-exact) so U is
     integer-exact: U2_a = Σ n_a(v)·midrank2(v) − n_a(n_a+1).  The
     tie-corrected normal z uses Σ(n_v³−n_v) exact and a FIXED operand
     order mirrored by the SQL oracle, micro-floored.  Integer-exact to
     ~2·10⁹ rows (U ~ N² approaches int64 range beyond that)."""
-    def _partials(batch: pa.Table) -> pa.Table:
+    def _floored(batch: pa.Table) -> pa.Table:
         vals = np.floor(
             batch.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
         ).astype(np.int64)
-        grp = pc.equal(batch.column(group_col), group_a).to_numpy(
-            zero_copy_only=False
-        )
-        uniq, inv = np.unique(vals, return_inverse=True)
-        na = np.zeros(len(uniq), np.int64)
-        nv = np.zeros(len(uniq), np.int64)
-        np.add.at(na, inv, grp.astype(np.int64))
-        np.add.at(nv, inv, 1)
-        return pa.table(
-            {
-                "val": pa.array(uniq, pa.int64()),
-                "na_v": pa.array(na, pa.int64()),
-                "n_v": pa.array(nv, pa.int64()),
-            }
-        )
+        # a null group is not group_a (the oracle's CASE WHEN)
+        grp = pc.fill_null(pc.equal(batch.column(group_col), group_a), False)
+        return pa.table({"val": pa.array(vals, pa.int64()), "is_a": grp.cast(pa.int64())})
+
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     folded = (
-        ds.select_columns([value_col, group_col])
-        .map_batches(_partials, batch_format="pyarrow")
-        .groupby("val")
-        .aggregate(
-            ray.data.aggregate.Sum(on="na_v", alias_name="na_v"),
-            ray.data.aggregate.Sum(on="n_v", alias_name="n_v"),
+        bucket_keyed_fold(
+            ds.select_columns([value_col, group_col]).map_batches(_floored, batch_format="pyarrow"),
+            "val",
+            {"na_v": ("sum", "is_a"), "n_v": ("count", None)},
         )
         .to_pandas()
         .sort_values("val")
@@ -424,14 +395,13 @@ def spearman_corr(
     vs quality score).
 
     Shape: both columns are floored to integer units (optionally
-    pre-scaled, e.g. discount×100), each batch emits bounded
-    (x, y, c) joint counts (exchange ∝ distinct value PAIRS, not
-    rows), and the driver assigns doubled tie-midranks per axis from
+    pre-scaled, e.g. discount×100), one keyed fold counts the (x, y)
+    pairs (exchange ∝ distinct value PAIRS, not rows), and the driver assigns doubled tie-midranks per axis from
     the marginal counts, then folds the ≤|X|·|Y| pair table into
     EXACT arbitrary-precision rank sufficient stats (the SQL mirror
     uses HUGEINT for the same sums).  The closed form divides by n
     before every cross product, fixed operand order, micro-floored."""
-    def _partials(batch: pa.Table) -> pa.Table:
+    def _floored(batch: pa.Table) -> pa.Table:
         x = np.floor(
             batch.column(x_col).to_numpy(zero_copy_only=False).astype(np.float64)
             * x_scale
@@ -440,17 +410,17 @@ def spearman_corr(
             batch.column(y_col).to_numpy(zero_copy_only=False).astype(np.float64)
             * y_scale
         ).astype(np.int64)
-        t = pa.table({"x": x, "y": y})
-        g = t.group_by(["x", "y"]).aggregate([([], "count_all")])
-        return g.rename_columns(["x", "y", "c"])
+        return pa.table({"x": x, "y": y})
+
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     pairs = (
-        ds.select_columns([x_col, y_col])
-        .map_batches(_partials, batch_format="pyarrow")
-        .groupby(["x", "y"])
-        .sum("c")
+        bucket_keyed_fold(
+            ds.select_columns([x_col, y_col]).map_batches(_floored, batch_format="pyarrow"),
+            ["x", "y"],
+            {"c": ("count", None)},
+        )
         .to_pandas()
-        .rename(columns={"sum(c)": "c"})
         .sort_values(["x", "y"])
         .reset_index(drop=True)
     )
@@ -502,47 +472,45 @@ def pearson_by_key(
 ) -> pa.Table:
     """Per-group Pearson correlation from exact integer sufficient
     stats: x and y are FLOORED to integer units first (correlation is
-    scale-invariant, and floor has no half-tie rule), each batch ships
-    one (n, Σx, Σy, Σx², Σy², Σxy) int64 row per key, and the final
+    scale-invariant, and floor has no half-tie rule), one keyed fold
+    sums (n, Σx, Σy, Σx², Σy², Σxy) as int64 per key, and the final
     closed form divides by n BEFORE any cross product so nothing
     approaches int64 range (Σy² bounds the regime: |y| ≤ 10⁵ units
     holds to ~10⁹ rows per group).  Operand order is mirrored
     literally by the SQL oracle; r is micro-floored."""
-    import pyarrow.compute as pc
 
-    def _partials(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col).to_pylist()
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    def _floored(batch: pa.Table) -> pa.Table:
         x = np.floor(
             batch.column(x_col).to_numpy(zero_copy_only=False).astype(np.float64)
         ).astype(np.int64)
         y = np.floor(
             batch.column(y_col).to_numpy(zero_copy_only=False).astype(np.float64)
         ).astype(np.int64)
-        uniq, inv = np.unique(np.asarray(keys, dtype=object), return_inverse=True)
-        stats = {
-            "n": np.ones(len(x), np.int64),
-            "sx": x,
-            "sy": y,
-            "sxx": x * x,
-            "syy": y * y,
-            "sxy": x * y,
-        }
-        cols = {key_col: pa.array([str(u) for u in uniq], pa.string())}
-        for name, vals in stats.items():
-            acc = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(acc, inv, vals)
-            cols[name] = pa.array(acc, pa.int64())
-        return pa.table(cols)
+        return pa.table(
+            {
+                key_col: batch.column(key_col).cast(pa.string()),
+                "x": x,
+                "y": y,
+                "xx": x * x,
+                "yy": y * y,
+                "xy": x * y,
+            }
+        )
 
     folded = (
-        ds.select_columns([key_col, x_col, y_col])
-        .map_batches(_partials, batch_format="pyarrow")
-        .groupby(key_col)
-        .aggregate(
-            *[
-                ray.data.aggregate.Sum(on=c, alias_name=c)
-                for c in ("n", "sx", "sy", "sxx", "syy", "sxy")
-            ]
+        bucket_keyed_fold(
+            ds.select_columns([key_col, x_col, y_col]).map_batches(_floored, batch_format="pyarrow"),
+            key_col,
+            {
+                "n": ("count", None),
+                "sx": ("sum", "x"),
+                "sy": ("sum", "y"),
+                "sxx": ("sum", "xx"),
+                "syy": ("sum", "yy"),
+                "sxy": ("sum", "xy"),
+            },
         )
         .to_pandas()
         .sort_values(key_col)
@@ -580,32 +548,26 @@ def _daily_counts(
     — one place owns the day-bucketing rule."""
     import pandas as pd  # noqa: F401 (return type)
 
-    def _partials(batch: pa.Table) -> pa.Table:
+    def _days(batch: pa.Table) -> pa.Table:
         days = (
             batch.column(ts_col)
             .to_numpy(zero_copy_only=False)
             .astype("datetime64[D]")
             .astype(np.int64)
         )
-        t = pa.table(
-            {
-                "k": batch.column(key_col).cast(pa.string()),
-                "day": pa.array(days, pa.int64()),
-            }
-        )
-        return (
-            t.group_by(["k", "day"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["k", "day", "n"])
-        )
+        return pa.table({"k": batch.column(key_col).cast(pa.string()), "day": pa.array(days, pa.int64())})
+
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     return (
-        ds.select_columns([key_col, ts_col])
-        .map_batches(_partials, batch_format="pyarrow")
-        .groupby(["k", "day"])
-        .sum("n")
+        bucket_keyed_fold(
+            ds.select_columns([key_col, ts_col]).map_batches(_days, batch_format="pyarrow"),
+            ["k", "day"],
+            {"n": ("count", None)},
+        )
         .to_pandas()
-        .rename(columns={"sum(n)": "n"})
+        .sort_values(["k", "day"])
+        .reset_index(drop=True)
     )
 
 
@@ -682,36 +644,27 @@ def ks_two_sample(
     one micro-floored division ``D2 / (nA·1.0·nB)`` mirrored by the
     SQL oracle's window-cumsum form.  Integer-exact while
     nA·nB < 2⁶³ (~3·10⁹ rows per side)."""
-    def _partials(batch: pa.Table) -> pa.Table:
+    def _floored(batch: pa.Table) -> pa.Table:
         vals = np.floor(
             batch.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
         ).astype(np.int64)
-        grp = pc.equal(batch.column(group_col), group_a).to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(vals, return_inverse=True)
-        ca = np.zeros(len(uniq), np.int64)
-        cb = np.zeros(len(uniq), np.int64)
-        np.add.at(ca, inv, grp.astype(np.int64))
-        np.add.at(cb, inv, (~grp).astype(np.int64))
-        return pa.table(
-            {
-                "val": pa.array(uniq, pa.int64()),
-                "ca": pa.array(ca, pa.int64()),
-                "cb": pa.array(cb, pa.int64()),
-            }
-        )
+        # a null group is not group_a (the oracle's CASE WHEN)
+        grp = pc.fill_null(pc.equal(batch.column(group_col), group_a), False)
+        return pa.table({"val": pa.array(vals, pa.int64()), "is_a": grp.cast(pa.int64())})
+
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     folded = (
-        ds.select_columns([value_col, group_col])
-        .map_batches(_partials, batch_format="pyarrow")
-        .groupby("val")
-        .aggregate(
-            ray.data.aggregate.Sum(on="ca", alias_name="ca"),
-            ray.data.aggregate.Sum(on="cb", alias_name="cb"),
+        bucket_keyed_fold(
+            ds.select_columns([value_col, group_col]).map_batches(_floored, batch_format="pyarrow"),
+            "val",
+            {"ca": ("sum", "is_a"), "n": ("count", None)},
         )
         .to_pandas()
         .sort_values("val")
         .reset_index(drop=True)
     )
+    folded["cb"] = folded["n"] - folded["ca"]
     na = int(folded["ca"].sum()) if len(folded) else 0
     nb = int(folded["cb"].sum()) if len(folded) else 0
     if na == 0 or nb == 0:
@@ -814,7 +767,7 @@ def neyman_allocation(
     sample from each stratum so a fixed labeling/eval budget minimizes
     the estimator variance: ``n_h ∝ N_h · S_h`` (stratum size × spread).
 
-    Shape: one bounded exchange of per-stratum int64 sufficient stats
+    Shape: one bounded keyed fold of per-stratum int64 sufficient stats
     (n, Σx, Σx² of the floored values); the driver computes each
     stratum weight ``floor(1e6 · n·sqrt(var))`` (ONE quantization —
     after it every step is integer arithmetic, so no float sum ever
@@ -822,31 +775,19 @@ def neyman_allocation(
     base ``total·w // Σw`` plus one extra for the largest
     ``total·w % Σw`` (ties to the smaller group key), mirrored by the
     SQL oracle's HUGEINT window form."""
-    def _partials(batch: pa.Table) -> pa.Table:
-        keys = batch.column(group_col).to_pylist()
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    def _floored(batch: pa.Table) -> pa.Table:
         x = np.floor(
             batch.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
         ).astype(np.int64)
-        uniq, inv = np.unique(np.asarray(keys, dtype=object), return_inverse=True)
-        cols = {group_col: pa.array([str(u) for u in uniq], pa.string())}
-        for name, vals in (
-            ("n", np.ones(len(x), np.int64)),
-            ("sx", x),
-            ("sxx", x * x),
-        ):
-            acc = np.zeros(len(uniq), np.int64)
-            np.add.at(acc, inv, vals)
-            cols[name] = pa.array(acc, pa.int64())
-        return pa.table(cols)
+        return pa.table({group_col: batch.column(group_col).cast(pa.string()), "x": x, "xx": x * x})
 
     folded = (
-        ds.select_columns([group_col, value_col])
-        .map_batches(_partials, batch_format="pyarrow")
-        .groupby(group_col)
-        .aggregate(
-            ray.data.aggregate.Sum(on="n", alias_name="n"),
-            ray.data.aggregate.Sum(on="sx", alias_name="sx"),
-            ray.data.aggregate.Sum(on="sxx", alias_name="sxx"),
+        bucket_keyed_fold(
+            ds.select_columns([group_col, value_col]).map_batches(_floored, batch_format="pyarrow"),
+            group_col,
+            {"n": ("count", None), "sx": ("sum", "x"), "sxx": ("sum", "xx")},
         )
         .to_pandas()
         .sort_values(group_col)
@@ -904,8 +845,7 @@ def weighted_median_by_key(
     whose doubled cumulative weight reaches the total
     (``2·cum ≥ W``) — all-integer, mirrored by the SQL oracle's
     window-cumsum form."""
-    def _partials(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col).to_pylist()
+    def _floored(batch: pa.Table) -> pa.Table:
         vals = np.floor(
             batch.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
         ).astype(np.int64)
@@ -913,24 +853,17 @@ def weighted_median_by_key(
             batch.column(weight_col).to_numpy(zero_copy_only=False).astype(np.float64)
             * 100
         ).astype(np.int64)
-        t = pa.table(
-            {
-                "k": pa.array([str(x) for x in keys], pa.string()),
-                "val": pa.array(vals, pa.int64()),
-                "w": pa.array(w, pa.int64()),
-            }
-        )
-        return t.group_by(["k", "val"]).aggregate([("w", "sum")]).rename_columns(
-            ["k", "val", "w"]
-        )
+        return pa.table({"k": batch.column(key_col).cast(pa.string()), "val": vals, "w": w})
+
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     folded = (
-        ds.select_columns([key_col, value_col, weight_col])
-        .map_batches(_partials, batch_format="pyarrow")
-        .groupby(["k", "val"])
-        .sum("w")
+        bucket_keyed_fold(
+            ds.select_columns([key_col, value_col, weight_col]).map_batches(_floored, batch_format="pyarrow"),
+            ["k", "val"],
+            {"w": ("sum", "w")},
+        )
         .to_pandas()
-        .rename(columns={"sum(w)": "w"})
         .sort_values(["k", "val"])
     )
     keys, medians, totals = [], [], []
@@ -966,18 +899,11 @@ def theil_index(
     each key's term ``floor(1e6 · (n_h/X)·ln(n_h·H/X))`` is an int64,
     so the final sum is order-independent; mirrored literally by the
     SQL oracle.  One bounded (key, n) fold."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     folded = (
-        ds.select_columns([key_col])
-        .map_batches(
-            lambda t: t.group_by(key_col)
-            .aggregate([([], "count_all")])
-            .rename_columns([key_col, "n"]),
-            batch_format="pyarrow",
-        )
-        .groupby(key_col)
-        .sum("n")
+        bucket_keyed_fold(ds.select_columns([key_col]), key_col, {"n": ("count", None)})
         .to_pandas()
-        .rename(columns={"sum(n)": "n"})
         .sort_values(key_col)
     )
     total = int(folded["n"].sum())
@@ -1102,41 +1028,27 @@ def ucb_scores(
     int64; the driver computes ``mean_micro = (1e6·Σ)//(100·n)``
     integer-exactly and the exploration bonus with ONE float
     expression ``floor(1e6·sqrt((2·ln(N))/n))`` mirrored literally by
-    the SQL oracle.  Bounded fold — one partial row per key per
-    batch."""
+    the SQL oracle.  One bounded keyed fold."""
     import math
 
-    def _partials(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col).to_pylist()
-        vals = np.floor(
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    def _cents(batch: pa.Table) -> pa.Table:
+        cents = np.floor(
             100.0 * batch.column(value_col).to_numpy(zero_copy_only=False)
         ).astype(np.int64)
-        agg: dict[str, list[int]] = {}
-        for k, v in zip(keys, vals):
-            e = agg.setdefault(k, [0, 0])
-            e[0] += 1
-            e[1] += int(v)
-        ks = sorted(agg)
-        return pa.table(
-            {
-                "key": pa.array(ks, pa.string()),
-                "n": pa.array([agg[k][0] for k in ks], pa.int64()),
-                "sx": pa.array([agg[k][1] for k in ks], pa.int64()),
-            }
-        )
+        return pa.table({"key": batch.column(key_col), "cents": cents})
 
-    folded = (
-        ds.select_columns([key_col, value_col])
-        .map_batches(_partials, batch_format="pyarrow")
-        .groupby("key")
-        .sum(["n", "sx"])
-        .to_pandas()
-    )
-    total_n = int(folded["sum(n)"].sum())
+    folded = bucket_keyed_fold(
+        ds.select_columns([key_col, value_col]).map_batches(_cents, batch_format="pyarrow"),
+        "key",
+        {"n": ("count", None), "sx": ("sum", "cents")},
+    ).to_pandas()
+    total_n = int(folded["n"].sum())
     keys, ns, means, bonuses, ucbs = [], [], [], [], []
     for _, r in folded.sort_values("key").iterrows():
-        n = int(r["sum(n)"])
-        sx = int(r["sum(sx)"])
+        n = int(r["n"])
+        sx = int(r["sx"])
         mean_micro = (1_000_000 * sx) // (100 * n)
         bonus_micro = int(math.floor(1_000_000 * math.sqrt((2.0 * math.log(total_n)) / n)))
         keys.append(r["key"])

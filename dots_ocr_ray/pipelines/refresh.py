@@ -223,8 +223,8 @@ def recrawl_priority(
     ``change_rate`` (= changed / max(compared, 1)), ``rank_rel``
     (relative PageRank), ``priority``.
 
-    Scale shape: the diff streams through per-batch (host, class)
-    partial counts → ONE bounded ``groupby(host)`` sum; the rank table
+    Scale shape: the diff streams through ONE bounded host-keyed fold
+    of the per-class counts; the rank table
     rides the repo's two-tier rule — ≤ ``broadcast_limit`` rows ship
     once via ``ray.put`` as a (sorted hosts, ranks) pair and join with
     a vectorized ``searchsorted`` gather inside ``map_batches`` (zero
@@ -236,38 +236,31 @@ def recrawl_priority(
     ``doc_id % 40``; a real crawl passes a url→host hash)."""
     import numpy as np
 
-    from dots_ocr_ray.util import bounded_blocks, cached_object, sorted_lookup
+    from dots_ocr_ray.util import bucket_keyed_fold, cached_object, sorted_lookup
 
     if host_of is None:
         host_of = lambda ids: ids % 40  # noqa: E731 — driver fixture rule
 
-    def _partials(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
+    def _classes(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        change = batch.column("change").to_pandas()
-        df = pd.DataFrame(
-            {
-                "host": host_of(ids),
-                "added": (change == "added").astype("int64"),
-                "changed": (change == "changed").astype("int64"),
-                "compared": change.isin(["changed", "unchanged"]).astype("int64"),
-            }
-        )
-        g = df.groupby("host", sort=False).sum().reset_index()
+        change = batch.column("change")
+
+        def _is(*classes: str) -> pa.Array:
+            return pc.is_in(change, pa.array(classes)).cast(pa.int64())
+
         return pa.table(
             {
-                "host": pa.array(g["host"].to_numpy(), type=pa.int64()),
-                "added": pa.array(g["added"].to_numpy(), type=pa.int64()),
-                "changed": pa.array(g["changed"].to_numpy(), type=pa.int64()),
-                "compared": pa.array(g["compared"].to_numpy(), type=pa.int64()),
+                "host": pa.array(host_of(ids), type=pa.int64()),
+                "added": _is("added"),
+                "changed": _is("changed"),
+                "compared": _is("changed", "unchanged"),
             }
         )
 
-    per_host = (
-        bounded_blocks(diff.map_batches(_partials, batch_format="pyarrow"))
-        .groupby("host")
-        .sum(["added", "changed", "compared"])
+    per_host = bucket_keyed_fold(
+        diff.map_batches(_classes, batch_format="pyarrow"),
+        "host",
+        {"added": ("sum", "added"), "changed": ("sum", "changed"), "compared": ("sum", "compared")},
     )
 
     n_ranks = ranks.num_rows if isinstance(ranks, pa.Table) else ranks.count()
@@ -295,9 +288,9 @@ def recrawl_priority(
             left_schema=pa.schema(
                 [
                     ("host", pa.int64()),
-                    ("sum(added)", pa.int64()),
-                    ("sum(changed)", pa.int64()),
-                    ("sum(compared)", pa.int64()),
+                    ("added", pa.int64()),
+                    ("changed", pa.int64()),
+                    ("compared", pa.int64()),
                 ]
             ),
             right_schema=pa.schema([("host", pa.int64()), ("__rank", pa.float64())]),
@@ -305,9 +298,9 @@ def recrawl_priority(
 
         def _score_joined(batch: pa.Table) -> pa.Table:
             h = batch.column("host").to_numpy(zero_copy_only=False).astype(np.int64)
-            added = batch.column("sum(added)").to_numpy(zero_copy_only=False)
-            changed = batch.column("sum(changed)").to_numpy(zero_copy_only=False)
-            compared = batch.column("sum(compared)").to_numpy(zero_copy_only=False)
+            added = batch.column("added").to_numpy(zero_copy_only=False)
+            changed = batch.column("changed").to_numpy(zero_copy_only=False)
+            compared = batch.column("compared").to_numpy(zero_copy_only=False)
             rank = (
                 pc.fill_null(batch.column("__rank"), 0.0)
                 .to_numpy(zero_copy_only=False)
@@ -339,9 +332,9 @@ def recrawl_priority(
     def _score(batch: pa.Table) -> pa.Table:
         rh, rv = cached_object(rank_pair_ref)
         h = batch.column("host").to_numpy(zero_copy_only=False).astype(np.int64)
-        added = batch.column("sum(added)").to_numpy(zero_copy_only=False)
-        changed = batch.column("sum(changed)").to_numpy(zero_copy_only=False)
-        compared = batch.column("sum(compared)").to_numpy(zero_copy_only=False)
+        added = batch.column("added").to_numpy(zero_copy_only=False)
+        changed = batch.column("changed").to_numpy(zero_copy_only=False)
+        compared = batch.column("compared").to_numpy(zero_copy_only=False)
         found, idx = sorted_lookup(rh, h)
         rank = np.where(found, rv[idx] if len(rh) else 0.0, 0.0)
         rate = changed / np.maximum(compared, 1)

@@ -3,12 +3,12 @@ the aggregate / join / sort / top-k surface of the engine (reference
 aggregations G1-G3 generalized; SURVEY.md §2.5-2.6).
 
 Patterns demonstrated:
-* partial-aggregate combiner inside map_batches → small groupby
-  (no full-row shuffle for wide aggregations),
+* keyed aggregates through ``util.bucket_keyed_fold`` (a per-batch
+  combiner, so no full-row shuffle for wide aggregations),
 * broadcast hash join (ray.put once, dict lookup per batch — no
   shuffle for small dimension tables),
-* tumbling-window aggregate over an event stream (groupby over a
-  derived window key),
+* tumbling-window aggregate over an event stream (a keyed fold over
+  a derived window key),
 * global top-k without a global sort (per-batch heap + tiny merge).
 """
 
@@ -24,44 +24,31 @@ from dots_ocr_ray.util import bucket_exchange
 
 
 def lineitem_pricing_summary(sf_dir: str) -> ray.data.Dataset:
-    """TPC-H Q1-shaped pricing summary over lineitem.
+    """TPC-H Q1-shaped pricing summary over lineitem: one keyed fold
+    over (flag, status) — only per-batch partials move."""
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    Partial per-batch aggregation (vectorized pyarrow group_by) before
-    the distributed groupby — only (flag,status)-level partials move."""
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _disc_price(batch: pa.Table) -> pa.Table:
         disc_price = pc.multiply(
             batch.column("l_extendedprice"), pc.subtract(pa.scalar(1.0), batch.column("l_discount"))
         )
-        batch = batch.append_column("disc_price", disc_price)
-        return batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("l_extendedprice", "sum"), ("disc_price", "sum"), ("l_quantity", "count")]
-        )
+        return batch.append_column("disc_price", disc_price)
 
-    partials = ds.map_batches(_partial, batch_format="pyarrow")
-    agg = partials.groupby(["l_returnflag", "l_linestatus"]).sum(
-        ["l_quantity_sum", "l_extendedprice_sum", "disc_price_sum", "l_quantity_count"]
+    return bucket_keyed_fold(
+        ds.map_batches(_disc_price, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        {
+            "sum_qty": ("sum", "l_quantity"),
+            "sum_base_price": ("sum", "l_extendedprice"),
+            "sum_disc_price": ("sum", "disc_price"),
+            "count_order": ("count", None),
+        },
     )
-
-    def _finalize(batch: pa.Table) -> pa.Table:
-        mapping = {
-            "sum(l_quantity_sum)": "sum_qty",
-            "sum(l_extendedprice_sum)": "sum_base_price",
-            "sum(disc_price_sum)": "sum_disc_price",
-            "sum(l_quantity_count)": "count_order",
-        }
-        batch = batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-        return batch.set_column(
-            batch.column_names.index("count_order"),
-            "count_order",
-            batch.column("count_order").cast(pa.int64()),
-        )
-
-    return agg.map_batches(_finalize, batch_format="pyarrow")
 
 
 def orders_by_mktsegment(sf_dir: str) -> ray.data.Dataset:
@@ -69,6 +56,8 @@ def orders_by_mktsegment(sf_dir: str) -> ray.data.Dataset:
 
     customer is the dimension table: shipped to the object store ONCE
     (ray.put) and read per actor — no shuffle join."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     customers = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     ).to_pandas()
@@ -76,28 +65,19 @@ def orders_by_mktsegment(sf_dir: str) -> ray.data.Dataset:
 
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
 
-    def _join_and_partial(batch: pa.Table) -> pa.Table:
+    def _join(batch: pa.Table) -> pa.Table:
         from dots_ocr_ray.util import cached_object
 
         lookup = cached_object(lookup_ref)
         segs = [lookup.get(k, "UNKNOWN") for k in batch.column("o_custkey").to_pylist()]
-        batch = batch.append_column("c_mktsegment", pa.array(segs, type=pa.string()))
-        return batch.group_by("c_mktsegment").aggregate(
-            [("o_totalprice", "sum"), ("o_totalprice", "count")]
-        )
+        return batch.append_column("c_mktsegment", pa.array(segs, type=pa.string()))
 
     # stateless tasks + per-worker broadcast cache: no actor-pool ramp
-    partials = orders.map_batches(_join_and_partial, batch_format="pyarrow")
-    agg = partials.groupby("c_mktsegment").sum(["o_totalprice_sum", "o_totalprice_count"])
-
-    def _finalize(batch: pa.Table) -> pa.Table:
-        mapping = {"sum(o_totalprice_sum)": "total_price", "sum(o_totalprice_count)": "n_orders"}
-        batch = batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-        return batch.set_column(
-            batch.column_names.index("n_orders"), "n_orders", batch.column("n_orders").cast(pa.int64())
-        )
-
-    return agg.map_batches(_finalize, batch_format="pyarrow")
+    return bucket_keyed_fold(
+        orders.map_batches(_join, batch_format="pyarrow"),
+        "c_mktsegment",
+        {"total_price": ("sum", "o_totalprice"), "n_orders": ("count", None)},
+    )
 
 
 def events_windowed_agg(sf_dir: str, window_minutes: int = 60) -> ray.data.Dataset:
@@ -105,12 +85,14 @@ def events_windowed_agg(sf_dir: str, window_minutes: int = 60) -> ray.data.Datas
     (event_type, window_start) count + value sum.
 
     Ray Data has no event-time windows; the window is a derived key
-    (ts floored to the window), computed vectorized, then ONE groupby —
-    the documented pattern for stream-shaped workloads."""
+    (ts floored to the window), computed vectorized, then ONE keyed
+    fold — the documented pattern for stream-shaped workloads."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
     window_us = window_minutes * 60 * 1_000_000
 
-    def _window_partial(batch: pa.Table) -> pa.Table:
+    def _window(batch: pa.Table) -> pa.Table:
         import numpy as np
 
         # numpy floor_divide, NOT pc.divide: Arrow integer division
@@ -122,28 +104,21 @@ def events_windowed_agg(sf_dir: str, window_minutes: int = 60) -> ray.data.Datas
         win = pa.array(
             np.floor_divide(ts_us, window_us) * window_us, type=pa.int64()
         )
-        batch = batch.append_column("window_start", win.cast(pa.timestamp("us")))
-        return batch.group_by(["event_type", "window_start"]).aggregate(
-            [("value", "sum"), ("value", "count")]
-        )
+        return batch.append_column("window_start", win.cast(pa.timestamp("us")))
 
-    partials = ds.map_batches(_window_partial, batch_format="pyarrow")
-    agg = partials.groupby(["event_type", "window_start"]).sum(["value_sum", "value_count"])
-
-    def _finalize(batch: pa.Table) -> pa.Table:
-        mapping = {"sum(value_sum)": "sum_value", "sum(value_count)": "n_events"}
-        batch = batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-        return batch.set_column(
-            batch.column_names.index("n_events"), "n_events", batch.column("n_events").cast(pa.int64())
-        )
-
-    return agg.map_batches(_finalize, batch_format="pyarrow")
+    return bucket_keyed_fold(
+        ds.map_batches(_window, batch_format="pyarrow"),
+        ["event_type", "window_start"],
+        {"sum_value": ("sum", "value"), "n_events": ("count", None)},
+    )
 
 
 def supplier_stats_by_nation(sf_dir: str) -> ray.data.Dataset:
     """supplier ⋈ nation (broadcast small side) → per-nation supplier
     count + account-balance total; same no-shuffle join shape as
     :func:`orders_by_mktsegment`."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     nation = ray.data.read_parquet(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]).to_pandas()
     lookup_ref = ray.put(dict(zip(nation["n_nationkey"], nation["n_name"])))
 
@@ -151,61 +126,43 @@ def supplier_stats_by_nation(sf_dir: str) -> ray.data.Dataset:
         f"{sf_dir}/supplier.parquet", columns=["s_nationkey", "s_acctbal"]
     )
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _join(batch: pa.Table) -> pa.Table:
         from dots_ocr_ray.util import cached_object
 
         lookup = cached_object(lookup_ref)
         names = [lookup.get(k, "UNKNOWN") for k in batch.column("s_nationkey").to_pylist()]
-        return (
-            batch.append_column("n_name", pa.array(names, type=pa.string()))
-            .group_by("n_name")
-            .aggregate([("s_acctbal", "sum"), ("s_acctbal", "count")])
-        )
+        return batch.append_column("n_name", pa.array(names, type=pa.string()))
 
-    agg = suppliers.map_batches(_partial, batch_format="pyarrow").groupby("n_name").sum(
-        ["s_acctbal_sum", "s_acctbal_count"]
+    agg = bucket_keyed_fold(
+        suppliers.map_batches(_join, batch_format="pyarrow"),
+        "n_name",
+        {"total_acctbal": ("sum", "s_acctbal"), "n_suppliers": ("count", None)},
     )
 
-    def _finalize(batch: pa.Table) -> pa.Table:
-        mapping = {"sum(s_acctbal_sum)": "total_acctbal", "sum(s_acctbal_count)": "n_suppliers"}
-        batch = batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-        batch = batch.set_column(
-            batch.column_names.index("total_acctbal"),
-            "total_acctbal",
-            pc.round(batch.column("total_acctbal"), 2, round_mode="half_towards_infinity"),
-        )
+    def _round(batch: pa.Table) -> pa.Table:
         return batch.set_column(
-            batch.column_names.index("n_suppliers"),
-            "n_suppliers",
-            batch.column("n_suppliers").cast(pa.int64()),
+            1, "total_acctbal", pc.round(batch.column("total_acctbal"), 2, round_mode="half_towards_infinity")
         )
 
-    return agg.map_batches(_finalize, batch_format="pyarrow")
+    return agg.map_batches(_round, batch_format="pyarrow")
 
 
 def part_stats_by_brand(sf_dir: str) -> ray.data.Dataset:
-    """Per-brand part count + average retail price — the
-    partial-agg combiner over the part table (sum+count partials →
-    exact average at the finalize)."""
+    """Per-brand part count + average retail price — one keyed fold
+    of sum + count, exact average at the finalize."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     parts = ray.data.read_parquet(f"{sf_dir}/part.parquet", columns=["p_brand", "p_retailprice"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by("p_brand").aggregate(
-            [("p_retailprice", "sum"), ("p_retailprice", "count")]
-        )
-
-    agg = parts.map_batches(_partial, batch_format="pyarrow").groupby("p_brand").sum(
-        ["p_retailprice_sum", "p_retailprice_count"]
-    )
+    agg = bucket_keyed_fold(parts, "p_brand", {"total": ("sum", "p_retailprice"), "n_parts": ("count", None)})
 
     def _finalize(batch: pa.Table) -> pa.Table:
-        total = batch.column("sum(p_retailprice_sum)")
-        n = batch.column("sum(p_retailprice_count)")
+        n = batch.column("n_parts")
+        avg = pc.divide(batch.column("total"), n.cast(pa.float64()))
         return pa.table(
             {
                 "p_brand": batch.column("p_brand"),
-                "n_parts": n.cast(pa.int64()),
-                "avg_price": pc.round(pc.divide(total, n.cast(pa.float64())), 2, round_mode="half_towards_infinity"),
+                "n_parts": n,
+                "avg_price": pc.round(avg, 2, round_mode="half_towards_infinity"),
             }
         )
 
@@ -653,17 +610,19 @@ def exact_int_quantiles(
     ds: ray.data.Dataset, col: str, qs: list[float]
 ) -> pa.Table:
     """EXACT discrete quantiles of an integer-valued column without a
-    global sort: one groupby(value).count() → a small (distinct-value,
+    global sort: one keyed count per value → a small (distinct-value,
     count) table → cumulative walk on the driver.  Scales whenever
     distinct values ≪ rows (lengths, counts, scores) — the exchange
     moves one row per distinct value, not per row.  Matches DuckDB's
     ``quantile_disc``: the value at 1-indexed rank ``ceil(q * n)``."""
-    rows = ds.groupby(col).count().take_all()
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    rows = bucket_keyed_fold(ds, col, {"n": ("count", None)}).take_all()
     if rows:
         tbl = pa.Table.from_pylist(rows)
         tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[(col, "ascending")]))
         values = tbl.column(col).to_pylist()
-        weights = tbl.column("count()").to_pylist()
+        weights = tbl.column("n").to_pylist()
     else:  # empty input: every quantile is null, not a KeyError
         values, weights = [], []
     n = sum(weights)
@@ -687,19 +646,16 @@ def exact_int_quantiles(
 
 
 def top_customers_by_spend(sf_dir: str, k: int = 10) -> pa.Table:
-    """Global top-k customers by total order value — groupby partials
-    then a driver-side k-merge; no global sort of the fact table."""
+    """Global top-k customers by total order value — a keyed fold then
+    a sort of the per-customer totals; no global sort of the fact table."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by("o_custkey").aggregate([("o_totalprice", "sum")])
-
-    agg = orders.map_batches(_partial, batch_format="pyarrow").groupby("o_custkey").sum("o_totalprice_sum")
+    agg = bucket_keyed_fold(orders, "o_custkey", {"total_spend": ("sum", "o_totalprice")})
     # per-customer totals are |customers| rows — sort the small side
     # only; o_custkey tiebreak matches the oracle's ORDER BY so a tie
     # at the k boundary stays deterministic
-    topk = agg.sort(["sum(o_totalprice_sum)", "o_custkey"], descending=[True, False]).limit(k)
-    rows = topk.take_all()
+    rows = agg.sort(["total_spend", "o_custkey"], descending=[True, False]).limit(k).take_all()
     if not rows:
         return pa.table(
             {
@@ -708,7 +664,6 @@ def top_customers_by_spend(sf_dir: str, k: int = 10) -> pa.Table:
             }
         )
     tbl = pa.Table.from_pylist(rows)
-    tbl = tbl.rename_columns(["o_custkey", "total_spend"])
     return tbl.set_column(1, "total_spend", pc.round(tbl.column("total_spend"), 2, round_mode="half_towards_infinity"))
 
 
@@ -1141,7 +1096,7 @@ def exact_int_quantiles_by_key(
     ds: ray.data.Dataset, key: str, col: str, qs: list[float]
 ) -> pa.Table:
     """Per-group EXACT discrete quantiles — the grouped form of
-    :func:`exact_int_quantiles`.  One groupby((key, value)).count()
+    :func:`exact_int_quantiles`.  One keyed count per (key, value)
     moves a row per distinct (group, value) — never a row per input
     row — then the cumulative-rank walk runs on the driver over that
     small table.  Matches DuckDB ``quantile_disc`` per group (value at
@@ -1150,13 +1105,15 @@ def exact_int_quantiles_by_key(
 
     import numpy as np
 
-    rows = ds.groupby([key, col]).count().take_all()
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    rows = bucket_keyed_fold(ds, [key, col], {"n": ("count", None)}).take_all()
     if rows:
         tbl = pa.Table.from_pylist(rows)
         tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[(key, "ascending"), (col, "ascending")]))
         keys = tbl.column(key).to_pylist()
         values = np.asarray(tbl.column(col).to_pylist(), dtype=np.int64)
-        weights = np.asarray(tbl.column("count()").to_pylist(), dtype=np.int64)
+        weights = np.asarray(tbl.column("n").to_pylist(), dtype=np.int64)
     else:  # empty input: zero output rows, not a KeyError
         keys, values, weights = [], np.zeros(0, np.int64), np.zeros(0, np.int64)
     out_k, out_q, out_v = [], [], []
@@ -1185,36 +1142,28 @@ def exact_int_quantiles_by_key(
 def rollup_counts(
     ds: ray.data.Dataset, keys: list[str], *, sentinel: str = "*"
 ) -> pa.Table:
-    """GROUP BY ROLLUP(keys...) row counts: one distributed pass at the
-    FINEST level (per-batch partial aggregation → small groupby), then
-    every coarser level is derived from that bounded result on the
-    driver — the rollup hierarchy costs one exchange total, not one
-    per level.  Coarsened key columns carry ``sentinel`` (callers'
-    key domains must not contain it)."""
+    """GROUP BY ROLLUP(keys...) row counts: one keyed fold at the
+    FINEST level, then every coarser level is derived from that
+    bounded result on the driver — the rollup hierarchy costs one
+    exchange total, not one per level.  Coarsened key columns carry
+    ``sentinel`` (callers' key domains must not contain it)."""
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _as_strings(batch: pa.Table) -> pa.Table:
         # keys cast to string up front: the coarser levels carry the
         # string sentinel, and concat with a typed (e.g. int64) fine
         # level would otherwise raise ArrowTypeError
-        batch = pa.table(
-            {k: batch.column(k).cast(pa.string()) for k in keys}
-        )
-        out = batch.group_by(keys).aggregate([([], "count_all")])
-        return out.rename_columns(keys + ["n"])
+        return pa.table({k: batch.column(k).cast(pa.string()) for k in keys})
 
-    fine = (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby(keys)
-        .sum("n")
-    )
+    fine = bucket_keyed_fold(ds.map_batches(_as_strings, batch_format="pyarrow"), keys, {"n_rows": ("count", None)})
     frows = fine.take_all()  # ≤ product of key cardinalities
     if not frows:
         return pa.table(
             {**{k: pa.array([], type=pa.string()) for k in keys},
              "n_rows": pa.array([], type=pa.int64())}
         )
-    tbl = pa.Table.from_pylist(frows)
-    tbl = tbl.rename_columns(keys + ["n_rows"])
+    # the fold's output is not key-ordered: sort the finest level
+    tbl = pa.Table.from_pylist(frows).sort_by([(k, "ascending") for k in keys])
     frames = [tbl]
     import pandas as pd
 
@@ -1238,25 +1187,21 @@ def linreg_by_key(
     ds: ray.data.Dataset, *, key: str, x: str, y: str
 ) -> pa.Table:
     """Per-group ordinary-least-squares fit y ~ x via MERGEABLE
-    sufficient statistics: every batch emits one
-    (key, n, Σx, Σy, Σxx, Σyy, Σxy) partial row, one small
-    ``groupby(key).sum`` combines them, and the slope / intercept / r²
+    sufficient statistics: one keyed fold of (n, Σx, Σy, Σxx, Σyy, Σxy)
+    per key, and the slope / intercept / r²
     finalization runs on the bounded per-key result — the same
     partial-then-tiny-reduce shape as every aggregate in this repo
     (nothing row-scaled ever reaches the driver).  Matches SQL
     ``regr_slope / regr_intercept / regr_r2``."""
     import numpy as np
 
-    def _partials(batch: pa.Table) -> pa.Table:
-        import pandas as pd
+    def _products(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as _pc
 
-        key_type = batch.schema.field(key).type
         # SQL regr_* skip rows where either coordinate is null — one
         # NaN would otherwise poison every sufficient statistic of its
-        # whole key.  Null KEYS are dropped too: the downstream sort-
-        # based groupby exchange cannot order them (fill upstream to
-        # keep those rows).
+        # whole key.  Null KEYS are dropped too (fill upstream to keep
+        # those rows).
         batch = batch.filter(
             _pc.and_(
                 _pc.and_(_pc.is_valid(batch.column(x)), _pc.is_valid(batch.column(y))),
@@ -1265,32 +1210,24 @@ def linreg_by_key(
         )
         xv = batch.column(x).to_numpy(zero_copy_only=False).astype(np.float64)
         yv = batch.column(y).to_numpy(zero_copy_only=False).astype(np.float64)
-        # factorize, not np.unique: a null key is a group, and
-        # np.unique raises on None in object arrays
-        inv, uk = pd.factorize(batch.column(key).to_pandas(), use_na_sentinel=False)
-        m = len(uk)
-
-        def _binsum(v):
-            return np.bincount(inv, weights=v, minlength=m)
-
         return pa.table(
-            {
-                key: pa.array(uk, type=key_type, from_pandas=True),
-                "n": pa.array(np.bincount(inv, minlength=m).astype(np.int64), type=pa.int64()),
-                "sx": pa.array(_binsum(xv), type=pa.float64()),
-                "sy": pa.array(_binsum(yv), type=pa.float64()),
-                "sxx": pa.array(_binsum(xv * xv), type=pa.float64()),
-                "syy": pa.array(_binsum(yv * yv), type=pa.float64()),
-                "sxy": pa.array(_binsum(xv * yv), type=pa.float64()),
-            }
+            {key: batch.column(key), "x": xv, "y": yv, "xx": xv * xv, "yy": yv * yv, "xy": xv * yv}
         )
 
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    partials = bounded_blocks(
-        ds.map_batches(_partials, batch_format="pyarrow"), rows_per_block=262144
+    summed = bucket_keyed_fold(
+        ds.map_batches(_products, batch_format="pyarrow"),
+        key,
+        {
+            "n": ("count", None),
+            "sx": ("sum", "x"),
+            "sy": ("sum", "y"),
+            "sxx": ("sum", "xx"),
+            "syy": ("sum", "yy"),
+            "sxy": ("sum", "xy"),
+        },
     )
-    summed = partials.groupby(key).sum(["n", "sx", "sy", "sxx", "syy", "sxy"])
     srows = summed.take_all()
     if not srows:  # empty input: typed empty result, not a KeyError
         return pa.table(
@@ -1303,12 +1240,8 @@ def linreg_by_key(
             }
         )
     tbl = pa.Table.from_pylist(srows)
-    n = np.asarray(tbl.column("sum(n)").to_pylist(), dtype=np.float64)
-    sx = np.asarray(tbl.column("sum(sx)").to_pylist())
-    sy = np.asarray(tbl.column("sum(sy)").to_pylist())
-    sxx = np.asarray(tbl.column("sum(sxx)").to_pylist())
-    syy = np.asarray(tbl.column("sum(syy)").to_pylist())
-    sxy = np.asarray(tbl.column("sum(sxy)").to_pylist())
+    n = np.asarray(tbl.column("n").to_pylist(), dtype=np.float64)
+    sx, sy, sxx, syy, sxy = (np.asarray(tbl.column(c).to_pylist()) for c in ("sx", "sy", "sxx", "syy", "sxy"))
     cov = sxy - sx * sy / n
     var_x = sxx - sx * sx / n
     var_y = syy - sy * sy / n
@@ -1337,7 +1270,7 @@ def percent_rank_by_key(
     cdf_limit: int = 4_000_000,
 ) -> ray.data.Dataset:
     """Per-row SQL ``percent_rank() OVER (PARTITION BY key ORDER BY
-    col)`` WITHOUT a per-key sort: one ``groupby((key, value)).count``
+    col)`` WITHOUT a per-key sort: one keyed count per (key, value)
     moves a row per DISTINCT (group, value), the per-key cumulative
     distribution (sorted values + ranks) broadcasts once, and a
     stateless batch map looks each row up via searchsorted — rows
@@ -1348,7 +1281,9 @@ def percent_rank_by_key(
     (e.g. LogHistogram buckets) or fall back to a per-key sort."""
     import numpy as np
 
-    rows = ds.groupby([key, col]).count().take_all()
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    rows = bucket_keyed_fold(ds, [key, col], {"n": ("count", None)}).take_all()
     if not rows:
         return ds  # empty input: nothing to rank (no rows to carry out_col)
     tbl = pa.Table.from_pylist(rows)
@@ -1360,7 +1295,7 @@ def percent_rank_by_key(
     tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[(key, "ascending"), (col, "ascending")]))
     keys = tbl.column(key).to_pylist()
     values = np.asarray(tbl.column(col).to_pylist(), dtype=np.int64)
-    weights = np.asarray(tbl.column("count()").to_pylist(), dtype=np.int64)
+    weights = np.asarray(tbl.column("n").to_pylist(), dtype=np.int64)
     cdf: dict = {}
     i = 0
     while i < len(keys):
@@ -1505,7 +1440,7 @@ def interval_agg_join(
             }
         )
 
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bounded_blocks, bucket_keyed_fold
 
     tagged = left.map_batches(_tag_left, batch_format="pyarrow").union(
         right.map_batches(_tag_right, batch_format="pyarrow")
@@ -1514,18 +1449,7 @@ def interval_agg_join(
     # not util.bucket_exchange: a band row is replicated into every range
     # bucket it spans, which a key hash cannot tag
     partials = tagged.groupby("__bucket").map_groups(_partials, batch_format="pyarrow")
-    summed = bounded_blocks(partials, rows_per_block=262144).groupby(key).sum(["s", "n"])
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        mapping = {"sum(s)": "agg_sum", "sum(n)": "agg_count"}
-        batch = batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-        return batch.set_column(
-            batch.column_names.index("agg_count"),
-            "agg_count",
-            batch.column("agg_count").cast(pa.int64()),
-        )
-
-    return summed.map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(partials, key, {"agg_sum": ("sum", "s"), "agg_count": ("sum", "n")})
 
 
 def skew_join(
@@ -1716,79 +1640,39 @@ def pivot_agg(
     ``count(*) FILTER (WHERE pivot = cat)`` surface.
 
     ``categories`` is explicit (schema fixed up front, rows of other
-    categories are dropped): the partial aggregate pivots to columns
-    INSIDE each batch, so the only exchange is the final key-level
-    groupby over already-pivoted partials — the combiner discipline of
-    lineitem_pricing_summary applied to a dynamic column set.
+    categories are dropped): each row is pivoted to its category's
+    columns (0 elsewhere) inside its batch, then one keyed fold sums
+    the columns per key.
     """
     import numpy as np
     import pyarrow.compute as pc
 
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    cat_of = {c: i for i, c in enumerate(categories)}
-    n_cat = len(categories)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        key_type = batch.schema.field(key_col).type
+    def _pivot(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_in(batch.column(pivot_col), pa.array(categories)))
-        # null keys are DROPPED (documented): Ray's sort-based groupby
-        # exchange cannot order null keys, so they cannot ride the
-        # combine — fill upstream to keep them.  factorize (not
-        # np.unique) so the filter never crashes on None remnants.
+        # null keys are DROPPED (documented): fill upstream to keep them
         batch = batch.filter(pc.is_valid(batch.column(key_col)))
-        key_idx, keys = pd.factorize(
-            batch.column(key_col).to_pandas(), use_na_sentinel=False
-        )
-        cat_idx = np.array(
-            [cat_of[c] for c in batch.column(pivot_col).to_pylist()], dtype=np.int64
-        )
-        flat = key_idx * n_cat + cat_idx
-        size = len(keys) * n_cat
-        counts = np.bincount(flat, minlength=size).reshape(len(keys), n_cat)
-        # pin the key type: pa.array over an EMPTY array (zero rows
-        # matched `categories`) would otherwise infer type null and
-        # poison the downstream groupby's schema union
-        cols = {key_col: pa.array(keys, type=key_type, from_pandas=True)}
-        for j, c in enumerate(categories):
-            cols[f"{c}_n"] = pa.array(counts[:, j], type=pa.int64())
+        piv = batch.column(pivot_col)
+        hits = [pc.equal(piv, c) for c in categories]
+        cols = {key_col: batch.column(key_col)}
+        for c, hit in zip(categories, hits):
+            cols[f"{c}_n"] = hit.cast(pa.int64())
         if value_col is not None:
             # null values contribute 0 to the sum (SQL FILTER-sum skips
             # them); without the mask one NaN poisons the whole cell
             vals = np.nan_to_num(
-                batch.column(value_col)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.float64),
+                batch.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64),
                 nan=0.0,
             )
-            sums = np.bincount(flat, weights=vals, minlength=size).reshape(
-                len(keys), n_cat
-            )
-            for j, c in enumerate(categories):
-                cols[f"{c}_sum"] = pa.array(sums[:, j], type=pa.float64())
+            for c, hit in zip(categories, hits):
+                cols[f"{c}_sum"] = pc.if_else(hit, pa.array(vals), 0.0)
         return pa.table(cols)
 
-    agg_cols = [f"{c}_n" for c in categories] + (
-        [f"{c}_sum" for c in categories] if value_col is not None else []
-    )
-    agg = (
-        bounded_blocks(ds.map_batches(_partial, batch_format="pyarrow"))
-        .groupby(key_col)
-        .sum(agg_cols)
-    )
-
-    def _final(batch: pa.Table) -> pa.Table:
-        cols = {key_col: batch.column(key_col)}
-        for c in categories:
-            cols[f"{c}_n"] = batch.column(f"sum({c}_n)").cast(pa.int64())
-        if value_col is not None:
-            for c in categories:
-                cols[f"{c}_sum"] = batch.column(f"sum({c}_sum)")
-        return pa.table(cols)
-
-    return agg.map_batches(_final, batch_format="pyarrow")
+    aggs = {f"{c}_n": ("sum", f"{c}_n") for c in categories}
+    if value_col is not None:
+        aggs.update({f"{c}_sum": ("sum", f"{c}_sum") for c in categories})
+    return bucket_keyed_fold(ds.map_batches(_pivot, batch_format="pyarrow"), key_col, aggs)
 
 
 def cube_counts(
@@ -1802,24 +1686,21 @@ def cube_counts(
 
     import pandas as pd
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        batch = pa.table(
-            {k: batch.column(k).cast(pa.string()) for k in keys}
-        )  # string keys: see rollup_counts
-        out = batch.group_by(keys).aggregate([([], "count_all")])
-        return out.rename_columns(keys + ["n"])
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    fine = (
-        ds.map_batches(_partial, batch_format="pyarrow").groupby(keys).sum("n")
-    )
+    def _as_strings(batch: pa.Table) -> pa.Table:
+        # string keys: see rollup_counts
+        return pa.table({k: batch.column(k).cast(pa.string()) for k in keys})
+
+    fine = bucket_keyed_fold(ds.map_batches(_as_strings, batch_format="pyarrow"), keys, {"n_rows": ("count", None)})
     frows = fine.take_all()  # ≤ product of key cardinalities
     if not frows:
         return pa.table(
             {**{k: pa.array([], type=pa.string()) for k in keys},
              "n_rows": pa.array([], type=pa.int64())}
         )
-    tbl = pa.Table.from_pylist(frows)
-    tbl = tbl.rename_columns(keys + ["n_rows"])
+    # the fold's output is not key-ordered: sort the finest level
+    tbl = pa.Table.from_pylist(frows).sort_by([(k, "ascending") for k in keys])
     df = tbl.to_pandas()
     frames = [tbl]
     for r in range(len(keys) - 1, -1, -1):
@@ -1910,35 +1791,26 @@ def zscore_outliers(
 
     import ray as _ray
 
-    from dots_ocr_ray.util import bounded_blocks, cached_object
+    from dots_ocr_ray.util import bucket_keyed_fold, cached_object
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _squares(batch: pa.Table) -> pa.Table:
         batch = batch.filter(
             pc.and_(
                 pc.is_valid(batch.column(value_col)),
-                pc.is_valid(batch.column(key_col)),  # sort exchange can't order nulls
+                pc.is_valid(batch.column(key_col)),  # null keys are not flagged
             )
         )
         v = batch.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
-        t = pa.table(
-            {
-                key_col: batch.column(key_col),
-                "_n": pa.array(np.ones(len(v), np.int64)),
-                "_s": pa.array(v),
-                "_s2": pa.array(v * v),
-            }
-        )
-        agg = t.group_by(key_col).aggregate([("_n", "sum"), ("_s", "sum"), ("_s2", "sum")])
-        return agg.rename_columns([key_col, "n", "s", "s2"])
+        return pa.table({key_col: batch.column(key_col), "v": v, "v2": v * v})
 
-    stats = (
-        bounded_blocks(ds.map_batches(_partial, batch_format="pyarrow"))
-        .groupby(key_col)
-        .sum(["n", "s", "s2"])
+    stats = bucket_keyed_fold(
+        ds.map_batches(_squares, batch_format="pyarrow"),
+        key_col,
+        {"n": ("count", None), "s": ("sum", "v"), "s2": ("sum", "v2")},
     )
     mean_std: dict = {}
     for r in stats.take_all():  # bounded: one row per key
-        n, s, s2 = r["sum(n)"], r["sum(s)"], r["sum(s2)"]
+        n, s, s2 = r["n"], r["s"], r["s2"]
         mean = s / n
         var = max(s2 / n - mean * mean, 0.0)
         mean_std[r[key_col]] = (mean, var**0.5)
@@ -2043,13 +1915,12 @@ def regional_supplier_volume(
     * orders ⋈ customer and lineitem ⋈ orders — :func:`hash_join`
       (both sides fact-sized; one keyed exchange each).
 
-    The final per-nation aggregate is a tiny groupby over ≤ nations ×
-    blocks partial rows.  Output: (n_name, revenue) — revenue =
+    The final per-nation aggregate is one keyed fold.  Output: (n_name, revenue) — revenue =
     sum(l_extendedprice·(1−l_discount)), matching the SQL oracle."""
     import numpy as np
     import pyarrow.parquet as _pq
 
-    from dots_ocr_ray.util import cached_object
+    from dots_ocr_ray.util import bucket_keyed_fold, cached_object
 
     nation = _pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name", "n_regionkey"]
@@ -2147,15 +2018,12 @@ def regional_supplier_volume(
         side_schema=pa.schema([("o_orderkey", pa.int64()), ("c_nation", pa.int64())]),
     )
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _same_nation(batch: pa.Table) -> pa.Table:
         m = pc.equal(batch.column("s_nation"), batch.column("c_nation"))
-        batch = batch.filter(m)
-        return batch.group_by("s_nation").aggregate([("rev_sum", "sum")])
+        return batch.filter(m)
 
-    agg = (
-        joined.map_batches(_partial, batch_format="pyarrow")
-        .groupby("s_nation")
-        .sum("rev_sum_sum")
+    agg = bucket_keyed_fold(
+        joined.map_batches(_same_nation, batch_format="pyarrow"), "s_nation", {"revenue": ("sum", "rev_sum")}
     )
 
     def _finish(batch: pa.Table) -> pa.Table:
@@ -2163,7 +2031,7 @@ def regional_supplier_volume(
         return pa.table(
             {
                 "n_name": pa.array([nat_names[n] for n in nats], type=pa.string()),
-                "revenue": batch.column("sum(rev_sum_sum)").cast(pa.float64()),
+                "revenue": batch.column("revenue"),
             }
         )
 
@@ -2180,46 +2048,22 @@ def grouped_count_histogram(
     """Power-of-two histogram of per-key row counts (events-per-user /
     docs-per-host frequency-of-frequencies): bucket = floor(log2(n)).
 
-    Two bounded exchanges: per-batch (key, partial-count) partials into
-    ONE key-keyed sum (the unavoidable co-location of a key's count),
-    then per-batch bucket partials into a ≤64-row bucket sum.  Bucket
+    Two keyed folds: a count per key (the unavoidable co-location of a
+    key's count), then a count per bucket (≤ 64 rows).  Bucket
     ids come from the float64 log2, which is exact at every power-of-2
     boundary — bit-equal to SQL ``floor(log2(n))``."""
     import numpy as np
 
-    def _key_partials(batch: pa.Table) -> pa.Table:
-        t = batch.select([key_col]).append_column(
-            "n", pa.array(np.ones(batch.num_rows, np.int64))
-        )
-        return t.group_by(key_col).aggregate([("n", "sum")]).rename_columns([key_col, "n"])
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    counts = (
-        ds.map_batches(_key_partials, batch_format="pyarrow").groupby(key_col).sum("n")
-    )
+    counts = bucket_keyed_fold(ds, key_col, {"n": ("count", None)})
 
-    def _bucket_partials(batch: pa.Table) -> pa.Table:
-        n = batch.column("sum(n)").to_numpy(zero_copy_only=False).astype(np.float64)
+    def _bucket(batch: pa.Table) -> pa.Table:
+        n = batch.column("n").to_numpy(zero_copy_only=False).astype(np.float64)
         bucket = np.floor(np.log2(np.maximum(n, 1.0))).astype(np.int64)
-        t = pa.table(
-            {
-                out_key: pa.array(bucket, type=pa.int64()),
-                "c": pa.array(np.ones(len(bucket), np.int64)),
-            }
-        )
-        return t.group_by(out_key).aggregate([("c", "sum")]).rename_columns([out_key, "c"])
+        return pa.table({out_key: pa.array(bucket, type=pa.int64())})
 
-    buckets = (
-        counts.map_batches(_bucket_partials, batch_format="pyarrow")
-        .groupby(out_key)
-        .sum("c")
-    )
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns([out_key, out_count]).set_column(
-            1, out_count, batch.column("sum(c)").cast(pa.int64())
-        )
-
-    return buckets.map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(counts.map_batches(_bucket, batch_format="pyarrow"), out_key, {out_count: ("count", None)})
 
 
 def attach_int_column(
@@ -2557,12 +2401,12 @@ def volume_shipping(
     revenue per (orderkey, supp_nation, year) — the order-group
     combiner that bounds the one fact-fact
     :func:`hash_join` (lineitem partials ⋈ orders) by order count, not
-    line count.  Final rollup is a tiny (2 × 2 × years) groupby."""
+    line count.  Final rollup is a tiny (2 × 2 × years) keyed fold."""
     import datetime
 
     import numpy as np
 
-    from dots_ocr_ray.util import cached_object
+    from dots_ocr_ray.util import bucket_keyed_fold, cached_object
 
     nations = ray.data.read_parquet(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
@@ -2679,7 +2523,7 @@ def volume_shipping(
         )
 
     flows = joined.map_batches(_tag_cust, batch_format="pyarrow")
-    return flows.groupby(["supp_nation", "cust_nation", "year"]).sum("revenue")
+    return bucket_keyed_fold(flows, ["supp_nation", "cust_nation", "year"], {"revenue": ("sum", "revenue")})
 
 
 def small_quantity_revenue(
@@ -2703,7 +2547,7 @@ def small_quantity_revenue(
     shuffle at any point — both passes are read → filter → partial."""
     import numpy as np
 
-    from dots_ocr_ray.util import cached_object
+    from dots_ocr_ray.util import bucket_keyed_fold, cached_object
 
     part = ray.data.read_parquet(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
@@ -2732,24 +2576,20 @@ def small_quantity_revenue(
         sk = cached_object(keys_ref)
         m = _member(batch.column("l_partkey"), sk)
         batch = batch.filter(pa.array(m))
-        t = pa.table(
+        return pa.table(
             {
                 "pk": batch.column("l_partkey").cast(pa.int64()),
                 "q": batch.column("l_quantity").cast(pa.float64()),
             }
         )
-        g = t.group_by("pk").aggregate([("q", "sum"), ([], "count_all")])
-        return g.rename_columns(["pk", "sq", "cq"])
 
     thr = (
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_quantity"]
-        )
-        .map_batches(_pass1, batch_format="pyarrow")
-        .groupby("pk")
-        .aggregate(
-            ray.data.aggregate.Sum(on="sq", alias_name="sq"),
-            ray.data.aggregate.Sum(on="cq", alias_name="cq"),
+        bucket_keyed_fold(
+            ray.data.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_quantity"]).map_batches(
+                _pass1, batch_format="pyarrow"
+            ),
+            "pk",
+            {"sq": ("sum", "q"), "cq": ("count", None)},
         )
         .to_pandas()
         .sort_values("pk")
@@ -3022,16 +2862,9 @@ def waiting_suppliers(
         batch_format="pyarrow",
     )
 
-    counts = (
-        blamed.map_batches(
-            lambda t: t.group_by("rs")
-            .aggregate([([], "count_all")])
-            .rename_columns(["rs", "numwait"]),
-            batch_format="pyarrow",
-        )
-        .groupby("rs")
-        .aggregate(ray.data.aggregate.Sum(on="numwait", alias_name="numwait"))
-    )
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    counts = bucket_keyed_fold(blamed, "rs", {"numwait": ("count", None)})
 
     def _local_topk(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -3123,29 +2956,19 @@ def dormant_rich_customers(
     )
     dormant = anti_join_ids(rich, recent, id_col="c_custkey", id_cols=("o_custkey",))
 
-    def _nation_partial(batch: pa.Table) -> pa.Table:
+    def _cents(batch: pa.Table) -> pa.Table:
         cents = np.round(
             batch.column("c_acctbal").to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        t = pa.table(
-            {
-                "c_nationkey": batch.column("c_nationkey").cast(pa.int64()),
-                "n_cust": pa.array(np.ones(len(cents), np.int64), pa.int64()),
-                "total_cents": pa.array(cents, pa.int64()),
-            }
-        )
-        return (
-            t.group_by("c_nationkey")
-            .aggregate([("n_cust", "sum"), ("total_cents", "sum")])
-            .rename_columns(["c_nationkey", "n_cust", "total_cents"])
-        )
+        return pa.table({"c_nationkey": batch.column("c_nationkey"), "cents": pa.array(cents, pa.int64())})
+
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     per_nation = (
-        dormant.map_batches(_nation_partial, batch_format="pyarrow")
-        .groupby("c_nationkey")
-        .aggregate(
-            ray.data.aggregate.Sum(on="n_cust", alias_name="n_cust"),
-            ray.data.aggregate.Sum(on="total_cents", alias_name="total_cents"),
+        bucket_keyed_fold(
+            dormant.map_batches(_cents, batch_format="pyarrow"),
+            "c_nationkey",
+            {"n_cust": ("count", None), "total_cents": ("sum", "cents")},
         )
         .to_pandas()
         .sort_values("c_nationkey")

@@ -691,10 +691,10 @@ def label_centroid_stats(
     layout-insensitively and the output is bit-identical to the SQL
     mirror — float mean aggregation would be association-order-
     dependent.  Per-batch partial = labels × dims int64 rows (zero-
-    copy ``vec_matrix``), ONE tiny keyed exchange."""
+    copy ``vec_matrix``), ONE tiny keyed fold."""
     import pyarrow.compute as pc
 
-    from dots_ocr_ray.util import vec_matrix
+    from dots_ocr_ray.util import bucket_keyed_fold, vec_matrix
 
     def _partial(batch: pa.Table) -> pa.Table:
         mat = vec_matrix(batch.column(vec_col), dtype=np.float64)
@@ -717,24 +717,11 @@ def label_centroid_stats(
             }
         )
 
-    agg = (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby(["label", "dim"])
-        .sum(["sum_q", "n"])
+    agg = bucket_keyed_fold(
+        ds.map_batches(_partial, batch_format="pyarrow"), ["label", "dim"], {"sum_q": ("sum", "sum_q"), "n": ("sum", "n")}
     )
     out = pa.concat_tables(
-        [
-            pa.table(
-                {
-                    "label": b.column("label").cast(pa.int64()),
-                    "dim": b.column("dim").cast(pa.int64()),
-                    "sum_q": b.column("sum(sum_q)").cast(pa.int64()),
-                    "n": b.column("sum(n)").cast(pa.int64()),
-                }
-            )
-            for b in agg.iter_batches(batch_format="pyarrow")
-            if b.num_rows
-        ]
+        [b for b in agg.iter_batches(batch_format="pyarrow") if b.num_rows]
         or [
             pa.table(
                 {
@@ -955,6 +942,7 @@ def hybrid_rrf(
 
     Output: top-``k`` fused ``(doc_id, rrf_q, rank)``."""
     from dots_ocr_ray.pipelines.text_analysis import bm25_scores
+    from dots_ocr_ray.util import bucket_keyed_fold
     from dots_ocr_ray.util import vec_matrix as _vm
 
     # ---- lexical candidates: micro-int BM25 totals, top-k_cand
@@ -964,15 +952,11 @@ def hybrid_rrf(
         q = np.round(
             batch.column("bm25").to_numpy(zero_copy_only=False) * 10_000.0
         ).astype(np.int64)
-        t = pa.table({id_col: batch.column(id_col), "q": pa.array(q, type=pa.int64())})
-        agg = t.group_by(id_col).aggregate([("q", "sum")])
-        return agg.rename_columns([id_col, "s"])
+        return pa.table({id_col: batch.column(id_col), "q": pa.array(q, type=pa.int64())})
 
     lex_rows = (
-        scored.map_batches(_micro, batch_format="pyarrow")
-        .groupby(id_col)
-        .sum("s")
-        .sort(["sum(s)", id_col], descending=[True, False])
+        bucket_keyed_fold(scored.map_batches(_micro, batch_format="pyarrow"), id_col, {"s": ("sum", "q")})
+        .sort(["s", id_col], descending=[True, False])
         .limit(k_cand)
         .take_all()
     )
@@ -1215,39 +1199,27 @@ def silhouette_by_cluster(
     centroid surrogate).
 
     Same train seam as :func:`kmeans_assign` (deterministic bottom-k
-    hash sample, broadcast centroids); each batch emits bounded
-    (cluster, n, Σs_micro) partials from the shared quantized kernel
-    (:func:`silhouette_terms_matrix`), and the driver's per-cluster
+    hash sample, broadcast centroids); each row's quantized term comes
+    from the shared kernel (:func:`silhouette_terms_matrix`), one keyed
+    fold sums (n, Σs_micro) per cluster, and the driver's per-cluster
     mean is integer floor division — no float crosses rows anywhere."""
     sample = hash_sample_matrix(ds, vec_col=vec_col, id_col=id_col, n=train_sample)
     centroids = train_kmeans(sample, n_clusters, kmeans_iters)
     centroids_ref = ray.put(centroids)
 
-    from dots_ocr_ray.util import cached_object, vec_matrix
+    from dots_ocr_ray.util import bucket_keyed_fold, cached_object, vec_matrix
 
     def _partials(batch: pa.Table) -> pa.Table:
         cents = cached_object(centroids_ref)
         mat = vec_matrix(batch.column(vec_col), dtype=np.float32)
         cid, s_micro = silhouette_terms_matrix(mat, cents)
-        uniq, inv = np.unique(cid, return_inverse=True)
-        n = np.zeros(len(uniq), np.int64)
-        ssum = np.zeros(len(uniq), np.int64)
-        np.add.at(n, inv, 1)
-        np.add.at(ssum, inv, s_micro)
-        return pa.table(
-            {
-                "cluster_id": pa.array(uniq.astype(np.int32), pa.int32()),
-                "n": pa.array(n, pa.int64()),
-                "ssum": pa.array(ssum, pa.int64()),
-            }
-        )
+        return pa.table({"cluster_id": pa.array(cid, pa.int64()), "s": pa.array(s_micro, pa.int64())})
 
     folded = (
-        ds.map_batches(_partials, batch_format="pyarrow")
-        .groupby("cluster_id")
-        .aggregate(
-            ray.data.aggregate.Sum(on="n", alias_name="n"),
-            ray.data.aggregate.Sum(on="ssum", alias_name="ssum"),
+        bucket_keyed_fold(
+            ds.map_batches(_partials, batch_format="pyarrow"),
+            "cluster_id",
+            {"n": ("count", None), "ssum": ("sum", "s")},
         )
         .to_pandas()
         .sort_values("cluster_id")

@@ -18,10 +18,10 @@ host-scoped and over DOM blocks, pre-serialization).
 Scale shape (3 streaming passes over pages, segmentation recomputed
 rather than block text shipped — CPU is local, exchanges are not):
 
-1. count pass — per-batch partials ``(is_host, key, host_key, n)``
-   where ``key = blake2b64(host ⊕ category ⊕ text)`` deduped per page,
-   plus one host row per page with ≥1 block → ONE groupby sum whose
-   rows are 32 B regardless of block text size.
+1. count pass — rows ``(is_host, key, host_key)`` where
+   ``key = blake2b64(host ⊕ category ⊕ text)`` deduped per page, plus
+   one host row per page with ≥1 block → ONE keyed fold counting them,
+   whose rows are 32 B regardless of block text size.
 2. threshold — hosts table broadcast under ``host_broadcast_limit``
    (vectorized searchsorted gather), distributed hash_join above it;
    ``frequent`` keeps keys seen on ≥ max(min_pages,
@@ -49,7 +49,6 @@ import ray
 import ray.data
 
 from dots_ocr_ray.util import (
-    bounded_blocks,
     bucket_exchange,
     cached_object,
     sorted_lookup,
@@ -139,61 +138,46 @@ def template_block_strip(
     if not (0 < min_frac_pct <= 100):
         raise ValueError(f"min_frac_pct must be in (0, 100]: {min_frac_pct}")
 
-    def _count_partials(batch: pa.Table) -> pa.Table:
-        urls = batch.column(url_col).to_pylist()
-        htmls = batch.column(html_col).to_pylist()
-        all_keys: list[np.ndarray] = []
-        all_hosts: list[np.ndarray] = []
-        host_pages: dict[int, int] = {}
-        for u, h in zip(urls, htmls):
+    def _page_rows(batch: pa.Table) -> pa.Table:
+        # one row per (page, distinct block key) and one per page
+        keys_out: list[np.ndarray] = []
+        hosts_out: list[np.ndarray] = []
+        page_hosts: list[int] = []
+        for u, h in zip(batch.column(url_col).to_pylist(), batch.column(html_col).to_pylist()):
             host, blocks = _page_blocks(u, h)
             keys = np.unique(_block_keys(host, blocks))  # distinct per PAGE
             if keys.size == 0:
                 continue
             hk = _host_key(host)
-            all_keys.append(keys)
-            all_hosts.append(np.full(keys.size, hk, dtype=np.int64))
-            host_pages[hk] = host_pages.get(hk, 0) + 1
-        if all_keys:
-            flat_keys = np.concatenate(all_keys)
-            flat_hosts = np.concatenate(all_hosts)
-            # batch-level combine: (key, host) pairs → page counts
-            order = np.argsort(flat_keys, kind="stable")
-            sk, sh = flat_keys[order], flat_hosts[order]
-            first = np.concatenate([[True], sk[1:] != sk[:-1]])
-            idx = np.flatnonzero(first)
-            n = np.diff(np.concatenate([idx, [sk.size]]))
-            block_keys, block_hosts, block_n = sk[idx], sh[idx], n
-        else:
-            block_keys = block_hosts = np.empty(0, dtype=np.int64)
-            block_n = np.empty(0, dtype=np.int64)
-        hk_arr = np.fromiter(host_pages.keys(), dtype=np.int64, count=len(host_pages))
-        hn_arr = np.fromiter(host_pages.values(), dtype=np.int64, count=len(host_pages))
+            keys_out.append(keys)
+            hosts_out.append(np.full(keys.size, hk, dtype=np.int64))
+            page_hosts.append(hk)
+        block_keys = np.concatenate(keys_out) if keys_out else np.empty(0, dtype=np.int64)
+        block_hosts = np.concatenate(hosts_out) if hosts_out else np.empty(0, dtype=np.int64)
+        hk_arr = np.array(page_hosts, dtype=np.int64)
         return pa.table(
             {
                 "is_host": pa.array(
-                    np.concatenate(
-                        [np.zeros(block_keys.size, np.int64), np.ones(hk_arr.size, np.int64)]
-                    )
+                    np.concatenate([np.zeros(block_keys.size, np.int64), np.ones(hk_arr.size, np.int64)])
                 ),
                 "key": pa.array(np.concatenate([block_keys, hk_arr])),
                 "host_key": pa.array(np.concatenate([block_hosts, hk_arr])),
-                "n": pa.array(np.concatenate([block_n.astype(np.int64), hn_arr])),
             }
         )
 
-    partials = bounded_blocks(
-        pages.map_batches(_count_partials, batch_format="pyarrow"),
-        rows_per_block=262144,
-    )
-    # ONE exchange for both row kinds; host_key is functionally
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    # ONE fold for both row kinds; host_key is functionally
     # determined by (is_host, key) so the group cardinality is
     # exactly distinct blocks + distinct hosts
-    agg = partials.groupby(["is_host", "key", "host_key"]).sum("n").materialize()
+    agg = bucket_keyed_fold(
+        pages.map_batches(_page_rows, batch_format="pyarrow"),
+        ["is_host", "key", "host_key"],
+        {"n": ("count", None)},
+    ).materialize()
 
     def _split(want_host: int):
         def _fn(batch: pa.Table) -> pa.Table:
-            batch = batch.rename_columns(["is_host", "key", "host_key", "n"])
             return batch.filter(pc.equal(batch.column("is_host"), want_host)).drop_columns(
                 ["is_host"]
             )

@@ -3,8 +3,8 @@ quality scoring, token counting, fingerprinting — the per-document
 annotation ops a training-data pipeline runs at corpus scale.
 
 All are a single stateless vectorizable ``map_batches`` (regexes are
-module-level compiled = warm on every worker); aggregates use the
-partial-then-small-groupby pattern.
+module-level compiled = warm on every worker); aggregates are keyed
+folds (``util.bucket_keyed_fold``).
 """
 
 from __future__ import annotations
@@ -91,15 +91,13 @@ def annotate_documents(
 
 def token_count_by_lang(sf_dir: str) -> ray.data.Dataset:
     """Per-lang token totals (whitespace tokenizer) over documents."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
     annotated = annotate_documents(docs, features=("tokens",))
-    agg = annotated.groupby("lang").sum(["n_tokens_ws", "n_tokens_bpe"])
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        mapping = {"sum(n_tokens_ws)": "sum_tokens_ws", "sum(n_tokens_bpe)": "sum_tokens_bpe"}
-        return batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-
-    return agg.map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(
+        annotated, "lang", {"sum_tokens_ws": ("sum", "n_tokens_ws"), "sum_tokens_bpe": ("sum", "n_tokens_bpe")}
+    )
 
 
 def quality_filter(sf_dir: str) -> ray.data.Dataset:
@@ -118,14 +116,11 @@ def quality_filter(sf_dir: str) -> ray.data.Dataset:
 def lang_id_confusion(sf_dir: str) -> ray.data.Dataset:
     """(declared lang, predicted lang, count) — a confusion table for
     the n-gram language-ID heuristic."""
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
     annotated = annotate_documents(docs, features=("lang",))
-    counts = annotated.groupby(["lang", "lang_pred"]).count()
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["lang", "lang_pred", "n"])
-
-    return counts.map_batches(_rename, batch_format="pyarrow")
+    return bucket_keyed_fold(annotated, ["lang", "lang_pred"], {"n": ("count", None)})
 
 
 def fingerprint_duplicates(sf_dir: str) -> ray.data.Dataset:
@@ -383,10 +378,9 @@ def top_bigrams(
     """Top-k bigram collocations with PMI — the phrase-mining scan run
     before tokenizer/vocab construction.
 
-    ONE read and ONE term-keyed exchange: each batch emits partial
-    counts for unigrams (kind "u"), in-document adjacent bigrams
-    (kind "b"), and two sentinel total rows (kind "tu"/"tb"), all into
-    a single (kind, term) groupby.  Totals therefore ride the same
+    ONE read and ONE term-keyed fold: each batch emits its unigrams
+    (kind "u"), in-document adjacent bigrams (kind "b"), and two
+    sentinel total rows (kind "tu"/"tb"), all summed per (kind, term).  Totals therefore ride the same
     aggregate instead of a second pass.  The driver touches only the
     bounded pieces: top-k bigram rows (sort on the aggregated side +
     limit) and the ≤2k component-token unigram counts (semi-join by
@@ -400,7 +394,7 @@ def top_bigrams(
 
     import ray
 
-    from dots_ocr_ray.util import bounded_blocks, cached_object
+    from dots_ocr_ray.util import bucket_keyed_fold, cached_object
 
     def _partials(batch: pa.Table) -> pa.Table:
         lists = split_whitespace_checked(batch.column(text_col))
@@ -412,42 +406,20 @@ def top_bigrams(
             toks = toks.combine_chunks()
         par_np = parents.to_numpy(zero_copy_only=False)
         n = len(toks)
-        out_terms: list[pa.Array] = []
-        out_kind: list[str] = []
-        out_cnt: list[int] = []
-        # unigram partial counts
-        ucnt = pa.table({"term": toks}).group_by("term").aggregate([([], "count_all")])
         # bigrams: adjacent positions sharing a parent doc
-        if n >= 2:
-            adj = par_np[:-1] == par_np[1:]
-            left = toks.slice(0, n - 1).filter(pa.array(adj))
-            right = toks.slice(1, n - 1).filter(pa.array(adj))
-            bigrams = pc.binary_join_element_wise(left, right, " ")
-            bcnt = (
-                pa.table({"term": bigrams}).group_by("term").aggregate([([], "count_all")])
-            )
-        else:
-            bcnt = pa.table({"term": pa.array([], type=pa.string()), "count_all": pa.array([], type=pa.int64())})
-        nb = int(pc.sum(bcnt.column(1)).as_py() or 0)
+        adj = pa.array(par_np[:-1] == par_np[1:] if n >= 2 else np.zeros(0, bool))
+        left = toks.slice(0, max(n - 1, 0)).filter(adj)
+        right = toks.slice(1, max(n - 1, 0)).filter(adj)
+        bigrams = pc.binary_join_element_wise(left, right, " ")
+        nb = len(bigrams)
         return pa.table(
             {
-                "kind": pa.array(
-                    ["u"] * ucnt.num_rows + ["b"] * bcnt.num_rows + ["tu", "tb"],
-                    type=pa.string(),
+                "kind": pa.concat_arrays(
+                    [pa.repeat("u", n), pa.repeat("b", nb), pa.array(["tu", "tb"])]
                 ),
-                "term": pa.concat_arrays(
-                    [
-                        ucnt.column(0).combine_chunks(),
-                        bcnt.column(0).combine_chunks(),
-                        pa.array(["", ""], type=pa.string()),
-                    ]
-                ),
+                "term": pa.concat_arrays([toks, bigrams, pa.array(["", ""], type=pa.string())]),
                 "n": pa.concat_arrays(
-                    [
-                        ucnt.column(1).cast(pa.int64()).combine_chunks(),
-                        bcnt.column(1).cast(pa.int64()).combine_chunks(),
-                        pa.array([n, nb], type=pa.int64()),
-                    ]
+                    [pa.repeat(1, n + nb).cast(pa.int64()), pa.array([n, nb], type=pa.int64())]
                 ),
             }
         )
@@ -455,18 +427,15 @@ def top_bigrams(
     # materialize once: the aggregate is traversed three times below
     # (totals, top-k bigrams, component unigrams) and is term-level —
     # vocabulary-bounded, far smaller than the corpus
-    agg = (
-        bounded_blocks(ds.map_batches(_partials, batch_format="pyarrow"))
-        .groupby(["kind", "term"])
-        .sum("n")
-        .materialize()
-    )
+    agg = bucket_keyed_fold(
+        ds.map_batches(_partials, batch_format="pyarrow"), ["kind", "term"], {"n": ("sum", "n")}
+    ).materialize()
 
     def _kind(batch: pa.Table, which: str) -> pa.Table:
         return batch.filter(pc.equal(batch.column("kind"), which))
 
     totals = {
-        r["kind"]: r["sum(n)"]
+        r["kind"]: r["n"]
         for r in agg.map_batches(
             lambda b: b.filter(pc.is_in(b.column("kind"), value_set=pa.array(["tu", "tb"]))),
             batch_format="pyarrow",
@@ -474,7 +443,7 @@ def top_bigrams(
     }
     top = (
         agg.map_batches(lambda b: _kind(b, "b"), batch_format="pyarrow")
-        .sort(["sum(n)", "term"], descending=[True, False])
+        .sort(["n", "term"], descending=[True, False])
         .limit(k)
         .take_all()
     )
@@ -487,17 +456,17 @@ def top_bigrams(
         return b.filter(pc.is_in(b.column("term"), value_set=vs))
 
     ucnt = {
-        r["term"]: r["sum(n)"]
+        r["term"]: r["n"]
         for r in agg.map_batches(_components, batch_format="pyarrow").take_all()
     }
     n_uni, n_big = float(totals.get("tu", 0)), float(totals.get("tb", 0))
     bigram_col, n_col, pmi_col = [], [], []
     for r in top:
         a, b = r["term"].split(" ")
-        c_ab = float(r["sum(n)"])
+        c_ab = float(r["n"])
         pmi = np.log((c_ab / n_big) / ((ucnt[a] / n_uni) * (ucnt[b] / n_uni)))
         bigram_col.append(r["term"])
-        n_col.append(int(r["sum(n)"]))
+        n_col.append(int(r["n"]))
         pmi_col.append(round(float(pmi), 4))
     return pa.table(
         {
@@ -609,23 +578,24 @@ def ngram_diversity(
 def _vocab_counts(
     ds: ray.data.Dataset, *, text_col: str, tokenize: bool = True
 ) -> ray.data.Dataset:
-    """(token, sum(n)) vocabulary table: per-batch count partials into
-    ONE vocabulary-bounded keyed exchange — the shared stage behind
-    :func:`fuzzy_vocab_match` and :func:`vocab_edit_pairs`.  With
-    ``tokenize=False`` the column's values are the vocabulary."""
+    """(token, n) vocabulary table: ONE vocabulary-bounded keyed fold —
+    the shared stage behind :func:`fuzzy_vocab_match` and
+    :func:`vocab_edit_pairs`.  With ``tokenize=False`` the column's
+    values are the vocabulary."""
     import pyarrow.compute as pc
 
-    def _tok_partials(batch: pa.Table) -> pa.Table:
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    def _tokens(batch: pa.Table) -> pa.Table:
         if tokenize:
             lists = split_whitespace_checked(batch.column(text_col))
             toks = pc.list_flatten(lists)
         else:
             toks = batch.column(text_col).combine_chunks().cast(pa.string())
         toks = toks.filter(pc.not_equal(toks, ""))  # null mask entries drop too
-        out = pa.table({"token": toks}).group_by("token").aggregate([([], "count_all")])
-        return out.rename_columns(["token", "n"])
+        return pa.table({"token": toks})
 
-    return ds.map_batches(_tok_partials, batch_format="pyarrow").groupby("token").sum("n")
+    return bucket_keyed_fold(ds.map_batches(_tokens, batch_format="pyarrow"), "token", {"n": ("count", None)})
 
 
 def fuzzy_vocab_match(
@@ -665,7 +635,7 @@ def fuzzy_vocab_match(
 
     def _match(batch: pa.Table) -> pa.Table:
         toks = np.asarray(batch.column("token").to_pylist(), dtype=object)
-        counts = batch.column("sum(n)").to_numpy(zero_copy_only=False)
+        counts = batch.column("n").to_numpy(zero_copy_only=False)
         lens = np.fromiter((len(t) for t in toks), dtype=np.int64, count=len(toks))
         p_out, t_out, d_out, n_out = [], [], [], []
         for probe in probes:
@@ -743,7 +713,7 @@ def vocab_edit_pairs(
 
     def _explode(batch: pa.Table) -> pa.Table:
         toks = batch.column("token").to_pylist()
-        counts = batch.column("sum(n)").to_numpy(zero_copy_only=False)
+        counts = batch.column("n").to_numpy(zero_copy_only=False)
         keys_out: list[str] = []
         tok_out: list[str] = []
         n_out: list[int] = []
@@ -927,7 +897,7 @@ def tfidf_top_terms(
 
     1. document frequencies — per-batch DISTINCT (doc, token) explode
        (vectorized: arrow split → dictionary-encode → np.unique on
-       (doc, code) pairs) → ONE token-keyed groupby;
+       (doc, code) pairs) → ONE token-keyed fold;
     2. vocabulary — top ``vocab_size`` tokens by df (ties by token) —
        a BOUNDED table sorted on the aggregated (token-level) side and
        broadcast via ray.put (at larger corpora swap the exact df agg
@@ -945,7 +915,7 @@ def tfidf_top_terms(
 
     import ray
 
-    from dots_ocr_ray.util import cached_object
+    from dots_ocr_ray.util import bucket_keyed_fold, cached_object
 
     n_docs = ds.count()
 
@@ -964,18 +934,14 @@ def tfidf_top_terms(
         codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         return enc.dictionary, doc_np, codes
 
-    def _df_partial(batch: pa.Table) -> pa.Table:
+    def _doc_token_pairs(batch: pa.Table) -> pa.Table:
         vocab, doc_np, codes = _doc_tokens(batch)
         uniq = np.unique(np.stack([doc_np, codes], axis=1), axis=0)
-        t = pa.table({"token": vocab.take(pa.array(uniq[:, 1]))})
-        out = t.group_by("token").aggregate([([], "count_all")])
-        return out.rename_columns(["token", "df"])
+        return pa.table({"token": vocab.take(pa.array(uniq[:, 1]))})
 
-    df_agg = (
-        ds.map_batches(_df_partial, batch_format="pyarrow").groupby("token").sum("df")
-    )
+    df_agg = bucket_keyed_fold(ds.map_batches(_doc_token_pairs, batch_format="pyarrow"), "token", {"df": ("count", None)})
     # token-level result; take only the bounded top-V to the driver
-    top = df_agg.sort(["sum(df)", "token"], descending=[True, False]).limit(vocab_size)
+    top = df_agg.sort(["df", "token"], descending=[True, False]).limit(vocab_size)
     trows = top.take_all()
     if not trows:  # empty/all-whitespace corpus: typed empty, not KeyError
         return ray.data.from_arrow(
@@ -990,7 +956,7 @@ def tfidf_top_terms(
         )
     vtbl = pa.Table.from_pylist(trows)
     vtok = np.asarray(vtbl.column("token").to_pylist(), dtype=object)
-    vdf = np.asarray(vtbl.column("sum(df)").to_pylist(), dtype=np.float64)
+    vdf = np.asarray(vtbl.column("df").to_pylist(), dtype=np.float64)
     order = np.argsort(vtok.astype(str))
     vtok_sorted = vtok[order].astype(str)
     idf_sorted = np.log(float(n_docs) / vdf[order])
@@ -1204,7 +1170,7 @@ def bigram_lm_scores(
       arrays broadcast once (ray.put, per-worker cached), scoring is
       one stateless searchsorted pass, zero additional exchange;
     * above it — fully distributed: per-doc bigram rows hash-join the
-      bigram and unigram tables, then one groupby(id) re-aggregates
+      bigram and unigram tables, then one keyed fold by id re-aggregates
       (3 keyed exchanges, nothing driver-sized).
 
     Tokens and bigrams key on 64-bit hashes (collisions merge counts
@@ -1218,7 +1184,7 @@ def bigram_lm_scores(
         _hash_tokens,
         _tokens_from_batch,
     )
-    from dots_ocr_ray.util import bounded_blocks, cached_object
+    from dots_ocr_ray.util import bucket_keyed_fold, cached_object
 
     _B = np.uint64(GOLDEN64)
 
@@ -1324,7 +1290,7 @@ def bigram_lm_scores(
         return ds.map_batches(_score, batch_format="pyarrow")
 
     # distributed tier: per-doc bigram rows ⨝ bigram counts ⨝ unigram
-    # counts, then one groupby(id) re-aggregation
+    # counts, then one keyed fold by id
     from dots_ocr_ray.pipelines.relational import hash_join
 
     # the w1 hash survives join 1 as a plain int64 passthrough column:
@@ -1379,31 +1345,15 @@ def bigram_lm_scores(
         right_schema=cnt_schema,
     )
 
-    def _lp_partials(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
+    def _logp(batch: pa.Table) -> pa.Table:
         bcnt = batch.column("bcnt").to_numpy(zero_copy_only=False).astype(np.float64)
         ucnt = batch.column("cnt").to_numpy(zero_copy_only=False).astype(np.float64)
         lp = np.log((bcnt + 1.0) / (ucnt + float(n_vocab)))
-        u, inv = np.unique(ids, return_inverse=True)
-        return pa.table(
-            {
-                id_col: pa.array(u, type=pa.int64()),
-                "lp_sum": pa.array(np.bincount(inv, weights=lp), type=pa.float64()),
-                "n": pa.array(np.bincount(inv).astype(np.int64), type=pa.int64()),
-            }
-        )
+        return pa.table({id_col: batch.column(id_col).cast(pa.int64()), "lp": pa.array(lp, type=pa.float64())})
 
-    scored = (
-        bounded_blocks(
-            with_uni.map_batches(_lp_partials, batch_format="pyarrow"),
-            rows_per_block=262144,
-        )
-        .groupby(id_col)
-        .sum(["lp_sum", "n"])
+    scored = bucket_keyed_fold(
+        with_uni.map_batches(_logp, batch_format="pyarrow"), id_col, {"lp_sum": ("sum", "lp"), "n": ("count", None)}
     )
-
-    def _rename_scored(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns([id_col, "lp_sum", "n"])
 
     # docs with < 2 tokens have no scored row: a LEFT join (one more
     # keyed exchange — per-doc rows never touch the driver) restores
@@ -1411,7 +1361,7 @@ def bigram_lm_scores(
     ids_only = ds.select_columns([id_col])
     joined = hash_join(
         ids_only,
-        scored.map_batches(_rename_scored, batch_format="pyarrow"),
+        scored,
         on=id_col,
         how="left",
         left_schema=pa.schema([(id_col, pa.int64())]),
@@ -1475,33 +1425,20 @@ def build_vocab(
     frequent whitespace tokens, id 1..V by (count DESC, token ASC);
     id 0 is reserved for unknowns.
 
-    EXACT counts through one token-keyed exchange (batch-local count
-    partials shrink it to the per-block distinct vocabulary), then the
+    EXACT counts through one token-keyed fold, then the
     top-V reduces through per-block local top-V partials — the driver
     holds V rows per block, never the corpus vocabulary."""
     import pyarrow.compute as pc
 
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _tokens(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(split_whitespace_checked(batch.column(text_col)))
-        toks = toks.filter(pc.not_equal(toks, ""))
-        agg = pa.table({"token": toks}).group_by("token").aggregate([("token", "count")])
-        return pa.table(
-            {
-                "token": agg.column("token"),
-                "n": agg.column("token_count").cast(pa.int64()),
-            }
-        )
+        return pa.table({"token": toks.filter(pc.not_equal(toks, ""))})
 
-    counts = (
-        bounded_blocks(ds.map_batches(_partial, batch_format="pyarrow"))
-        .groupby("token")
-        .sum("n")
-    )
+    counts = bucket_keyed_fold(ds.map_batches(_tokens, batch_format="pyarrow"), "token", {"n": ("count", None)})
 
     def _local_top(batch: pa.Table) -> pa.Table:
-        batch = pa.table({"token": batch.column("token"), "n": batch.column("sum(n)")})
         order = pc.sort_indices(
             batch, sort_keys=[("n", "descending"), ("token", "ascending")]
         )
@@ -1687,14 +1624,12 @@ def host_reputation(
     (whitespace tokens of extracted text).
 
     Scale shape: host parsed from the url with one vectorized
-    ``extract_regex`` pass; per-batch partials keyed (host, lang) →
-    ONE ``groupby(host, lang).sum`` exchange (bounded by hosts ×
-    languages); the per-host fold is a second sum over that bounded
-    table with ``n_langs = sum(1 per surviving (host, lang) row)`` —
-    no per-host Python anywhere, so 10^8 hosts cost two vectorized
+    ``extract_regex`` pass; ONE keyed fold by (host, lang) (bounded by
+    hosts × languages); the per-host fold is a second fold over that
+    bounded table with ``n_langs`` = its row count per host — no
+    per-host Python anywhere, so 10^8 hosts cost two vectorized
     exchanges over bounded tables.
     """
-    import numpy as np
     import pyarrow.compute as pc
 
     annotated = annotate_documents(
@@ -1703,89 +1638,46 @@ def host_reputation(
         features=("tokens_ws", "quality"),
     )
 
-    def _partials(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
+    def _signals(batch: pa.Table) -> pa.Table:
         hosts = pc.extract_regex(
             pc.fill_null(batch.column(url_col), ""), HOST_REGEX
         )
-        host = pc.fill_null(pc.struct_field(hosts, "host"), "")
-        df = pd.DataFrame(
-            {
-                "host": host.to_pandas(),
-                # fill BEFORE the groupby: pandas drops NaN group keys
-                # by default, which would silently vanish null-lang
-                # pages from every count this rollup feeds
-                "lang": pc.fill_null(batch.column("lang"), "").to_pandas(),
-                "fin": pc.equal(batch.column("status"), "finished")
-                .cast(pa.int64())
-                .to_pandas(),
-                "kept": batch.column("quality_keep").cast(pa.int64()).to_pandas(),
-                "tok": batch.column("n_tokens_ws").to_pandas(),
-            }
-        )
-        g = (
-            df.groupby(["host", "lang"], sort=False)
-            .agg(
-                n_pages=("fin", "size"),
-                n_finished=("fin", "sum"),
-                n_quality_kept=("kept", "sum"),
-                sum_tokens=("tok", "sum"),
-            )
-            .reset_index()
-        )
         return pa.table(
             {
-                "host": pa.array(g["host"], type=pa.string()),
-                "lang": pa.array(g["lang"], type=pa.string()),
-                "n_pages": pa.array(g["n_pages"].to_numpy().astype(np.int64)),
-                "n_finished": pa.array(g["n_finished"].to_numpy().astype(np.int64)),
-                "n_quality_kept": pa.array(
-                    g["n_quality_kept"].to_numpy().astype(np.int64)
-                ),
-                "sum_tokens": pa.array(g["sum_tokens"].to_numpy().astype(np.int64)),
+                "host": pc.fill_null(pc.struct_field(hosts, "host"), ""),
+                # a null lang is its own language, as in the oracle
+                "lang": pc.fill_null(batch.column("lang"), ""),
+                "fin": pc.equal(batch.column("status"), "finished").cast(pa.int64()),
+                # a page with no text keeps nothing and adds no tokens
+                "kept": pc.fill_null(batch.column("quality_keep").cast(pa.int64()), 0),
+                "tok": pc.fill_null(batch.column("n_tokens_ws"), 0),
             }
         )
 
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    by_host_lang = (
-        bounded_blocks(annotated.map_batches(_partials, batch_format="pyarrow"))
-        .groupby(["host", "lang"])
-        .sum(["n_pages", "n_finished", "n_quality_kept", "sum_tokens"])
+    by_host_lang = bucket_keyed_fold(
+        annotated.map_batches(_signals, batch_format="pyarrow"),
+        ["host", "lang"],
+        {
+            "n_pages": ("count", None),
+            "n_finished": ("sum", "fin"),
+            "n_quality_kept": ("sum", "kept"),
+            "sum_tokens": ("sum", "tok"),
+        },
     )
-
-    def _lang_one(batch: pa.Table) -> pa.Table:
-        mapping = {
-            "sum(n_pages)": "n_pages",
-            "sum(n_finished)": "n_finished",
-            "sum(n_quality_kept)": "n_quality_kept",
-            "sum(sum_tokens)": "sum_tokens",
-        }
-        batch = batch.rename_columns(
-            [mapping.get(n, n) for n in batch.column_names]
-        ).drop_columns(["lang"])
-        return batch.append_column(
-            "n_langs", pa.array(np.ones(batch.num_rows, np.int64))
-        )
-
-    final = (
-        by_host_lang.map_batches(_lang_one, batch_format="pyarrow")
-        .groupby("host")
-        .sum(["n_pages", "n_finished", "n_quality_kept", "sum_tokens", "n_langs"])
+    # one surviving (host, lang) row per language: n_langs is its count
+    return bucket_keyed_fold(
+        by_host_lang,
+        "host",
+        {
+            "n_pages": ("sum", "n_pages"),
+            "n_finished": ("sum", "n_finished"),
+            "n_quality_kept": ("sum", "n_quality_kept"),
+            "sum_tokens": ("sum", "sum_tokens"),
+            "n_langs": ("count", None),
+        },
     )
-
-    def _rename(batch: pa.Table) -> pa.Table:
-        mapping = {
-            "sum(n_pages)": "n_pages",
-            "sum(n_finished)": "n_finished",
-            "sum(n_quality_kept)": "n_quality_kept",
-            "sum(sum_tokens)": "sum_tokens",
-            "sum(n_langs)": "n_langs",
-        }
-        return batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-
-    return final.map_batches(_rename, batch_format="pyarrow")
 
 
 def host_template_stats(
@@ -1944,10 +1836,12 @@ def bm25_scores(
         total_tokens += r["dl"]
     avgdl = total_tokens / n_docs if n_docs else 1.0
 
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     matches = marked.filter(expr="__stat == False")
     df = {
-        r["term"]: r["count()"]
-        for r in matches.groupby("term").count().take_all()  # ≤ len(probes) rows
+        r["term"]: r["n"]
+        for r in bucket_keyed_fold(matches, "term", {"n": ("count", None)}).take_all()  # ≤ len(probes) rows
     }
 
     def _score(batch: pa.Table) -> pa.Table:
@@ -2398,7 +2292,7 @@ def stemmed_vocab(
 
     Scale shape: per-batch np.unique memoizes the stemmer to DISTINCT
     words (Python cost O(batch vocab), not O(tokens)); one
-    vocab-bounded groupby folds (stem, word) pair counts exactly; a
+    vocab-bounded keyed fold sums (stem, word) pair counts exactly; a
     second bounded fold rolls stems up; the driver holds only a
     running top-``top_n``.  Golden-mirrored sequentially."""
     import re
@@ -2406,6 +2300,7 @@ def stemmed_vocab(
     import numpy as np
 
     from dots_ocr_ray.functions.stem import porter_stem
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     tok_re = re.compile(r"[a-z]+")
 
@@ -2428,31 +2323,22 @@ def stemmed_vocab(
             }
         )
 
-    pair_counts = (
-        docs.map_batches(_pairs, batch_format="pyarrow").groupby("sw").sum("cnt")
-    )
+    pair_counts = bucket_keyed_fold(docs.map_batches(_pairs, batch_format="pyarrow"), "sw", {"cnt": ("sum", "cnt")})
 
     def _split(batch: pa.Table) -> pa.Table:
-        sw = batch.column("sw").to_pylist()
-        stems = [s.split("\x1f", 1)[0] for s in sw]
-        return pa.table(
-            {
-                "stem": pa.array(stems, type=pa.string()),
-                "cnt": batch.column("sum(cnt)").cast(pa.int64()),
-                "forms": pa.array(np.ones(len(sw), dtype=np.int64), type=pa.int64()),
-            }
-        )
+        stems = [s.split("\x1f", 1)[0] for s in batch.column("sw").to_pylist()]
+        return pa.table({"stem": pa.array(stems, type=pa.string()), "cnt": batch.column("cnt")})
 
-    stems = (
-        pair_counts.map_batches(_split, batch_format="pyarrow")
-        .groupby("stem")
-        .sum(["cnt", "forms"])
+    stems = bucket_keyed_fold(
+        pair_counts.map_batches(_split, batch_format="pyarrow"),
+        "stem",
+        {"cnt": ("sum", "cnt"), "forms": ("count", None)},
     )
     # driver fold: O(top_n) memory over the streamed stem table
     best: list[tuple[int, str, int]] = []  # (-cnt, stem, forms) sorted asc
     for b in stems.iter_batches(batch_format="pyarrow"):
         for r in b.to_pylist():
-            best.append((-int(r["sum(cnt)"]), r["stem"], int(r["sum(forms)"])))
+            best.append((-int(r["cnt"]), r["stem"], int(r["forms"])))
         best.sort()
         del best[top_n:]
     return pa.table(
@@ -2492,34 +2378,21 @@ def kn_bigram_probs(
     never the vocabulary, on the driver."""
     import numpy as np
 
-    def _bigram_partials(batch: pa.Table) -> pa.Table:
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    def _bigrams(batch: pa.Table) -> pa.Table:
         pairs: list[str] = []
         for t in batch.column(text_col).to_pylist():
             w = (t or "").split()
             pairs.extend(f"{a}\x1f{b}" for a, b in zip(w, w[1:]))
-        if not pairs:
-            return pa.table(
-                {"bg": pa.array([], type=pa.string()), "n": pa.array([], type=pa.int64())}
-            )
-        uniq, cnt = np.unique(np.array(pairs), return_counts=True)
-        return pa.table(
-            {
-                "bg": pa.array(uniq.tolist(), type=pa.string()),
-                "n": pa.array(cnt.astype(np.int64), type=pa.int64()),
-            }
-        )
+        return pa.table({"bg": pa.array(pairs, type=pa.string())})
 
-    bg = (
-        docs.map_batches(_bigram_partials, batch_format="pyarrow")
-        .groupby("bg")
-        .sum("n")
-        .materialize()
-    )
+    bg = bucket_keyed_fold(docs.map_batches(_bigrams, batch_format="pyarrow"), "bg", {"n": ("count", None)}).materialize()
 
     # driver stream-fold: top_n by (count desc, bigram asc)
     best: list[tuple[int, str]] = []
     for b in bg.iter_batches(batch_format="pyarrow"):
-        for key, cnt in zip(b.column("bg").to_pylist(), b.column("sum(n)").to_pylist()):
+        for key, cnt in zip(b.column("bg").to_pylist(), b.column("n").to_pylist()):
             best.append((-int(cnt), key))
         best.sort()
         del best[top_n:]
@@ -2540,7 +2413,7 @@ def kn_bigram_probs(
         n1l = np.zeros(len(w1s), dtype=np.int64)
         n1r = np.zeros(len(w2s), dtype=np.int64)
         total_types = 0
-        for key, cnt in zip(b2 := batch.column("bg").to_pylist(), batch.column("sum(n)").to_pylist()):
+        for key, cnt in zip(b2 := batch.column("bg").to_pylist(), batch.column("n").to_pylist()):
             a, bword = key.split("\x1f", 1)
             total_types += 1
             i = w1_idx.get(a)
@@ -2613,32 +2486,22 @@ def unigram_sampling_table(
 
     import numpy as np
 
-    def _partials(batch: pa.Table) -> pa.Table:
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    def _tokens(batch: pa.Table) -> pa.Table:
         toks: list[str] = []
         for t in batch.column(text_col).to_pylist():
             toks.extend((t or "").split())
-        if not toks:
-            return pa.table(
-                {"tok": pa.array([], type=pa.string()), "n": pa.array([], type=pa.int64())}
-            )
-        uniq, cnt = np.unique(np.array(toks), return_counts=True)
-        return pa.table(
-            {
-                "tok": pa.array(uniq.tolist(), type=pa.string()),
-                "n": pa.array(cnt.astype(np.int64), type=pa.int64()),
-            }
-        )
+        return pa.table({"tok": pa.array(toks, type=pa.string())})
 
     folded = (
-        docs.map_batches(_partials, batch_format="pyarrow")
-        .groupby("tok")
-        .sum("n")
+        bucket_keyed_fold(docs.map_batches(_tokens, batch_format="pyarrow"), "tok", {"n": ("count", None)})
         .to_pandas()
         .sort_values("tok")
     )
     vocab = [str(t) for t in folded["tok"]]
     w = np.array(
-        [math.floor(1_000_000 * float(c) ** 0.75) for c in folded["sum(n)"]],
+        [math.floor(1_000_000 * float(c) ** 0.75) for c in folded["n"]],
         dtype=np.int64,
     )
     return vocab, np.cumsum(w)
@@ -2794,25 +2657,19 @@ def jw_vocab_pairs(
     O(V²) comparisons by design: cap or block the vocabulary upstream
     (min-count / first-char blocking) when V outgrows the budget —
     stated, not silent."""
-    import numpy as np
 
     import ray as _ray
 
     from dots_ocr_ray.functions.strsim import jaro_winkler_micro
-    from dots_ocr_ray.util import cached_object
+    from dots_ocr_ray.util import bucket_keyed_fold, cached_object
 
-    def _vocab_partials(batch: pa.Table) -> pa.Table:
+    def _tokens(batch: pa.Table) -> pa.Table:
         toks: list[str] = []
         for t in batch.column(text_col).to_pylist():
             toks.extend((t or "").split())
-        return pa.table({"tok": pa.array(sorted(set(toks)), type=pa.string())})
+        return pa.table({"tok": pa.array(toks, type=pa.string())})
 
-    vocab_rows = (
-        docs.map_batches(_vocab_partials, batch_format="pyarrow")
-        .groupby("tok")
-        .count()
-        .to_pandas()
-    )
+    vocab_rows = bucket_keyed_fold(docs.map_batches(_tokens, batch_format="pyarrow"), "tok", {}).to_pandas()
     vocab = sorted(str(t) for t in vocab_rows["tok"])
     if not vocab:
         return pa.table(
@@ -3050,14 +2907,14 @@ def token_burstiness(
     ``DF ≥ min_df`` ranks keyword-like vocabulary without any model.
 
     Scale shape: per-batch (token, tf, df) partials (documents are
-    whole rows, so per-batch df sums exactly) → ONE token-keyed
-    ``groupby.sum`` exchange → per-batch local top-k partials over the
+    whole rows, so per-batch df sums exactly) → ONE token-keyed fold
+    → per-batch local top-k partials over the
     folded vocab table → the driver merges ≤ k × batches rows and
     takes the global top-k (burst DESC, token ASC tie-break — the
     deterministic cutoff the SQL oracle mirrors)."""
     import numpy as np
 
-    from dots_ocr_ray.util import split_whitespace_checked
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     def _partials(batch: pa.Table) -> pa.Table:
         from dots_ocr_ray.pipelines.substring import _tokens_from_batch
@@ -3089,17 +2946,15 @@ def token_burstiness(
             }
         )
 
-    folded = (
-        docs.map_batches(_partials, batch_format="pyarrow")
-        .groupby("token")
-        .sum(["tf", "df"])
+    folded = bucket_keyed_fold(
+        docs.map_batches(_partials, batch_format="pyarrow"), "token", {"tf": ("sum", "tf"), "df": ("sum", "df")}
     )
 
     def _local_top(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        tf = batch.column("sum(tf)").to_numpy(zero_copy_only=False).astype(np.int64)
-        df = batch.column("sum(df)").to_numpy(zero_copy_only=False).astype(np.int64)
+        tf = batch.column("tf").to_numpy(zero_copy_only=False).astype(np.int64)
+        df = batch.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
         keep = df >= min_df
         if not keep.any():
             return pa.table(
@@ -3171,24 +3026,12 @@ def category_diversity(
     number a mixture-rebalancing plan actually cares about).  All
     integer arithmetic, hash-exact.
 
-    Scale shape: per-batch category count partials → one bounded
-    category exchange → four integer scalars on the driver."""
-    import numpy as np
+    Scale shape: one bounded category-keyed fold → four integer
+    scalars on the driver."""
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    def _partials(batch: pa.Table) -> pa.Table:
-        cat = batch.column(category_col).to_numpy(zero_copy_only=False)
-        uniq, cnt = np.unique(cat.astype("U"), return_inverse=False, return_counts=True)
-        return pa.table(
-            {
-                "category": pa.array(uniq.astype(object), type=pa.string()),
-                "n": pa.array(cnt.astype(np.int64), type=pa.int64()),
-            }
-        )
-
-    folded = (
-        ds.map_batches(_partials, batch_format="pyarrow").groupby("category").sum("n")
-    )
-    counts = [int(r["sum(n)"]) for r in folded.take_all()]  # bounded categories
+    folded = bucket_keyed_fold(ds, category_col, {"n": ("count", None)})
+    counts = [int(r["n"]) for r in folded.take_all()]  # bounded categories
     N = sum(counts)
     k = len(counts)
     ssq = sum(c * c for c in counts)

@@ -240,33 +240,19 @@ def bpe_piece_vocab(
     report a tokenizer eval reads next to fertility.
 
     Scale shape: the exploded piece stream never converges anywhere —
-    per-batch ``np.unique`` partials bound the exchange at
-    distinct-pieces-per-batch rows, ONE piece-keyed groupby sums them
-    (vocabulary-bounded, not corpus-bounded), per-block top-k keeps the
+    ONE piece-keyed fold counts it (its per-batch combiner bounds the
+    exchange at distinct-pieces-per-batch rows; vocabulary-bounded,
+    not corpus-bounded), per-block top-k keeps the
     driver merge at k × n_blocks rows."""
     import pyarrow.compute as pc
 
     enc = bpe_encode(ds, merges, text_col=text_col, id_col=id_col)
 
-    def _partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(
-            batch.column("piece").to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {
-                "piece": pa.array(u, type=pa.string()),
-                "cnt": pa.array(c, type=pa.int64()),
-            }
-        )
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    totals = (
-        enc.map_batches(_partial, batch_format="pyarrow")
-        .groupby("piece")
-        .sum("cnt")
-    )
+    totals = bucket_keyed_fold(enc.select_columns(["piece"]), "piece", {"cnt": ("count", None)})
 
-    def _topk(batch: pa.Table) -> pa.Table:
-        t = pa.table({"piece": batch.column("piece"), "cnt": batch.column("sum(cnt)")})
+    def _topk(t: pa.Table) -> pa.Table:
         order = pc.sort_indices(
             t, sort_keys=[("cnt", "descending"), ("piece", "ascending")]
         )

@@ -350,7 +350,7 @@ def events_sliding_agg(
 
     The explode-to-hops form: a vectorized ``map_batches`` replicates
     each row once per covering window (a pure flat map — no state, no
-    shuffle), then ONE groupby over the derived (type, window) key.
+    shuffle), then ONE keyed fold over the derived (type, window) key.
     Window count per row is the constant window/hop, so the explode is
     bounded data amplification, not skew."""
     import numpy as np
@@ -383,27 +383,16 @@ def events_sliding_agg(
                     "value": pa.array(values[idx], type=pa.float64()),
                 }
             )
-            .group_by(["event_type", "window_start"])
-            .aggregate([("value", "sum"), ("value", "count")])
         )
+
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     events = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
-    agg = (
-        events.map_batches(_explode, batch_format="pyarrow")
-        .groupby(["event_type", "window_start"])
-        .sum(["value_sum", "value_count"])
+    return bucket_keyed_fold(
+        events.map_batches(_explode, batch_format="pyarrow"),
+        ["event_type", "window_start"],
+        {"sum_value": ("sum", "value"), "n_events": ("count", None)},
     )
-
-    def _finalize(batch):
-        import pyarrow as pa
-
-        mapping = {"sum(value_sum)": "sum_value", "sum(value_count)": "n_events"}
-        batch = batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
-        return batch.set_column(
-            batch.column_names.index("n_events"), "n_events", batch.column("n_events").cast(pa.int64())
-        )
-
-    return agg.map_batches(_finalize, batch_format="pyarrow")
 
 
 def asof_last_event(
@@ -754,6 +743,8 @@ def funnel_counts(
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from dots_ocr_ray.util import bucket_keyed_fold
+
     n_stages = len(stages)
     stage_of = {s: i for i, s in enumerate(stages)}
 
@@ -809,19 +800,19 @@ def funnel_counts(
             }
         )
 
-    per_depth = (
+    per_depth = bucket_keyed_fold(
         bucket_exchange(
             events.map_batches(_prune, batch_format="pyarrow"),
             user_col,
             _depth_fold,
             num_buckets=256,
             rows_per_block=65536,
-        )
-        .groupby("depth")
-        .sum("n")
+        ),
+        "depth",
+        {"n": ("sum", "n")},
     )
     # bounded: n_stages+1 rows at most
-    rows = {int(r["depth"]): int(r["sum(n)"]) for r in per_depth.take_all()}
+    rows = {int(r["depth"]): int(r["n"]) for r in per_depth.take_all()}
     total = np.zeros(n_stages + 1, dtype=np.int64)
     for d, n in rows.items():
         total[d] = n
@@ -841,51 +832,38 @@ def cohort_retention(sf_dir: str) -> ray.data.Dataset:
     return — the product-analytics staple.
 
     Exchange budget at 10^12 events / 10^9 users:
-    1. per-batch DISTINCT (user_id, week) partials → one multi-key
-       groupby — the input collapses to user-weeks BEFORE any join;
-    2. per-user cohort = built-in vectorized ``groupby.min`` over the
-       user-week table (no per-group Python);
+    1. one DISTINCT (user_id, week) keyed fold — the input collapses
+       to user-weeks BEFORE any join;
+    2. per-user cohort = a ``min`` keyed fold over the user-week table
+       (no per-group Python);
     3. user-week ⋈ cohort via :func:`~.relational.attach_int_column`
        (budget-tiered: broadcast gather while the cohort table fits,
        one bucket-keyed hash-join exchange above — both sides are
        user-cardinality at 10^9 users);
-    4. final (cohort_week, offset) count: per-batch partials into a
-       ≤ weeks² tiny sum.
+    4. final (cohort_week, offset) count: a ≤ weeks² keyed fold.
 
     Output: (cohort_week, offset_weeks, n_users); counts are exact
-    because step 1's groupby makes user-weeks globally distinct.
+    because step 1's fold makes user-weeks globally distinct.
     Weeks travel as INT64 microseconds through every exchange — Ray's
     groupby/sort aggregators round-trip timestamp keys through numpy
     and lose the us unit (timestamp[s] blocks + schema-mismatch
     warnings); the cast back to timestamp happens once at the end."""
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
     from dots_ocr_ray.pipelines.relational import attach_int_column
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     events = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _week(batch: pa.Table) -> pa.Table:
         week = pc.floor_temporal(batch.column("ts"), unit="week").cast(
             pa.timestamp("us")
         ).cast(pa.int64())
-        t = pa.table({"user_id": batch.column("user_id"), "week": week})
-        return t.group_by(["user_id", "week"]).aggregate([])
+        return pa.table({"user_id": batch.column("user_id"), "week": week})
 
-    uw = (
-        events.map_batches(_partial, batch_format="pyarrow")
-        .groupby(["user_id", "week"])
-        .count()
-        .select_columns(["user_id", "week"])
-    )
-
-    def _rename_cohort(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["user_id", "cohort_week"])
-
-    cohort = (
-        uw.groupby("user_id").min("week").map_batches(_rename_cohort, batch_format="pyarrow")
-    )
+    uw = bucket_keyed_fold(events.map_batches(_week, batch_format="pyarrow"), ["user_id", "week"], {})
+    cohort = bucket_keyed_fold(uw, "user_id", {"cohort_week": ("min", "week")})
 
     joined = attach_int_column(
         uw,
@@ -902,29 +880,14 @@ def cohort_retention(sf_dir: str) -> ray.data.Dataset:
         w = batch.column("week").to_numpy(zero_copy_only=False)
         c = batch.column("cohort_week").to_numpy(zero_copy_only=False)
         off = (w - c) // US_PER_WEEK
-        t = pa.table(
-            {
-                "cohort_week": batch.column("cohort_week"),
-                "offset_weeks": pa.array(off, type=pa.int64()),
-                "n": pa.array(np.ones(len(off), np.int64)),
-            }
-        )
-        return t.group_by(["cohort_week", "offset_weeks"]).aggregate([("n", "sum")])
+        return pa.table({"cohort_week": batch.column("cohort_week"), "offset_weeks": pa.array(off, type=pa.int64())})
 
-    agg = (
-        joined.map_batches(_count, batch_format="pyarrow")
-        .groupby(["cohort_week", "offset_weeks"])
-        .sum("n_sum")
+    agg = bucket_keyed_fold(
+        joined.map_batches(_count, batch_format="pyarrow"), ["cohort_week", "offset_weeks"], {"n_users": ("count", None)}
     )
 
     def _finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "cohort_week": batch.column("cohort_week").cast(pa.timestamp("us")),
-                "offset_weeks": batch.column("offset_weeks"),
-                "n_users": batch.column("sum(n_sum)").cast(pa.int64()),
-            }
-        )
+        return batch.set_column(0, "cohort_week", batch.column("cohort_week").cast(pa.timestamp("us")))
 
     return agg.map_batches(_finish, batch_format="pyarrow")
 
@@ -946,8 +909,7 @@ def decayed_counts(
     ``floor(2^(-age/hl) · 1e6)`` int64 BEFORE summing (the micro-unit
     discipline), so per-key totals are integer sums — bit-identical
     to the SQL mirror and to any partitioning.  Two stateless passes:
-    max-timestamp, then per-batch per-key int64 partials into one tiny
-    keyed exchange."""
+    max-timestamp, then one keyed fold of the int64 weights."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -977,7 +939,7 @@ def decayed_counts(
             }
         )
 
-    def _partial(batch: pa.Table, _ref=ref_us) -> pa.Table:
+    def _weights(batch: pa.Table, _ref=ref_us) -> pa.Table:
         us = (
             batch.column(ts_col)
             .cast(pa.timestamp("us"))
@@ -986,36 +948,15 @@ def decayed_counts(
         )
         age_days = (_ref - us) / 86400000000.0
         w = np.floor(np.power(2.0, -age_days / half_life_days) * micro).astype(np.int64)
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, w)
-        ns = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-        return pa.table(
-            {
-                key_col: pa.array(uniq.tolist()),
-                "d": pa.array(sums, type=pa.int64()),
-                "n": pa.array(ns, type=pa.int64()),
-            }
-        )
+        return pa.table({key_col: batch.column(key_col), "w": pa.array(w, type=pa.int64())})
 
-    agg = (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .sum(["d", "n"])
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    agg = bucket_keyed_fold(
+        ds.map_batches(_weights, batch_format="pyarrow"), key_col, {"decayed_micro": ("sum", "w"), "n": ("count", None)}
     )
     out = pa.concat_tables(
-        [
-            pa.table(
-                {
-                    key_col: b.column(key_col),
-                    "decayed_micro": b.column("sum(d)").cast(pa.int64()),
-                    "n": b.column("sum(n)").cast(pa.int64()),
-                }
-            )
-            for b in agg.iter_batches(batch_format="pyarrow")
-            if b.num_rows
-        ]
+        [b for b in agg.iter_batches(batch_format="pyarrow") if b.num_rows]
         or [
             pa.table(
                 {
@@ -1026,9 +967,8 @@ def decayed_counts(
             )
         ]
     )
-    import pyarrow.compute as _pc
 
-    return out.take(_pc.sort_indices(out, sort_keys=[(key_col, "ascending")]))
+    return out.take(pc.sort_indices(out, sort_keys=[(key_col, "ascending")]))
 
 
 def ohlc_bars(
@@ -1407,9 +1347,8 @@ def event_trigrams(
     sequence-mining table one step past the Markov transition counts.
 
     Scale shape: ONE user-keyed exchange; per-group vectorized sort +
-    two shifts emits trigram partials (a user's triples never span
-    groups); bounded trigram table merged with one groupby; min_count
-    bounds the output."""
+    two shifts emits the trigrams (a user's triples never span
+    groups); one keyed fold counts them; min_count bounds the output."""
     import numpy as np
     import pyarrow as pa
 
@@ -1437,45 +1376,29 @@ def event_trigrams(
         order = np.lexsort((e, t, u))
         u, ty = u[order], ty[order]
         if len(u) < 3:
-            return pa.table(
-                {"tri": pa.array([], type=pa.string()), "n": pa.array([], type=pa.int64())}
-            )
+            return pa.table({"tri": pa.array([], type=pa.string())})
         same = (u[2:] == u[1:-1]) & (u[1:-1] == u[:-2])
         tris = np.array(
             [f"{a}\x1f{b}\x1f{c}" for a, b, c in zip(ty[:-2], ty[1:-1], ty[2:])]
         )[same]
-        if not len(tris):
-            return pa.table(
-                {"tri": pa.array([], type=pa.string()), "n": pa.array([], type=pa.int64())}
-            )
-        uniq, cnt = np.unique(tris, return_counts=True)
-        return pa.table(
-            {
-                "tri": pa.array(uniq.tolist(), type=pa.string()),
-                "n": pa.array(cnt.astype(np.int64), type=pa.int64()),
-            }
-        )
+        return pa.table({"tri": pa.array(tris.tolist(), type=pa.string())})
 
-    folded = (
-        bucket_exchange(
-            ds.select_columns([user_col, ts_col, id_col, type_col]).map_batches(
-                _rows, batch_format="pyarrow"
-            ),
-            "u",
-            _fold,
-            num_buckets=64,
-        )
-        .groupby("tri")
-        .sum("n")
-        .to_pandas()
+    from dots_ocr_ray.util import bucket_keyed_fold
+
+    trigrams = bucket_exchange(
+        ds.select_columns([user_col, ts_col, id_col, type_col]).map_batches(_rows, batch_format="pyarrow"),
+        "u",
+        _fold,
+        num_buckets=64,
     )
-    folded = folded[folded["sum(n)"] >= min_count].sort_values("tri")
+    folded = bucket_keyed_fold(trigrams, "tri", {"n": ("count", None)}).to_pandas()
+    folded = folded[folded["n"] >= min_count].sort_values("tri")
     parts = [s.split("\x1f") for s in folded["tri"]]
     return pa.table(
         {
             "t1": pa.array([p[0] for p in parts], type=pa.string()),
             "t2": pa.array([p[1] for p in parts], type=pa.string()),
             "t3": pa.array([p[2] for p in parts], type=pa.string()),
-            "n": pa.array([int(x) for x in folded["sum(n)"]], type=pa.int64()),
+            "n": pa.array([int(x) for x in folded["n"]], type=pa.int64()),
         }
     )

@@ -428,7 +428,9 @@ def _stable_key_hash(col):
     import pyarrow as pa
 
     if pa.types.is_integer(col.type):
-        return _mix64(col.to_numpy(zero_copy_only=False).astype(np.int64), GOLDEN64)
+        # nulls hash as 0: through float64 a large key would hash apart
+        # from itself in a batch without nulls
+        return _mix64(col.fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64), GOLDEN64)
     return pd.util.hash_array(np.asarray(col.to_pylist(), dtype=object))
 
 
@@ -527,6 +529,8 @@ def _fold_table(table, keys: list, aggs: dict):
             out[name] = pa.array(np.diff(np.append(starts, n)), type=pa.int64())
             continue
         vals = table.column(col)
+        if vals.null_count:
+            raise ValueError(f"{op}({col!r}) for {name!r}: the value column has nulls; fill or filter them first")
         typ = pa.float64() if pa.types.is_floating(vals.type) else pa.int64()
         v = vals.to_numpy(zero_copy_only=False).astype(typ.to_pandas_dtype())[order]
         folded = getattr(np, _FOLD_OPS[op]).reduceat(v, starts) if n else v
@@ -542,17 +546,25 @@ def bucket_keyed_fold(
     num_buckets: int = 64,
     rows_per_block: int = 1_048_576,
 ):
-    """``SELECT keys, op(col) AS out ... GROUP BY keys`` as one
-    :func:`bucket_exchange` — Python cost O(num_buckets), never
-    O(distinct keys).
+    """The package's one keyed aggregate: ``SELECT keys, op(col) AS out
+    ... GROUP BY keys`` as one :func:`bucket_exchange` — Python cost
+    O(num_buckets), never O(distinct keys).  Every keyed sum, count,
+    min and max outside this module routes through it.
 
-    ``keys`` is one column name or a list (int or string columns);
+    ``keys`` is one column name or a list; key columns may be integer,
+    string, bool or timestamp, and a null key groups as one key.
     ``aggs`` maps each output column to ``(op, col)`` with ``op`` one
-    of ``"sum"``, ``"min"``, ``"max"`` (over int64 or float64 values)
-    or ``"count"`` (rows per key; ``col`` unused).  An empty ``aggs``
-    is SELECT DISTINCT keys.  Output columns are the keys (signed integer
-    keys as int64) then the ``aggs`` names; counts and integer values are
-    int64, floating values float64.  Values must be non-null.
+    of ``"sum"``, ``"min"``, ``"max"`` (over integer, floating or bool
+    values) or ``"count"`` (rows per key; ``col`` unused).  An empty
+    ``aggs`` is SELECT DISTINCT keys.  Output columns are the keys
+    (signed integer keys as int64) then the ``aggs`` names; counts and
+    integer or bool values are int64, floating values float64.  The
+    output is not key-ordered.
+
+    Nulls: a ``sum``/``min``/``max`` value column holding a null raises
+    ``ValueError`` naming it (SQL skips null values, a numpy fold would
+    read them as garbage), so callers fill or filter them first;
+    ``count`` counts rows, nulls included.
 
     Each input batch is folded first (a combiner: the exchange moves one
     row per distinct key per batch), then each bucket folds the

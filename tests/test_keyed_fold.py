@@ -9,7 +9,7 @@ import pytest
 
 import ray.data
 
-from dots_ocr_ray.util import bucket_exchange, bucket_keyed_fold, key_buckets
+from dots_ocr_ray.util import _fold_table, bucket_exchange, bucket_keyed_fold, key_buckets
 
 _ARROW_OP = {"sum": "sum", "min": "min", "max": "max", "count": "count"}
 
@@ -232,3 +232,99 @@ def test_merge_int_counts_tiers(ray_session):
         got = merge_int_counts(ds, "k", "c", **kw).to_pandas().sort_values("k")
         assert got["k"].tolist() == uniq.tolist()
         assert got["c"].tolist() == want.tolist()
+
+
+def _typed_table(n: int, seed: int) -> pa.Table:
+    """Key and value types the package's keyed aggregates use: timestamp,
+    bool, string and int keys (some null); int32 and float32 values."""
+    rng = np.random.default_rng(seed)
+    day = rng.integers(0, 20, size=n)
+    host = np.array([f"h{x}" for x in rng.integers(0, 9, size=n)], dtype=object)
+    host[rng.random(n) < 0.1] = None
+    lang = rng.integers(0, 4, size=n).astype(np.int64)
+    return pa.table(
+        {
+            "ts": pa.array((day * 86_400_000_000).astype("datetime64[us]")),
+            "flag": pa.array(rng.random(n) < 0.3),
+            "host": pa.array(host.tolist(), type=pa.string()),
+            "lang": pa.array(lang, mask=rng.random(n) < 0.05),
+            "v32": pa.array(rng.integers(-(2**31), 2**31 - 1, size=n).astype(np.int32)),
+            "f32": pa.array((rng.random(n) * 100).astype(np.float32)),
+        }
+    )
+
+
+def _fill_null_keys(t: pa.Table, keys: list) -> pa.Table:
+    for k in keys:
+        col = t.column(k)
+        fill = "<null>" if pa.types.is_string(col.type) else -1
+        if col.null_count:
+            t = t.set_column(t.column_names.index(k), k, col.fill_null(fill))
+    return _sorted(t, keys)
+
+
+TYPED_OPS = {
+    "s": ("sum", "v32"),
+    "lo": ("min", "v32"),
+    "hi": ("max", "v32"),
+    "n": ("count", None),
+    "fs": ("sum", "f32"),
+    "flo": ("min", "f32"),
+    "fhi": ("max", "f32"),
+}
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [["ts"], ["flag"], ["host"], ["lang"], ["ts", "flag"], ["host", "lang"], ["ts", "host", "flag"]],
+)
+def test_fold_key_and_value_types(ray_session, keys):
+    t = _typed_table(4_000, seed=13)
+    got = _fill_null_keys(_fold(ray.data.from_arrow(t).repartition(6), keys, TYPED_OPS, num_buckets=7), keys)
+    # pyarrow 16's multi-column group_by splits a null-key group by the
+    # values under its null slots, so the driver copy gets sentinel keys
+    want = _want(_fill_null_keys(t, keys), keys, TYPED_OPS)
+    assert got.num_rows == want.num_rows
+    for name in keys + ["s", "lo", "hi", "n", "flo", "fhi"]:
+        assert got.column(name).to_pylist() == want.column(name).to_pylist(), name
+    assert got.schema.field("s").type == pa.int64()
+    assert got.schema.field("fs").type == pa.float64()
+    np.testing.assert_allclose(got.column("fs").to_numpy(), want.column("fs").to_numpy(), rtol=1e-5)
+
+
+def test_fold_null_keys_group_as_one(ray_session):
+    t = pa.table({"k": pa.array([1, None, 1, None, 2], pa.int64()), "v": pa.array([1, 2, 3, 4, 5], pa.int64())})
+    got = _fold(ray.data.from_arrow(t).repartition(3), ["k"], {"s": ("sum", "v"), "n": ("count", None)})
+    assert got.column("k").to_pylist() == [1, 2, None]
+    assert got.column("s").to_pylist() == [4, 5, 6]
+    assert got.column("n").to_pylist() == [2, 1, 2]
+
+
+def test_fold_int_key_hash_ignores_nulls_in_batch():
+    """A large int key hashes to the same bucket whether or not its batch
+    also holds nulls (a null-bearing column must not round-trip through
+    float64)."""
+    big = (1 << 60) + 1
+    plain = key_buckets(pa.table({"k": pa.array([big], pa.int64())}), ["k"], 64)
+    mixed = key_buckets(pa.table({"k": pa.array([big, None], pa.int64())}), ["k"], 64)
+    assert plain[0] == mixed[0]
+
+
+@pytest.mark.parametrize("op", ["sum", "min", "max"])
+@pytest.mark.parametrize("typ", [pa.int64(), pa.float64()])
+def test_fold_rejects_null_values(ray_session, op, typ):
+    """Ray's native Sum skips nulls; the fold would read a null int as
+    garbage and a null float as nan, so it refuses them by name."""
+    t = pa.table({"k": pa.array([1, 1], pa.int64()), "price": pa.array([5, None], typ)})
+    with pytest.raises(ValueError, match="price"):
+        _fold_table(t, ["k"], {"out": (op, "price")})
+    # Ray Data re-raises a task's ValueError as a UserCodeException that
+    # carries the original's type and message
+    with pytest.raises(Exception, match=r"ValueError.*'price'"):
+        bucket_keyed_fold(ray.data.from_arrow(t), "k", {"out": (op, "price")}).materialize()
+
+
+def test_fold_counts_rows_with_null_values(ray_session):
+    t = pa.table({"k": pa.array([1, 1], pa.int64()), "price": pa.array([5, None], pa.int64())})
+    got = _fold(ray.data.from_arrow(t), ["k"], {"n": ("count", None)})
+    assert got.column("n").to_pylist() == [2]

@@ -1239,7 +1239,6 @@ def test_volume_shipping_matches_duckdb(ray_session):
     eng = (
         volume_shipping(sf)
         .to_pandas()
-        .rename(columns={"sum(revenue)": "revenue"})
         .sort_values(["supp_nation", "cust_nation", "year"])
         .reset_index(drop=True)
     )

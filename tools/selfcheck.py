@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+import time
 
 import duckdb
 import pandas as pd
@@ -91,21 +92,22 @@ def main() -> None:
                 print(f"unknown queries: {sorted(unknown)}")
             qs = {k: v for k, v in qs.items() if k in only}
     n_pass = n_fail = n_no_oracle = 0
+    sweep_s = 0.0
     for name, fn in qs.items():
+        # engine wall time: the query call plus materializing its result
+        t0 = time.perf_counter()
         try:
             out = fn(sf_dir)
-            if isinstance(out, ray.data.Dataset):
-                eng = out.to_pandas()
-            elif hasattr(out, "to_pandas"):
-                eng = out.to_pandas()
-            else:
-                eng = out
+            eng = out.to_pandas() if hasattr(out, "to_pandas") else out
         except Exception as exc:  # noqa: BLE001
             print(f"{name}: ENGINE ERROR {exc}")
             n_fail += 1
             continue
+        finally:
+            secs = time.perf_counter() - t0
+            sweep_s += secs
         if name not in sqls:
-            print(f"{name}: no_oracle rows={len(eng)}")
+            print(f"{name}: no_oracle rows={len(eng)} ({secs:.2f} s)")
             n_no_oracle += 1
             continue
         try:
@@ -122,7 +124,7 @@ def main() -> None:
         n_pass += ok
         n_fail += not ok
         if not ok:
-            print(f"{name}: FAIL rows={rows}({len(e)}/{len(o)}) schema={schema} hash={hmatch}")
+            print(f"{name}: FAIL rows={rows}({len(e)}/{len(o)}) schema={schema} hash={hmatch} ({secs:.2f} s)")
             if schema and rows:
                 neq = (e != o) & ~(e.isna() & o.isna())
                 bad = neq.any(axis=1)
@@ -132,8 +134,9 @@ def main() -> None:
                 print("  engine:", list(e.columns))
                 print("  oracle:", list(o.columns))
         else:
-            print(f"{name}: ok ({len(e)} rows)")
+            print(f"{name}: ok ({len(e)} rows, {secs:.2f} s)")
     print(f"\nPASS {n_pass}  FAIL {n_fail}  NO_ORACLE {n_no_oracle}")
+    print(f"engine time {sweep_s:.1f} s over {len(qs)} queries")
     ray.shutdown()
 
 

@@ -97,6 +97,7 @@ def main() -> None:
 
     from dots_ocr_ray.pipelines.dedup import cluster_assign
     from dots_ocr_ray.pipelines.graph import kcore, pagerank, triangle_count
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     results: dict[str, float] = {}
 
@@ -141,7 +142,7 @@ def main() -> None:
             lambda t: pa.table({"id": t.column("src")}), batch_format="pyarrow"
         )
         cc = cluster_assign(
-            nodes.groupby("id").count().select_columns(["id"]),
+            bucket_keyed_fold(nodes, "id", {}),
             cc_edges,
             id_col="id",
         )
