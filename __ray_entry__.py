@@ -450,7 +450,7 @@ def _q_domain_stats(sf_dir: str):
 
     pages = pages_from_documents(sf_dir, override_num_blocks=8)
     extracted = extract_pages(pages, batch_size=64)
-    out = metrics_by_domain(extracted, n_salt=8)
+    out = metrics_by_domain(extracted)
     return out.select_columns(["domain", "rows", "ok"])
 
 
@@ -837,8 +837,8 @@ def _q_inbound_anchors(sf_dir: str):
     distinct linking pages, distinct anchor texts and the most-frequent
     anchor — the external-description corpus a search/embedding
     pipeline builds from a crawl.  Bounded (href, anchor) / (href, src)
-    partial-count exchanges; top anchor via sorted_group_first (no
-    per-href Python)."""
+    partial-count exchanges; top anchor by a vectorized segment
+    argmax inside one bucket exchange (no per-href Python)."""
     from dots_ocr_ray.pipelines.graph import inbound_anchor_stats
 
     return inbound_anchor_stats(_q_extract_links(sf_dir))
@@ -872,7 +872,7 @@ def _q_host_reputation(sf_dir: str):
 def _q_host_templates(sf_dir: str):
     """Per-host DOM-template detection over RAW pages (pre-extraction):
     content-blind tag-sequence fingerprints rolled up per host in one
-    sort exchange (pipelines/rollup.py).  Oracle: golden parquet from
+    bucket exchange (pipelines/rollup.py).  Oracle: golden parquet from
     the independent sequential implementation sharing the pure
     fingerprint kernel."""
     from dots_ocr_ray.pipelines.text_analysis import host_template_stats
@@ -3711,9 +3711,9 @@ def _q_recrawl_window_dedup(sf_dir: str):
     """Tumbling-window recrawl dedup: 3 synthetic captures per url
     (t0, +6 h, +30 h) collapse to the FIRST capture per (url, UTC
     day) — the "store at most one copy per url per day" crawl-budget
-    rule.  One range-partitioned sort exchange (sorted_group_first
-    over the composite key), window ids as exact integer µs
-    arithmetic; oracle = ROW_NUMBER over (url, day)."""
+    rule.  One bucket exchange (sorted_group_first over the (url, day)
+    key pair), window ids as exact integer µs arithmetic; oracle =
+    ROW_NUMBER over (url, day)."""
     import datetime
 
     import pyarrow as pa

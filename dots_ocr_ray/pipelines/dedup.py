@@ -99,85 +99,34 @@ corpus row count."""
 # ---------------------------------------------------------------------------
 # exact dedup
 def sorted_group_first(
-    ds: ray.data.Dataset, key_col: str, order_col: str
+    ds: ray.data.Dataset, key_col, order_col: str
 ) -> ray.data.Dataset:
-    """EXACT first-row-per-key (min ``order_col``) without per-group
-    Python: global sort on (key, order) + vectorized per-batch
-    group-start detection.
+    """EXACT first row per key (min ``order_col``), whole rows kept:
+    the ``first`` keyed op.  ``key_col`` is one column name or a list.
 
-    After the range-partitioned sort each batch is a contiguous slice
-    of the global order, so every key group EXCEPT the batch's first
-    and last is fully contained in the batch — its first row IS the
-    global survivor and emits directly.  The ≤2 boundary groups per
-    batch emit one candidate row each into a tiny keyed resolution
-    (O(batches) rows), where min-order-per-key picks the true survivor
-    even when a group spans many batches.  Replaces the one-Python-
-    call-per-distinct-key reduce of ``groupby().map_groups`` (~0.2 ms
-    per group — minutes at corpus-scale distinct cardinality) with two
-    vectorized passes."""
+    One :func:`~dots_ocr_ray.util.bucket_exchange`: each input batch
+    first keeps its own first row per key (a combiner, so a hot key
+    moves one row per batch), then each bucket sorts by (key, order)
+    and keeps every key run's first row — one vectorized pass per
+    bucket, no per-key Python."""
+    from dots_ocr_ray.util import _key_runs
 
-    def _shed_meta(batch: pa.Table) -> pa.Table:
+    keys = [key_col] if isinstance(key_col, str) else list(key_col)
+
+    def _first(table: pa.Table) -> pa.Table:
+        perm, starts = _key_runs(table, keys, [order_col])
+        return table.take(perm[starts])
+
+    def _combine(batch: pa.Table) -> pa.Table:
         # parquet-read blocks carry a `pandas` schema-metadata blob
-        # pyarrow can't hash; Ray's sort-reduce schema dedup then logs
-        # "Failed to hash the schemas" once per merge.  Stripping the
-        # metadata is a zero-copy schema-only op and silences it at
-        # the source.
-        return batch.replace_schema_metadata(None)
+        # that pyarrow can't hash; dropping it here (schema-only, zero
+        # copy) keeps Ray's schema dedup quiet through the exchange
+        return _first(batch.replace_schema_metadata(None))
 
-    sorted_ds = ds.map_batches(_shed_meta, batch_format="pyarrow").sort(
-        [key_col, order_col]
-    )
+    def _fold(group: pa.Table) -> pa.Table:
+        return _first(group).drop_columns(["__bucket"])
 
-    def _mark(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("__boundary", pa.array([], type=pa.bool_()))
-        # defensive local re-sort: batches off a global sort are already
-        # ordered, so this is a near-free merge pass, and it keeps the
-        # group-start logic correct under any within-batch reordering
-        batch = batch.sort_by([(key_col, "ascending"), (order_col, "ascending")])
-        n = batch.num_rows
-        keys = batch.column(key_col)
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        starts = np.ones(n, dtype=bool)
-        if n > 1:
-            starts[1:] = pc.not_equal(keys.slice(1), keys.slice(0, n - 1)).to_numpy(
-                zero_copy_only=False
-            )
-        start_idx = np.flatnonzero(starts)
-        direct_idx = start_idx[1:-1] if len(start_idx) > 2 else np.array([], np.int64)
-        cand_idx = np.unique(start_idx[[0, -1]])
-        return pa.concat_tables(
-            [
-                batch.take(pa.array(direct_idx)).append_column(
-                    "__boundary", pa.array([False] * len(direct_idx), type=pa.bool_())
-                ),
-                batch.take(pa.array(cand_idx)).append_column(
-                    "__boundary", pa.array([True] * len(cand_idx), type=pa.bool_())
-                ),
-            ]
-        )
-
-    marked = sorted_ds.map_batches(_mark, batch_format="pyarrow").materialize()
-
-    def _keep_direct(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.invert(batch.column("__boundary"))).drop_columns(
-            ["__boundary"]
-        )
-
-    def _keep_cand(batch: pa.Table) -> pa.Table:
-        return batch.filter(batch.column("__boundary")).drop_columns(["__boundary"])
-
-    def _first(group: pa.Table) -> pa.Table:
-        return group.sort_by(order_col).slice(0, 1)
-
-    direct = marked.map_batches(_keep_direct, batch_format="pyarrow")
-    resolved = (
-        bounded_blocks(marked.map_batches(_keep_cand, batch_format="pyarrow"))
-        .groupby(key_col)
-        .map_groups(_first, batch_format="pyarrow")
-    )
-    return direct.union(resolved)
+    return bucket_exchange(ds.map_batches(_combine, batch_format="pyarrow"), keys, _fold)
 
 
 def add_content_md5(
@@ -203,9 +152,9 @@ def exact_dedup(
     keep their full rows.
 
     Vectorized hash inside map_batches, then :func:`sorted_group_first`
-    keyed by md5(text) — one range-partitioned sort exchange, uniformly
-    distributed (identical content IS the key), and no per-distinct-
-    text Python reduce."""
+    keyed by md5(text) — one bucket exchange, uniformly distributed
+    (identical content IS the key), and no per-distinct-text Python
+    reduce."""
     return sorted_group_first(add_content_md5(ds, text_col), "content_md5", id_col)
 
 

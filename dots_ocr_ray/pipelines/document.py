@@ -184,14 +184,10 @@ def window_dedup(
     row per url across ALL time).
 
     The window id is exact integer arithmetic (epoch µs floor-divided
-    by the window span), the composite (key, window) group key rides
-    the exchange as one string column, and the survivor is picked by
+    by the window span) and the survivor per (key, window) is picked by
     :func:`~dots_ocr_ray.pipelines.dedup.sorted_group_first` — one
-    range-partitioned sort exchange + vectorized group-start
-    detection, no per-group Python.  Output = surviving rows with a
-    ``win_id`` int64 column appended (helper key dropped)."""
-    import pyarrow.compute as pc
-
+    bucket exchange on the two key columns, no per-group Python.
+    Output = surviving rows with a ``win_id`` int64 column appended."""
     from dots_ocr_ray.pipelines.dedup import sorted_group_first
 
     window_us = window_s * 1_000_000
@@ -207,17 +203,13 @@ def window_dedup(
         window = pa.array(
             ts_us.to_numpy(zero_copy_only=False) // window_us, type=pa.int64()
         )
-        wkey = pc.binary_join_element_wise(
-            batch.column(key_col).cast(pa.string()), pc.cast(window, pa.string()), "\x1f"
-        )
         batch = batch.append_column("win_id", window)
-        batch = batch.append_column("__ts_us", ts_us)
-        return batch.append_column("__wkey", wkey)
+        return batch.append_column("__ts_us", ts_us)
 
     first = sorted_group_first(
-        ds.map_batches(_prep, batch_format="pyarrow"), "__wkey", "__ts_us"
+        ds.map_batches(_prep, batch_format="pyarrow"), [key_col, "win_id"], "__ts_us"
     )
-    return first.drop_columns(["__wkey", "__ts_us"])
+    return first.drop_columns(["__ts_us"])
 
 
 def table_cells_from_pages(
@@ -361,16 +353,14 @@ def aligned_page_pairs(
     )
 
 
-def metrics_by_domain(extracted: ray.data.Dataset, n_salt: int = 16) -> ray.data.Dataset:
-    """Per-domain status/bytes rollup with SALTED keys: hot domains
-    (one domain can hold 30% of a crawl) are split into n_salt
-    sub-groups folded in the exchange, then combined in a second,
-    tiny keyed fold — the hot-key pattern from SURVEY.md §7.3."""
-    import numpy as np
-
+def metrics_by_domain(extracted: ray.data.Dataset) -> ray.data.Dataset:
+    """Per-domain status/bytes rollup: rows, finished rows and input
+    bytes per url domain, as one keyed fold.  A hot domain (one can
+    hold 30% of a crawl) needs no salting: the fold's per-batch
+    combiner collapses it to one row per batch before the exchange."""
     from dots_ocr_ray.util import bucket_keyed_fold
 
-    def _salted(batch: pa.Table) -> pa.Table:
+    def _domains(batch: pa.Table) -> pa.Table:
         from urllib.parse import urlparse
 
         domains = []
@@ -382,21 +372,15 @@ def metrics_by_domain(extracted: ray.data.Dataset, n_salt: int = 16) -> ray.data
         return pa.table(
             {
                 "domain": pa.array(domains, type=pa.string()),
-                "salt": pa.array(np.arange(batch.num_rows) % n_salt, type=pa.int64()),
                 "ok": pc.equal(batch.column("status"), "finished").cast(pa.int64()),
                 "bytes_in": batch.column("bytes_in"),
             }
         )
 
-    salted = bucket_keyed_fold(
-        extracted.map_batches(_salted, batch_format="pyarrow"),
-        ["domain", "salt"],
-        {"rows": ("count", None), "ok": ("sum", "ok"), "bytes_in": ("sum", "bytes_in")},
-    )
     return bucket_keyed_fold(
-        salted,
+        extracted.map_batches(_domains, batch_format="pyarrow"),
         "domain",
-        {"rows": ("sum", "rows"), "ok": ("sum", "ok"), "bytes_in": ("sum", "bytes_in")},
+        {"rows": ("count", None), "ok": ("sum", "ok"), "bytes_in": ("sum", "bytes_in")},
     )
 
 
@@ -414,155 +398,45 @@ def scd2_history(
     where ``valid_to`` is the next change's timestamp (NULL while
     current) and ``version`` numbers a url's content generations.
 
-    Plan: one range-partitioned sort on (url, ts).  Each sorted block
-    collapses its INTERIOR url groups fully vectorized (change-point
-    mask → island starts → numpy gather; zero per-url Python); only a
-    block's first and last url groups — the ≤2 groups that can span a
-    block boundary — divert their raw rows into a keyed fallback
-    (O(blocks) group calls, not O(urls)), the
-    :func:`~dots_ocr_ray.pipelines.windows._sorted_user_apply`
-    discipline applied to a per-group REDUCTION.  At 10^12 captures the
-    sort is the one exchange; everything after it is streaming."""
+    Plan: one :func:`~dots_ocr_ray.util.bucket_exchange` on url; each
+    bucket sorts by (url, ts) and collapses every url fully vectorized
+    (change-point mask → island starts → numpy gather; zero per-url
+    Python)."""
     import numpy as np
-    import pyarrow.compute as pc
 
-    from dots_ocr_ray.util import bounded_blocks
+    from dots_ocr_ray.util import _key_runs, bucket_exchange
 
-    NAT = np.datetime64("NaT")
-    OUT = [
-        (url_col, pa.string()),
-        (key_col, pa.string()),
-        ("valid_from", pa.timestamp("us")),
-        ("valid_to", pa.timestamp("us")),
-        ("n_captures", pa.int64()),
-        ("version", pa.int64()),
-    ]
-    out_names = [n for n, _ in OUT]
-    MARKED = OUT + [(ts_col, pa.timestamp("us")), ("__b", pa.bool_())]
-
-    def _empty_marked() -> pa.Table:
-        return pa.table({n: pa.array([], type=t) for n, t in MARKED})
-
-    def _collapse_np(urls_np, keys_np, ts_np, new_url):
-        """Island collapse over already-sorted arrays → column dict.
-
-        ``new_url`` is the url-boundary mask; returns arrays aligned to
-        islands (change-point runs)."""
-        n = len(ts_np)
+    def _fold(group: pa.Table) -> pa.Table:
+        perm, url_starts = _key_runs(group, [url_col], [ts_col])
+        n = len(perm)
+        rows = pa.array(perm)
+        keys_np = np.asarray(group.column(key_col).take(rows).to_pylist(), dtype=object)
+        ts_np = group.column(ts_col).take(rows).to_numpy()
+        new_url = np.zeros(n, dtype=bool)
+        new_url[url_starts] = True
         chg = new_url.copy()
-        if n > 1:
-            chg[1:] |= keys_np[1:] != keys_np[:-1]
+        chg[1:] |= keys_np[1:] != keys_np[:-1]
         starts = np.flatnonzero(chg)
-        counts = np.diff(np.append(starts, n))
         valid_from = ts_np[starts]
         starts_new_url = new_url[starts]
         # version = island index within its url (islands of one url
         # are contiguous after the sort)
-        url_group = np.cumsum(starts_new_url) - 1
-        first_island_of_url = np.flatnonzero(starts_new_url)
-        version = np.arange(len(starts)) - first_island_of_url[url_group] + 1
-        valid_to = np.empty(len(starts), dtype="datetime64[us]")
-        if len(starts) > 1:
-            valid_to[:-1] = valid_from[1:]
-            valid_to[np.append(starts_new_url[1:], True)] = NAT
-        else:
-            valid_to[:] = NAT
-        return {
-            url_col: urls_np[starts],
-            key_col: keys_np[starts],
-            "valid_from": valid_from,
-            "valid_to": valid_to,
-            "n_captures": counts.astype(np.int64),
-            "version": version.astype(np.int64),
-        }
-
-    def _segment(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty_marked()
-        batch = batch.sort_by([(url_col, "ascending"), (ts_col, "ascending")])
-        n = batch.num_rows
-        urls = batch.column(url_col).combine_chunks()
-        new_url = np.ones(n, dtype=bool)
-        if n > 1:
-            new_url[1:] = np.asarray(
-                pc.not_equal(urls.slice(1, n - 1), urls.slice(0, n - 1))
-            )
-        urls_np = np.asarray(urls.to_pylist(), dtype=object)
-        keys_np = np.asarray(batch.column(key_col).to_pylist(), dtype=object)
-        ts_np = batch.column(ts_col).to_numpy(zero_copy_only=False)
-        interior = (urls_np != urls_np[0]) & (urls_np != urls_np[-1])
-        cols = _collapse_np(
-            urls_np[interior], keys_np[interior], ts_np[interior], new_url[interior]
-        ) if interior.any() else None
-        n_direct = len(cols[url_col]) if cols else 0
-        direct = {
-            url_col: pa.array(cols[url_col] if cols else [], type=pa.string()),
-            key_col: pa.array(cols[key_col] if cols else [], type=pa.string()),
-            "valid_from": pa.array(
-                cols["valid_from"] if cols else np.array([], dtype="datetime64[us]")
-            ),
-            "valid_to": pa.array(
-                cols["valid_to"] if cols else np.array([], dtype="datetime64[us]")
-            ),
-            "n_captures": pa.array(
-                cols["n_captures"] if cols else [], type=pa.int64()
-            ),
-            "version": pa.array(cols["version"] if cols else [], type=pa.int64()),
-            ts_col: pa.array(np.zeros(n_direct, np.int64)).cast(pa.timestamp("us")),
-            "__b": pa.array(np.zeros(n_direct, dtype=bool)),
-        }
-        b = np.flatnonzero(~interior)
-        boundary = {
-            url_col: pa.array(urls_np[b], type=pa.string()),
-            key_col: pa.array(keys_np[b], type=pa.string()),
-            "valid_from": pa.array(ts_np[b]),
-            "valid_to": pa.array(np.full(len(b), NAT, dtype="datetime64[us]")),
-            "n_captures": pa.array(np.zeros(len(b), np.int64)),
-            "version": pa.array(np.zeros(len(b), np.int64)),
-            ts_col: pa.array(ts_np[b]),
-            "__b": pa.array(np.ones(len(b), dtype=bool)),
-        }
-        names = [nm for nm, _ in MARKED]
-        return pa.concat_tables(
-            [pa.table({k: direct[k] for k in names}), pa.table({k: boundary[k] for k in names})]
-        )
-
-    sorted_ds = bounded_blocks(captures).sort([url_col, ts_col])
-    marked = sorted_ds.map_batches(_segment, batch_format="pyarrow").materialize()
-
-    def _keep_direct(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.invert(batch.column("__b"))).select(out_names)
-
-    def _keep_boundary(batch: pa.Table) -> pa.Table:
-        return batch.filter(batch.column("__b")).select([url_col, ts_col, key_col])
-
-    def _fallback(group: pa.Table) -> pa.Table:
-        group = group.sort_by([(url_col, "ascending"), (ts_col, "ascending")])
-        urls_np = np.asarray(group.column(url_col).to_pylist(), dtype=object)
-        keys_np = np.asarray(group.column(key_col).to_pylist(), dtype=object)
-        ts_np = group.column(ts_col).to_numpy(zero_copy_only=False)
-        new_url = np.ones(len(urls_np), dtype=bool)  # one url per group
-        if len(urls_np) > 1:
-            new_url[1:] = urls_np[1:] != urls_np[:-1]
-        cols = _collapse_np(urls_np, keys_np, ts_np, new_url)
+        first_island = np.flatnonzero(starts_new_url)
+        version = np.arange(len(starts)) - first_island[np.cumsum(starts_new_url) - 1] + 1
+        valid_to = np.append(valid_from[1:], valid_from[:1])
+        valid_to[np.append(starts_new_url[1:], True)] = np.datetime64("NaT")
         return pa.table(
             {
-                url_col: pa.array(cols[url_col], type=pa.string()),
-                key_col: pa.array(cols[key_col], type=pa.string()),
-                "valid_from": pa.array(cols["valid_from"]),
-                "valid_to": pa.array(cols["valid_to"]),
-                "n_captures": pa.array(cols["n_captures"], type=pa.int64()),
-                "version": pa.array(cols["version"], type=pa.int64()),
+                url_col: group.column(url_col).take(pa.array(perm[starts])).cast(pa.string()),
+                key_col: pa.array(keys_np[starts], type=pa.string()),
+                "valid_from": pa.array(valid_from),
+                "valid_to": pa.array(valid_to),
+                "n_captures": pa.array(np.diff(np.append(starts, n)), type=pa.int64()),
+                "version": pa.array(version, type=pa.int64()),
             }
         )
 
-    direct = marked.map_batches(_keep_direct, batch_format="pyarrow")
-    resolved = (
-        bounded_blocks(marked.map_batches(_keep_boundary, batch_format="pyarrow"))
-        .groupby(url_col)
-        .map_groups(_fallback, batch_format="pyarrow")
-    )
-    return direct.union(resolved)
+    return bucket_exchange(captures, url_col, _fold)
 
 
 def crawl_diff(

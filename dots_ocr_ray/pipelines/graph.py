@@ -459,20 +459,18 @@ def inbound_anchor_stats(
     tagged table: ``kind=0`` rows are (href, anchor, count) partial
     anchor counts, ``kind=1`` rows are per-batch-distinct (href, src)
     pairs (so a hot target like "/" collapses inside every batch before
-    anything moves).  One range-partitioned sort on
-    (href, kind, key2) then co-locates everything about an href as a
-    contiguous run: every href segment except a batch's first and last
-    is fully contained, and its four stats are computed VECTORIZED
-    (``np.add.reduceat`` sums, segment lengths, masked
-    ``np.maximum.reduceat`` argmax with tie→first-in-anchor-order).
-    The ≤2 boundary segments per batch emit their combined partial rows
-    into a tiny keyed resolution (O(batches × anchors-of-boundary-
-    hrefs) rows).  This replaces the previous 7-exchange plan (two
-    groupbys + sort + two-stage distinct count + two hash joins) with
-    one sort and one bounded resolution groupby — at 10^12 links the
-    sort is the only thing that moves, and the kind=1 half of it is the
-    exact COUNT DISTINCT payload (swap in the HLL sketch from
-    functions/sketches.py when approximate source counts suffice)."""
+    anything moves).  One :func:`~dots_ocr_ray.util.bucket_exchange` on
+    href then puts everything about an href in one bucket; each bucket
+    sorts by (href, kind, key2) and computes every href's four stats
+    VECTORIZED over the runs (``np.add.reduceat`` sums, segment
+    lengths, masked ``np.maximum.reduceat`` argmax with
+    tie→first-in-anchor-order).  This replaces the previous 7-exchange
+    plan (two groupbys + sort + two-stage distinct count + two hash
+    joins) — at 10^12 links the partials are the only thing that
+    moves, and the kind=1 half of them is the exact COUNT DISTINCT
+    payload (swap in the HLL sketch from functions/sketches.py when
+    approximate source counts suffice)."""
+    from dots_ocr_ray.util import _key_runs, _sort_codes
 
     def _partials(batch: pa.Table) -> pa.Table:
         df = batch.select([src_col, dst_col, anchor_col]).to_pandas()
@@ -500,152 +498,43 @@ def inbound_anchor_stats(
             }
         )
 
-    tagged = bounded_blocks(
-        links.map_batches(_partials, batch_format="pyarrow")
-    ).sort(["href", "kind", "key2"])
-
-    OUT_FIELDS = [
-        ("href", pa.string()),
-        ("kind", pa.int8()),
-        ("key2", pa.string()),
-        ("c", pa.int64()),
-        ("n_inbound", pa.int64()),
-        ("n_sources", pa.int64()),
-        ("n_anchors", pa.int64()),
-        ("top_anchor", pa.string()),
-        ("__b", pa.bool_()),
-    ]
-
-    def _empty_marked() -> pa.Table:
-        return pa.table(
-            {name: pa.array([], type=t) for name, t in OUT_FIELDS}
-        )
-
-    def _segment_agg(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty_marked()
-        # defensive local re-sort (cheap merge pass on globally sorted data)
-        batch = batch.sort_by(
-            [("href", "ascending"), ("kind", "ascending"), ("key2", "ascending")]
-        )
-        n = batch.num_rows
-        href = batch.column("href").combine_chunks() if isinstance(
-            batch.column("href"), pa.ChunkedArray
-        ) else batch.column("href")
-        key2 = batch.column("key2").combine_chunks() if isinstance(
-            batch.column("key2"), pa.ChunkedArray
-        ) else batch.column("key2")
-        kind = batch.column("kind").to_numpy(zero_copy_only=False).astype(np.int64)
-        c = batch.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
-
-        new_href = np.ones(n, dtype=bool)
-        new_run = np.ones(n, dtype=bool)
-        if n > 1:
-            same_href = pc.equal(href.slice(1), href.slice(0, n - 1)).to_numpy(
-                zero_copy_only=False
-            )
-            same_key2 = pc.equal(key2.slice(1), key2.slice(0, n - 1)).to_numpy(
-                zero_copy_only=False
-            )
-            same_kind = kind[1:] == kind[:-1]
-            new_href[1:] = ~same_href
-            new_run[1:] = ~(same_href & same_kind & same_key2)
+    def _fold(group: pa.Table) -> pa.Table:
+        # href segments, (kind, key2) ascending inside each; runs of
+        # equal (href, kind, key2)
+        perm, href_starts = _key_runs(group, ["href"], ["kind", "key2"])
+        rows = pa.array(perm)
+        kind = group.column("kind").to_numpy().astype(np.int64)[perm]
+        key2 = _sort_codes(group.column("key2").take(rows))
+        new_href = np.zeros(len(perm), dtype=bool)
+        new_href[href_starts] = True
+        new_run = new_href.copy()
+        new_run[1:] |= (kind[1:] != kind[:-1]) | (key2[1:] != key2[:-1])
         run_starts = np.flatnonzero(new_run)
-        c_run = np.add.reduceat(c, run_starts)
-        take_runs = pa.array(run_starts)
-        h_run = href.take(take_runs)
-        k2_run = key2.take(take_runs)
-        kind_run = kind[run_starts]
+        c_run = np.add.reduceat(group.column("c").to_numpy()[perm], run_starts)
+        k2_run = group.column("key2").take(pa.array(perm[run_starts]))
+        is_anchor = kind[run_starts] == 0
         m = len(run_starts)
 
-        # href segments over the combined runs
         new_seg = new_href[run_starts]
         seg_starts = np.flatnonzero(new_seg)
         seg_id = np.cumsum(new_seg) - 1
-        n_seg = len(seg_starts)
-        is_anchor = kind_run == 0
-
-        n_inbound = np.add.reduceat(np.where(is_anchor, c_run, 0), seg_starts)
-        n_anchors = np.add.reduceat(is_anchor.astype(np.int64), seg_starts)
-        n_sources = np.add.reduceat((~is_anchor).astype(np.int64), seg_starts)
         max_c = np.maximum.reduceat(np.where(is_anchor, c_run, -1), seg_starts)
         cand = is_anchor & (c_run == max_c[seg_id])
-        first_cand = np.minimum.reduceat(
-            np.where(cand, np.arange(m), m), seg_starts
-        )
-
-        direct = np.ones(n_seg, dtype=bool)
-        direct[0] = False
-        direct[-1] = False
-        d_idx = np.flatnonzero(direct)
+        first_cand = np.minimum.reduceat(np.where(cand, np.arange(m), m), seg_starts)
         # a segment with no anchor rows can't appear (every href has at
         # least one link row → one kind-0 partial), but guard the take
-        top_idx = np.where(first_cand[d_idx] < m, first_cand[d_idx], 0)
-        direct_tbl = pa.table(
-            {
-                "href": h_run.take(pa.array(seg_starts[d_idx])),
-                "kind": pa.array(np.zeros(len(d_idx), np.int8), type=pa.int8()),
-                "key2": pa.array([""] * len(d_idx), type=pa.string()),
-                "c": pa.array(np.zeros(len(d_idx), np.int64), type=pa.int64()),
-                "n_inbound": pa.array(n_inbound[d_idx], type=pa.int64()),
-                "n_sources": pa.array(n_sources[d_idx], type=pa.int64()),
-                "n_anchors": pa.array(n_anchors[d_idx], type=pa.int64()),
-                "top_anchor": k2_run.take(pa.array(top_idx)),
-                "__b": pa.array([False] * len(d_idx), type=pa.bool_()),
-            }
-        )
-        b_mask = ~direct[seg_id]
-        b_idx = np.flatnonzero(b_mask)
-        zeros = np.zeros(len(b_idx), np.int64)
-        boundary_tbl = pa.table(
-            {
-                "href": h_run.take(pa.array(b_idx)),
-                "kind": pa.array(kind_run[b_idx].astype(np.int8), type=pa.int8()),
-                "key2": k2_run.take(pa.array(b_idx)),
-                "c": pa.array(c_run[b_idx], type=pa.int64()),
-                "n_inbound": pa.array(zeros, type=pa.int64()),
-                "n_sources": pa.array(zeros, type=pa.int64()),
-                "n_anchors": pa.array(zeros, type=pa.int64()),
-                "top_anchor": pa.array([""] * len(b_idx), type=pa.string()),
-                "__b": pa.array([True] * len(b_idx), type=pa.bool_()),
-            }
-        )
-        return pa.concat_tables([direct_tbl, boundary_tbl])
-
-    marked = tagged.map_batches(_segment_agg, batch_format="pyarrow").materialize()
-
-    def _keep_direct(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.invert(batch.column("__b"))).select(
-            ["href", "n_inbound", "n_sources", "n_anchors", "top_anchor"]
-        )
-
-    def _keep_boundary(batch: pa.Table) -> pa.Table:
-        return batch.filter(batch.column("__b")).select(
-            ["href", "kind", "key2", "c"]
-        )
-
-    def _resolve(group: pa.Table) -> pa.Table:
-        df = group.to_pandas()
-        a = df[df["kind"] == 0].groupby("key2")["c"].sum()
-        srcs = df.loc[df["kind"] == 1, "key2"].nunique()
-        top = a[a == a.max()].index.min() if len(a) else ""
+        top_idx = np.where(first_cand < m, first_cand, 0)
         return pa.table(
             {
-                "href": pa.array([df["href"].iloc[0]], type=pa.string()),
-                "n_inbound": pa.array([int(a.sum())], type=pa.int64()),
-                "n_sources": pa.array([int(srcs)], type=pa.int64()),
-                "n_anchors": pa.array([int(len(a))], type=pa.int64()),
-                "top_anchor": pa.array([top], type=pa.string()),
+                "href": group.column("href").take(pa.array(perm[run_starts[seg_starts]])),
+                "n_inbound": pa.array(np.add.reduceat(np.where(is_anchor, c_run, 0), seg_starts), type=pa.int64()),
+                "n_sources": pa.array(np.add.reduceat((~is_anchor).astype(np.int64), seg_starts), type=pa.int64()),
+                "n_anchors": pa.array(np.add.reduceat(is_anchor.astype(np.int64), seg_starts), type=pa.int64()),
+                "top_anchor": k2_run.take(pa.array(top_idx)),
             }
         )
 
-    direct = marked.map_batches(_keep_direct, batch_format="pyarrow")
-    resolved = (
-        bounded_blocks(marked.map_batches(_keep_boundary, batch_format="pyarrow"))
-        .groupby("href")
-        .map_groups(_resolve, batch_format="pyarrow")
-    )
-    return direct.union(resolved)
+    return bucket_exchange(links.map_batches(_partials, batch_format="pyarrow"), "href", _fold)
 
 
 def frontier_schedule(

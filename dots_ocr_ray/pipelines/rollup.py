@@ -1,4 +1,4 @@
-"""Generic keyed top-rollup in ONE range-partitioned sort exchange.
+"""Generic keyed top-rollup in ONE bucket exchange.
 
 Given partial count rows ``(key, sub, c)`` (callers pre-aggregate per
 batch so hot keys collapse before anything moves), compute per key:
@@ -8,28 +8,22 @@ and ``top_n`` (that count) — the rollup shape shared by inbound-anchor
 stats, per-host template detection, and any "what dominates this key"
 question at crawl scale.
 
-Scale shape (the pattern of :func:`~dots_ocr_ray.pipelines.dedup.
-sorted_group_first`, extended from first-row to sums/counts/argmax):
-one sort on (key, sub) makes every key a contiguous run; each batch
-combines equal (key, sub) runs with ``np.add.reduceat`` and emits
-final vectorized stats for every key segment fully inside the batch.
-Only a batch's first and last segments (≤2 per batch, however many
-batches a hot key spans) fall into a tiny keyed resolution —
-O(batches × subs-of-boundary-keys) rows — so no per-key Python ever
-runs over the full key cardinality.  There is no reference counterpart;
-this generalizes the repo's own exchange-budget discipline.
+Scale shape: one :func:`~dots_ocr_ray.util.bucket_exchange` on key puts
+every key whole in one bucket; each bucket sorts by (key, sub),
+combines equal (key, sub) runs with ``np.add.reduceat`` and computes
+every key's stats vectorized over the key segments — one Python call
+per bucket, never per key.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data
 
-from dots_ocr_ray.util import bounded_blocks
+from dots_ocr_ray.util import _key_runs, _sort_codes, bucket_exchange
 
 
 def keyed_top_rollup(
@@ -41,7 +35,7 @@ def keyed_top_rollup(
 ) -> ray.data.Dataset:
     """``(key, sub, c)`` partial counts → one row per key:
     ``(key, total, n_distinct, top_sub, top_n)``.  Exactly one
-    corpus-sized exchange (the sort); see module docstring."""
+    corpus-sized exchange; see module docstring."""
 
     def _norm(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -52,124 +46,36 @@ def keyed_top_rollup(
             }
         )
 
-    sorted_ds = bounded_blocks(
-        partials.map_batches(_norm, batch_format="pyarrow")
-    ).sort(["key", "sub"])
-
-    OUT = [
-        ("key", pa.string()),
-        ("sub", pa.string()),
-        ("c", pa.int64()),
-        ("total", pa.int64()),
-        ("n_distinct", pa.int64()),
-        ("top_sub", pa.string()),
-        ("top_n", pa.int64()),
-        ("__b", pa.bool_()),
-    ]
-
-    def _segment_agg(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({n: pa.array([], type=t) for n, t in OUT})
-        batch = batch.sort_by([("key", "ascending"), ("sub", "ascending")])
-        n = batch.num_rows
-        key = batch.column("key")
-        sub = batch.column("sub")
-        if isinstance(key, pa.ChunkedArray):
-            key = key.combine_chunks()
-        if isinstance(sub, pa.ChunkedArray):
-            sub = sub.combine_chunks()
-        c = batch.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
-
-        new_key = np.ones(n, dtype=bool)
-        new_run = np.ones(n, dtype=bool)
-        if n > 1:
-            same_key = pc.equal(key.slice(1), key.slice(0, n - 1)).to_numpy(
-                zero_copy_only=False
-            )
-            same_sub = pc.equal(sub.slice(1), sub.slice(0, n - 1)).to_numpy(
-                zero_copy_only=False
-            )
-            new_key[1:] = ~same_key
-            new_run[1:] = ~(same_key & same_sub)
+    def _fold(group: pa.Table) -> pa.Table:
+        # key segments, sub ascending inside each; runs of equal (key, sub)
+        perm, key_starts = _key_runs(group, ["key"], ["sub"])
+        sub = _sort_codes(group.column("sub").take(pa.array(perm)))
+        key_start = np.zeros(len(perm), dtype=bool)
+        key_start[key_starts] = True
+        new_run = key_start.copy()
+        new_run[1:] |= sub[1:] != sub[:-1]
         run_starts = np.flatnonzero(new_run)
-        c_run = np.add.reduceat(c, run_starts)
-        k_run = key.take(pa.array(run_starts))
-        s_run = sub.take(pa.array(run_starts))
+        c_run = np.add.reduceat(group.column("c").to_numpy()[perm], run_starts)
+        rows = pa.array(perm[run_starts])
+        k_run = group.column("key").take(rows)
+        s_run = group.column("sub").take(rows)
         m = len(run_starts)
 
-        new_seg = new_key[run_starts]
+        new_seg = key_start[run_starts]
         seg_starts = np.flatnonzero(new_seg)
         seg_id = np.cumsum(new_seg) - 1
-        n_seg = len(seg_starts)
 
-        total = np.add.reduceat(c_run, seg_starts)
-        n_distinct = np.add.reduceat(np.ones(m, np.int64), seg_starts)
         max_c = np.maximum.reduceat(c_run, seg_starts)
         cand = c_run == max_c[seg_id]
-        first_cand = np.minimum.reduceat(
-            np.where(cand, np.arange(m), m), seg_starts
-        )
-
-        direct = np.ones(n_seg, dtype=bool)
-        direct[0] = False
-        direct[-1] = False
-        d_idx = np.flatnonzero(direct)
-        direct_tbl = pa.table(
-            {
-                "key": k_run.take(pa.array(seg_starts[d_idx])),
-                "sub": pa.array([""] * len(d_idx), type=pa.string()),
-                "c": pa.array(np.zeros(len(d_idx), np.int64), type=pa.int64()),
-                "total": pa.array(total[d_idx], type=pa.int64()),
-                "n_distinct": pa.array(n_distinct[d_idx], type=pa.int64()),
-                "top_sub": s_run.take(pa.array(first_cand[d_idx])),
-                "top_n": pa.array(max_c[d_idx], type=pa.int64()),
-                "__b": pa.array([False] * len(d_idx), type=pa.bool_()),
-            }
-        )
-        b_idx = np.flatnonzero(~direct[seg_id])
-        zeros = np.zeros(len(b_idx), np.int64)
-        boundary_tbl = pa.table(
-            {
-                "key": k_run.take(pa.array(b_idx)),
-                "sub": s_run.take(pa.array(b_idx)),
-                "c": pa.array(c_run[b_idx], type=pa.int64()),
-                "total": pa.array(zeros, type=pa.int64()),
-                "n_distinct": pa.array(zeros, type=pa.int64()),
-                "top_sub": pa.array([""] * len(b_idx), type=pa.string()),
-                "top_n": pa.array(zeros, type=pa.int64()),
-                "__b": pa.array([True] * len(b_idx), type=pa.bool_()),
-            }
-        )
-        return pa.concat_tables([direct_tbl, boundary_tbl])
-
-    marked = sorted_ds.map_batches(_segment_agg, batch_format="pyarrow").materialize()
-
-    def _keep_direct(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.invert(batch.column("__b"))).select(
-            ["key", "total", "n_distinct", "top_sub", "top_n"]
-        )
-
-    def _keep_boundary(batch: pa.Table) -> pa.Table:
-        return batch.filter(batch.column("__b")).select(["key", "sub", "c"])
-
-    def _resolve(group: pa.Table) -> pa.Table:
-        df = group.to_pandas()
-        agg = df.groupby("sub")["c"].sum()
-        top = agg[agg == agg.max()].index.min()
+        first_cand = np.minimum.reduceat(np.where(cand, np.arange(m), m), seg_starts)
         return pa.table(
             {
-                "key": pa.array([df["key"].iloc[0]], type=pa.string()),
-                "total": pa.array([int(agg.sum())], type=pa.int64()),
-                "n_distinct": pa.array([int(len(agg))], type=pa.int64()),
-                "top_sub": pa.array([top], type=pa.string()),
-                "top_n": pa.array([int(agg.max())], type=pa.int64()),
+                "key": k_run.take(pa.array(seg_starts)),
+                "total": pa.array(np.add.reduceat(c_run, seg_starts), type=pa.int64()),
+                "n_distinct": pa.array(np.diff(np.append(seg_starts, m)), type=pa.int64()),
+                "top_sub": s_run.take(pa.array(first_cand)),
+                "top_n": pa.array(max_c, type=pa.int64()),
             }
         )
 
-    direct = marked.map_batches(_keep_direct, batch_format="pyarrow")
-    resolved = (
-        bounded_blocks(marked.map_batches(_keep_boundary, batch_format="pyarrow"))
-        .groupby("key")
-        .map_groups(_resolve, batch_format="pyarrow")
-    )
-    return direct.union(resolved)
+    return bucket_exchange(partials.map_batches(_norm, batch_format="pyarrow"), "key", _fold)

@@ -1700,7 +1700,7 @@ def host_template_stats(
     Scale shape: fingerprinting streams (regex scan per page, the same
     per-row cost class as extraction); each batch pre-aggregates
     (host, fingerprint) counts, then :func:`~dots_ocr_ray.pipelines.
-    rollup.keyed_top_rollup` finishes in ONE sort exchange over the
+    rollup.keyed_top_rollup` finishes in ONE bucket exchange over the
     bounded partial-count table — no per-host Python at 10^8-host
     cardinality."""
     import pyarrow.compute as pc

@@ -294,10 +294,11 @@ def quiet_ray_data_schema_warnings() -> None:
     :func:`make_quiet_hook` as the worker_process_setup_hook as well
     for workers that pre-date the env (idempotent belt-and-braces).
 
-    Exchange paths that we own strip the metadata at the source instead
-    (see ``dedup.sorted_group_first``); this covers the long tail of
-    reads whose ``count()`` fast path a blanket strip-map would
-    destroy."""
+    An exchange that carries whole parquet rows can strip the metadata
+    at the source instead (``dedup.sorted_group_first`` does it in its
+    per-batch combiner, in front of its bucket exchange); this covers
+    the long tail of reads whose ``count()`` fast path a blanket
+    strip-map would destroy."""
     import logging
     import os
 
@@ -502,6 +503,43 @@ def _sort_codes(col):
     return enc.indices.to_numpy().astype(np.int64)
 
 
+def _order_codes(col):
+    """A numpy array that sorts like ``col`` ascending, nulls last: the
+    int64 values of a null-free integer or timestamp column, else
+    Arrow's dense rank."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if (pa.types.is_integer(col.type) or pa.types.is_timestamp(col.type)) and not col.null_count:
+        return col.cast(pa.int64()).to_numpy().astype(np.int64)
+    return pc.rank(col, sort_keys="ascending", null_placement="at_end", tiebreaker="dense").to_numpy()
+
+
+def _key_runs(table, keys: list, order: list = ()):
+    """Stable sort of ``table`` by ``keys``, then by the ``order``
+    columns ascending within each key: ``(perm, starts)``, the row
+    permutation and the sorted positions where a new key begins.
+
+    Keys sort by :func:`_sort_codes` (equal keys adjacent, key order
+    unspecified); order columns by value.  The sort and run-start body
+    of :func:`_fold_table` and of every per-key fold that runs inside
+    :func:`bucket_exchange`."""
+    import numpy as np
+
+    codes = [_sort_codes(table.column(k)) for k in keys]
+    cols = codes + [_order_codes(table.column(c)) for c in order]
+    perm = np.argsort(cols[0], kind="stable") if len(cols) == 1 else np.lexsort(cols[::-1])
+    new = np.zeros(table.num_rows, dtype=bool)
+    new[:1] = True
+    for c in codes:
+        c = c[perm]
+        new[1:] |= c[1:] != c[:-1]
+    return perm, np.flatnonzero(new)
+
+
 def _fold_table(table, keys: list, aggs: dict):
     """The fold body of :func:`bucket_keyed_fold` on one pyarrow table:
     stable sort by ``keys``, then one numpy ``reduceat`` per aggregate
@@ -512,14 +550,7 @@ def _fold_table(table, keys: list, aggs: dict):
     import pyarrow as pa
 
     n = table.num_rows
-    codes = [_sort_codes(table.column(k)) for k in keys]
-    order = np.argsort(codes[0], kind="stable") if len(codes) == 1 else np.lexsort(codes[::-1])
-    new = np.zeros(n, dtype=bool)
-    new[:1] = True
-    for c in codes:
-        c = c[order]
-        new[1:] |= c[1:] != c[:-1]
-    starts = np.flatnonzero(new)
+    order, starts = _key_runs(table, keys)
     out = {}
     for k in keys:
         col = table.column(k).take(order[starts])

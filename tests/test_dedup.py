@@ -218,9 +218,10 @@ def test_attach_distributed_path_tolerates_duplicate_pairs(ray_session):
 
 
 def test_sorted_group_first_exact(ray_session):
-    """sorted_group_first must equal groupby().map_groups(first) on a
-    duplicate-heavy corpus whose groups span many blocks (boundary
-    candidates resolved exactly — no duplicate or missing survivors)."""
+    """sorted_group_first must equal a pandas first-per-key on a
+    shuffled, duplicate-heavy corpus whose keys span many blocks (no
+    duplicate or missing survivors), and give no rows on an empty
+    input."""
     import numpy as np
 
     from dots_ocr_ray.pipelines.dedup import sorted_group_first
@@ -228,7 +229,7 @@ def test_sorted_group_first_exact(ray_session):
     rng = np.random.RandomState(3)
     keys = [f"k{rng.randint(0, 40):03d}" for _ in range(5000)]  # ~125 rows/key
     rows = [{"k": k, "doc_id": i, "v": i * 2} for i, k in enumerate(keys)]
-    ds = ray.data.from_items(rows).repartition(16)
+    ds = ray.data.from_items(rows).random_shuffle(seed=5).repartition(16)
     out = sorted_group_first(ds, "k", "doc_id").to_pandas().sort_values("k").reset_index(drop=True)
     expect = (
         ds.to_pandas()
@@ -239,6 +240,7 @@ def test_sorted_group_first_exact(ray_session):
         .reset_index(drop=True)
     )
     assert out[["k", "doc_id", "v"]].equals(expect[["k", "doc_id", "v"]])
+    assert sorted_group_first(ds.limit(0), "k", "doc_id").count() == 0
 
 
 def test_semi_join_ids_tiers_match(ray_session):

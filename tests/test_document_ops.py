@@ -40,7 +40,8 @@ def test_latest_page_per_url(ray_session):
     assert out[out.url == "u1"].iloc[0].html == b"new"
 
 
-def test_metrics_by_domain_salted(ray_session):
+def test_metrics_by_domain(ray_session):
+    """A hot domain (half the rows) folds to one exact row."""
     rows = []
     for i in range(100):
         domain = "hot.example.com" if i % 2 == 0 else f"site-{i % 5}.org"
@@ -51,7 +52,7 @@ def test_metrics_by_domain_salted(ray_session):
                 "bytes_in": 100,
             }
         )
-    out = metrics_by_domain(ray.data.from_items(rows), n_salt=4).to_pandas()
+    out = metrics_by_domain(ray.data.from_items(rows)).to_pandas()
     hot = out[out.domain == "hot.example.com"].iloc[0]
     assert hot.rows == 50
     assert hot.bytes_in == 5000
@@ -149,9 +150,9 @@ def _scd2_pandas_oracle(rows):
 
 
 def test_scd2_history_matches_sequential_mirror(ray_session):
-    """Many captures per url across MANY small blocks (forces url
-    groups to span block boundaries → the keyed fallback path) must
-    equal the sequential mirror exactly."""
+    """Many captures per url across MANY small, shuffled blocks (every
+    url spread over several blocks) must equal the sequential mirror
+    exactly; an empty capture table gives no rows."""
     import pyarrow as pa
     import ray.data
 
@@ -188,6 +189,7 @@ def test_scd2_history_matches_sequential_mirror(ray_session):
             assert g.valid_to is None or str(g.valid_to) == "NaT"
         else:
             assert g.valid_to.value // 1000 == e["valid_to"]
+    assert scd2_history(ray.data.from_arrow(tbl.slice(0, 0))).count() == 0
 
 
 def test_scd2_history_single_url_and_empty(ray_session):

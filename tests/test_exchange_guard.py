@@ -11,7 +11,12 @@ appear only in ``util.py`` and at the ``AGG_ALLOWED`` sites, each with
 a comment saying why it is not ``util.bucket_keyed_fold``; pandas
 calls (which carry ``sort=`` or ``as_index=``) are skipped.  The 64-bit
 golden-ratio constant is spelled out only in ``util.py``
-(``util.GOLDEN64``).  Scans the package and ``__ray_entry__.py``.
+(``util.GOLDEN64``).  A Dataset ``groupby(<key>).map_groups(...)``
+on any other key than ``"__bucket"`` (a per-key Python fold) may appear
+only in ``util.py`` and at the ``RAW_KEY_ALLOWED`` sites, and the
+per-key scans that sort each key's rows (``ONE_EXCHANGE``) each run
+exactly one ``bucket_exchange``, with no Dataset sort and no raw-key
+fold.  Scans the package and ``__ray_entry__.py``.
 """
 
 import ast
@@ -46,6 +51,95 @@ ALLOWED = {
 # package routes through util.bucket_keyed_fold, so none is allowed
 AGG_ALLOWED: set = set()
 _AGG_METHODS = {"sum", "count", "min", "max", "mean", "aggregate"}
+
+# (file, top-level function, reason): raw-key groupby(k).map_groups
+# folds outside util.py
+RAW_KEY_ALLOWED = {
+    (
+        "dots_ocr_ray/pipelines/windows.py",
+        "window_distinct_users",
+        "keys are time windows, a bounded set; one distinct count per window",
+    ),
+    (
+        "dots_ocr_ray/pipelines/windows.py",
+        "ohlc_bars",
+        "per-(key, bar) merge of per-batch OHLC partials in pandas; open: one vectorized bucket fold",
+    ),
+    (
+        "dots_ocr_ray/pipelines/dedup.py",
+        "embedding_dedup",
+        "LSH bucket: the per-key work is pairwise cosine over the bucket's members",
+    ),
+    (
+        "dots_ocr_ray/pipelines/dedup.py",
+        "snm_dedup",
+        "rank pass over at most 256 first-byte range buckets with broadcast offsets",
+    ),
+    (
+        "dots_ocr_ray/pipelines/packing.py",
+        "global_shuffle_index",
+        "rank pass over at most 256 md5-prefix buckets with broadcast offsets",
+    ),
+    (
+        "dots_ocr_ray/pipelines/packing.py",
+        "pack_sequences",
+        "per-key packer: sequential token cumsum over each key's documents",
+    ),
+    (
+        "dots_ocr_ray/pipelines/packing.py",
+        "rebalance_mixture",
+        "per-key packer: md5-order copy assignment over a bounded set of mixture keys",
+    ),
+    (
+        "dots_ocr_ray/pipelines/packing.py",
+        "temperature_mixture",
+        "per-key packer: md5-order copy assignment over a bounded set of mixture keys",
+    ),
+    (
+        "dots_ocr_ray/pipelines/packing.py",
+        "write_bytes_balanced_shards",
+        "one group per output shard: the fold writes that shard's file",
+    ),
+    (
+        "dots_ocr_ray/pipelines/text_analysis.py",
+        "ngram_diversity",
+        "HLL register merge per n-gram order, a handful of keys",
+    ),
+    (
+        "dots_ocr_ray/pipelines/profile.py",
+        "profile_table",
+        "one group per column of the profiled table",
+    ),
+    (
+        "dots_ocr_ray/pipelines/profile.py",
+        "winsorized_stats",
+        "order statistics per group over a bounded group set (event types, languages)",
+    ),
+    (
+        "dots_ocr_ray/pipelines/similarity.py",
+        "semdedup_prune",
+        "per-cluster pairwise similarity over k-means clusters",
+    ),
+    (
+        "dots_ocr_ray/functions/sketches.py",
+        "grouped_approx_distinct",
+        "HLL register-blob merge per key; open: one vectorized bucket fold",
+    ),
+}
+
+# (file, top-level function) → the one exchange call of each sorted
+# per-key scan: bucket_exchange, or the window scaffold that wraps it
+ONE_EXCHANGE = {
+    ("dots_ocr_ray/pipelines/dedup.py", "sorted_group_first"): "bucket_exchange",
+    ("dots_ocr_ray/pipelines/rollup.py", "keyed_top_rollup"): "bucket_exchange",
+    ("dots_ocr_ray/pipelines/document.py", "scd2_history"): "bucket_exchange",
+    ("dots_ocr_ray/pipelines/graph.py", "inbound_anchor_stats"): "bucket_exchange",
+    ("dots_ocr_ray/pipelines/windows.py", "_sorted_user_apply"): "bucket_exchange",
+    ("dots_ocr_ray/pipelines/windows.py", "sessionize"): "_sorted_user_apply",
+    ("dots_ocr_ray/pipelines/windows.py", "user_event_sequence"): "_sorted_user_apply",
+    ("dots_ocr_ray/pipelines/windows.py", "event_gaps"): "_sorted_user_apply",
+    ("dots_ocr_ray/pipelines/windows.py", "late_event_audit"): "_sorted_user_apply",
+}
 _RAY_AGG_NAME = re.compile(r"^(sum|count|min|max|mean|std)\([^()]*\)$")
 
 
@@ -179,3 +273,77 @@ def test_aggregate_guard_sees_the_patterns():
         "    return a, b, c, d, e\n"
     )
     assert _aggregate_hits(ast.parse(src)) == [2, 3, 6, 7]
+
+
+def _raw_key_hits(tree: ast.AST) -> list:
+    """Line of every ``groupby(<key>).map_groups(...)`` call in ``tree``
+    whose key is not the literal ``"__bucket"``."""
+    hits = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "map_groups"
+            and isinstance(node.func.value, ast.Call)
+            and isinstance(node.func.value.func, ast.Attribute)
+            and node.func.value.func.attr == "groupby"
+        ):
+            args = node.func.value.args
+            if not (args and isinstance(args[0], ast.Constant) and args[0].value == "__bucket"):
+                hits.append(node.lineno)
+    return sorted(hits)
+
+
+def _raw_key_sites():
+    sites = []
+    for rel in _sources():
+        with open(os.path.join(ROOT, rel)) as f:
+            tree = ast.parse(f.read())
+        sites += [(rel, _top_level_function(tree, ln), ln) for ln in _raw_key_hits(tree)]
+    return sites
+
+
+def test_raw_key_folds_only_at_allowlist():
+    allowed = {(f, fn) for f, fn, _ in RAW_KEY_ALLOWED}
+    outside = [
+        (rel, fn, ln)
+        for rel, fn, ln in _raw_key_sites()
+        if rel != "dots_ocr_ray/util.py" and (rel, fn) not in allowed
+    ]
+    assert not outside, f"raw-key map_groups folds; route them through util.bucket_exchange: {outside}"
+    assert not allowed & set(ONE_EXCHANGE)
+
+
+def test_raw_key_allowlist_has_no_stale_entries():
+    present = {(rel, fn) for rel, fn, _ in _raw_key_sites()}
+    stale = [(f, fn) for f, fn, _ in RAW_KEY_ALLOWED if (f, fn) not in present]
+    assert not stale, f"allowlisted sites no longer fold by a raw key: {stale}"
+
+
+def test_raw_key_guard_sees_the_pattern():
+    """The scan flags a raw-key fold whatever the key expression; it
+    skips the bucket exchange and a groupby without map_groups."""
+    src = (
+        "def f(ds, k):\n"
+        "    a = ds.groupby('user_id').map_groups(g)\n"
+        "    b = ds.groupby([k, 'bar']).map_groups(g, batch_format='pandas')\n"
+        "    c = ds.groupby('__bucket').map_groups(g)\n"
+        "    d = ds.groupby(k).count()\n"
+        "    return (ds.groupby(k)\n"
+        "            .map_groups(g))\n"
+    )
+    assert _raw_key_hits(ast.parse(src)) == [2, 3, 6]
+
+
+def test_sorted_per_key_scans_run_one_bucket_exchange():
+    for (rel, fn), exchange in sorted(ONE_EXCHANGE.items()):
+        with open(os.path.join(ROOT, rel)) as f:
+            tree = ast.parse(f.read())
+        (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == fn]
+        calls = [
+            c.func.attr if isinstance(c.func, ast.Attribute) else getattr(c.func, "id", None)
+            for c in ast.walk(node)
+            if isinstance(c, ast.Call)
+        ]
+        assert calls.count(exchange) == 1, (rel, fn)
+        assert not {"sort", "map_groups", "union", "materialize", "bucket_keyed_fold"} & set(calls), (rel, fn)

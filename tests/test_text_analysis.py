@@ -362,10 +362,10 @@ def test_host_reputation(ray_session):
 
 
 def test_keyed_top_rollup_boundaries(ray_session):
-    """Rollup stays exact when one hot key spans many blocks and
-    partial counts for the same (key, sub) arrive split: totals,
+    """Rollup stays exact when one hot key is spread over many blocks
+    and partial counts for the same (key, sub) arrive split: totals,
     distinct counts and tie-broken top sub must match a sequential
-    reduce."""
+    reduce; an empty input gives no rows."""
     import pandas as pd
     import ray.data
 
@@ -395,6 +395,7 @@ def test_keyed_top_rollup_boundaries(ray_session):
     assert hot["n_distinct"] == 3 and hot["top_sub"] == "s0" and hot["top_n"] == 120
     assert (got.drop("hot")["n_distinct"] == 1).all()
     assert (got.drop("hot")["top_n"] == 5).all()
+    assert keyed_top_rollup(ds.limit(0)).count() == 0
 
 
 def test_host_template_stats_grouping(ray_session):

@@ -631,3 +631,60 @@ def test_funnel_fold_fuzz_vs_sequential(ray_session):
     for i in range(len(stages)):
         expect = sum(1 for d in depths if d >= i + 1)
         assert got.get(i + 1, 0) == expect, (i, got, expect)
+
+
+def _canon(df):
+    import pandas as pd
+
+    df = df[sorted(df.columns)].copy()
+    for c in df.columns:
+        if df[c].dtype.kind == "f":
+            df[c] = df[c].round(2)
+        elif df[c].dtype.kind == "M":
+            df[c] = pd.to_datetime(df[c]).astype("datetime64[us]")
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("query", ["user_event_seq", "event_gaps", "late_events", "sessionize"])
+def test_per_event_windows_partition_invariant(ray_session, monkeypatch, query):
+    """A per-event window query gives the same rows whether its events
+    arrive as one block or shuffled over 16 blocks, with one user
+    holding most rows, and both equal the query's DuckDB SQL."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+
+    import __ray_entry__ as entry
+
+    rng = np.random.RandomState(5)
+    n = 3000
+    user = np.where(rng.rand(n) < 0.6, 0, rng.randint(1, 40, n))
+    etype = rng.choice(["view", "click", "purchase"], n).astype(object)
+    etype[rng.rand(n) < 0.05] = None
+    events = pa.table(
+        {
+            "event_id": pa.array(np.arange(n), type=pa.int64()),
+            "ts": pa.array(1_700_000_000_000_000 + rng.randint(0, 86_400_000_000, n)).cast(pa.timestamp("us")),
+            "user_id": pa.array(user, type=pa.int64()),
+            "event_type": pa.array(etype, type=pa.string()),
+            "value": pa.array(rng.randint(0, 1000, n) / 10.0, type=pa.float64()),
+        }
+    )
+    blockings = {
+        "one block": lambda: ray.data.from_arrow(events),
+        "shuffled, 16 blocks": lambda: ray.data.from_arrow(events).random_shuffle(seed=3).repartition(16),
+    }
+    outs = {}
+    for name, make in blockings.items():
+        monkeypatch.setattr(ray.data, "read_parquet", lambda path, columns=None, **kw: make().select_columns(columns))
+        out = entry.queries()[query]("unused")
+        outs[name] = _canon(out.to_pandas())
+    monkeypatch.undo()
+    con = duckdb.connect()
+    con.register("events", events)
+    want = _canon(con.execute(entry.oracle_sql()[query]).df())
+    one, shuffled = outs.values()
+    pd.testing.assert_frame_equal(one, shuffled)
+    assert len(one) == len(want)
+    pd.testing.assert_frame_equal(one, want, check_dtype=False)

@@ -51,7 +51,10 @@ def main() -> None:
 
     if not ray.is_initialized():
         _quiet()
-        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR", runtime_env={"worker_process_setup_hook": _make_quiet()})
+        # the host's own CPU count: more worker slots than cores only
+        # adds contention noise to the per-query times
+        ray.init(address="local", num_cpus=os.cpu_count(), include_dashboard=False, logging_level="ERROR", runtime_env={"worker_process_setup_hook": _make_quiet()})
+    n_cpus = int(ray.cluster_resources().get("CPU", 0))
     import logging
 
     logging.getLogger("ray.data").setLevel(logging.ERROR)
@@ -136,7 +139,7 @@ def main() -> None:
         else:
             print(f"{name}: ok ({len(e)} rows, {secs:.2f} s)")
     print(f"\nPASS {n_pass}  FAIL {n_fail}  NO_ORACLE {n_no_oracle}")
-    print(f"engine time {sweep_s:.1f} s over {len(qs)} queries")
+    print(f"engine time {sweep_s:.1f} s over {len(qs)} queries on {n_cpus} CPUs")
     ray.shutdown()
 
 
