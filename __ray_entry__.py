@@ -6241,8 +6241,10 @@ def _q_warc_http_headers(sf_dir: str):
 
     import glob as globmod
 
+    from dots_ocr_ray.util import file_sizes, packed_items
+
     paths = sorted(globmod.glob(os.path.join(warc_dir, "*.warc.gz")))
-    work = ray.data.from_items([{"path": p} for p in paths], override_num_blocks=len(paths))
+    work = packed_items([{"path": p} for p in paths], file_sizes(paths))
 
     def _headers(batch: pa.Table) -> pa.Table:
         from dots_ocr_ray.sources.warc import _open_warc, iter_warc_records, parse_http_envelope

@@ -1,10 +1,11 @@
 """The flagship extraction pipeline (SURVEY.md §7.1).
 
-    shard files (parquet / warc) ──from_items(one block per unit)──▶ Dataset
+    shard files (parquet / warc) ──units packed by bytes into ~2 blocks
+    per CPU slot (util.packed_items)──▶ Dataset
       └─ [resume] skip units whose done marker exists and parses
-      └─ map_batches(_run_shard_task): per unit, stream the shard's
-         batches through ExtractorActor → part-XXXXX.parquet + .done
-         marker → one METRICS row
+      └─ map_batches(_run_shard_task): one task per block; per unit,
+         stream the shard's batches through ExtractorActor →
+         part-XXXXX.parquet + .done marker → one METRICS row
       └─ fold in the metrics of resumed units from their markers
       └─ _job_stats.json: job totals + the Ray Data per-stage stats
       └─ fail gate: failed/total > 10% raises (reference configs.py:79)
@@ -94,37 +95,42 @@ def _shard_record_batches(path: str, batch_size: int, row_groups: list[int] | No
         yield tbl.slice(off, batch_size)
 
 
-def _shard_units(shard_files: list[str], max_rows_per_task: int | None) -> list[tuple[str, list[int] | None]]:
-    """Deterministic work-unit list: one unit per shard file, except
-    parquet shards above ``max_rows_per_task`` rows, which split into
-    runs of whole row groups (the mega-shard straggler guard, SURVEY
-    §7.4 hard part 6 — one 10× shard no longer holds a wave hostage).
+def _shard_units(shard_files: list[str], max_rows_per_task: int | None) -> list[tuple[str, list[int] | None, int]]:
+    """Deterministic work-unit list of ``(path, row_groups, bytes)``:
+    one unit per shard file, except parquet shards above
+    ``max_rows_per_task`` rows, which split into runs of whole row
+    groups (the mega-shard straggler guard, SURVEY §7.4 hard part 6 —
+    one 10× shard no longer holds a wave hostage).  ``bytes`` is the
+    unit's share of its file on storage (the file size, or a run's
+    compressed column chunks), the weight the task planner packs by.
     Unit ids (= partition ids) depend only on the file list and the
     split threshold, so resume stays exact."""
     import pyarrow.parquet as pq
 
-    if max_rows_per_task is None:
-        return [(p, None) for p in shard_files]
-    units: list[tuple[str, list[int] | None]] = []
-    for p in shard_files:
-        if p.endswith((".warc", ".warc.gz")):
-            units.append((p, None))  # warc shards stream; no cheap row metadata
+    from dots_ocr_ray.util import file_sizes
+
+    units: list[tuple[str, list[int] | None, int]] = []
+    for p, size in zip(shard_files, file_sizes(shard_files)):
+        # warc shards stream; no cheap row metadata
+        if max_rows_per_task is None or p.endswith((".warc", ".warc.gz")):
+            units.append((p, None, size))
             continue
         md = pq.ParquetFile(p).metadata
         if md.num_rows <= max_rows_per_task or md.num_row_groups <= 1:
-            units.append((p, None))
+            units.append((p, None, size))
             continue
         run: list[int] = []
-        run_rows = 0
+        run_rows = run_bytes = 0
         for rg in range(md.num_row_groups):
-            nrows = md.row_group(rg).num_rows
-            if run and run_rows + nrows > max_rows_per_task:
-                units.append((p, run))
-                run, run_rows = [], 0
+            meta = md.row_group(rg)
+            if run and run_rows + meta.num_rows > max_rows_per_task:
+                units.append((p, run, run_bytes))
+                run, run_rows, run_bytes = [], 0, 0
             run.append(rg)
-            run_rows += nrows
+            run_rows += meta.num_rows
+            run_bytes += sum(meta.column(c).total_compressed_size for c in range(meta.num_columns))
         if run:
-            units.append((p, run))
+            units.append((p, run, run_bytes))
     return units
 
 
@@ -198,6 +204,10 @@ def _process_one_shard(
     }
 
 
+# _run_shard_task's input: one row per unit
+_UNIT_SCHEMA = pa.schema([("shard", pa.int64()), ("path", pa.string()), ("row_groups", pa.list_(pa.int64()))])
+
+
 def _run_shard_task(
     batch: pa.Table,
     *,
@@ -206,19 +216,13 @@ def _run_shard_task(
     batch_size: int,
     n_shards: int,
 ) -> pa.Table:
-    """map_batches wrapper around :func:`_process_one_shard`
-    (module-level so Ray pickles it by reference and worker processes
-    keep the imported module warm across tasks)."""
-    rgs = (
-        batch.column("row_groups").to_pylist()
-        if "row_groups" in batch.column_names
-        else [None] * batch.num_rows
-    )
+    """map_batches wrapper around :func:`_process_one_shard`, one call
+    per packed block, looping over its units (module-level so Ray
+    pickles it by reference and worker processes keep the imported
+    module warm across tasks)."""
     rows = [
-        _process_one_shard(shard, path, out_dir, config, batch_size, n_shards, rg)
-        for shard, path, rg in zip(
-            batch.column("shard").to_pylist(), batch.column("path").to_pylist(), rgs
-        )
+        _process_one_shard(u["shard"], u["path"], out_dir, config, batch_size, n_shards, u["row_groups"])
+        for u in batch.to_pylist()
     ]
     return pa.Table.from_pylist(rows, schema=METRICS_SCHEMA)
 
@@ -236,19 +240,23 @@ def extract_shards(
     path that writes extraction output.
 
     A Dataset OF SHARD PATHS (parquet or ``*.warc``/``*.warc.gz``) fans
-    out one task per input shard; each task reads its shard, runs the
-    extraction kernel, writes the final ``part-{shard:05d}.parquet`` +
-    done marker and returns the partition's METRICS_SCHEMA row.  No
-    exchange at all: rows keep input-file order (deterministic),
-    checkpointing is input-aligned (the reference's md5 skip gate
-    operates at exactly this unit — one input document,
-    dotsocr_service.py:253-348), and scaling is linear in shards.
+    out over the task slots; for each of its units a task reads the
+    shard, runs the extraction kernel, writes the final
+    ``part-{shard:05d}.parquet`` + done marker and returns the
+    partition's METRICS_SCHEMA row.  No exchange at all: rows keep
+    input-file order (deterministic), checkpointing is input-aligned
+    (the reference's md5 skip gate operates at exactly this unit — one
+    input document, dotsocr_service.py:253-348), and scaling is linear
+    in shards.
 
-    Skew note: one mega-shard straggles a wave — keep shard count ≥ 2×
-    task slots when producing the input layout (SURVEY §7.4 hard part
-    6), or set ``max_rows_per_task`` to split oversized parquet shards
-    into row-group runs (deterministic unit ids, so resume is exact as
-    long as the file list and threshold are unchanged).
+    Tasks are planned from the cluster's CPU slots, not from the file
+    count: units pack longest-first by input bytes into about two
+    size-balanced blocks per slot (:func:`dots_ocr_ray.util.pack_bins`),
+    one task per block, and each task loops over its units.  A unit
+    bigger than the rest sits alone in its block; a single oversized
+    parquet shard still straggles, so set ``max_rows_per_task`` to
+    split it into row-group runs (deterministic unit ids, so resume is
+    exact as long as the file list and threshold are unchanged).
 
     With ``resume``, a unit whose done marker exists and parses is
     skipped and its metrics row is rebuilt from the marker; a corrupt
@@ -258,6 +266,7 @@ def extract_shards(
     import functools
 
     from dots_ocr_ray.state.manifest import read_marker, write_job_stats
+    from dots_ocr_ray.util import packed_items, task_slots
 
     cfg = config or ExtractConfig()
     units = _shard_units(shard_files, max_rows_per_task)
@@ -265,23 +274,24 @@ def extract_shards(
     # each marker is read once, here: a marker that does not parse
     # leaves its unit to be redone instead of crashing the fold below
     markers = {pid: meta for pid in sorted(done) if (meta := read_marker(out_dir, pid)) is not None}
-    items = [
-        {"shard": i, "path": p, "row_groups": rg}
-        for i, (p, rg) in enumerate(units)
-        if i not in markers
-    ]
+    todo = [i for i in range(len(units)) if i not in markers]
 
     fresh = []
     dataset_stats = None
-    if items:
-        # one block per shard so every shard is an independent task —
-        # from_items may pack the tiny manifest into few blocks, which
-        # would serialize whole groups of shards onto one worker.
+    slots = task_slots()
+    tasks = 0
+    if todo:
         # STATELESS tasks (not an actor pool): the extractor holds no
         # heavy per-worker state (compiled regexes are module-level,
         # the reference's lazy-singleton seam A3/A4), and tasks reuse
         # warm worker processes with zero pool-ramp cost per run.
-        work = ray.data.from_items(items, override_num_blocks=len(items))
+        work = packed_items(
+            [{"shard": i, "path": units[i][0], "row_groups": units[i][1]} for i in todo],
+            [units[i][2] for i in todo],
+            slots,
+            schema=_UNIT_SCHEMA,
+        )
+        tasks = work.num_blocks()
         fn = functools.partial(
             _run_shard_task,
             out_dir=out_dir,
@@ -289,7 +299,7 @@ def extract_shards(
             batch_size=batch_size,
             n_shards=max(1, len(units)),
         )
-        metrics_ds = work.map_batches(fn, batch_size=1, batch_format="pyarrow")
+        metrics_ds = work.map_batches(fn, batch_size=None, batch_format="pyarrow")
         fresh = metrics_ds.take_all()
         dataset_stats = metrics_ds.stats()
 
@@ -318,7 +328,9 @@ def extract_shards(
             "job": "extract_shards",
             "num_units": len(units),
             "resumed_partitions": len(markers),
-            "fresh_partitions": len(items),
+            "fresh_partitions": len(todo),
+            "slots": slots,
+            "tasks": tasks,
             "totals": {
                 c: int(pc.sum(tbl.column(c)).as_py() or 0)
                 for c in ("input_rows", "ok", "fallback", "failed", "bytes_in", "wall_ms")

@@ -92,6 +92,24 @@ def _sorted_user_apply(events: "ray.data.Dataset", *, sort_cols: list[str], vec_
     return bucket_exchange(events, "user_id", _fold)
 
 
+def _segment_cumsum(value: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Running sum of ``value`` restarting at each index in ``starts``
+    (ascending, ``starts[0] == 0``), bit-identical to one ``np.cumsum``
+    per segment.  Segments group by exact length and each length class
+    is one ``np.cumsum(axis=1)`` over a (segments × length) matrix: an
+    accumulate adds sequentially along its axis, so every row sums in
+    the sequential order the SQL window oracle computes.  Not the
+    vectorized ``cs - base`` trick (order-sensitive float addition
+    drifts ~1e-13) nor pandas ``groupby.cumsum`` (Kahan-compensated,
+    also drifts).  Python work is O(distinct lengths), not O(users)."""
+    lengths = np.diff(np.append(starts, len(value)))
+    running = np.empty(len(value), dtype=np.float64)
+    for length in np.unique(lengths):
+        idx = starts[lengths == length][:, None] + np.arange(length)
+        running[idx] = np.cumsum(value[idx], axis=1)
+    return running
+
+
 def user_event_sequence(sf_dir: str) -> ray.data.Dataset:
     """Cumulative window per key: events numbered in time order per
     user with a running value sum — the ROW_NUMBER / cumulative-SUM
@@ -111,17 +129,7 @@ def user_event_sequence(sf_dir: str) -> ray.data.Dataset:
         starts = np.flatnonzero(new_user)
         counts = np.diff(np.concatenate([starts, [n]]))
         seq = np.arange(n) - np.repeat(starts, counts) + 1
-        # per-segment np.cumsum, NOT the vectorized cs - base trick
-        # (order-sensitive float addition drifts ~1e-13 from the
-        # sequential accumulation the SQL window oracle computes) and
-        # NOT pandas groupby.cumsum (Kahan-compensated, also drifts):
-        # one slim numpy call per user segment, bit-exact and free of
-        # per-user pandas dispatch
-        running = np.empty(n, dtype=np.float64)
-        bounds = np.concatenate([starts, [n]])
-        for i in range(len(starts)):
-            sl = slice(bounds[i], bounds[i + 1])
-            running[sl] = np.cumsum(value[sl])
+        running = _segment_cumsum(value, starts)
         return pa.table(
             {
                 "user_id": pa.array(u, type=pa.int64()),

@@ -166,9 +166,9 @@ def read_sitemap(paths: str | list[str]) -> ray.data.Dataset:
                 rows.extend(entries)
         return pa.Table.from_pylist(rows, schema=SITEMAP_SCHEMA)
 
-    work = ray.data.from_items(
-        [{"path": p} for p in expanded], override_num_blocks=len(expanded)
-    )
+    from dots_ocr_ray.util import file_sizes, packed_items
+
+    work = packed_items([{"path": p} for p in expanded], file_sizes(expanded))
     return work.map_batches(_parse, batch_size=1, batch_format="pyarrow")
 
 

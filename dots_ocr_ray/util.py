@@ -197,6 +197,64 @@ def bounded_blocks(ds, rows_per_block: int = 65536):
     return ds
 
 
+# Blocks planned per task slot for a fan-out over files: two waves, so a
+# slow first unit is absorbed by the second wave, while the engine's
+# per-block cost (~10-20 ms a block) is paid per wave, not per file.
+BLOCKS_PER_SLOT = 2
+
+
+def task_slots() -> int:
+    """The Ray cluster's CPU slots.  Needs Ray up; never
+    ``os.cpu_count()``, which counts the host, not what Ray schedules."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def file_sizes(paths: list[str]) -> list[int]:
+    """Byte size of each local path or URI through ``pyarrow.fs``
+    (0 when it cannot be stat-ed)."""
+    import pyarrow.fs as pafs
+
+    from dots_ocr_ray.state.manifest import resolve_fs
+
+    sizes = []
+    for p in paths:
+        fs, local = resolve_fs(p)
+        info = fs.get_file_info(local)
+        sizes.append(info.size if info.type == pafs.FileType.File else 0)
+    return sizes
+
+
+def pack_bins(weights: list[int], slots: int) -> list[list[int]]:
+    """Indices of ``weights`` in ``min(n, BLOCKS_PER_SLOT * slots)``
+    bins: longest first (ties by index) into the lightest bin (ties by
+    fewer members, then bin index), so one heavy unit sits alone
+    instead of stretching a bin into a straggler.  Each bin lists its
+    indices in ascending order; the plan is deterministic and no bin is
+    empty."""
+    import heapq
+
+    k = min(len(weights), BLOCKS_PER_SLOT * max(1, slots))
+    bins: list[list[int]] = [[] for _ in range(k)]
+    heap = [(0, 0, b) for b in range(k)]
+    for i in sorted(range(len(weights)), key=lambda i: (-weights[i], i)):
+        load, members, b = heapq.heappop(heap)
+        bins[b].append(i)
+        heapq.heappush(heap, (load + weights[i], members + 1, b))
+    return [sorted(b) for b in bins]
+
+
+def packed_items(rows: list[dict], weights: list[int], slots: int | None = None, schema=None) -> "ray.data.Dataset":
+    """``rows`` as a Dataset of size-balanced blocks (one per
+    :func:`pack_bins` bin over ``slots``, by default
+    :func:`task_slots`; rows in their original order inside a block),
+    so a ``map_batches`` over it runs one task per bin, not per row."""
+    import pyarrow as pa
+    import ray.data
+
+    bins = pack_bins(weights, task_slots() if slots is None else slots)
+    return ray.data.from_arrow([pa.Table.from_pylist([rows[i] for i in b], schema=schema) for b in bins])
+
+
 def vec_matrix(col, dtype=None):
     """(n, d) numpy matrix from an Arrow list/fixed_size_list column
     without the to_pylist() Python round-trip (~10× on wide embedding

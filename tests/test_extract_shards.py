@@ -123,11 +123,14 @@ def test_extract_shards_persists_job_stats(ray_session, tmp_path, shard_files):
     assert stats["fresh_partitions"] == 4 and stats["resumed_partitions"] == 0
     assert stats["totals"]["input_rows"] == sum(metrics.column("input_rows").to_pylist())
     assert isinstance(stats["dataset_stats"], str) and stats["dataset_stats"]
+    # the packing it ran: the session's 4 CPU slots allow 8 blocks, 4 units fill 4
+    assert stats["slots"] == 4 and stats["tasks"] == 4
 
-    # resumed run: stats rewritten, zero fresh partitions
+    # resumed run: stats rewritten, zero fresh partitions, nothing run
     extract_shards(files, out, batch_size=64)
     stats2 = read_job_stats(out)
     assert stats2["fresh_partitions"] == 0 and stats2["resumed_partitions"] == 4
+    assert stats2["slots"] == 4 and stats2["tasks"] == 0
     assert stats2["totals"]["input_rows"] == stats["totals"]["input_rows"]
 
 
@@ -155,3 +158,42 @@ def test_truncated_marker_redoes_partition(ray_session, shard_files, tmp_path):
     assert _read_out(out_dir).equals(full)
     for k in ("partition_id", "input_rows", "ok", "fallback", "failed", "bytes_in"):
         assert m2.column(k).to_pylist() == m1.column(k).to_pylist(), k
+
+
+def test_packed_job_many_small_shards(ray_session, tmp_path):
+    """20 tiny shards on 4 CPU slots run as 8 packed tasks; the output
+    equals the oracle with every url once, and a resume after 3 lost
+    units plans and redoes only those 3."""
+    from dots_ocr_ray.state.manifest import read_job_stats
+
+    pages = make_pages_table(60, seed=8)
+    files = []
+    for s in range(20):
+        f = str(tmp_path / f"shard-{s:02d}.parquet")
+        pq.write_table(pages.slice(s * 3, 3), f)
+        files.append(f)
+    out_dir = str(tmp_path / "out")
+    extract_shards(files, out_dir)
+    stats = read_job_stats(out_dir)
+    assert stats["tasks"] == 8 and stats["fresh_partitions"] == 20
+    out = _read_out(out_dir)
+    urls = out.column("url").to_pylist()
+    assert sorted(urls) == sorted(pages.column("url").to_pylist())
+    assert len(set(urls)) == len(urls) == 60
+    expected = oracle_extract(pages)
+    for row in out.to_pylist():
+        assert row["extracted_text"] == expected[row["url"]]["extracted_text"]
+    full = out
+
+    lost = (2, 11, 17)
+    for pid in lost:
+        for ext in ("parquet", "done"):
+            os.remove(os.path.join(out_dir, f"part-{pid:05d}.{ext}"))
+    kept = {p: os.path.getmtime(os.path.join(out_dir, f"part-{p:05d}.parquet")) for p in range(20) if p not in lost}
+    extract_shards(files, out_dir)
+    stats2 = read_job_stats(out_dir)
+    assert stats2["tasks"] == 3 and stats2["fresh_partitions"] == 3 and stats2["resumed_partitions"] == 17
+    for p, mtime in kept.items():
+        assert os.path.getmtime(os.path.join(out_dir, f"part-{p:05d}.parquet")) == mtime
+    assert completed_partitions(out_dir) == set(range(20))
+    assert _read_out(out_dir).equals(full)

@@ -688,3 +688,28 @@ def test_per_event_windows_partition_invariant(ray_session, monkeypatch, query):
     pd.testing.assert_frame_equal(one, shuffled)
     assert len(one) == len(want)
     pd.testing.assert_frame_equal(one, want, check_dtype=False)
+
+
+def test_segment_cumsum_bit_identical_to_per_segment_loop():
+    """The length-class matrix cumsum gives the same float64 bits as one
+    np.cumsum per segment (the sequential order the SQL window oracle
+    sums in), on random values with one segment holding most rows."""
+    import numpy as np
+
+    from dots_ocr_ray.pipelines.windows import _segment_cumsum
+
+    rng = np.random.RandomState(9)
+    n = 20_000
+    user = np.sort(np.where(rng.rand(n) < 0.7, 0, rng.randint(1, 500, n)))
+    value = rng.standard_normal(n) * 10.0 ** rng.randint(-6, 7, n)
+    starts = np.flatnonzero(np.diff(user, prepend=-1))
+    bounds = np.append(starts, n)
+    want = np.concatenate([np.cumsum(value[bounds[i] : bounds[i + 1]]) for i in range(len(starts))])
+    got = _segment_cumsum(value, starts)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+    # the blunt cs - base form is NOT bit-exact on these values
+    cs = np.cumsum(value)
+    base = np.repeat(np.append(0.0, cs[starts[1:] - 1]), np.diff(bounds))
+    assert not np.array_equal(cs - base, want)
+    assert _segment_cumsum(np.empty(0), np.empty(0, dtype=np.int64)).shape == (0,)
