@@ -18,7 +18,7 @@ import ray
 import ray.data
 
 from dots_ocr_ray.kernel.textops import md5_hex
-from dots_ocr_ray.util import bounded_blocks, cached_object
+from dots_ocr_ray.util import bounded_blocks, cached_object, packed_items
 
 _N_BUCKETS = 256
 
@@ -528,8 +528,10 @@ def write_position_deletes(
     (merge-on-read, no copy-on-write rewrite of 100-TB data).
 
     Plan: the file list comes once through ``pyarrow.fs`` (object-store
-    ready), ONE Ray task per data file reads only its id column (row
-    order in a parquet file is the position order), membership is a
+    ready), the files are packed by size into about two tasks per CPU
+    slot (:func:`dots_ocr_ray.util.packed_items`), each file is read for
+    its id column only (row order in a parquet file is the position
+    order), membership is a
     vectorized ``searchsorted`` against the broadcast sorted delete-id
     array (deletes are the designed-small side; for a delete set past
     the broadcast budget, swap in the Bloom-prefilter + verify tier of
@@ -543,11 +545,12 @@ def write_position_deletes(
     from dots_ocr_ray.state.manifest import resolve_fs
 
     fs, root = resolve_fs(table_dir)
-    paths = sorted(
-        f.path
+    files = sorted(
+        (f.path, f.size)
         for f in fs.get_file_info(FileSelector(root, recursive=True))
         if f.is_file and f.path.endswith(".parquet")
     )
+    paths = [p for p, _ in files]
     out_fs, out_root = resolve_fs(out_dir)
     out_fs.create_dir(out_root, recursive=True)
     ids_sorted = np.sort(np.asarray(delete_ids, dtype=np.int64))
@@ -571,27 +574,24 @@ def write_position_deletes(
             f.write(b"ok")
     ids_ref = ray.put(ids_sorted)
 
-    items = [
-        {"fid": i, "path": p, "out": out_dir, "table": table_dir}
-        for i, p in enumerate(paths)
-    ]
+    items = [{"fid": i, "path": p} for i, p in enumerate(paths)]
 
     def _one_file(batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
         from dots_ocr_ray.state.manifest import resolve_fs as _rfs
 
+        ofs, oroot = _rfs(out_dir)
+        dfs, _ = _rfs(table_dir)
         counts = []
         for row in batch.to_pylist():
             fid, path = int(row["fid"]), row["path"]
-            ofs, oroot = _rfs(row["out"])
             data_name = f"{oroot}/delete-{fid:05d}.parquet"
             marker = f"{oroot}/delete-{fid:05d}.done"
             if ofs.get_file_info(marker).type.name != "NotFound":
                 meta = pq.read_table(data_name, filesystem=ofs)
                 counts.append(meta.num_rows)
                 continue
-            dfs, _ = _rfs(row["table"])
             ids = (
                 pq.read_table(path, columns=[id_col], filesystem=dfs)
                 .column(id_col)
@@ -617,8 +617,8 @@ def write_position_deletes(
         return pa.table({"n_deletes": pa.array(counts, pa.int64())})
 
     folded = (
-        ray.data.from_items(items)
-        .map_batches(_one_file, batch_size=1, batch_format="pyarrow")
+        packed_items(items, [size for _, size in files])
+        .map_batches(_one_file, batch_size=None, batch_format="pyarrow")
         .to_pandas()
     )
     return {"n_files": len(paths), "n_deletes": int(folded["n_deletes"].sum())}
@@ -631,18 +631,20 @@ def read_with_position_deletes(
     columns: list[str] | None = None,
 ) -> ray.data.Dataset:
     """Merge-on-read scan of a parquet snapshot with positional delete
-    sidecars (:func:`write_position_deletes`): one Ray task per data
-    file reads the file plus ONLY its own delete rows (predicate
-    pushdown on ``file_path`` against the KB-scale delete sidecars)
-    and drops the deleted positions with a boolean mask — zero
-    exchange, deletes never touch the driver."""
+    sidecars (:func:`write_position_deletes`): each data file is read
+    with ONLY its own delete rows (predicate pushdown on ``file_path``
+    against the KB-scale delete sidecars) and drops the deleted
+    positions with a boolean mask — zero exchange, deletes never touch
+    the driver.  Files are packed by size into about two tasks per CPU
+    slot (:func:`dots_ocr_ray.util.packed_items`); each task opens the
+    sidecar dataset once for all of its files."""
     from pyarrow.fs import FileSelector
 
     from dots_ocr_ray.state.manifest import resolve_fs
 
     fs, root = resolve_fs(table_dir)
-    paths = sorted(
-        f.path
+    files = sorted(
+        (f.path, f.size)
         for f in fs.get_file_info(FileSelector(root, recursive=True))
         if f.is_file and f.path.endswith(".parquet")
     )
@@ -652,9 +654,7 @@ def read_with_position_deletes(
         for f in del_fs0.get_file_info(FileSelector(del_root0, recursive=True))
         if f.is_file and f.path.endswith(".parquet")
     )
-    items = [
-        {"path": p, "deletes": deletes_dir, "table": table_dir} for p in paths
-    ]
+    items = [{"path": p} for p, _ in files]
 
     def _scan(batch: pa.Table) -> pa.Table:
         import pyarrow.dataset as pads
@@ -662,13 +662,12 @@ def read_with_position_deletes(
 
         from dots_ocr_ray.state.manifest import resolve_fs as _rfs
 
+        dfs, _ = _rfs(table_dir)
+        del_fs, _ = _rfs(deletes_dir)
+        del_ds = pads.dataset(sidecars, filesystem=del_fs)
         out: list[pa.Table] = []
-        for row in batch.to_pylist():
-            path = row["path"]
-            dfs, _ = _rfs(row["table"])
+        for path in batch.column("path").to_pylist():
             t = pq.read_table(path, columns=columns, filesystem=dfs)
-            del_fs, _ = _rfs(row["deletes"])
-            del_ds = pads.dataset(sidecars, filesystem=del_fs)
             pos = (
                 del_ds.to_table(filter=pads.field("file_path") == path)
                 .column("pos")
@@ -680,8 +679,8 @@ def read_with_position_deletes(
             out.append(t.filter(pa.array(keep)))
         return pa.concat_tables(out)
 
-    return ray.data.from_items(items).map_batches(
-        _scan, batch_size=1, batch_format="pyarrow"
+    return packed_items(items, [size for _, size in files]).map_batches(
+        _scan, batch_size=None, batch_format="pyarrow"
     )
 
 

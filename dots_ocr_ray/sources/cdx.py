@@ -16,7 +16,9 @@ with zero valid rows yields no rows and reports no count);
 calendar ops live downstream), ``status``/``length`` coerce to int64
 with nulls for absent fields.
 
-Shape: one streaming task per file through ``pyarrow.fs`` (s3://…
+Shape: files packed by size into about two streaming tasks per CPU
+slot (:func:`dots_ocr_ray.util.packed_items`), read through
+``pyarrow.fs`` (s3://…
 works like file://…), incremental gzip for ``.gz`` shards,
 ~``chunk_bytes`` per output block.
 """
@@ -153,6 +155,7 @@ def read_cdx(
         for row in batch.to_pylist():
             yield from _read_file(row)
 
-    return ray.data.from_items([{"path": p} for p in paths]).map_batches(
-        _read_batch, batch_size=1, batch_format="pyarrow"
-    )
+    from dots_ocr_ray.util import file_sizes, packed_items
+
+    work = packed_items([{"path": p} for p in paths], file_sizes(paths))
+    return work.map_batches(_read_batch, batch_size=None, batch_format="pyarrow")

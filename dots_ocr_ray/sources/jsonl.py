@@ -6,7 +6,8 @@ abort on row 10^9 (reference analog: the universal input
 normalization, S4, dots_ocr/utils/image_utils.py:23-43 accepts every
 input form rather than raising).
 
-Shape: one streaming task per file (``ray.data.read_binary_files`` is
+Shape: files packed by size into about two streaming tasks per CPU
+slot, each reading its files in turn (``ray.data.read_binary_files`` is
 deliberately avoided — it materializes whole files as single rows; we
 map over FILE PATHS and read through ``pyarrow.fs`` incrementally, the
 same seam as sources/warc.py), with per-batch vectorized JSON parse.
@@ -61,7 +62,8 @@ def read_jsonl(
     so far in that file — the final batch of a file always carries
     the exact file total, including malformed lines after the last
     valid row, so ``max(_skipped) GROUP BY _source`` is the true
-    damage count).  One streaming task per file; ~``chunk_bytes`` per
+    damage count).  Files are packed by size into streaming tasks
+    (:func:`dots_ocr_ray.util.packed_items`); ~``chunk_bytes`` per
     output block so a mega-shard never materializes whole."""
     if isinstance(paths, str):
         paths = [paths]
@@ -133,9 +135,10 @@ def read_jsonl(
         for row in batch.to_pylist():
             yield from _read_file(row)
 
-    return ray.data.from_items([{"path": p} for p in paths]).map_batches(
-        _read_batch, batch_size=1, batch_format="pyarrow"
-    )
+    from dots_ocr_ray.util import file_sizes, packed_items
+
+    work = packed_items([{"path": p} for p in paths], file_sizes(paths))
+    return work.map_batches(_read_batch, batch_size=None, batch_format="pyarrow")
 
 
 def write_jsonl(

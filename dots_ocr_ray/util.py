@@ -184,7 +184,9 @@ def bounded_blocks(ds, rows_per_block: int = 65536):
     the next shuffle pay hundreds of task dispatches for kilobytes of
     data.  Coalescing to a row-proportional block count keeps small
     exchanges at fixed cost while leaving big datasets partitioned for
-    full parallelism."""
+    full parallelism.  (:func:`bucket_exchange` folds an input of at
+    most 65,536 rows and one block's bytes in one task, with no shuffle
+    to bound.)"""
     import math
 
     ds = ds.materialize()
@@ -322,17 +324,9 @@ def parquet_int_minmax(path: str, cols: list[str]):
     return (lo, hi)
 
 
-def _logging_yaml_path() -> str:
-    import os
-
-    return os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "config", "ray_data_logging.yaml"
-    )
-
-
 def quiet_ray_data_schema_warnings() -> None:
     """Silence Ray Data's benign "Failed to hash the schemas (for
-    deduplication): unhashable type: 'dict'" warning.
+    deduplication): unhashable type: 'dict'" warning in this process.
 
     Root cause: parquet files written through pandas carry a
     ``b'pandas'`` schema-metadata blob whose payload makes
@@ -341,50 +335,43 @@ def quiet_ray_data_schema_warnings() -> None:
     falls back to the full unify (same result, trivial cost).
 
     A plain ``setLevel`` does NOT stick: Ray Data re-applies
-    ``logging.config.dictConfig`` on every dataset registration (and in
-    every worker via ``update_dataset_logger_for_worker``), and
-    dictConfig resets any existing CHILD of a configured logger to
-    NOTSET.  The supported mechanism is ``RAY_DATA_LOGGING_CONFIG``: we
-    point it at ``config/ray_data_logging.yaml`` (the library default
-    plus one ERROR-level entry for the noisy logger), so every
-    re-configure re-applies the silence.  Call BEFORE ``ray.init`` so
-    raylet-spawned workers inherit the env var; pass
-    :func:`make_quiet_hook` as the worker_process_setup_hook as well
-    for workers that pre-date the env (idempotent belt-and-braces).
+    ``logging.config.dictConfig`` at every execution (and in every
+    worker via ``update_dataset_logger_for_worker``), which resets the
+    level of every existing child of ``ray.data`` to NOTSET.  It keeps
+    a logger's filters, so a ``logging.Filter`` on the noisy logger
+    that drops that one message survives every re-configure, at no
+    per-execution cost (a ``RAY_DATA_LOGGING_CONFIG`` file would be
+    re-parsed at every execution).  Call it in the driver and pass
+    :func:`make_quiet_hook` as the worker_process_setup_hook for the
+    workers; it is idempotent.
 
     An exchange that carries whole parquet rows can strip the metadata
     at the source instead (``dedup.sorted_group_first`` does it in its
     per-batch combiner, in front of its bucket exchange); this covers
     the long tail of reads whose ``count()`` fast path a blanket
     strip-map would destroy."""
-    import logging
-    import os
-
-    os.environ.setdefault("RAY_DATA_LOGGING_CONFIG", _logging_yaml_path())
-    logging.getLogger(
-        "ray.data._internal.arrow_ops.transform_pyarrow"
-    ).setLevel(logging.ERROR)
+    make_quiet_hook()()
 
 
 def make_quiet_hook():
     """Worker-side variant of :func:`quiet_ray_data_schema_warnings`
     for ``runtime_env={"worker_process_setup_hook": make_quiet_hook()}``.
 
-    Returns a CLOSURE (with the YAML path baked in by value) so
-    cloudpickle serializes it self-contained — the setup hook
-    deserializes during early worker startup, before the driver's
-    sys.path reaches the worker, so a plain module function (pickled by
-    reference) would die with ModuleNotFoundError."""
-    yaml_path = _logging_yaml_path()
+    Returns a CLOSURE, which cloudpickle serializes self-contained —
+    the setup hook deserializes during early worker startup, before the
+    driver's sys.path reaches the worker, so a plain module function
+    (pickled by reference) would die with ModuleNotFoundError."""
 
     def _hook():
         import logging
-        import os
 
-        os.environ.setdefault("RAY_DATA_LOGGING_CONFIG", yaml_path)
-        logging.getLogger(
-            "ray.data._internal.arrow_ops.transform_pyarrow"
-        ).setLevel(logging.ERROR)
+        class _DropSchemaHashWarning(logging.Filter):
+            def filter(self, record):
+                return not record.getMessage().startswith("Failed to hash the schemas")
+
+        log = logging.getLogger("ray.data._internal.arrow_ops.transform_pyarrow")
+        if not any(type(f).__name__ == "_DropSchemaHashWarning" for f in log.filters):
+            log.addFilter(_DropSchemaHashWarning())
 
     return _hook
 
@@ -509,21 +496,49 @@ def key_buckets(batch, keys: list, num_buckets: int):
     return (h % np.uint64(num_buckets)).astype(np.int32)
 
 
+# The most rows :func:`bucket_exchange` folds in one task.  The fold
+# queries exchange 40 to 20k rows, where one task beats the shuffle's
+# task rounds; at 1M rows on 4 CPUs the two tiers were level, and more
+# CPUs give the shuffle's reduce more parallelism, so the cut sits far
+# below that crossover.
+_ONE_TASK_ROWS = 65_536
+
+
+def _fold_in_one_task(rows: int, nbytes: int, rows_per_block: int) -> bool:
+    """The tier rule of :func:`bucket_exchange`: at most
+    ``_ONE_TASK_ROWS`` and ``rows_per_block`` rows, and at most one
+    block's bytes (Ray's ``target_max_block_size``; unset means no byte
+    cap)."""
+    from ray.data import DataContext
+
+    cap = DataContext.get_current().target_max_block_size
+    return rows <= min(_ONE_TASK_ROWS, rows_per_block) and (cap is None or nbytes <= cap)
+
+
 def bucket_exchange(ds, keys, fold, *, num_buckets: int = 64, rows_per_block: int = 1_048_576):
     """The package's one keyed exchange: hash ``keys`` (one column name
     or a list; int or string columns) into an int32 ``__bucket``
-    column, bound the block count (:func:`bounded_blocks`), then
-    ``groupby("__bucket").map_groups(fold)``.
+    column, then fold each bucket.
 
     ``ds`` may be a list of datasets with the same schema (the sides of
     a join or diff): each is tagged where it is produced, then they are
     unioned, so the tag fuses into each side's own map tasks.
 
     Every row of a key lands in one bucket, so ``fold`` — called once
-    per bucket with a pyarrow table that still carries ``__bucket`` —
-    sees all of that key's rows.  Python cost is O(num_buckets) fold
-    calls, never O(distinct keys); ``fold`` should be one vectorized
-    pass (sort, then reduce runs).  Returns the lazy folded dataset."""
+    per non-empty bucket, in ascending bucket order, with a pyarrow
+    table that still carries ``__bucket`` — sees all of that key's
+    rows.  Python cost is O(num_buckets) fold calls, never O(distinct
+    keys); ``fold`` should be one vectorized pass (sort, then reduce
+    runs).  Returns the lazy folded dataset.
+
+    The tagged input is materialized and its row count and byte size
+    read from block metadata.  A small input (at most 65,536 and
+    ``rows_per_block`` rows, and at most Ray's ``target_max_block_size``
+    bytes; :func:`_fold_in_one_task`) is folded by one ``map_batches``
+    task that stable-sorts every row by ``__bucket`` and folds each
+    bucket, skipping the sort shuffle's sample, map and reduce rounds;
+    a larger input bounds its block count (:func:`bounded_blocks`) and
+    runs ``groupby("__bucket").map_groups``."""
     import pyarrow as pa
 
     keys = [keys] if isinstance(keys, str) else list(keys)
@@ -532,11 +547,22 @@ def bucket_exchange(ds, keys, fold, *, num_buckets: int = 64, rows_per_block: in
         bkt = key_buckets(batch, keys, num_buckets)
         return batch.append_column("__bucket", pa.array(bkt, type=pa.int32()))
 
+    def _fold_buckets(table: "pa.Table"):
+        # an int column without nulls sorts by value: ascending buckets
+        perm, starts = _key_runs(table, ["__bucket"])
+        table = table.take(perm)
+        for start, end in zip(starts, [*starts[1:], table.num_rows]):
+            yield fold(table.slice(start, end - start))
+
     tagged = [d.map_batches(_tag, batch_format="pyarrow") for d in (ds if isinstance(ds, list) else [ds])]
     if len(tagged) > 1:
         tagged = [tagged[0].union(*tagged[1:])]
+    tagged = tagged[0].materialize()
+    rows = tagged.count()
+    if _fold_in_one_task(rows, tagged.size_bytes(), rows_per_block):
+        return tagged.map_batches(_fold_buckets, batch_size=max(rows, 1), batch_format="pyarrow")
     return (
-        bounded_blocks(tagged[0], rows_per_block=rows_per_block)
+        bounded_blocks(tagged, rows_per_block=rows_per_block)
         .groupby("__bucket")
         .map_groups(fold, batch_format="pyarrow")
     )

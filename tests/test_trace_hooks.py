@@ -99,14 +99,18 @@ def test_shard_task_layers_recorded(patched_namespaces, tmp_path):
     assert {s[0] for s in rec.spans} == {"job"}  # job id = the out_dir's name
 
 
-def test_fold_layers_recorded(ray_session, patched_namespaces):
+def test_fold_layers_recorded(ray_session, patched_namespaces, monkeypatch):
     """The keyed-fold queries of the benchmark's ``fold_queries``
     workload: each must still be seen by the ``util.bucket_keyed_fold``
     and ``pipelines.bucket_groupby`` hooks, so their per-pass counts
-    stay meaningful."""
+    stay meaningful.  These 5-row inputs are folded in one task, so the
+    exchange is forced for the ``groupby`` counts; under the defaults
+    the same queries record the same folds and no ``groupby``."""
     import pyarrow as pa
 
     import ray.data
+
+    import dots_ocr_ray.util as util
 
     spans = _load_spans()
     rec = spans.Recorder()
@@ -115,17 +119,34 @@ def test_fold_layers_recorded(ray_session, patched_namespaces):
     from dots_ocr_ray.pipelines.graph import degree_assortativity_stats
     from dots_ocr_ray.pipelines.profile import fd_violations
 
-    edges = ray.data.from_arrow(pa.table({"src": [1, 2, 3, 3, 4], "dst": [2, 3, 1, 4, 1]}))
-    assert degree_assortativity_stats(edges).num_rows == 1
-    names = [s[3] for s in rec.spans]
+    def assortativity():
+        edges = ray.data.from_arrow(pa.table({"src": [1, 2, 3, 3, 4], "dst": [2, 3, 1, 4, 1]}))
+        assert degree_assortativity_stats(edges).num_rows == 1
+
+    def fd_check():
+        rows = ray.data.from_arrow(pa.table({"k": [1, 1, 2, 3, 3], "v": [10, 11, 20, 30, 30]}))
+        out = fd_violations(rows, det_col="k", dep_col="v")
+        assert out.column("n_keys").to_pylist() == [3]
+        assert out.column("n_violating").to_pylist() == [1]
+
+    def spans_of(query):
+        rec.spans.clear()
+        query()
+        return [s[3] for s in rec.spans]
+
+    default = [spans_of(assortativity), spans_of(fd_check)]
+    monkeypatch.setattr(util, "_fold_in_one_task", lambda rows, nbytes, rows_per_block: False)
+
+    names = spans_of(assortativity)
     assert "util.bucket_keyed_fold" in names
     assert "pipelines.bucket_groupby" in names
+    forced = [names]
 
-    rec.spans.clear()
-    rows = ray.data.from_arrow(pa.table({"k": [1, 1, 2, 3, 3], "v": [10, 11, 20, 30, 30]}))
-    out = fd_violations(rows, det_col="k", dep_col="v")
-    assert out.column("n_keys").to_pylist() == [3]
-    assert out.column("n_violating").to_pylist() == [1]
-    names = [s[3] for s in rec.spans]
+    names = spans_of(fd_check)
     assert names.count("util.bucket_keyed_fold") == 2
     assert names.count("pipelines.bucket_groupby") == 2
+    forced.append(names)
+
+    for d, f in zip(default, forced):
+        assert d.count("pipelines.bucket_groupby") == 0
+        assert d.count("util.bucket_keyed_fold") == f.count("util.bucket_keyed_fold")
