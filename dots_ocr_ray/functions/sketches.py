@@ -27,6 +27,8 @@ import pyarrow as pa
 
 import ray.data
 
+from dots_ocr_ray.util import _key_runs, bucket_exchange
+
 
 def _h64(key: str, seed: int = 0) -> int:
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8, salt=seed.to_bytes(8, "big")).digest()
@@ -96,14 +98,7 @@ class HyperLogLog:
         return out
 
     def count(self) -> float:
-        m = self.m
-        alpha = 0.7213 / (1 + 1.079 / m)
-        est = alpha * m * m / np.sum(2.0 ** -self.registers.astype(np.float64))
-        if est <= 2.5 * m:
-            zeros = int(np.count_nonzero(self.registers == 0))
-            if zeros:
-                return m * math.log(m / zeros)  # linear counting
-        return float(est)
+        return float(_hll_counts(self.registers[None, :])[0])
 
     def serialize(self) -> bytes:
         return struct.pack("<B", self.p) + self.registers.tobytes()
@@ -114,6 +109,21 @@ class HyperLogLog:
         hll = cls(p)
         hll.registers = np.frombuffer(data[1:], dtype=np.uint8).copy()
         return hll
+
+
+def _hll_counts(registers: np.ndarray) -> np.ndarray:
+    """:meth:`HyperLogLog.count` of each row of a (sketches, 2^p)
+    register matrix: the raw estimate, or linear counting in the small
+    range when a register is still zero.  The log runs through
+    ``math.log`` once per distinct zero count (at most 2^p), because
+    ``np.log`` can differ from it in the last bit."""
+    m = registers.shape[1]
+    alpha = 0.7213 / (1 + 1.079 / m)
+    est = alpha * m * m / np.sum(2.0 ** -registers.astype(np.float64), axis=1)
+    zeros = np.count_nonzero(registers == 0, axis=1)
+    uz, inv = np.unique(zeros, return_inverse=True)
+    linear = np.array([m * math.log(m / z) if z else 0.0 for z in uz.tolist()])[inv.reshape(-1)]
+    return np.where((est <= 2.5 * m) & (zeros > 0), linear, est)
 
 
 def approx_distinct(ds: ray.data.Dataset, col: str, p: int = 12) -> float:
@@ -142,10 +152,12 @@ def grouped_approx_distinct(
     The exact form of this query ships every (key, value) pair through
     a shuffle — at 10^12 events × 10^9 users that is the corpus itself.
     Here each batch emits ONE 2^p-byte register blob per key it
-    contains, so the keyed exchange moves (batches × keys-per-batch)
-    4-KB rows; the merge is one vectorized ``np.maximum`` reduce per
-    KEY (register max is commutative/idempotent, so the result is
-    independent of partitioning — golden-checkable).
+    contains, so the keyed exchange
+    (:func:`~dots_ocr_ray.util.bucket_exchange`) moves (batches ×
+    keys-per-batch) 4-KB rows; each bucket stacks its registers and
+    merges every key run with one ``np.maximum.reduceat`` (register
+    max is commutative/idempotent, so the result is independent of
+    partitioning — golden-checkable).
 
     Output: (key_col, approx_distinct:int64), exact when the per-key
     cardinality is far below 2^p (linear-counting regime)."""
@@ -171,28 +183,18 @@ def grouped_approx_distinct(
         )
 
     def _merge(group: pa.Table) -> pa.Table:
-        regs = np.stack(
-            [
-                np.frombuffer(b[1:], dtype=np.uint8)
-                for b in group.column("sketch").to_pylist()
-            ]
-        )
-        hll = HyperLogLog(p)
-        hll.registers = np.maximum.reduce(regs)
+        perm, starts = _key_runs(group, [key_col])
+        sketches = group.column("sketch").take(perm).to_pylist()
+        regs = np.stack([np.frombuffer(b[1:], dtype=np.uint8) for b in sketches])
+        counts = np.round(_hll_counts(np.maximum.reduceat(regs, starts, axis=0)))
         return pa.table(
             {
-                key_col: group.column(key_col).slice(0, 1),
-                "approx_distinct": pa.array(
-                    [int(round(hll.count()))], type=pa.int64()
-                ),
+                key_col: group.column(key_col).take(perm[starts]),
+                "approx_distinct": pa.array(counts.astype(np.int64), type=pa.int64()),
             }
         )
 
-    return (
-        ds.map_batches(_partials, batch_format="pyarrow")
-        .groupby(key_col)
-        .map_groups(_merge, batch_format="pyarrow")
-    )
+    return bucket_exchange(ds.map_batches(_partials, batch_format="pyarrow"), key_col, _merge)
 
 
 def corpus_overlap(

@@ -9,8 +9,7 @@ Scale shape: ONE bucket-keyed exchange co-locates each basket's items
 emission is vectorized per run-length class inside the bucket fold —
 Python cost O(distinct basket sizes), never O(baskets).  Pair counts
 and per-item counts leave the fold as int64 partials and merge through
-``util.merge_int_counts`` (driver numpy under 8M partial rows, a
-distributed groupby-sum above).  The surviving-rule table is bounded
+one ``util.bucket_keyed_fold`` sum each.  The surviving-rule table is bounded
 by ``min_support`` — only pairs seen ≥ min_support times ever reach
 the driver join, and the per-item counts gathered for lift are only
 those appearing in surviving pairs (``sorted_lookup``), so nothing
@@ -32,12 +31,7 @@ import pyarrow as pa
 
 import ray.data
 
-from dots_ocr_ray.util import (
-    bucket_exchange,
-    merge_int_counts,
-    merge_pair_counts,
-    sorted_lookup,
-)
+from dots_ocr_ray.util import bucket_exchange, bucket_keyed_fold, sorted_lookup
 
 _PACK_LIMIT = np.int64(1) << np.int64(31)
 
@@ -134,8 +128,7 @@ def association_rules(
 
     ``wide_ids``: item ids ≥ 2^31 (or negative) can't use the packed
     ``a<<32|b`` pair key; the wide path keeps pairs as two int64
-    columns and merges via :func:`~dots_ocr_ray.util.merge_pair_counts`
-    — same exchange discipline, ~1.5× pair-partial bytes.  ``None``
+    columns and merges on both — same exchange discipline, ~1.5× pair-partial bytes.  ``None``
     (default) probes the item-id range with one column-pruned pass and
     picks automatically; pass True/False to skip the probe.
     """
@@ -177,19 +170,10 @@ def association_rules(
         num_buckets=num_buckets,
     ).materialize()
 
-    if packed:
-        pair_counts = merge_int_counts(
-            partials.filter(expr="kind == 0").select_columns(["key", "cnt"]),
-            "key",
-            "cnt",
-        )
-    else:
-        pair_counts = merge_pair_counts(
-            partials.filter(expr="kind == 0").select_columns(["key", "key_b", "cnt"]),
-            "key",
-            "key_b",
-            "cnt",
-        )
+    keys = ["key"] if packed else ["key", "key_b"]
+    pair_counts = bucket_keyed_fold(
+        partials.filter(expr="kind == 0").select_columns([*keys, "cnt"]), keys, {"cnt": ("sum", "cnt")}
+    )
     # surviving pairs only (bounded by min_support)
     surv = pair_counts.filter(expr=f"cnt >= {int(min_support)}").materialize()
     pair_a_np: list[np.ndarray] = []
@@ -219,10 +203,8 @@ def association_rules(
     item_b = np.concatenate(pair_b_np)
     sup = np.concatenate(pair_cnt_np).astype(np.int64)
 
-    item_counts = merge_int_counts(
-        partials.filter(expr="kind == 1").select_columns(["key", "cnt"]),
-        "key",
-        "cnt",
+    item_counts = bucket_keyed_fold(
+        partials.filter(expr="kind == 1").select_columns(["key", "cnt"]), "key", {"cnt": ("sum", "cnt")}
     )
     # gather only the items that appear in surviving pairs
     need = np.unique(np.concatenate([item_a, item_b]))

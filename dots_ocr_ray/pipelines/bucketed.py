@@ -7,7 +7,7 @@ transform; Spark bucketBy).
 At 100 TB this is the difference between paying the all-to-all
 exchange on EVERY join and paying it once at ingest: a fact table
 bucketed by ``custkey`` joins against every similarly bucketed
-dimension/fact with one task per bucket, each reading exactly its two
+dimension/fact bucket by bucket, each bucket reading exactly its two
 co-located file sets — no block ever moves between workers.
 
 Layout: ``out_dir/__bucket=<i>/…parquet`` (hive-partitioned via Ray's
@@ -80,11 +80,13 @@ def _read_manifest(path: str) -> dict:
         return json.loads(f.read().decode())
 
 
-def _bucket_files(path: str, num_buckets: int) -> dict[int, list[str]]:
+def _bucket_files(path: str, num_buckets: int) -> dict[int, list]:
+    """Each bucket's parquet ``FileInfo`` entries (path and byte size),
+    sorted by path."""
     from pyarrow.fs import FileSelector
 
     fs, root = resolve_fs(path)
-    out: dict[int, list[str]] = {i: [] for i in range(num_buckets)}
+    out: dict[int, list] = {i: [] for i in range(num_buckets)}
     for i in range(num_buckets):
         sub = posixpath.join(root, f"__bucket={i}")
         try:
@@ -92,7 +94,7 @@ def _bucket_files(path: str, num_buckets: int) -> dict[int, list[str]]:
         except (FileNotFoundError, OSError):
             continue
         out[i] = sorted(
-            f.path for f in infos if f.is_file and f.path.endswith(".parquet")
+            (f for f in infos if f.is_file and f.path.endswith(".parquet")), key=lambda f: f.path
         )
     return out
 
@@ -105,10 +107,12 @@ def bucketed_join(
     how: str = "inner",
     suffix: str = "_r",
 ) -> ray.data.Dataset:
-    """Join two bucketed layouts with ZERO exchange: one task per
-    bucket, each reading its two co-located file lists directly
-    through ``pyarrow`` and merging locally (same pandas-merge
-    semantics as ``relational.hash_join``'s per-bucket reduce).
+    """Join two bucketed layouts with ZERO exchange: buckets are packed
+    by their files' byte size into about two tasks per CPU slot
+    (:func:`~dots_ocr_ray.util.packed_items`); each bucket reads its
+    two co-located file lists directly through ``pyarrow`` and merges
+    locally (same pandas-merge semantics as ``relational.hash_join``'s
+    per-bucket reduce).
 
     Raises if the two manifests disagree on bucket count or hash —
     co-partitioning is a CONTRACT, not a hope."""
@@ -122,17 +126,8 @@ def bucketed_join(
     num_buckets = ml["num_buckets"]
     lf = _bucket_files(left_dir, num_buckets)
     rf = _bucket_files(right_dir, num_buckets)
-    specs = [
-        {
-            "bucket": i,
-            "left": json.dumps(lf[i]),
-            "right": json.dumps(rf[i]),
-            "left_dir": left_dir,
-            "right_dir": right_dir,
-        }
-        for i in range(num_buckets)
-        if lf[i]
-    ]
+    todo = [i for i in range(num_buckets) if lf[i]]
+    specs = [{"left": [f.path for f in lf[i]], "right": [f.path for f in rf[i]]} for i in todo]
 
     # right-side schema read ONCE on the driver (from any non-empty
     # bucket): buckets whose right file list is empty still emit the
@@ -140,7 +135,7 @@ def bucketed_join(
     # drift (missing right columns) that poisons the downstream union
     rfs_drv, _ = resolve_fs(right_dir)
     sample_right = next(
-        (rf[i][0] for i in range(num_buckets) if rf[i]), None
+        (rf[i][0].path for i in range(num_buckets) if rf[i]), None
     )
     right_schema = (
         pq.read_schema(sample_right, filesystem=rfs_drv)
@@ -151,13 +146,10 @@ def bucketed_join(
     def _join_bucket(batch: pa.Table):
         import pandas as pd
 
+        lfs, _ = resolve_fs(left_dir)
+        rfs, _ = resolve_fs(right_dir)
         for row in batch.to_pylist():
-            lfs, _ = resolve_fs(row["left_dir"])
-            rfs, _ = resolve_fs(row["right_dir"])
-            lpaths = json.loads(row["left"])
-            rpaths = json.loads(row["right"])
-            if not lpaths:
-                continue
+            lpaths, rpaths = row["left"], row["right"]
             # Arrow-backed dtypes (the hash_join rule): a left join's
             # unmatched rows pad the right side with nulls, and plain
             # to_pandas would upcast its int64 ids/hashes to float64 —
@@ -193,8 +185,10 @@ def bucketed_join(
                     merged, preserve_index=False
                 ).replace_schema_metadata(None)
 
-    # one row per bucket; batch_size=1 → one Ray task per bucket, the
-    # natural parallel unit of a co-partitioned layout
-    return ray.data.from_items(specs).map_batches(
-        _join_bucket, batch_size=1, batch_format="pyarrow"
+    from dots_ocr_ray.util import packed_items
+
+    weights = [sum(f.size for f in lf[i] + rf[i]) for i in todo]
+    paths = pa.list_(pa.string())
+    return packed_items(specs, weights, schema=pa.schema([("left", paths), ("right", paths)])).map_batches(
+        _join_bucket, batch_size=None, batch_format="pyarrow"
     )

@@ -303,11 +303,9 @@ def classifier_eval(scored: ray.data.Dataset) -> pa.Table:
         )
         return pa.concat_tables([out, conf])
 
-    from dots_ocr_ray.util import merge_int_counts
+    from dots_ocr_ray.util import bucket_keyed_fold
 
-    merged = merge_int_counts(
-        scored.map_batches(_partial, batch_format="pyarrow"), "k", "c"
-    )
+    merged = bucket_keyed_fold(scored.map_batches(_partial, batch_format="pyarrow"), "k", {"c": ("sum", "c")})
     rows = merged.take_all()
     k = np.array([r["k"] for r in rows], dtype=np.int64)
     c = np.array([r["c"] for r in rows], dtype=np.int64)

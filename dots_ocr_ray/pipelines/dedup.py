@@ -53,6 +53,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from dots_ocr_ray import util
 from dots_ocr_ray.functions.hashing import (
     MinHasher,
     char_ngram_hashes,
@@ -76,25 +77,6 @@ HOT_BUCKET_CAP = 64
 """Above this size a candidate bucket switches from full pairwise
 emission (O(n^2)) to star-linking vs its min doc (O(n)) — the hot-key
 guard for duplicate-heavy corpora (SURVEY §7.4 hard part 6)."""
-
-DRIVER_PAIR_LIMIT = 2_000_000
-"""Broadcast-side id-set budget (semi/anti-join helpers): above this
-many ids the sorted-array broadcast gives way to distributed joins."""
-
-DRIVER_UF_PAIR_LIMIT = 16_000_000
-"""cluster_assign(method="auto") switches from driver union-find to
-distributed label propagation above this many candidate pairs.  The
-driver tier is vectorized min-label pointer-jumping
-(:func:`_min_labels_numpy` — a handful of O(E) numpy kernels per
-round), so the binding constraint is MEMORY, not CPU: at the limit the
-pair arrays are 16M × 2 × 8 B = 256 MB on the driver and the broadcast
-root map ≤ 32M nodes × 16 B = 512 MB in the object store (one
-shared-memory copy per node) — comfortable on the 128 GiB nodes this
-engine targets, and ~6× faster than the propagation tier at the 4-8M
-pair scale the dup-heavy stress exercises.  Above it the fully
-distributed tier takes over; nothing driver-sized ever depends on the
-corpus row count."""
-
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -404,19 +386,17 @@ def semi_join_ids(
     *,
     id_col: str,
     id_cols: tuple[str, ...] = ("id",),
-    exact_limit: int = DRIVER_PAIR_LIMIT,
     fp_rate: float = 0.001,
     exact: bool = False,
 ) -> ray.data.Dataset:
     """Broadcast semi-join: keep payload rows whose ``id_col`` value
     appears in any of ``ids_ds``'s ``id_cols`` columns.  Two tiers:
 
-    * exact — under ``exact_limit`` ids (rows × id columns) the
-      distinct ids collect on the driver as ONE sorted int64 numpy
-      array (8 B/id, the same driver budget as the union-find fast
-      path), broadcast once, membership via vectorized
-      ``searchsorted``;
-    * Bloom — above the limit, :func:`build_bloom_distributed` (no
+    * exact — when the ids (rows × id columns) fit
+      :func:`~dots_ocr_ray.util.broadcast_fits`, the distinct ids
+      collect on the driver as ONE sorted int64 numpy array (8 B/id),
+      broadcast once, membership via vectorized ``searchsorted``;
+    * Bloom — above the cut, :func:`build_bloom_distributed` (no
       driver key streaming); false positives let ~``fp_rate`` extra
       payload rows through, which downstream inner joins ignore — use
       the default ``exact=False`` only where over-keeping is safe.
@@ -430,7 +410,7 @@ def semi_join_ids(
     # seconds of fixed plan cost per execution even for tiny id tables
     ids_ds = ids_ds.materialize()
     n_ids = ids_ds.count() * len(id_cols)
-    if n_ids <= exact_limit:
+    if util.broadcast_fits(n_ids, ids_ds.size_bytes()):
         member_ref = ray.put(_collect_sorted_ids(ids_ds, id_cols))
 
         def _mask(members_obj, vals: np.ndarray) -> np.ndarray:
@@ -469,7 +449,6 @@ def anti_join_ids(
     *,
     id_col: str,
     id_cols: tuple[str, ...] = ("id",),
-    exact_limit: int = DRIVER_PAIR_LIMIT,
     fp_rate: float = 0.001,
 ) -> ray.data.Dataset:
     """EXACT anti-join at every scale: drop payload rows whose
@@ -482,7 +461,8 @@ def anti_join_ids(
     verifies only the possible members with one exact distributed hash
     anti-join:
 
-    * exact tier — under ``exact_limit`` id rows, one sorted int64
+    * exact tier — id rows that fit
+      :func:`~dots_ocr_ray.util.broadcast_fits`, one sorted int64
       broadcast array (8 B/id), vectorized ``searchsorted`` NOT-member
       mask, zero exchange;
     * scale tier — rows the Bloom rejects are DEFINITE non-members
@@ -497,7 +477,7 @@ def anti_join_ids(
     materialized there if it isn't already."""
     ids_ds = ids_ds.materialize()
     n_ids = ids_ds.count() * len(id_cols)
-    if n_ids <= exact_limit:
+    if util.broadcast_fits(n_ids, ids_ds.size_bytes()):
         member_ref = ray.put(_collect_sorted_ids(ids_ds, id_cols))
 
         def _drop(batch: pa.Table) -> pa.Table:
@@ -523,7 +503,6 @@ def filter_payload_to_pair_endpoints(
     pairs_ds: ray.data.Dataset,
     *,
     id_col: str,
-    exact_limit: int = DRIVER_PAIR_LIMIT,
 ) -> ray.data.Dataset:
     """Shrink the (id, payload) side-table to rows whose id is a
     candidate-pair endpoint BEFORE the attach exchange — the side-table
@@ -535,7 +514,6 @@ def filter_payload_to_pair_endpoints(
         pairs_ds.select_columns(["a", "b"]),
         id_col=id_col,
         id_cols=("a", "b"),
-        exact_limit=exact_limit,
     )
 
 
@@ -546,15 +524,15 @@ def attach_pair_payloads(
     id_col: str,
     payload_col: str,
     payload_type: pa.DataType,
-    broadcast_bytes_limit: int = 1 << 30,
 ) -> ray.data.Dataset:
     """(a, b) pairs + (id, payload) side-table → (a, b, payload_a,
     payload_b).  Two tiers:
 
     FAST PATH — when the (endpoint-filtered) side-table fits
-    ``broadcast_bytes_limit``: build an id→payload dict once, broadcast
-    via ``ray.put``, and join with a streaming ``map_batches`` over the
-    pairs (two dict lookups per pair, zero exchanges).  Unlike the
+    :func:`~dots_ocr_ray.util.broadcast_fits`: build an id→payload dict
+    once, broadcast via ``ray.put``, and join with a streaming
+    ``map_batches`` over the pairs (two dict lookups per pair, zero
+    exchanges).  Unlike the
     round-1 driver-dict pattern this is explicitly BUDGETED — the side
     table has already been cut to candidate endpoints
     (:func:`filter_payload_to_pair_endpoints`), and over the budget the
@@ -577,7 +555,7 @@ def attach_pair_payloads(
     pass through duplicated, which every consumer (vectorized verify,
     connected components) treats idempotently."""
     side = payload_ds.materialize()
-    if side.size_bytes() <= broadcast_bytes_limit:
+    if util.broadcast_fits(side.count(), side.size_bytes()):
         # broadcast a (sorted ids, payload array) pair instead of a
         # Python dict: membership + gather are then vectorized
         # (searchsorted + Arrow take) — no per-pair Python lookups
@@ -858,23 +836,21 @@ def cluster_assign(
     pairs_ds: ray.data.Dataset,
     *,
     id_col: str = "doc_id",
-    method: str = "auto",
-    driver_pair_limit: int = DRIVER_UF_PAIR_LIMIT,
     max_rounds: int = 64,
 ) -> ray.data.Dataset:
     """(doc_id, cluster_id) for EVERY id in ``ids_ds``; cluster_id =
     min doc id of the candidate-pair component (singletons map to
     themselves).
 
-    ``method="driver"``: union-find over the pairs only (never the
-    corpus ids) → small root map broadcast via ``ray.put`` → streaming
-    ``map_batches`` assignment.  ``method="distributed"``: min-label
-    propagation (:func:`_propagate_labels`) then one keyed min-combine
-    of (ids ∪ labels).  ``"auto"`` picks by pair count."""
+    Pairs that fit :func:`~dots_ocr_ray.util.broadcast_fits`:
+    vectorized min-label pointer-jumping over the pairs only (never the
+    corpus ids, :func:`_min_labels_numpy`) on the driver → small root
+    map broadcast via ``ray.put`` → streaming ``map_batches``
+    assignment.  Larger: min-label propagation
+    (:func:`_propagate_labels`) then one keyed min-combine of (ids ∪
+    labels); nothing driver-sized depends on the corpus row count."""
     pairs_ds = bounded_blocks(pairs_ds, rows_per_block=262144)
     n_pairs = pairs_ds.count()
-    if method == "auto":
-        method = "driver" if n_pairs <= driver_pair_limit else "distributed"
 
     if n_pairs == 0:
 
@@ -884,12 +860,11 @@ def cluster_assign(
 
         return ids_ds.map_batches(_identity, batch_format="pyarrow")
 
-    if method == "driver":
+    if util.broadcast_fits(n_pairs, pairs_ds.size_bytes()):
         # fetch the (materialized, bounded) pair blocks as zero-copy
         # object-store refs — iter_batches' iterator machinery costs
         # ~4.3 s for 6.5M pairs where the direct block fetch is 0.08 s
-        # (measured round 5); the pair budget caps driver heap at
-        # ~256 MB
+        # (measured round 5)
         from dots_ocr_ray.util import collect_arrow_blocks
 
         blocks = collect_arrow_blocks(pairs_ds)
@@ -1147,7 +1122,6 @@ def minhash_lsh_dedup(
     shingle_k: int = 5,
     threshold: float = 0.8,
     concurrency: int | tuple[int, int] | None = None,
-    cc_method: str = "auto",
 ) -> ray.data.Dataset:
     """MinHash+LSH near-dup clustering → (doc_id, cluster_id).
 
@@ -1165,7 +1139,7 @@ def minhash_lsh_dedup(
         threshold=threshold,
         concurrency=concurrency,
     )
-    return cluster_assign(ds.select_columns([id_col]), pairs, id_col=id_col, method=cc_method)
+    return cluster_assign(ds.select_columns([id_col]), pairs, id_col=id_col)
 
 
 # ---------------------------------------------------------------------------
@@ -1177,7 +1151,6 @@ def simhash_dedup(
     id_col: str = "doc_id",
     max_hamming: int = 3,
     n_blocks: int = 4,
-    cc_method: str = "auto",
 ) -> ray.data.Dataset:
     """SimHash near-dup clustering → (doc_id, cluster_id).
 
@@ -1202,7 +1175,6 @@ def simhash_dedup(
         id_col=id_col,
         max_hamming=max_hamming,
         n_blocks=n_blocks,
-        cc_method=cc_method,
     )
 
 
@@ -1213,7 +1185,6 @@ def hash64_cluster(
     id_col: str = "doc_id",
     max_hamming: int = 3,
     n_blocks: int = 4,
-    cc_method: str = "auto",
 ) -> ray.data.Dataset:
     """Hamming-radius clustering of any 64-bit signature column —
     the shared core behind SimHash text dedup and perceptual-hash
@@ -1301,7 +1272,7 @@ def hash64_cluster(
         num_buckets=256,
         rows_per_block=262144,
     )
-    return cluster_assign(ids_ds, pairs, id_col=id_col, method=cc_method)
+    return cluster_assign(ids_ds, pairs, id_col=id_col)
 
 
 # ---------------------------------------------------------------------------
@@ -1314,7 +1285,6 @@ def ngram_jaccard_dedup(
     n: int = 3,
     threshold: float = 0.8,
     concurrency: int | tuple[int, int] | None = None,
-    cc_method: str = "auto",
 ) -> ray.data.Dataset:
     """Character-n-gram Jaccard near-dup clustering → (doc_id,
     cluster_id).  Candidates come from a loose MinHash pass (recall
@@ -1332,7 +1302,7 @@ def ngram_jaccard_dedup(
     verified = jaccard_verify_pairs(
         cand, ds, id_col=id_col, text_col=text_col, n=n, threshold=threshold
     )
-    return cluster_assign(ds.select_columns([id_col]), verified, id_col=id_col, method=cc_method)
+    return cluster_assign(ds.select_columns([id_col]), verified, id_col=id_col)
 
 
 # ---------------------------------------------------------------------------
@@ -1345,7 +1315,6 @@ def embedding_dedup(
     threshold: float = 0.95,
     n_planes: int = 12,
     seed: int = 42,
-    cc_method: str = "auto",
 ) -> ray.data.Dataset:
     """Embedding near-dup clustering → (doc_id, cluster_id).
 
@@ -1412,7 +1381,7 @@ def embedding_dedup(
         return _pairs_table(np.minimum(da, db), np.maximum(da, db))
 
     pairs = buckets.groupby("bucket").map_groups(_pairs, batch_format="pyarrow")
-    return cluster_assign(ds.select_columns([id_col]), pairs, id_col=id_col, method=cc_method)
+    return cluster_assign(ds.select_columns([id_col]), pairs, id_col=id_col)
 
 
 # ---------------------------------------------------------------------------
@@ -1461,7 +1430,6 @@ def line_dedup(
     text_col: str = "text",
     id_col: str = "doc_id",
     min_count: int = 5,
-    broadcast_limit: int = 2_000_000,
     keep_cols: tuple[str, ...] = (),
 ) -> ray.data.Dataset:
     """C4/Falcon-style line-level corpus dedup: drop every line that
@@ -1479,11 +1447,11 @@ def line_dedup(
     Two tiers on the frequent-line table (which is small by
     construction — only corpus-repeated lines):
 
-    * ``|frequent| <= broadcast_limit`` — the lines broadcast once via
-      ``ray.put`` (per-worker cached) and every batch filters locally
-      with one hashed ``is_in`` + vectorized list rebuild +
+    * the table fits :func:`~dots_ocr_ray.util.broadcast_fits` — the
+      lines broadcast once via ``ray.put`` (per-worker cached) and
+      every batch filters locally with one hashed ``is_in`` + vectorized list rebuild +
       ``binary_join``: zero additional exchange, text never reships.
-    * above the limit — fully distributed: texts explode to
+    * above the cut — fully distributed: texts explode to
       ``(id, ord, line)`` rows, an anti :func:`~dots_ocr_ray.pipelines.
       relational.hash_join` against the frequent table drops the
       repeated lines, and one groupby(id) reassembles in ``ord`` order
@@ -1492,7 +1460,6 @@ def line_dedup(
     # materialize once: count() then iter_batches()/join would each
     # re-execute the lazy frequency pipeline from scratch otherwise
     freq = frequent_lines(ds, text_col=text_col, min_count=min_count).materialize()
-    n_freq = freq.count()
 
     out_schema = pa.schema(
         [
@@ -1520,7 +1487,7 @@ def line_dedup(
             schema=out_schema,
         )
 
-    if n_freq <= broadcast_limit:
+    if util.broadcast_fits(freq.count(), freq.size_bytes()):
         chunks = [
             chunk
             for b in freq.iter_batches(batch_format="pyarrow")
@@ -2076,7 +2043,6 @@ def snm_dedup(
     window: int = 4,
     n: int = 3,
     threshold: float = 0.8,
-    cc_method: str = "auto",
 ) -> ray.data.Dataset:
     """Sorted-neighborhood near-dup clustering (Hernández & Stolfo
     1995) → (doc_id, cluster_id): sort the corpus by a normalized
@@ -2200,6 +2166,4 @@ def snm_dedup(
     verified = jaccard_verify_pairs(
         cand, ds, id_col=id_col, text_col=text_col, n=n, threshold=threshold
     )
-    return cluster_assign(
-        ds.select_columns([id_col]), verified, id_col=id_col, method=cc_method
-    )
+    return cluster_assign(ds.select_columns([id_col]), verified, id_col=id_col)

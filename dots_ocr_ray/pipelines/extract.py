@@ -33,12 +33,9 @@ from dots_ocr_ray.stages.extract_stage import ExtractorActor
 from dots_ocr_ray.state.manifest import completed_partitions, write_partition_atomic
 
 
-def read_pages(path: str, columns: list[str] | None = None, override_num_blocks: int | None = None) -> ray.data.Dataset:
-    """Read the pages table with column pruning at the source."""
-    kwargs = {}
-    if override_num_blocks is not None:
-        kwargs["override_num_blocks"] = override_num_blocks
-    return ray.data.read_parquet(path, columns=columns, **kwargs)
+def read_pages(paths: list[str]) -> ray.data.Dataset:
+    """Read the pages parquet files."""
+    return ray.data.read_parquet(paths)
 
 
 def _extract_batch(batch: pa.Table, *, config: ExtractConfig) -> pa.Table:
@@ -140,7 +137,6 @@ def _process_one_shard(
     out_dir: str,
     config: ExtractConfig,
     batch_size: int,
-    n_shards: int,
     row_groups: list[int] | None = None,
 ) -> dict:
     """One whole input shard → final partition file + marker; returns
@@ -154,14 +150,8 @@ def _process_one_shard(
         pa.set_io_thread_count(2)
 
     t0 = time.perf_counter()
-    extractor = ExtractorActor(config=config, num_partitions=n_shards)
-    outs = []
-    for batch in _shard_record_batches(path, batch_size, row_groups):
-        chunk = extractor(batch)
-        # partition identity is the shard, not the url hash
-        pid_col = pa.array([shard] * chunk.num_rows, type=pa.int32())
-        chunk = chunk.set_column(chunk.column_names.index("partition_id"), "partition_id", pid_col)
-        outs.append(chunk)
+    extractor = ExtractorActor(config=config, partition_id=shard)
+    outs = [extractor(batch) for batch in _shard_record_batches(path, batch_size, row_groups)]
     group = pa.concat_tables(outs) if outs else None
     if group is None or group.num_rows == 0:
         # an EMPTY shard still gets its done marker: without one,
@@ -214,14 +204,13 @@ def _run_shard_task(
     out_dir: str,
     config: ExtractConfig,
     batch_size: int,
-    n_shards: int,
 ) -> pa.Table:
     """map_batches wrapper around :func:`_process_one_shard`, one call
     per packed block, looping over its units (module-level so Ray
     pickles it by reference and worker processes keep the imported
     module warm across tasks)."""
     rows = [
-        _process_one_shard(u["shard"], u["path"], out_dir, config, batch_size, n_shards, u["row_groups"])
+        _process_one_shard(u["shard"], u["path"], out_dir, config, batch_size, u["row_groups"])
         for u in batch.to_pylist()
     ]
     return pa.Table.from_pylist(rows, schema=METRICS_SCHEMA)
@@ -297,7 +286,6 @@ def extract_shards(
             out_dir=out_dir,
             config=cfg,
             batch_size=batch_size,
-            n_shards=max(1, len(units)),
         )
         metrics_ds = work.map_batches(fn, batch_size=None, batch_format="pyarrow")
         fresh = metrics_ds.take_all()

@@ -9,10 +9,10 @@ family:
 * edges are the ONLY corpus-sized table and they stream through
   ``map_batches`` with per-batch partial aggregation — each exchange
   moves one row per distinct key, never one per edge;
-* per-iteration rank state follows the two-tier budget rule used
-  everywhere in this repo (``cluster_assign``, ``semi_join_ids``):
-  a node table under ``broadcast_limit`` lives in ONE broadcast numpy
-  array (``ray.put`` once, per-worker cached); above it every
+* per-iteration rank state follows the package's one broadcast rule
+  (:func:`~dots_ocr_ray.util.broadcast_fits`): a node table that fits
+  it lives in ONE broadcast numpy array (``ray.put`` once, per-worker
+  cached); above it every
   iteration is fully distributed — one :func:`~dots_ocr_ray.pipelines.
   relational.hash_join` of edges with ranks on ``src`` plus one
   ``groupby(dst)`` contribution sum, nothing driver-sized.
@@ -30,6 +30,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from dots_ocr_ray import util
 from dots_ocr_ray.util import GOLDEN64, bounded_blocks, bucket_exchange, cached_object
 
 
@@ -111,7 +112,6 @@ def pagerank(
     num_iters: int = 5,
     damping: float = 0.85,
     seeds=None,
-    broadcast_limit: int = 2_000_000,
 ) -> pa.Table:
     """PageRank over an integer-keyed edge Dataset → ``(host, rank)``
     (ranks sum to 1; dangling mass redistributed uniformly).
@@ -123,15 +123,15 @@ def pagerank(
     (hand-audited hosts), so they ride the task closures in both
     tiers; every other exchange is unchanged.
 
-    Broadcast tier (|nodes| <= ``broadcast_limit``): the node/out-degree
+    Broadcast tier (node table fits
+    :func:`~dots_ocr_ray.util.broadcast_fits`): the node/out-degree
     arrays broadcast once; every iteration streams the edges through a
     stateless ``map_batches`` that bins contributions per destination
     WITHIN the batch (searchsorted + bincount), then one
     ``groupby(node)`` sums partials into the next rank vector — the
-    per-iteration driver state is O(nodes), the same budget as the
-    union-find fast path in ``cluster_assign``.
+    per-iteration driver state is O(nodes).
 
-    Distributed tier (above the budget): ranks live in a Dataset;
+    Distributed tier (above the cut): ranks live in a Dataset;
     each iteration is ``hash_join(edges, ranks, on=src)`` →
     per-batch contribution partials → ``groupby(dst).sum`` →
     left-join back onto the node table (zero-in-degree nodes keep the
@@ -149,7 +149,7 @@ def pagerank(
     if n_nodes == 0:
         return pa.table({"host": pa.array([], pa.int64()), "rank": pa.array([], pa.float64())})
 
-    if n_nodes <= broadcast_limit:
+    if util.broadcast_fits(n_nodes, degrees.size_bytes()):
         hosts_chunks, deg_chunks = [], []
         for b in degrees.iter_batches(batch_format="pyarrow"):
             if b.num_rows:
@@ -414,12 +414,12 @@ def host_chain_edges_from_documents(sf_dir: str) -> ray.data.Dataset:
     return docs.map_batches(_edges, batch_format="pyarrow")
 
 
-def connected_hosts(sf_dir: str, *, method: str = "auto") -> ray.data.Dataset:
+def connected_hosts(sf_dir: str) -> ray.data.Dataset:
     """(host, component) over the chain fixture — the dedup family's
     :func:`~dots_ocr_ray.pipelines.dedup.cluster_assign` (driver
-    union-find under the pair budget, distributed min-label
-    propagation above it) exposed as a first-class graph operator;
-    component = min host id of the component."""
+    union-find when the pairs fit the broadcast rule, distributed
+    min-label propagation above it) exposed as a first-class graph
+    operator; component = min host id of the component."""
     from dots_ocr_ray.pipelines.dedup import cluster_assign
     from dots_ocr_ray.util import bucket_keyed_fold
 
@@ -430,9 +430,7 @@ def connected_hosts(sf_dir: str, *, method: str = "auto") -> ray.data.Dataset:
         return pa.table({"host": pa.array(ids % CHAIN_HOSTS, type=pa.int64())})
 
     hosts = bucket_keyed_fold(docs.map_batches(_hosts, batch_format="pyarrow"), "host", {})
-    assigned = cluster_assign(
-        hosts, host_chain_edges_from_documents(sf_dir), id_col="host", method=method
-    )
+    assigned = cluster_assign(hosts, host_chain_edges_from_documents(sf_dir), id_col="host")
 
     def _rename(batch: pa.Table) -> pa.Table:
         return batch.rename_columns(["host", "component"])
@@ -929,7 +927,6 @@ def bfs_depths(
     src: str = "src",
     dst: str = "dst",
     max_depth: int = 16,
-    broadcast_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Multi-source BFS over an integer-keyed edge Dataset →
     ``(host, depth)`` — depth = minimum hop count from ANY seed,
@@ -938,15 +935,15 @@ def bfs_depths(
     trusted seed list is the classic crawl-priority / spam-distance
     signal (the same shape OPIC / TrustRank seeding uses).
 
-    Two tiers on the node budget (the :func:`pagerank` discipline):
+    Two tiers on the node table (the :func:`pagerank` discipline):
 
-    * broadcast tier (|nodes| ≤ ``broadcast_limit``) — the frontier is
+    * broadcast tier (it fits :func:`~dots_ocr_ray.util.broadcast_fits`)
+      — the frontier is
       a sorted numpy array broadcast once per LEVEL (``ray.put``,
       per-worker cached); each level streams the edges through ONE
       stateless ``map_batches`` that emits the batch-unique successors
       of frontier sources, and the driver keeps the O(reachable)
-      visited/depth arrays — bounded by the same budget that lets
-      ``cluster_assign`` hold a union-find.  Per level: one edge pass,
+      visited/depth arrays.  Per level: one edge pass,
       zero exchanges.
     * distributed tier — frontier and visited live in Datasets; each
       level is ``hash_join(edges, frontier, on=src, how="semi")`` →
@@ -966,11 +963,11 @@ def bfs_depths(
         return ray.data.from_arrow(
             pa.table({"host": pa.array([], pa.int64()), "depth": pa.array([], pa.int64())})
         )
-    n_nodes = degree_table(edges, src=src, dst=dst).count()
+    nodes = degree_table(edges, src=src, dst=dst).materialize()
 
     from dots_ocr_ray.util import sorted_membership
 
-    if n_nodes <= broadcast_limit:
+    if util.broadcast_fits(nodes.count(), nodes.size_bytes()):
         hosts = [seed_arr]
         depths = [np.zeros(len(seed_arr), dtype=np.int64)]
         visited = seed_arr  # sorted
@@ -1084,7 +1081,6 @@ def hits(
     src: str = "src",
     dst: str = "dst",
     num_iters: int = 5,
-    broadcast_limit: int = 2_000_000,
 ) -> pa.Table:
     """Kleinberg HITS over an integer-keyed edge Dataset →
     ``(host, hub, authority)``, each vector L1-normalized (sums to 1).
@@ -1092,13 +1088,14 @@ def hits(
     link targets endorsed by good hubs (directory/spam-farm detection
     reads the hub side, seed-quality scoring the authority side).
 
-    Broadcast tier (|nodes| ≤ ``broadcast_limit``): node array
+    Broadcast tier (node table fits
+    :func:`~dots_ocr_ray.util.broadcast_fits`): node array
     broadcast once; each iteration makes TWO edge passes (HITS needs
     both directions per round — ``auth = Eᵀ·hub`` then
     ``hub = E·auth``), each a stateless ``map_batches`` binning
     contributions per endpoint within the batch; the driver folds
-    O(nodes) partials, the same budget as :func:`pagerank`'s fast
-    path.  Multi-edges act as weights, matching pagerank's convention.
+    O(nodes) partials, as :func:`pagerank`'s broadcast tier does.
+    Multi-edges act as weights, matching pagerank's convention.
 
     Distributed tier: each half-update is one
     ``hash_join(edges, values, on=endpoint)`` + per-batch partials +
@@ -1119,7 +1116,7 @@ def hits(
     if n_nodes == 0:
         return empty
 
-    if n_nodes <= broadcast_limit:
+    if util.broadcast_fits(n_nodes, degrees.size_bytes()):
         hosts = np.sort(_collect_int_col(degrees, "host"))
         n = len(hosts)
         hub = np.full(n, 1.0 / n)
@@ -1363,7 +1360,6 @@ def label_propagation(
     src: str = "src",
     dst: str = "dst",
     num_iters: int = 10,
-    broadcast_limit: int = 2_000_000,
     num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Synchronous label-propagation community detection over an
@@ -1382,7 +1378,8 @@ def label_propagation(
     ties broken toward the SMALLEST label.  After ``num_iters`` the
     label is the community id.
 
-    Driver tier (|nodes| <= ``broadcast_limit``): node and endpoint
+    Driver tier (node table fits
+    :func:`~dots_ocr_ray.util.broadcast_fits`): node and endpoint
     index arrays build once; each iteration is one vectorized
     (node, label)-pair count + lexsort argmax on the driver — O(edges)
     numpy work, zero exchanges.
@@ -1418,9 +1415,8 @@ def label_propagation(
         return ray.data.from_arrow(empty)
 
     node_ds = _distinct_nodes(und, num_buckets)
-    n_nodes = node_ds.count()
 
-    if n_nodes <= broadcast_limit:
+    if util.broadcast_fits(node_ds.count(), node_ds.size_bytes()):
         hosts = np.sort(_collect_int_col(node_ds, "host"))
         n = len(hosts)
         ia_chunks, ib_chunks = [], []
@@ -1566,7 +1562,6 @@ def random_walks(
     walks_per_node: int = 2,
     walk_len: int = 4,
     seed: int = 0,
-    broadcast_limit: int = 2_000_000,
     num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Deterministic uniform random walks over the DIRECTED edge
@@ -1583,7 +1578,8 @@ def random_walks(
     a pure hash of (position, walk, step) — no RNG state, so any
     partitioning of the work produces identical walks.
 
-    Broadcast tier (|nodes| <= ``broadcast_limit``): the CSR adjacency
+    Broadcast tier (node table fits
+    :func:`~dots_ocr_ray.util.broadcast_fits`): the CSR adjacency
     broadcasts once and every walk runs START-TO-END inside one
     stateless ``map_batches`` over the seed rows — ``walk_len``
     vectorized gathers per batch, ZERO exchanges.
@@ -1632,7 +1628,7 @@ def random_walks(
 
     seeds_ds = node_ds.map_batches(_seed_rows, batch_format="pyarrow")
 
-    if n_nodes <= broadcast_limit:
+    if util.broadcast_fits(n_nodes, node_ds.size_bytes()):
         # CSR: sorted edges give per-node contiguous neighbor runs
         ed = dedges.materialize()
         a_chunks, b_chunks = [], []
@@ -1810,7 +1806,6 @@ def robots_filter(
     rules: ray.data.Dataset,
     *,
     url_col: str = "url",
-    broadcast_limit: int = 500_000,
     num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Apply robots.txt-style path rules to a page Dataset → the input
@@ -1823,7 +1818,8 @@ def robots_filter(
     equal-length allow beats a disallow, and a page with no matching
     rule is allowed.
 
-    Broadcast tier (rule count <= ``broadcast_limit``): the rule table
+    Broadcast tier (rule table fits
+    :func:`~dots_ocr_ray.util.broadcast_fits`): the rule table
     ships once (``ray.put`` + per-worker cache) and each batch
     resolves matches with one vectorized ``starts_with`` pass per RULE
     (rule tables are small; pages are the corpus-sized side) — zero
@@ -1849,8 +1845,8 @@ def robots_filter(
                 paths.append(u or "")
         return np.asarray(hosts, dtype=object), np.asarray(paths, dtype=object)
 
-    n_rules = rules.count()
-    if n_rules <= broadcast_limit:
+    rules = rules.materialize()
+    if util.broadcast_fits(rules.count(), rules.size_bytes()):
         r_host, r_prefix, r_allow = [], [], []
         for b in rules.iter_batches(batch_format="pyarrow"):
             if b.num_rows:
@@ -2045,7 +2041,6 @@ def modularity(
     *,
     src: str = "src",
     dst: str = "dst",
-    broadcast_limit: int = 2_000_000,
     num_buckets: int = 64,
 ) -> pa.Table:
     """Newman modularity Q of a community assignment over the
@@ -2059,7 +2054,8 @@ def modularity(
     one float division at the end (rounded 9 dp), so the result is
     bit-identical across engines and association orders.
 
-    Broadcast tier (assignment ≤ ``broadcast_limit`` rows): the
+    Broadcast tier (assignment fits
+    :func:`~dots_ocr_ray.util.broadcast_fits`): the
     (host, label) arrays ship once; each edge batch bins intra-
     community edges and endpoint degrees per label vectorized; the
     driver folds per-label partial rows (O(labels) driver state — the
@@ -2097,8 +2093,8 @@ def modularity(
     if m == 0:
         return empty
 
-    n_assign = communities.count()
-    if n_assign > broadcast_limit:
+    communities = communities.materialize()
+    if not util.broadcast_fits(communities.count(), communities.size_bytes()):
         return _modularity_distributed(und, communities, m, num_buckets=num_buckets)
     hosts_chunks, lab_chunks = [], []
     for b in communities.iter_batches(batch_format="pyarrow"):

@@ -426,8 +426,10 @@ def compact_parquet(
 
     Plan: files list once through ``pyarrow.fs`` (so ``s3://…`` works,
     the state/manifest.py seam), greedy first-fit over the
-    path-sorted list (deterministic plan), one Ray task per output
-    group reading only ITS files and writing one
+    path-sorted list (deterministic plan); groups are packed by bytes
+    into about two tasks per CPU slot
+    (:func:`~dots_ocr_ray.util.packed_items`), and each group reads
+    only ITS files and writes one
     ``compact-{i:05d}.parquet`` with a data-then-marker commit —
     re-running after a crash skips finished groups, the resume
     contract of the extract sink.  The driver holds the file LIST
@@ -435,8 +437,6 @@ def compact_parquet(
 
     Returns ``{"n_input_files", "n_output_files", "bytes_in",
     "rows"}``."""
-    import json as _json
-
     from pyarrow.fs import FileSelector
 
     from dots_ocr_ray.state.manifest import resolve_fs
@@ -465,48 +465,27 @@ def compact_parquet(
 
         from dots_ocr_ray.state.manifest import resolve_fs as _rfs
 
-        gid = int(batch.column("gid")[0].as_py())
-        paths = _json.loads(batch.column("paths")[0].as_py())
-        ofs, oroot = _rfs(batch.column("out")[0].as_py())
-        data_name = f"{oroot}/compact-{gid:05d}.parquet"
-        marker = f"{oroot}/compact-{gid:05d}.done"
-        if ofs.get_file_info(marker).type.name != "NotFound":
-            t = pq.read_metadata(data_name, filesystem=ofs)
-            return pa.table(
-                {
-                    "gid": pa.array([gid], pa.int64()),
-                    "rows": pa.array([t.num_rows], pa.int64()),
-                    "skipped": pa.array([True], pa.bool_()),
-                }
-            )
-        ifs, _ = _rfs(batch.column("in_dir")[0].as_py())
-        tables = [
-            pq.read_table(p, filesystem=ifs, columns=columns) for p in paths
-        ]
-        merged = pa.concat_tables(tables, promote_options="default")
-        pq.write_table(merged, data_name, filesystem=ofs, compression="zstd")
-        with ofs.open_output_stream(marker) as mf:
-            mf.write(b"ok")
-        return pa.table(
-            {
-                "gid": pa.array([gid], pa.int64()),
-                "rows": pa.array([merged.num_rows], pa.int64()),
-                "skipped": pa.array([False], pa.bool_()),
-            }
-        )
+        ofs, oroot = _rfs(out_dir)
+        ifs, _ = _rfs(in_dir)
+        rows = []
+        for gid, paths in zip(batch.column("gid").to_pylist(), batch.column("paths").to_pylist()):
+            data_name = f"{oroot}/compact-{gid:05d}.parquet"
+            marker = f"{oroot}/compact-{gid:05d}.done"
+            if ofs.get_file_info(marker).type.name != "NotFound":
+                rows.append(pq.read_metadata(data_name, filesystem=ofs).num_rows)
+                continue
+            tables = [pq.read_table(p, filesystem=ifs, columns=columns) for p in paths]
+            merged = pa.concat_tables(tables, promote_options="default")
+            pq.write_table(merged, data_name, filesystem=ofs, compression="zstd")
+            with ofs.open_output_stream(marker) as mf:
+                mf.write(b"ok")
+            rows.append(merged.num_rows)
+        return pa.table({"rows": pa.array(rows, pa.int64())})
 
-    plan = ray.data.from_items(
-        [
-            {"gid": i, "paths": _json.dumps(g), "out": out_dir, "in_dir": in_dir}
-            for i, g in enumerate(groups)
-        ]
-    )
     total_rows = 0
-    for b in plan.map_batches(
-        _compact, batch_format="pyarrow", batch_size=1
-    ).iter_batches(batch_format="pyarrow"):
-        for r in range(b.num_rows):
-            total_rows += int(b.column("rows")[r].as_py())
+    if groups:
+        plan = packed_items([{"gid": i, "paths": g} for i, g in enumerate(groups)], sizes)
+        total_rows = int(plan.map_batches(_compact, batch_size=None, batch_format="pyarrow").sum("rows"))
     return {
         "n_input_files": len(infos),
         "n_output_files": len(groups),

@@ -48,7 +48,6 @@ def prepare_training_data(
     chunk_tokens: int = 128,
     overlap_tokens: int = 16,
     train_fraction: float = 0.9,
-    dedup_exact_limit: int | None = None,
     line_dedup_min_count: int | None = None,
     substring_dedup_k: int | None = None,
     decontaminate_bench: ray.data.Dataset | None = None,
@@ -130,10 +129,7 @@ def prepare_training_data(
             # verification never over-keeps a duplicate into the
             # training output the way a survivor-side Bloom semi-join
             # would).  Nothing survivor-proportional lands anywhere.
-            join_kwargs = {} if dedup_exact_limit is None else {"exact_limit": dedup_exact_limit}
-            docs = anti_join_ids(
-                docs, duplicates, id_col="doc_id", id_cols=("doc_id",), **join_kwargs
-            )
+            docs = anti_join_ids(docs, duplicates, id_col="doc_id", id_cols=("doc_id",))
         else:
             raise ValueError(f"unknown dedup mode: {dedup}")
         docs = docs.materialize()

@@ -1083,9 +1083,8 @@ def fd_violations(
     counting distinct dependents per determinant — the driver sees
     only two scalars per block.  Both columns must be int64-castable; 31-bit
     ids pack exactly (the association_rules convention), and wider or
-    negative ids route to a two-column path
-    (:func:`~dots_ocr_ray.util.merge_pair_counts` distinct) — exact
-    at any magnitude.  ``wide_ids=None`` probes the id range with one
+    negative ids route to a two-column distinct — exact at any
+    magnitude.  ``wide_ids=None`` probes the id range with one
     column-pruned pass; pass True/False to skip the probe."""
     from dots_ocr_ray.util import bucket_keyed_fold
 
@@ -1170,10 +1169,10 @@ def _fd_violations_wide(
     dep_col: str,
 ) -> pa.Table:
     """Wide-id FD audit tier: (det, dep) stays TWO int64 columns.
-    Per-batch lexsort-distinct pairs with cnt=1 merge through
-    :func:`~dots_ocr_ray.util.merge_pair_counts` (global pair
-    distinct), then the same determinant fold as the packed tier."""
-    from dots_ocr_ray.util import merge_pair_counts
+    Per-batch lexsort-distinct pairs, one two-key
+    :func:`~dots_ocr_ray.util.bucket_keyed_fold` distinct, then the
+    same determinant fold as the packed tier."""
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     def _pairs2(batch: pa.Table) -> pa.Table:
         det = batch.column(det_col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1187,13 +1186,10 @@ def _fd_violations_wide(
             {
                 "det": pa.array(det, type=pa.int64()),
                 "dep": pa.array(dep, type=pa.int64()),
-                "one": pa.array(np.ones(len(det), dtype=np.int64), type=pa.int64()),
             }
         )
 
-    pairs = merge_pair_counts(
-        narrow.map_batches(_pairs2, batch_format="pyarrow"), "det", "dep", "one"
-    )
+    pairs = bucket_keyed_fold(narrow.map_batches(_pairs2, batch_format="pyarrow"), ["det", "dep"], {})
     return _fd_totals(pairs, det_col, dep_col)
 
 

@@ -35,6 +35,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from dots_ocr_ray import util
 from dots_ocr_ray.kernel.textops import md5_hex
 from dots_ocr_ray.state.manifest import resolve_fs
 
@@ -208,7 +209,6 @@ def recrawl_priority(
     id_col: str = "doc_id",
     host_of=None,
     rank_col: str = "rank_rel",
-    broadcast_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Recrawl scheduling priority per host: combine a snapshot diff
     (:func:`~dots_ocr_ray.pipelines.document.crawl_diff` output — which
@@ -225,10 +225,11 @@ def recrawl_priority(
 
     Scale shape: the diff streams through ONE bounded host-keyed fold
     of the per-class counts; the rank table
-    rides the repo's two-tier rule — ≤ ``broadcast_limit`` rows ship
-    once via ``ray.put`` as a (sorted hosts, ranks) pair and join with
-    a vectorized ``searchsorted`` gather inside ``map_batches`` (zero
-    exchange); above the budget swap in
+    rides the package's one broadcast rule
+    (:func:`~dots_ocr_ray.util.broadcast_fits`) — a table that fits
+    ships once via ``ray.put`` as a (sorted hosts, ranks) pair and
+    joins with a vectorized ``searchsorted`` gather inside
+    ``map_batches`` (zero exchange); above the cut swap in
     :func:`~dots_ocr_ray.pipelines.relational.hash_join` on host.
 
     ``host_of``: vectorized ``np.ndarray[int64] -> np.ndarray[int64]``
@@ -263,8 +264,11 @@ def recrawl_priority(
         {"added": ("sum", "added"), "changed": ("sum", "changed"), "compared": ("sum", "compared")},
     )
 
-    n_ranks = ranks.num_rows if isinstance(ranks, pa.Table) else ranks.count()
-    if n_ranks > broadcast_limit:
+    if isinstance(ranks, pa.Table):
+        fits = util.broadcast_fits(ranks.num_rows, ranks.nbytes)
+    else:
+        fits = util.broadcast_fits(ranks.count(), ranks.size_bytes())
+    if not fits:
         # distributed tier: LEFT hash_join of the bounded per-host
         # counts with the rank table on host — hosts absent from the
         # rank table score rank 0.0, same as the broadcast gather

@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from dots_ocr_ray import util
 from dots_ocr_ray.util import bucket_exchange
 
 
@@ -1461,7 +1462,6 @@ def skew_join(
     suffix: str = "_r",
     hot_threshold: int = 1_000_000,
     sketch_capacity: int = 256,
-    hot_right_rows_limit: int = 2_000_000,
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
 ) -> ray.data.Dataset:
@@ -1477,9 +1477,9 @@ def skew_join(
     Correctness never depends on the sketch: ANY hot-key set yields
     the same exact join output (both paths are exact; the split is
     disjoint), so the approximate detection affects only performance.
-    If the hot keys' right-side rows exceed ``hot_right_rows_limit``
-    the operator degrades to a plain hash_join rather than risk an
-    unbounded broadcast.
+    If the hot keys' right-side rows do not fit
+    :func:`~dots_ocr_ray.util.broadcast_fits` the operator degrades to
+    a plain hash_join rather than risk an unbounded broadcast.
 
     ``left`` is consumed three times (frequency scan + hot pass + cold
     pass), so it is materialized here if it isn't already — an
@@ -1557,7 +1557,7 @@ def skew_join(
     hot_right = right.map_batches(
         _filter_keys(hot_keys, invert=False), batch_format="pyarrow"
     ).materialize()
-    if hot_right.count() > hot_right_rows_limit:
+    if not util.broadcast_fits(hot_right.count(), hot_right.size_bytes()):
         return hash_join(
             left, right, on=on, how=how, suffix=suffix,
             left_schema=left_schema, right_schema=right_schema,
@@ -2073,7 +2073,6 @@ def attach_int_column(
     on: str,
     value_col: str,
     out_col: str | None = None,
-    broadcast_bytes_limit: int = 1 << 30,
     left_schema: pa.Schema | None = None,
     side_schema: pa.Schema | None = None,
 ) -> ray.data.Dataset:
@@ -2082,9 +2081,9 @@ def attach_int_column(
     is absent from the side table drop) — the budgeted two-tier
     dimension-attach used by the star-join queries.
 
-    Tier 1 (side fits ``broadcast_bytes_limit``): the side table
-    collapses to a broadcast (sorted keys, values) numpy pair and the
-    attach is a zero-exchange ``map_batches`` (searchsorted gather —
+    Tier 1 (side fits :func:`~dots_ocr_ray.util.broadcast_fits`): the
+    side table collapses to a broadcast (sorted keys, values) numpy
+    pair and the attach is a zero-exchange ``map_batches`` (searchsorted gather —
     no per-row Python).  Tier 2: :func:`hash_join` — one bucket-keyed
     exchange.  Same contract either way, so callers pick nothing: the
     data's size picks."""
@@ -2094,7 +2093,7 @@ def attach_int_column(
 
     out_col = out_col or value_col
     side_mat = side.materialize()
-    if side_mat.size_bytes() <= broadcast_bytes_limit:
+    if util.broadcast_fits(side_mat.count(), side_mat.size_bytes()):
         keys_l, vals_l = [], []
         for b in side_mat.iter_batches(batch_format="pyarrow"):
             keys_l.append(b.column(on).to_numpy(zero_copy_only=False).astype(np.int64))

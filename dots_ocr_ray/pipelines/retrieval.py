@@ -124,7 +124,7 @@ def keyword_search(
     term_arr = pa.array(terms, type=pa.string())
     want = set(_bucket_of(term_arr, num_buckets).tolist())
     files = _bucket_files(index_dir, num_buckets)
-    paths = sorted(p for b in want for p in files.get(b, []))
+    paths = sorted(f.path for b in want for f in files.get(b, []))
     empty = pa.table(
         {
             "doc_id": pa.array([], pa.int64()),
@@ -255,7 +255,7 @@ def phrase_search(index_dir: str, phrase: list[str] | str) -> pa.Table:
     term_arr = pa.array(uniq_terms, type=pa.string())
     want = set(_bucket_of(term_arr, num_buckets).tolist())
     files = _bucket_files(index_dir, num_buckets)
-    paths = sorted(p for b in want for p in files.get(b, []))
+    paths = sorted(f.path for b in want for f in files.get(b, []))
     empty = pa.table(
         {
             "doc_id": pa.array([], pa.int64()),

@@ -38,12 +38,13 @@ Scale shape — two passes over the corpus, one small exchange between:
 2. FILTER: two tiers on that table, the same budget rule as
    :func:`~dots_ocr_ray.pipelines.dedup.line_dedup`:
 
-   * ``<= broadcast_limit`` rows — the sorted hash array broadcasts
+   * the table fits :func:`~dots_ocr_ray.util.broadcast_fits` — the
+     sorted hash array broadcasts
      once via ``ray.put`` (per-worker cached); every batch marks
      covered positions with one ``searchsorted`` + difference-array
      cumsum and rebuilds locally.  Zero additional exchanges; text
      never reships.
-   * above the limit — fully distributed: gram rows ``(doc_id, ord,
+   * above the cut — fully distributed: gram rows ``(doc_id, ord,
      gram)`` semi-:func:`~dots_ocr_ray.pipelines.relational.hash_join`
      against the duplicate table, duplicate starts re-keyed per doc
      (one ``groupby``), then one ``hash_join`` back onto the narrow
@@ -65,10 +66,12 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from dots_ocr_ray import util
 from dots_ocr_ray.functions.hashing import stable_u64
 from dots_ocr_ray.util import (
     GOLDEN64,
     bucket_exchange,
+    bucket_keyed_fold,
     cached_object,
     sorted_membership,
     split_whitespace_checked,
@@ -158,11 +161,8 @@ def duplicate_grams(
             }
         )
 
-    from dots_ocr_ray.util import merge_int_counts
-
-    summed = merge_int_counts(
-        ds.map_batches(_partials, batch_format="pyarrow"), "gram", "cnt"
-    )
+    partials = ds.map_batches(_partials, batch_format="pyarrow")
+    summed = bucket_keyed_fold(partials, "gram", {"cnt": ("sum", "cnt")})
 
     def _finalize(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.greater_equal(batch.column("cnt"), min_count))
@@ -225,7 +225,6 @@ def substring_dedup(
     id_col: str = "doc_id",
     k: int = 8,
     min_count: int = 2,
-    broadcast_limit: int = 4_000_000,
     keep_cols: tuple[str, ...] = (),
 ) -> ray.data.Dataset:
     """Corpus-wide duplicate k-gram span removal ->
@@ -241,9 +240,8 @@ def substring_dedup(
     dup = duplicate_grams(
         ds, text_col=text_col, k=k, min_count=min_count
     ).materialize()
-    n_dup = dup.count()
 
-    if n_dup <= broadcast_limit:
+    if util.broadcast_fits(dup.count(), dup.size_bytes()):
         chunks = [
             b.column("gram").to_numpy(zero_copy_only=False).astype(np.int64)
             for b in dup.iter_batches(batch_format="pyarrow")
@@ -411,7 +409,6 @@ def gram_novelty(
     text_col: str = "text",
     id_col: str = "doc_id",
     k: int = 8,
-    broadcast_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Cross-crawl n-gram NOVELTY rate — the corpus-freshness metric a
     recurring-crawl pipeline reads before deciding how much of a new
@@ -427,8 +424,8 @@ def gram_novelty(
 
     Scale shape: the old side reduces to its DISTINCT gram-hash table
     (:func:`duplicate_grams` with min_count=1 — per-batch np.unique
-    partials, one count exchange).  Under ``broadcast_limit`` distinct
-    grams, the sorted hash array ships once via ``ray.put`` and the
+    partials, one count exchange).  When that table fits
+    :func:`~dots_ocr_ray.util.broadcast_fits`, the sorted hash array ships once via ``ray.put`` and the
     new side scores zero-exchange (per-batch ``sorted_membership`` +
     two bincounts).  Above it: the new side emits per-(doc, gram)
     multiplicity rows, one ``hash_join(how="anti")`` on gram keeps the
@@ -437,7 +434,6 @@ def gram_novelty(
     old_grams = duplicate_grams(
         old_ds, text_col=text_col, k=k, min_count=1
     ).materialize()
-    n_old = old_grams.count()
 
     def _doc_grams(batch: pa.Table):
         tok_vals, offsets, _ = _tokens_from_batch(batch.column(text_col))
@@ -446,7 +442,7 @@ def gram_novelty(
         n_rows = len(offsets) - 1
         return hashes, doc_of_gram, n_rows
 
-    if n_old <= broadcast_limit:
+    if util.broadcast_fits(old_grams.count(), old_grams.size_bytes()):
         chunks = [
             b.column("gram").to_numpy(zero_copy_only=False)
             for b in old_grams.iter_batches(batch_format="pyarrow")
@@ -478,7 +474,6 @@ def gram_novelty(
 
     # distributed tier
     from dots_ocr_ray.pipelines.relational import hash_join
-    from dots_ocr_ray.util import merge_int_counts
 
     def _new_rows(batch: pa.Table) -> pa.Table:
         hashes, doc_of_gram, _ = _doc_grams(batch)
@@ -522,9 +517,7 @@ def gram_novelty(
         ),
         right_schema=pa.schema([("gram", pa.int64())]),
     )
-    per_doc_novel = merge_int_counts(
-        novel_rows.select_columns([id_col, "m"]), id_col, "m"
-    )
+    per_doc_novel = bucket_keyed_fold(novel_rows.select_columns([id_col, "m"]), id_col, {"m": ("sum", "m")})
     joined = hash_join(
         new_ds.map_batches(_totals, batch_format="pyarrow"),
         per_doc_novel,

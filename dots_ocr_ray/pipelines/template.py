@@ -22,16 +22,16 @@ rather than block text shipped — CPU is local, exchanges are not):
    ``key = blake2b64(host ⊕ category ⊕ text)`` deduped per page, plus
    one host row per page with ≥1 block → ONE keyed fold counting them,
    whose rows are 32 B regardless of block text size.
-2. threshold — hosts table broadcast under ``host_broadcast_limit``
-   (vectorized searchsorted gather), distributed hash_join above it;
+2. threshold — hosts table broadcast when it fits
+   :func:`~dots_ocr_ray.util.broadcast_fits` (vectorized searchsorted
+   gather), distributed hash_join above it;
    ``frequent`` keeps keys seen on ≥ max(min_pages,
    ceil(min_frac_pct% · host_pages)) DISTINCT pages — integer
    arithmetic only, so the Ray side and any SQL oracle agree exactly.
    Frequent is small by construction (only cross-page-repeated
    blocks survive).
-3. strip pass — frequent keys broadcast once under
-   ``broadcast_limit`` (per-page searchsorted membership, zero
-   exchange); above it the line_dedup-shaped distributed tier:
+3. strip pass — frequent keys broadcast once under the same rule
+   (per-page searchsorted membership, zero exchange); above it the line_dedup-shaped distributed tier:
    explode blocks to (gid, ord, key, text) rows + a never-frequent
    sentinel per page, anti hash_join on key, groupby(gid) reassembly,
    totals joined back.
@@ -48,6 +48,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from dots_ocr_ray import util
 from dots_ocr_ray.util import (
     bucket_exchange,
     cached_object,
@@ -108,8 +109,6 @@ def template_block_strip(
     html_col: str = "html",
     min_pages: int = 3,
     min_frac_pct: int = 60,
-    broadcast_limit: int = 2_000_000,
-    host_broadcast_limit: int = 4_000_000,
     keep_cols: tuple[str, ...] = (),
 ) -> ray.data.Dataset:
     """Strip per-host template blocks from every page.
@@ -186,12 +185,11 @@ def template_block_strip(
 
     hosts_ds = agg.map_batches(_split(1), batch_format="pyarrow").materialize()
     blocks_ds = agg.map_batches(_split(0), batch_format="pyarrow")
-    n_hosts = hosts_ds.count()
 
     frac = int(min_frac_pct)
     floor = int(min_pages)
 
-    if n_hosts <= host_broadcast_limit:
+    if util.broadcast_fits(hosts_ds.count(), hosts_ds.size_bytes()):
         hk_parts, hn_parts = [], []
         for b in hosts_ds.iter_batches(batch_format="pyarrow"):
             if b.num_rows:
@@ -263,9 +261,8 @@ def template_block_strip(
         frequent = joined.map_batches(_threshold_joined, batch_format="pyarrow")
 
     frequent = frequent.materialize()  # consumed by count() + one tier
-    n_freq = frequent.count()
 
-    if n_freq <= broadcast_limit:
+    if util.broadcast_fits(frequent.count(), frequent.size_bytes()):
         fk_parts = [
             b.column("key").to_numpy(zero_copy_only=False)
             for b in frequent.iter_batches(batch_format="pyarrow")

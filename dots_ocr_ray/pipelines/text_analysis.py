@@ -13,6 +13,7 @@ import pyarrow as pa
 
 import ray.data
 
+from dots_ocr_ray import util
 from dots_ocr_ray.kernel.textops import (
     count_tokens_bpeish,
     count_tokens_whitespace,
@@ -1152,7 +1153,6 @@ def bigram_lm_scores(
     *,
     text_col: str = "text",
     id_col: str = "doc_id",
-    broadcast_limit: int = 4_000_000,
 ) -> ray.data.Dataset:
     """CCNet-style language-model quality signal: train an add-one-
     smoothed bigram LM on the corpus itself, then score every document
@@ -1166,7 +1166,8 @@ def bigram_lm_scores(
     partials, rows per DISTINCT key per batch), then two tiers for the
     scoring lookup, the same budget rule as ``substring_dedup``:
 
-    * combined count tables ≤ ``broadcast_limit`` rows — sorted hash
+    * combined count tables fit :func:`~dots_ocr_ray.util.broadcast_fits`
+      — sorted hash
       arrays broadcast once (ray.put, per-worker cached), scoring is
       one stateless searchsorted pass, zero additional exchange;
     * above it — fully distributed: per-doc bigram rows hash-join the
@@ -1224,14 +1225,11 @@ def bigram_lm_scores(
             }
         )
 
-    from dots_ocr_ray.util import merge_int_counts
+    def _counts(partials):
+        parts = ds.map_batches(partials, batch_format="pyarrow")
+        return bucket_keyed_fold(parts, "h", {"cnt": ("sum", "cnt")}).materialize()
 
-    uni = merge_int_counts(
-        ds.map_batches(_uni_partials, batch_format="pyarrow"), "h", "cnt"
-    )
-    big = merge_int_counts(
-        ds.map_batches(_big_partials, batch_format="pyarrow"), "h", "cnt"
-    )
+    uni, big = _counts(_uni_partials), _counts(_big_partials)
     n_vocab = uni.count()
 
     def _collect_sorted(tbl: ray.data.Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -1248,7 +1246,7 @@ def bigram_lm_scores(
         [(id_col, pa.int64()), ("avg_logp", pa.float64()), ("n_bigrams", pa.int64())]
     )
 
-    if n_vocab + big.count() <= broadcast_limit:
+    if util.broadcast_fits(n_vocab + big.count(), uni.size_bytes() + big.size_bytes()):
         uni_ref = ray.put(_collect_sorted(uni))
         big_ref = ray.put(_collect_sorted(big))
 
@@ -2833,14 +2831,14 @@ def vocab_coverage(
     Entirely integer arithmetic — hash-exact under any partitioning.
 
     Scale shape: per-batch token-hash count partials (np.unique) → ONE
-    :func:`~dots_ocr_ray.util.merge_int_counts` exchange → per-batch
+    :func:`~dots_ocr_ray.util.bucket_keyed_fold` exchange → per-batch
     frequency-of-frequencies partials (N, V, N₁, N₂) → four driver
     scalars.  Token identity is the 64-bit stable hash (the oracle
     counts strings; distinct tokens collide with ~2⁻⁶⁴ probability,
     the substring-dedup convention)."""
     import numpy as np
 
-    from dots_ocr_ray.util import merge_int_counts, split_whitespace_checked
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     def _partials(batch: pa.Table) -> pa.Table:
         from dots_ocr_ray.pipelines.substring import _hash_tokens, _tokens_from_batch
@@ -2855,9 +2853,8 @@ def vocab_coverage(
             }
         )
 
-    counts = merge_int_counts(
-        docs.map_batches(_partials, batch_format="pyarrow"), "tok_h", "cnt"
-    )
+    partials = docs.map_batches(_partials, batch_format="pyarrow")
+    counts = bucket_keyed_fold(partials, "tok_h", {"cnt": ("sum", "cnt")})
 
     def _fof(batch: pa.Table) -> pa.Table:
         c = batch.column("cnt").to_numpy(zero_copy_only=False).astype(np.int64)

@@ -762,77 +762,67 @@ def ohlc_bars(
     (ts, id) order — the metrics-rollup / market-bar operator that
     turns 10^12 raw events into a bounded keys x bars table.
 
-    Scale shape: a stateless per-batch partial collapses every batch
-    to <= (keys x bars present in the batch) rows carrying mergeable
-    stats (open/close ride with their (ts, id) coordinate, so partials
-    fold associatively under ANY partitioning); the single keyed
-    exchange then moves partials, never events.  The final per-group
-    fold is a vectorized lexsort over a handful of partial rows —
-    group count is bounded by keys x bars (time-bounded), not corpus
-    size.  Sums quantize to int64 cents BEFORE summing (the repo-wide
+    Scale shape: every event becomes a one-event partial row carrying
+    mergeable stats (open/close ride with their (ts, id) coordinate, so
+    partials fold associatively under ANY partitioning), and one
+    vectorized fold collapses partials per (key, bar): once per batch
+    (a combiner, so the exchange moves partials, never events), then
+    once per bucket of the single
+    :func:`~dots_ocr_ray.util.bucket_exchange` — ``_key_runs`` over
+    (key, bar) ordered by (ts, id), ``reduceat`` for high, low, n and
+    cents.  Sums quantize to int64 cents BEFORE summing (the repo-wide
     micro-unit rule) so totals are bit-identical to the SQL mirror."""
-    import numpy as np
-    import pyarrow as pa
+    keys = [key_col, "bar"]
 
-    def _partial(batch: "pa.Table") -> "pa.Table":
+    def _events(batch: "pa.Table") -> "pa.Table":
         ts = batch.column(ts_col).to_numpy(zero_copy_only=False).astype(np.int64)
         eid = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         val = batch.column(val_col).to_numpy(zero_copy_only=False).astype(np.float64)
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-        bar = ts // bar_us
         cents = np.round(val * 100).astype(np.int64)
-        # group in-batch by (key, bar) via lexsort + run boundaries
-        order = np.lexsort((eid, ts, bar, keys))
-        ts, eid, val, keys, bar, cents = (
-            ts[order], eid[order], val[order], keys[order], bar[order], cents[order]
-        )
-        new_grp = np.ones(len(keys), dtype=bool)
-        if len(keys) > 1:
-            new_grp[1:] = (keys[1:] != keys[:-1]) | (bar[1:] != bar[:-1])
-        starts = np.flatnonzero(new_grp)
-        ends = np.concatenate([starts[1:], [len(keys)]])
-        lo = np.minimum.reduceat(val, starts) if len(keys) else np.empty(0)
-        hi = np.maximum.reduceat(val, starts) if len(keys) else np.empty(0)
         return pa.table(
             {
-                key_col: pa.array(keys[starts]),
-                "bar": pa.array(bar[starts], type=pa.int64()),
-                "open_ts": pa.array(ts[starts], type=pa.int64()),
-                "open_id": pa.array(eid[starts], type=pa.int64()),
-                "open": pa.array(val[starts], type=pa.float64()),
-                "close_ts": pa.array(ts[ends - 1], type=pa.int64()),
-                "close_id": pa.array(eid[ends - 1], type=pa.int64()),
-                "close": pa.array(val[ends - 1], type=pa.float64()),
-                "lo": pa.array(lo, type=pa.float64()),
-                "hi": pa.array(hi, type=pa.float64()),
-                "sum_cents": pa.array(np.add.reduceat(cents, starts), type=pa.int64()),
-                "n": pa.array((ends - starts).astype(np.int64), type=pa.int64()),
+                key_col: batch.column(key_col),
+                "bar": pa.array(ts // bar_us, type=pa.int64()),
+                "open_ts": ts,
+                "open_id": eid,
+                "open": val,
+                "close_ts": ts,
+                "close_id": eid,
+                "close": val,
+                "lo": val,
+                "hi": val,
+                "sum_cents": cents,
+                "n": np.ones(len(ts), np.int64),
             }
         )
 
-    def _fold(group: pd.DataFrame) -> pd.DataFrame:
-        import numpy as _np
+    def _fold(t: "pa.Table") -> "pa.Table":
+        if not t.num_rows:
+            return t
+        perm, starts = _key_runs(t, keys, ["open_ts", "open_id"])
+        last = _key_runs(t, keys, ["close_ts", "close_id"])[0][np.append(starts[1:], t.num_rows) - 1]
+        first = perm[starts]
 
-        o = _np.lexsort((group["open_id"].to_numpy(), group["open_ts"].to_numpy()))[0]
-        c = _np.lexsort((-group["close_id"].to_numpy(), -group["close_ts"].to_numpy()))[0]
-        return pd.DataFrame(
+        def _reduce(op, c):
+            return pa.array(op.reduceat(t.column(c).to_numpy(zero_copy_only=False)[perm], starts))
+
+        return pa.table(
             {
-                key_col: [group[key_col].iloc[0]],
-                "bar": [int(group["bar"].iloc[0])],
-                "open": [float(group["open"].iloc[o])],
-                "high": [float(group["hi"].max())],
-                "low": [float(group["lo"].min())],
-                "close": [float(group["close"].iloc[c])],
-                "n": [int(group["n"].sum())],
-                "sum_cents": [int(group["sum_cents"].sum())],
+                **{c: t.column(c).take(first) for c in (*keys, "open_ts", "open_id", "open")},
+                **{c: t.column(c).take(last) for c in ("close_ts", "close_id", "close")},
+                "lo": _reduce(np.minimum, "lo"),
+                "hi": _reduce(np.maximum, "hi"),
+                "sum_cents": _reduce(np.add, "sum_cents"),
+                "n": _reduce(np.add, "n"),
             }
         )
 
-    return (
-        events.map_batches(_partial, batch_format="pyarrow")
-        .groupby([key_col, "bar"])
-        .map_groups(_fold, batch_format="pandas")
-    )
+    def _bars(group: "pa.Table") -> "pa.Table":
+        t = _fold(group).select([*keys, "open", "hi", "lo", "close", "n", "sum_cents"])
+        return t.rename_columns([*keys, "open", "high", "low", "close", "n", "sum_cents"])
+
+    combined = events.map_batches(lambda b: _fold(_events(b)), batch_format="pyarrow")
+    return bucket_exchange(combined, keys, _bars)
 
 
 def late_event_audit(sf_dir: str) -> "ray.data.Dataset":

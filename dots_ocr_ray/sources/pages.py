@@ -1,13 +1,9 @@
-"""Pages-table sources.
-
-Two ways to obtain a pages Dataset:
-
-* :func:`read_pages_parquet` — read an on-disk pages table (production
-  path; column pruning at the read).
-* :func:`pages_from_documents` — deterministically wrap the driver's
-  ``documents`` parquet into pages (test/bench path; the per-row rule
-  lives in fixtures.page_row_from_document so DuckDB oracle SQL can
-  mirror it).
+"""Pages-table source for the test and bench paths:
+:func:`pages_from_documents` deterministically wraps the driver's
+``documents`` parquet into pages (the per-row rule lives in
+fixtures.page_row_from_document so DuckDB oracle SQL can mirror it).
+An on-disk pages table is read by
+:func:`dots_ocr_ray.pipelines.extract.read_pages`.
 """
 
 from __future__ import annotations
@@ -15,15 +11,6 @@ from __future__ import annotations
 import ray.data
 
 from dots_ocr_ray.fixtures import pages_from_documents_batch
-
-
-def read_pages_parquet(path: str, *, override_num_blocks: int | None = None) -> ray.data.Dataset:
-    kwargs = {}
-    if override_num_blocks is not None:
-        kwargs["override_num_blocks"] = override_num_blocks
-    return ray.data.read_parquet(
-        path, columns=["url", "warc_ts", "html", "text", "lang"], **kwargs
-    )
 
 
 def pages_from_documents(

@@ -16,20 +16,10 @@ out so downstream blocks stay small.
 
 from __future__ import annotations
 
-import hashlib
-
 import pyarrow as pa
 
 from dots_ocr_ray.kernel.extract import ExtractConfig, extract_page
 from dots_ocr_ray.schema import RESULT_SCHEMA, SPAN_TYPE
-
-
-def url_partition_id(url: str, num_partitions: int) -> int:
-    """Deterministic url → partition mapping (md5-based, like the
-    reference's md5 job identity, dotsocr_service.py:597-599).  Stable
-    across processes — the resume/checkpoint key."""
-    digest = hashlib.md5(url.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big") % num_partitions
 
 
 class ExtractorActor:
@@ -43,16 +33,20 @@ class ExtractorActor:
     def __init__(
         self,
         config: ExtractConfig | None = None,
-        num_partitions: int = 64,
+        partition_id: int | None = None,
         kernel_fn=None,
     ):
         """``kernel_fn(url, html, text, config) -> result dict`` swaps
         the extraction strategy — the reference's interchangeable-engine
         seam (PdfOcrTask vs PipeOcrTask behind one task API,
         app/utils/executor/ocr_task.py:247-361 vs :438-634, toggled by
-        PARSE_WITH_PIPELINE).  Default: the built-in heuristic kernel."""
+        PARSE_WITH_PIPELINE).  Default: the built-in heuristic kernel.
+
+        ``partition_id`` fills the output's ``partition_id`` column: the
+        shard whose part file the rows are written to, or null for a
+        streaming stage whose rows belong to no written partition."""
         self.config = config or ExtractConfig()
-        self.num_partitions = num_partitions
+        self.partition_id = partition_id
         self.kernel_fn = kernel_fn or extract_page
         # the built-in kernel's result shape is trusted (its own tests
         # pin it); a CUSTOM kernel's result is validated per row so one
@@ -66,7 +60,7 @@ class ExtractorActor:
         texts = batch.column("text").to_pylist() if "text" in batch.column_names else [None] * len(urls)
         langs = batch.column("lang").to_pylist() if "lang" in batch.column_names else [""] * len(urls)
 
-        out = {name: [] for name in RESULT_SCHEMA.names if name != "spans"}
+        out = {name: [] for name in RESULT_SCHEMA.names if name not in ("spans", "partition_id")}
         # spans go into FLAT builders — constructing list<struct> via
         # pa.array(list-of-list-of-dicts) was measured 10x slower than
         # the whole extraction kernel; ListArray.from_arrays over flat
@@ -112,7 +106,6 @@ class ExtractorActor:
             out["status"].append(status_v)
             out["n_spans"].append(len(spans_v))
             out["bytes_in"].append(len(html) if html is not None else 0)
-            out["partition_id"].append(url_partition_id(url, self.num_partitions))
             for s in spans_v:
                 f_cat.append(s["category"])
                 f_bbox.extend(s["bbox"])
@@ -142,7 +135,7 @@ class ExtractorActor:
             pa.array(out["status"], type=pa.string()),
             pa.array(out["n_spans"], type=pa.int32()),
             pa.array(out["bytes_in"], type=pa.int64()),
-            pa.array(out["partition_id"], type=pa.int32()),
+            pa.array([self.partition_id] * len(urls), type=pa.int32()),
         ]
         result = pa.Table.from_arrays(arrays, schema=RESULT_SCHEMA)
         # carry pass-through key columns (e.g. doc_id for SQL-checked

@@ -289,21 +289,6 @@ def round_half_away(x, decimals: int = 4):
     return np.sign(x) * np.floor(np.abs(x) * p + 0.5) / p
 
 
-def merge_int_counts(
-    parts, key_col: str, cnt_col: str, *, driver_limit: int = 8_000_000
-):
-    """Two-tier sum of (int64 key, int64 count) partial tables.
-
-    Under ``driver_limit`` total partial rows the merge runs on the
-    driver through :func:`bucket_keyed_fold`'s numpy fold body,
-    skipping the exchange whose fixed cost dominates small count
-    tables (the nations_with_presence lesson, generalized).  Above it
-    the same fold runs distributed as one :func:`bucket_keyed_fold`.
-    Returns a MATERIALIZED dataset with columns ``(key_col, cnt_col)``
-    either way."""
-    return _merge_counts(parts, [key_col], cnt_col, driver_limit, 64)
-
-
 def parquet_int_minmax(path: str, cols: list[str]):
     """(lo, hi) across ``cols`` from parquet ROW-GROUP STATISTICS —
     no data read.  Returns None when any row group lacks min/max
@@ -374,50 +359,6 @@ def make_quiet_hook():
             log.addFilter(_DropSchemaHashWarning())
 
     return _hook
-
-
-def merge_pair_counts(
-    parts,
-    a_col: str,
-    b_col: str,
-    cnt_col: str,
-    *,
-    driver_limit: int = 8_000_000,
-    num_buckets: int = 64,
-):
-    """Two-tier SUM(cnt) GROUP BY (a, b) for TWO int64 key columns —
-    the unpacked sibling of :func:`merge_int_counts` for pair keys
-    that don't fit a single int64 packing (ids ≥ 2^31).  Returns a
-    MATERIALIZED dataset with columns ``(a_col, b_col, cnt_col)``."""
-    return _merge_counts(parts, [a_col, b_col], cnt_col, driver_limit, num_buckets)
-
-
-def _merge_counts(parts, keys: list, cnt_col: str, driver_limit: int, num_buckets: int):
-    import pyarrow as pa
-
-    import ray.data
-
-    cols = [*keys, cnt_col]
-    parts = parts.materialize()
-    if parts.count() > driver_limit:
-        return bucket_keyed_fold(
-            parts,
-            keys,
-            {cnt_col: ("sum", cnt_col)},
-            num_buckets=num_buckets,
-            rows_per_block=262144,
-        ).materialize()
-    blocks = [
-        pa.table({c: t.column(c).cast(pa.int64()) for c in cols})
-        for t in collect_arrow_blocks(parts)
-    ]
-    if not blocks:
-        return ray.data.from_arrow(
-            pa.table({c: pa.array([], type=pa.int64()) for c in cols})
-        )
-    return ray.data.from_arrow(
-        _fold_table(pa.concat_tables(blocks), keys, {cnt_col: ("sum", cnt_col)})
-    )
 
 
 def sorted_lookup(sorted_arr, vals):
@@ -513,6 +454,23 @@ def _fold_in_one_task(rows: int, nbytes: int, rows_per_block: int) -> bool:
 
     cap = DataContext.get_current().target_max_block_size
     return rows <= min(_ONE_TASK_ROWS, rows_per_block) and (cap is None or nbytes <= cap)
+
+
+# The largest side a function broadcasts (``ray.put`` or a driver
+# collect) instead of running an exchange.  2M rows is an int64 id array
+# of 16 MB; 1 GiB is the broadcast budget :func:`cached_object` names.
+# Neither cut is measured: no benchmark workload reaches either side.
+_BROADCAST_ROWS = 2_000_000
+_BROADCAST_BYTES = 1 << 30
+
+
+def broadcast_fits(rows: int, nbytes: int) -> bool:
+    """The package's one broadcast-or-exchange rule: a side of at most
+    ``_BROADCAST_ROWS`` rows and ``_BROADCAST_BYTES`` bytes (from the
+    materialized side's block metadata: ``count()``, ``size_bytes()``)
+    is broadcast or collected to the driver; a larger one goes through
+    an exchange."""
+    return rows <= _BROADCAST_ROWS and nbytes <= _BROADCAST_BYTES
 
 
 def bucket_exchange(ds, keys, fold, *, num_buckets: int = 64, rows_per_block: int = 1_048_576):
@@ -684,8 +642,7 @@ def bucket_keyed_fold(
     Each input batch is folded first (a combiner: the exchange moves one
     row per distinct key per batch), then each bucket folds the
     partials, with ``count`` merging as a sum.  Both passes are the
-    same numpy body (sort, ``reduceat``), which also serves the driver
-    tier of :func:`merge_int_counts` / :func:`merge_pair_counts`.
+    same numpy body (sort, ``reduceat``).
 
     Ray's native ``groupby(key).sum/min/count`` pays per DISTINCT KEY
     on the reduce: measured **178 s for a 3M-key degree sum** (the

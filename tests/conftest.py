@@ -29,3 +29,18 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def exchange_tier(monkeypatch):
+    """``exchange_tier()`` forces every ``util.broadcast_fits`` choice to
+    the exchange side for the rest of the test;
+    ``exchange_tier(False)`` restores the size rule."""
+    from dots_ocr_ray import util
+
+    real = util.broadcast_fits
+
+    def _force(on: bool = True):
+        monkeypatch.setattr(util, "broadcast_fits", (lambda rows, nbytes: False) if on else real)
+
+    return _force

@@ -94,7 +94,7 @@ def test_embedding_dedup(ray_session):
     assert cl[3] == 3
 
 
-def test_distributed_cc_matches_driver(ray_session, docs):
+def test_distributed_cc_matches_driver(ray_session, docs, exchange_tier):
     """cluster_assign's distributed min-label propagation must produce
     exactly the clusters of the driver union-find path — on the LSH
     fixture corpus AND on a chain graph (worst-case diameter)."""
@@ -102,8 +102,9 @@ def test_distributed_cc_matches_driver(ray_session, docs):
 
     pairs = minhash_candidate_pairs(docs, threshold=0.5)
     ids = docs.select_columns(["doc_id"])
-    a = cluster_assign(ids, pairs, method="driver").to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = cluster_assign(ids, pairs, method="distributed").to_pandas().sort_values("doc_id").reset_index(drop=True)
+    a = cluster_assign(ids, pairs).to_pandas().sort_values("doc_id").reset_index(drop=True)
+    exchange_tier()
+    b = cluster_assign(ids, pairs).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert a.equals(b)
 
     # chain 10-11-12-...-19 plus a disjoint clique {30,31,32}
@@ -111,7 +112,7 @@ def test_distributed_cc_matches_driver(ray_session, docs):
     clique = [{"a": 30, "b": 31}, {"a": 30, "b": 32}, {"a": 31, "b": 32}]
     pairs2 = ray.data.from_items(chain + clique)
     ids2 = ray.data.from_items([{"doc_id": i} for i in list(range(10, 20)) + [25, 30, 31, 32]])
-    out = cluster_assign(ids2, pairs2, method="distributed").to_pandas()
+    out = cluster_assign(ids2, pairs2).to_pandas()
     cl = dict(zip(out.doc_id, out.cluster_id))
     assert all(cl[i] == 10 for i in range(10, 20))  # whole chain collapses
     assert cl[25] == 25  # singleton untouched
@@ -138,10 +139,10 @@ def test_hot_duplicate_cluster_is_linear(ray_session):
     assert elapsed < 60  # star-linking keeps hot buckets O(n)
 
 
-def test_attach_distributed_path_matches_broadcast(ray_session):
+def test_attach_distributed_path_matches_broadcast(ray_session, exchange_tier):
     """The scale-path pair-payload join (union + two keyed exchanges,
-    forced via broadcast_bytes_limit=0) must produce exactly the fast
-    broadcast-dict join's output."""
+    forced by patching ``util.broadcast_fits``) must produce exactly the
+    fast broadcast-dict join's output."""
     import pyarrow as pa
 
     from dots_ocr_ray.pipelines.dedup import attach_pair_payloads
@@ -151,42 +152,37 @@ def test_attach_distributed_path_matches_broadcast(ray_session):
         [{"doc_id": i, "blob": bytes([i]) * 8} for i in (1, 2, 3, 5)]  # 9 missing
     )
 
-    def _run(limit):
+    def _run():
         out = attach_pair_payloads(
-            pairs,
-            payload,
-            id_col="doc_id",
-            payload_col="blob",
-            payload_type=pa.binary(),
-            broadcast_bytes_limit=limit,
+            pairs, payload, id_col="doc_id", payload_col="blob", payload_type=pa.binary()
         ).to_pandas()
         return out.sort_values(["a", "b"]).reset_index(drop=True)
 
-    fast = _run(1 << 30)
-    dist = _run(0)
+    fast = _run()
+    exchange_tier()
+    dist = _run()
     assert len(fast) == 2  # (3,9) dropped: endpoint 9 has no payload
     assert fast.equals(dist)
     assert bytes(fast.payload_a[0]) == b"\x01" * 8 and bytes(fast.payload_b[0]) == b"\x02" * 8
 
 
-def test_endpoint_filter_bloom_path(ray_session):
-    """Above exact_limit the endpoint semi-join switches to a Bloom
+def test_endpoint_filter_bloom_path(ray_session, exchange_tier):
+    """Above the broadcast cut the endpoint semi-join switches to a Bloom
     filter: every true endpoint must pass (no false negatives); false
     positives only add harmless extra payload rows."""
     from dots_ocr_ray.pipelines.dedup import filter_payload_to_pair_endpoints
 
     pairs = ray.data.from_items([{"a": i, "b": i + 100} for i in range(50)]).materialize()
     payload = ray.data.from_items([{"doc_id": i, "sig": b"x"} for i in range(300)])
-    out = filter_payload_to_pair_endpoints(
-        payload, pairs, id_col="doc_id", exact_limit=10  # force Bloom
-    ).to_pandas()
+    exchange_tier()  # force Bloom
+    out = filter_payload_to_pair_endpoints(payload, pairs, id_col="doc_id").to_pandas()
     got = set(out.doc_id)
     want = set(range(50)) | set(range(100, 150))
     assert want <= got  # no false negatives ever
     assert len(got) <= 300
 
 
-def test_attach_distributed_path_tolerates_duplicate_pairs(ray_session):
+def test_attach_distributed_path_tolerates_duplicate_pairs(ray_session, exchange_tier):
     """Duplicate candidate pairs (allowed upstream: distinct_pairs
     boundary stragglers, undeduped simhash/ngram pairs) must still
     produce their joined rows in the SCALE path — an earlier positional
@@ -203,13 +199,9 @@ def test_attach_distributed_path_tolerates_duplicate_pairs(ray_session):
     payload = ray.data.from_items(
         [{"doc_id": i, "blob": bytes([i]) * 4} for i in (1, 2, 5)]
     )
+    exchange_tier()  # force the distributed hash-join path
     out = attach_pair_payloads(
-        pairs,
-        payload,
-        id_col="doc_id",
-        payload_col="blob",
-        payload_type=pa.binary(),
-        broadcast_bytes_limit=0,  # force the distributed hash-join path
+        pairs, payload, id_col="doc_id", payload_col="blob", payload_type=pa.binary()
     ).to_pandas()
     got = sorted(map(tuple, out[["a", "b"]].values.tolist()))
     assert got == [(1, 2), (1, 2), (1, 2), (2, 5)]  # per-copy, never dropped
@@ -243,16 +235,17 @@ def test_sorted_group_first_exact(ray_session):
     assert sorted_group_first(ds.limit(0), "k", "doc_id").count() == 0
 
 
-def test_semi_join_ids_tiers_match(ray_session):
+def test_semi_join_ids_tiers_match(ray_session, exchange_tier):
     """Exact tier (sorted-array searchsorted) and Bloom tier must agree
     on true members; Bloom adds no false negatives."""
     from dots_ocr_ray.pipelines.dedup import semi_join_ids
 
     ids = ray.data.from_items([{"id": i} for i in range(0, 400, 4)]).materialize()
     payload = ray.data.from_items([{"doc_id": i, "x": i} for i in range(400)])
-    exact = semi_join_ids(payload, ids, id_col="doc_id", exact_limit=10_000).to_pandas()
+    exact = semi_join_ids(payload, ids, id_col="doc_id").to_pandas()
     assert sorted(exact.doc_id) == list(range(0, 400, 4))
-    bloom = semi_join_ids(payload, ids, id_col="doc_id", exact_limit=1).to_pandas()
+    exchange_tier()
+    bloom = semi_join_ids(payload, ids, id_col="doc_id").to_pandas()
     assert set(range(0, 400, 4)) <= set(bloom.doc_id)  # no false negatives
 
 
@@ -299,7 +292,7 @@ def test_char_ngram_hashes_matches_set_semantics():
         assert len(char_ngram_hashes(t)) == len(char_ngrams(t))
 
 
-def test_line_dedup_tiers_match(ray_session):
+def test_line_dedup_tiers_match(ray_session, exchange_tier):
     """Broadcast and distributed line-dedup tiers agree; frequent lines
     drop, order is preserved, fully-deduped and empty docs survive."""
     import pandas as pd
@@ -315,16 +308,18 @@ def test_line_dedup_tiers_match(ray_session):
     rows.append({"doc_id": 101, "text": "header common\nfooter common"})
     ds = ray.data.from_items(rows)
 
-    def run(limit):
+    def run():
         return (
-            line_dedup(ds, min_count=5, broadcast_limit=limit)
+            line_dedup(ds, min_count=5)
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
             .astype({"doc_id": "int64", "n_kept": "int64", "n_dropped": "int64"})
         )
 
-    broadcast, distributed = run(2_000_000), run(0)
+    broadcast = run()
+    exchange_tier()
+    distributed = run()
     pd.testing.assert_frame_equal(broadcast, distributed)
     assert broadcast.loc[broadcast.doc_id == 3, "text_dedup"].item() == "unique body 3"
     assert broadcast.loc[broadcast.doc_id == 3, "n_dropped"].item() == 2
@@ -433,7 +428,7 @@ def test_minhash_dedup_incremental_matches_full_run(ray_session):
     assert 100 not in survivors and 101 not in survivors and 103 not in survivors
 
 
-def test_attach_pair_payloads_scale_path_full_range_ids(ray_session):
+def test_attach_pair_payloads_scale_path_full_range_ids(ray_session, exchange_tier):
     """Above the broadcast budget the pair-payload join must be exact
     for 60-bit md5-prefix doc ids: the old float64 round-trip silently
     dropped every pair whose second endpoint exceeded 2^53."""
@@ -459,13 +454,13 @@ def test_attach_pair_payloads_scale_path_full_range_ids(ray_session):
             "sig": pa.array([f"s{i}" for i in range(4)], type=pa.string()),
         }
     )
+    exchange_tier()  # force the distributed scale path
     out = attach_pair_payloads(
         ray.data.from_arrow(pairs),
         ray.data.from_arrow(payload),
         id_col="doc_id",
         payload_col="sig",
         payload_type=pa.string(),
-        broadcast_bytes_limit=0,  # force the distributed scale path
     ).take_all()
     got = sorted((r["a"], r["b"], r["payload_a"], r["payload_b"]) for r in out)
     assert got == [
@@ -474,7 +469,7 @@ def test_attach_pair_payloads_scale_path_full_range_ids(ray_session):
     ]
 
 
-def test_anti_join_ids_exact_at_both_tiers(ray_session):
+def test_anti_join_ids_exact_at_both_tiers(ray_session, exchange_tier):
     """anti_join_ids is the OUTPUT-defining dedup keep-filter: both the
     broadcast tier and the Bloom-prefilter + hash-anti-join scale tier
     must drop exactly the member rows — no over-keep (a duplicate
@@ -490,19 +485,16 @@ def test_anti_join_ids_exact_at_both_tiers(ray_session):
     ).materialize()
     want = sorted(big + i for i in range(400) if i % 4 != 0)
 
-    exact = anti_join_ids(
-        payload, dups, id_col="doc_id", id_cols=("id",), exact_limit=10_000
-    )
+    exact = anti_join_ids(payload, dups, id_col="doc_id", id_cols=("id",))
     assert sorted(r["doc_id"] for r in exact.take_all()) == want
 
-    scale = anti_join_ids(
-        payload, dups, id_col="doc_id", id_cols=("id",), exact_limit=1
-    )
+    exchange_tier()
+    scale = anti_join_ids(payload, dups, id_col="doc_id", id_cols=("id",))
     assert sorted(r["doc_id"] for r in scale.take_all()) == want
 
 
-def test_prepare_minhash_scale_tier_is_exact(ray_session, tmp_path):
-    """Forcing the anti-join scale tier (exact_limit=1) must yield the
+def test_prepare_minhash_scale_tier_is_exact(ray_session, tmp_path, exchange_tier):
+    """Forcing the anti-join scale tier must yield the
     same deduped doc set as the broadcast tier — the Bloom is only a
     prefilter, never the decision."""
     from dots_ocr_ray.pipelines.dedup import anti_join_ids, minhash_lsh_dedup
@@ -525,18 +517,17 @@ def test_prepare_minhash_scale_tier_is_exact(ray_session, tmp_path):
         return b.filter(m).select(["doc_id"])
 
     duplicates = clusters.map_batches(_dups, batch_format="pyarrow").materialize()
-    a = anti_join_ids(docs, duplicates, id_col="doc_id", id_cols=("doc_id",),
-                      exact_limit=1_000_000)
-    b = anti_join_ids(docs, duplicates, id_col="doc_id", id_cols=("doc_id",),
-                      exact_limit=1)
+    a = anti_join_ids(docs, duplicates, id_col="doc_id", id_cols=("doc_id",))
+    exchange_tier()
+    b = anti_join_ids(docs, duplicates, id_col="doc_id", id_cols=("doc_id",))
     ida = sorted(r["doc_id"] for r in a.take_all())
     idb = sorted(r["doc_id"] for r in b.take_all())
     assert ida == idb and 0 < len(ida) < 30
 
 
-def test_semi_join_ids_exact_scale_tier(ray_session):
+def test_semi_join_ids_exact_scale_tier(ray_session, exchange_tier):
     """exact=True must return precisely the member rows even when the
-    Bloom tier is forced (exact_limit=1): the Bloom is a prefilter and
+    Bloom tier is forced: the Bloom is a prefilter and
     the hash semi-join is the decision."""
     from dots_ocr_ray.pipelines.dedup import semi_join_ids
 
@@ -545,9 +536,8 @@ def test_semi_join_ids_exact_scale_tier(ray_session):
     payload = ray.data.from_items(
         [{"doc_id": big + i, "x": i} for i in range(300)]
     ).materialize()
-    out = semi_join_ids(
-        payload, ids, id_col="doc_id", id_cols=("id",), exact_limit=1, exact=True
-    )
+    exchange_tier()
+    out = semi_join_ids(payload, ids, id_col="doc_id", id_cols=("id",), exact=True)
     got = sorted(r["doc_id"] for r in out.take_all())
     assert got == [big + i for i in range(0, 300, 3)]
 

@@ -16,7 +16,11 @@ on any other key than ``"__bucket"`` (a per-key Python fold) may appear
 only in ``util.py`` and at the ``RAW_KEY_ALLOWED`` sites, and the
 per-key scans that sort each key's rows (``ONE_EXCHANGE``) each run
 exactly one ``bucket_exchange``, with no Dataset sort and no raw-key
-fold.  Scans the package and ``__ray_entry__.py``.
+fold.  A broadcast-or-exchange choice asks ``util.broadcast_fits``: no
+function takes its own tier cut (a ``*_limit`` parameter from
+``TIER_OPTION``) or a ``method`` switch on ``TIER_SWITCH`` functions,
+and the deleted driver-side count merges stay gone.  Scans the package
+and ``__ray_entry__.py``.
 """
 
 import ast
@@ -59,11 +63,6 @@ RAW_KEY_ALLOWED = {
         "dots_ocr_ray/pipelines/windows.py",
         "window_distinct_users",
         "keys are time windows, a bounded set; one distinct count per window",
-    ),
-    (
-        "dots_ocr_ray/pipelines/windows.py",
-        "ohlc_bars",
-        "per-(key, bar) merge of per-batch OHLC partials in pandas; open: one vectorized bucket fold",
     ),
     (
         "dots_ocr_ray/pipelines/dedup.py",
@@ -120,11 +119,6 @@ RAW_KEY_ALLOWED = {
         "semdedup_prune",
         "per-cluster pairwise similarity over k-means clusters",
     ),
-    (
-        "dots_ocr_ray/functions/sketches.py",
-        "grouped_approx_distinct",
-        "HLL register-blob merge per key; open: one vectorized bucket fold",
-    ),
 }
 
 # (file, top-level function) → the one exchange call of each sorted
@@ -140,6 +134,11 @@ ONE_EXCHANGE = {
     ("dots_ocr_ray/pipelines/windows.py", "event_gaps"): "_sorted_user_apply",
     ("dots_ocr_ray/pipelines/windows.py", "late_event_audit"): "_sorted_user_apply",
 }
+# parameters that would pick a broadcast-or-exchange tier by a caller's
+# option instead of util.broadcast_fits
+TIER_OPTION = re.compile(r"^(broadcast|host_broadcast|broadcast_bytes|exact|driver_pair|driver|hot_right_rows|dedup_exact)_limit$")
+TIER_SWITCH = {"cluster_assign", "connected_hosts"}
+DELETED = ("merge_int_counts", "merge_pair_counts")
 _RAY_AGG_NAME = re.compile(r"^(sum|count|min|max|mean|std)\([^()]*\)$")
 
 
@@ -347,3 +346,62 @@ def test_sorted_per_key_scans_run_one_bucket_exchange():
         ]
         assert calls.count(exchange) == 1, (rel, fn)
         assert not {"sort", "map_groups", "union", "materialize", "bucket_keyed_fold"} & set(calls), (rel, fn)
+
+
+def _tier_option_hits(tree: ast.AST) -> list:
+    """(line, parameter) of every ``TIER_OPTION`` parameter and of every
+    ``method`` parameter of a ``TIER_SWITCH`` function in ``tree``."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in filter(None, [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]):
+                if TIER_OPTION.match(arg.arg) or (arg.arg == "method" and getattr(node, "name", None) in TIER_SWITCH):
+                    hits.append((arg.lineno, arg.arg))
+    return sorted(hits)
+
+
+def _deleted_name_hits(src: str) -> list:
+    return [i for i, line in enumerate(src.splitlines(), 1) if any(n in line for n in DELETED)]
+
+
+def test_no_per_function_tier_options():
+    found = []
+    for rel in _sources():
+        with open(os.path.join(ROOT, rel)) as f:
+            src = f.read()
+        found += [(rel, ln, name) for ln, name in _tier_option_hits(ast.parse(src))]
+        found += [(rel, ln, "deleted count merge") for ln in _deleted_name_hits(src)]
+    assert not found, f"tier choices go through util.broadcast_fits, not an option: {found}"
+
+
+def test_tier_option_guard_sees_the_patterns():
+    """The scan flags every tier-option spelling, in any parameter kind
+    and in lambdas, the ``method`` switch of both switch functions, and
+    the deleted names; it skips the guards and stopping rules that are
+    not tier choices and a ``method`` elsewhere."""
+    src = (
+        "def f(ds, broadcast_limit=2, *, host_broadcast_limit=4, broadcast_bytes_limit=1):\n"
+        "    g = lambda exact_limit=1, driver_pair_limit=2: 0\n"
+        "def h(driver_limit, /, hot_right_rows_limit=0, dedup_exact_limit=None):\n"
+        "    pass\n"
+        "def cluster_assign(ids, pairs, *, method='auto'):\n"
+        "    pass\n"
+        "def connected_hosts(sf_dir, method='auto', cdf_limit=4, collect_limit=8, delta_bytes_limit=1):\n"
+        "    pass\n"
+        "def pagerank(edges, method='x', num_buckets=64):\n"
+        "    return merge_int_counts, util.merge_pair_counts\n"
+    )
+    assert _tier_option_hits(ast.parse(src)) == [
+        (1, "broadcast_bytes_limit"),
+        (1, "broadcast_limit"),
+        (1, "host_broadcast_limit"),
+        (2, "driver_pair_limit"),
+        (2, "exact_limit"),
+        (3, "dedup_exact_limit"),
+        (3, "driver_limit"),
+        (3, "hot_right_rows_limit"),
+        (5, "method"),
+        (7, "method"),
+    ]
+    assert _deleted_name_hits(src) == [10]

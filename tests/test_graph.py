@@ -21,14 +21,15 @@ def test_degree_table(ray_session):
     assert out == {0: (3, 1), 1: (1, 2), 2: (1, 2)}
 
 
-def test_pagerank_tiers_match_and_sum_to_one(ray_session):
+def test_pagerank_tiers_match_and_sum_to_one(ray_session, exchange_tier):
     from dots_ocr_ray.pipelines.graph import pagerank
 
     rows = [(i % 11, (i * 7 + 3) % 11) for i in range(200)] + [(12, 0)]  # 12 dangles? no: 12 has out-edge
     rows.append((0, 13))  # 13 is a dangling node (in-edges only)
     ds = _edges(rows)
     t_b = pagerank(ds, num_iters=4)
-    t_d = pagerank(ds, num_iters=4, broadcast_limit=0)
+    exchange_tier()
+    t_d = pagerank(ds, num_iters=4)
     rb = dict(zip(t_b.column("host").to_pylist(), t_b.column("rank").to_pylist()))
     rd = dict(zip(t_d.column("host").to_pylist(), t_d.column("rank").to_pylist()))
     assert set(rb) == set(rd)
@@ -61,7 +62,7 @@ def test_host_edges_rule(ray_session):
         assert 0 <= e["src"] < 40 and 0 <= e["dst"] < 40
 
 
-def test_connected_hosts_structure_and_tier_parity(ray_session):
+def test_connected_hosts_structure_and_tier_parity(ray_session, exchange_tier):
     """The chain fixture yields 25 path components of 16 hosts; the
     driver union-find tier and the distributed min-label propagation
     tier must agree exactly (15-hop chains are label propagation's
@@ -69,8 +70,9 @@ def test_connected_hosts_structure_and_tier_parity(ray_session):
     from dots_ocr_ray.pipelines.graph import connected_hosts
 
     sf = "/root/testdata/sf0.001"
-    drv = {r["host"]: r["component"] for r in connected_hosts(sf, method="driver").take_all()}
-    dst = {r["host"]: r["component"] for r in connected_hosts(sf, method="distributed").take_all()}
+    drv = {r["host"]: r["component"] for r in connected_hosts(sf).take_all()}
+    exchange_tier()
+    dst = {r["host"]: r["component"] for r in connected_hosts(sf).take_all()}
     assert drv == dst
     assert len(drv) == 400
     assert all(comp == host - host % 16 for host, comp in drv.items())
@@ -172,7 +174,7 @@ def test_triangle_count_partition_independent(ray_session):
     assert a == b == ref
 
 
-def test_bfs_depths_known_graph_and_tier_parity(ray_session):
+def test_bfs_depths_known_graph_and_tier_parity(ray_session, exchange_tier):
     from dots_ocr_ray.pipelines.graph import bfs_depths
 
     # 0 -> 1 -> 2 -> 3 chain with a shortcut 0 -> 2 and a cycle 3 -> 0;
@@ -182,10 +184,8 @@ def test_bfs_depths_known_graph_and_tier_parity(ray_session):
     got_b = {
         r["host"]: r["depth"] for r in bfs_depths(_edges(rows), seeds=[0]).take_all()
     }
-    got_d = {
-        r["host"]: r["depth"]
-        for r in bfs_depths(_edges(rows), seeds=[0], broadcast_limit=0).take_all()
-    }
+    exchange_tier()
+    got_d = {r["host"]: r["depth"] for r in bfs_depths(_edges(rows), seeds=[0]).take_all()}
     assert got_b == expect
     assert got_d == expect
 
@@ -216,14 +216,15 @@ def test_bfs_depths_multi_seed_and_max_depth(ray_session):
     assert lone == {99: 0}
 
 
-def test_hits_tiers_match_and_hub_authority_split(ray_session):
+def test_hits_tiers_match_and_hub_authority_split(ray_session, exchange_tier):
     from dots_ocr_ray.pipelines.graph import hits
 
     # bipartite-ish: 0 and 1 point at 5, 6, 7 — pure hubs vs pure
     # authorities; HITS must separate the two roles exactly
     rows = [(h, a) for h in (0, 1) for a in (5, 6, 7)]
     t_b = hits(_edges(rows), num_iters=4)
-    t_d = hits(_edges(rows), num_iters=4, broadcast_limit=0)
+    exchange_tier()
+    t_d = hits(_edges(rows), num_iters=4)
     hb = dict(zip(t_b.column("host").to_pylist(), t_b.column("hub").to_pylist()))
     ab = dict(zip(t_b.column("host").to_pylist(), t_b.column("authority").to_pylist()))
     hd = dict(zip(t_d.column("host").to_pylist(), t_d.column("hub").to_pylist()))
@@ -238,13 +239,15 @@ def test_hits_tiers_match_and_hub_authority_split(ray_session):
     assert ab[5] > 0.3 and ab[6] > 0.3 and ab[0] == 0.0
 
 
-def test_personalized_pagerank_tiers_and_seed_mass(ray_session):
+def test_personalized_pagerank_tiers_and_seed_mass(ray_session, exchange_tier):
     from dots_ocr_ray.pipelines.graph import pagerank
 
     rows = [(i % 11, (i * 7 + 3) % 11) for i in range(200)]
     rows.append((0, 13))  # 13 dangles
     t_b = pagerank(_edges(rows), num_iters=4, seeds=[0, 5])
-    t_d = pagerank(_edges(rows), num_iters=4, seeds=[0, 5], broadcast_limit=0)
+    exchange_tier()
+    t_d = pagerank(_edges(rows), num_iters=4, seeds=[0, 5])
+    exchange_tier(False)
     rb = dict(zip(t_b.column("host").to_pylist(), t_b.column("rank").to_pylist()))
     rd = dict(zip(t_d.column("host").to_pylist(), t_d.column("rank").to_pylist()))
     assert set(rb) == set(rd)
@@ -262,8 +265,9 @@ def test_personalized_pagerank_tiers_and_seed_mass(ray_session):
 
     with _pytest.raises(ValueError):
         pagerank(_edges(rows2), num_iters=2, seeds=[99])
+    exchange_tier()
     with _pytest.raises(ValueError):
-        pagerank(_edges(rows2), num_iters=2, seeds=[99], broadcast_limit=0)
+        pagerank(_edges(rows2), num_iters=2, seeds=[99])
 
 
 def test_kcore_tiers_match_reference_peel(ray_session):
@@ -344,7 +348,7 @@ def test_label_propagation_two_cliques_with_bridge(ray_session):
     assert {got[10 + i] for i in range(4)} == {10}
 
 
-def test_label_propagation_tier_parity_and_dup_immunity(ray_session):
+def test_label_propagation_tier_parity_and_dup_immunity(ray_session, exchange_tier):
     # duplicated + self-loop + reversed edges must not change votes;
     # the distributed tier must equal the driver tier exactly
     rows = [(i % 13, (i * 5 + 2) % 13) for i in range(300)]
@@ -352,7 +356,9 @@ def test_label_propagation_tier_parity_and_dup_immunity(ray_session):
     rows += rows[:40]  # duplicates collapsed exactly
     ds = _edges(rows)
     drv = _lpa(ds, num_iters=5)
-    dist = _lpa(ds, num_iters=5, broadcast_limit=0)
+    exchange_tier()
+    dist = _lpa(ds, num_iters=5)
+    exchange_tier(False)
     assert drv.equals(dist)
 
     # multiplicity immunity: single copy of each edge gives the same result
@@ -410,12 +416,14 @@ def _walks_table(ds, **kw):
     )
 
 
-def test_random_walks_tier_parity_and_dup_immunity(ray_session):
+def test_random_walks_tier_parity_and_dup_immunity(ray_session, exchange_tier):
     rows = [(i % 9, (i * 4 + 1) % 9) for i in range(120)]
     rows += rows[:30]  # duplicate edges must not bias choices
     ds = _edges(rows)
     bt = _walks_table(ds, walks_per_node=3, walk_len=5, seed=11)
-    dt = _walks_table(ds, walks_per_node=3, walk_len=5, seed=11, broadcast_limit=0)
+    exchange_tier()
+    dt = _walks_table(ds, walks_per_node=3, walk_len=5, seed=11)
+    exchange_tier(False)
     assert bt.equals(dt)
     uniq = sorted({(s, d) for s, d in rows})
     assert _walks_table(_edges(uniq), walks_per_node=3, walk_len=5, seed=11).equals(bt)
@@ -521,8 +529,9 @@ def test_robots_filter_semantics_broadcast(ray_session):
     assert _robots(ROBOTS_PAGES, ROBOTS_RULES) == ROBOTS_EXPECT
 
 
-def test_robots_filter_tier_parity(ray_session):
-    assert _robots(ROBOTS_PAGES, ROBOTS_RULES, broadcast_limit=0) == ROBOTS_EXPECT
+def test_robots_filter_tier_parity(ray_session, exchange_tier):
+    exchange_tier()
+    assert _robots(ROBOTS_PAGES, ROBOTS_RULES) == ROBOTS_EXPECT
 
 
 def test_skipgram_pairs_vs_brute_force(ray_session):
@@ -587,8 +596,8 @@ def test_modularity_known_values(ray_session):
     assert t3.column("modularity")[0].as_py() == round(-1 / 3, 9)
 
 
-def test_modularity_tier_parity(ray_session):
-    """broadcast_limit=0 forces the distributed (two hash_joins +
+def test_modularity_tier_parity(ray_session, exchange_tier):
+    """Forcing ``util.broadcast_fits`` to False takes the distributed (two hash_joins +
     label-bucketed fold) tier; it must agree bit-identically with the
     broadcast tier on a random graph, including communities whose
     hosts have no edges at all (n_communities from the assignment)."""
@@ -620,9 +629,8 @@ def test_modularity_tier_parity(ray_session):
         ]
     )
     t_b = modularity(ds, ray.data.from_arrow(comm_tbl).repartition(4))
-    t_d = modularity(
-        ds, ray.data.from_arrow(comm_tbl).repartition(4), broadcast_limit=0
-    )
+    exchange_tier()
+    t_d = modularity(ds, ray.data.from_arrow(comm_tbl).repartition(4))
     assert t_b.column("modularity")[0].as_py() == t_d.column("modularity")[0].as_py()
     assert t_b.column("n_edges")[0].as_py() == t_d.column("n_edges")[0].as_py()
     assert t_b.column("n_communities")[0].as_py() == t_d.column("n_communities")[0].as_py()

@@ -175,13 +175,22 @@ def test_exchange_colocates_keys(ray_session):
     assert sorted(hosts) == sorted(set(t.column("host").to_pylist()))
 
 
-def test_merge_pair_counts_tiers_vs_pandas(ray_session):
-    """merge_pair_counts ≡ pandas groupby-sum on (a, b), for BOTH the
-    driver tier and the forced distributed tier, over extreme /
-    negative int64 keys."""
-    import pandas as pd
+def _both_fold_tiers(monkeypatch, make):
+    """``make()`` once per :func:`bucket_exchange` tier: the one-task
+    fold, then the forced sort shuffle."""
+    from dots_ocr_ray import util
 
-    from dots_ocr_ray.util import merge_pair_counts
+    out = []
+    for one_task in (True, False):
+        monkeypatch.setattr(util, "_fold_in_one_task", lambda *a, _t=one_task: _t)
+        out.append(make())
+    return out
+
+
+def test_pair_sum_tiers_vs_pandas(ray_session, monkeypatch):
+    """A two-int64-key sum fold ≡ pandas groupby-sum on (a, b), for BOTH
+    fold tiers, over extreme / negative int64 keys."""
+    import pandas as pd
 
     rng = np.random.RandomState(7)
     a = np.concatenate(
@@ -204,23 +213,20 @@ def test_merge_pair_counts_tiers_vs_pandas(ray_session):
         .sum()
         .reset_index()
     )
-    for kw in ({}, {"driver_limit": 0}):
-        got = (
-            merge_pair_counts(
-                ray.data.from_arrow(t).repartition(5), "x", "y", "n", **kw
-            )
-            .to_pandas()
-            .sort_values(["x", "y"])
-            .reset_index(drop=True)
-        )
+    ds = ray.data.from_arrow(t).repartition(5)
+    for got in _both_fold_tiers(
+        monkeypatch,
+        lambda: bucket_keyed_fold(ds, ["x", "y"], {"n": ("sum", "n")})
+        .to_pandas()
+        .sort_values(["x", "y"])
+        .reset_index(drop=True),
+    ):
         pd.testing.assert_frame_equal(got, expect.astype("int64"))
 
 
-def test_merge_int_counts_tiers(ray_session):
-    """merge_int_counts: the driver tier and the distributed tier agree
-    with a plain numpy count."""
-    from dots_ocr_ray.util import merge_int_counts
-
+def test_int_sum_tiers(ray_session, monkeypatch):
+    """An int64-key sum fold: both fold tiers agree with a plain numpy
+    count."""
     rng = np.random.default_rng(5)
     k = rng.integers(-50, 50, 2_000).astype(np.int64)
     c = rng.integers(1, 4, 2_000).astype(np.int64)
@@ -228,8 +234,9 @@ def test_merge_int_counts_tiers(ray_session):
     uniq, inv = np.unique(k, return_inverse=True)
     want = np.zeros(len(uniq), np.int64)
     np.add.at(want, inv, c)
-    for kw in ({}, {"driver_limit": 0}):
-        got = merge_int_counts(ds, "k", "c", **kw).to_pandas().sort_values("k")
+    for got in _both_fold_tiers(
+        monkeypatch, lambda: bucket_keyed_fold(ds, "k", {"c": ("sum", "c")}).to_pandas().sort_values("k")
+    ):
         assert got["k"].tolist() == uniq.tolist()
         assert got["c"].tolist() == want.tolist()
 

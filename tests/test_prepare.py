@@ -32,7 +32,7 @@ def test_prepare_training_data_end_to_end(ray_session, tmp_path):
     assert (per_doc == 1).all()
 
 
-def test_prepare_minhash_dedup_drops_near_dups(ray_session, tmp_path):
+def test_prepare_minhash_dedup_drops_near_dups(ray_session, tmp_path, exchange_tier):
     import pyarrow as pa
 
     BASE = (
@@ -64,13 +64,14 @@ def test_prepare_minhash_dedup_drops_near_dups(ray_session, tmp_path):
     assert counts["chunks_written"] == len(df)
     assert counts["deduped"] == df.url.nunique()
 
-    # forcing the fully distributed keep path (exact_limit=0 -> the
-    # Bloom tier built with zero driver-side id collection) must
-    # reproduce the default run's output exactly on this corpus
+    # forcing the fully distributed keep path (the Bloom tier built
+    # with zero driver-side id collection) must reproduce the default
+    # run's output exactly on this corpus
     out2 = str(tmp_path / "prep2")
+    exchange_tier()
     counts2 = prepare_training_data(
         ray.data.from_arrow(pages), out2, dedup="minhash", minhash_threshold=0.9,
-        chunk_tokens=16, overlap_tokens=2, dedup_exact_limit=0,
+        chunk_tokens=16, overlap_tokens=2,
     )
     df2 = ray.data.read_parquet(out2).to_pandas()
     a = df.sort_values(["doc_id", "chunk_id"]).reset_index(drop=True)

@@ -141,8 +141,8 @@ def test_refresh_recrawl_near_dup_is_dropped(ray_session, tmp_path):
     assert c3["after_exact"] == 0
 
 
-def test_recrawl_priority_tier_parity(ray_session):
-    """broadcast_limit=0 forces the distributed hash_join rank-attach;
+def test_recrawl_priority_tier_parity(ray_session, exchange_tier):
+    """Forcing ``util.broadcast_fits`` to False takes the distributed hash_join rank-attach;
     it must agree with the broadcast searchsorted gather, including
     hosts with no rank row (rank 0)."""
     import pyarrow as pa
@@ -166,8 +166,9 @@ def test_recrawl_priority_tier_parity(ray_session):
         }
     )
     base = recrawl_priority(diff, ranks).to_pandas().set_index("host").sort_index()
+    exchange_tier()
     dist = (
-        recrawl_priority(diff, ranks, broadcast_limit=0)
+        recrawl_priority(diff, ranks)
         .to_pandas()
         .set_index("host")
         .sort_index()

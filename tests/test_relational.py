@@ -851,7 +851,7 @@ def test_grouped_count_histogram(ray_session):
     assert out == {0: 1, 1: 2, 2: 1, 3: 1}
 
 
-def test_attach_int_column_tier_parity(ray_session):
+def test_attach_int_column_tier_parity(ray_session, exchange_tier):
     import ray.data
 
     from dots_ocr_ray.pipelines.relational import attach_int_column
@@ -863,15 +863,15 @@ def test_attach_int_column_tier_parity(ray_session):
     ls = pa.schema([("k", pa.int64()), ("x", pa.int64())])
     ss = pa.schema([("k", pa.int64()), ("v", pa.int64())])
 
-    def run(limit):
+    def run():
         out = attach_int_column(
-            left, side, on="k", value_col="v",
-            broadcast_bytes_limit=limit, left_schema=ls, side_schema=ss,
+            left, side, on="k", value_col="v", left_schema=ls, side_schema=ss,
         ).to_pandas().sort_values(["k", "x"]).reset_index(drop=True)
         return out
 
-    a = run(1 << 30)  # broadcast tier
-    b = run(0)        # hash-join tier
+    a = run()  # broadcast tier
+    exchange_tier()
+    b = run()  # hash-join tier
     assert sorted(a.columns) == sorted(b.columns)
     assert (a[sorted(a.columns)].values == b[sorted(b.columns)].values).all()
     assert set(a["k"]) == {0, 1, 2, 3, 4}

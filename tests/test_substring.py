@@ -59,14 +59,13 @@ def _docs_ds():
     )
 
 
-@pytest.mark.parametrize("broadcast_limit", [4_000_000, -1])
-def test_substring_dedup_matches_sequential(ray_session, broadcast_limit):
+@pytest.mark.parametrize("exchange", [False, True], ids=["broadcast", "exchange"])
+def test_substring_dedup_matches_sequential(ray_session, exchange_tier, exchange):
     exp = seq_substring_dedup(DOCS)
+    exchange_tier(exchange)
     got = {
         r["doc_id"]: (r["text_sub"], r["n_kept"], r["n_dropped"])
-        for r in substring_dedup(
-            _docs_ds(), k=K, min_count=2, broadcast_limit=broadcast_limit
-        ).take_all()
+        for r in substring_dedup(_docs_ds(), k=K, min_count=2).take_all()
     }
     assert got == exp
     # the fixture exercises every promised edge: a shared 10-token
@@ -80,7 +79,7 @@ def test_substring_dedup_matches_sequential(ray_session, broadcast_limit):
     assert "  " not in got[7][0] and got[7][2] == 0
 
 
-def test_substring_dedup_tier_parity_on_corpus(ray_session):
+def test_substring_dedup_tier_parity_on_corpus(ray_session, exchange_tier):
     """Both tiers over the real sf0.001 documents table produce
     identical outputs (the scale path's 3-exchange join pipeline is
     semantics-equal to the broadcast filter)."""
@@ -91,9 +90,10 @@ def test_substring_dedup_tier_parity_on_corpus(ray_session):
         r["doc_id"]: (r["text_sub"], r["n_kept"], r["n_dropped"])
         for r in substring_dedup(ds, k=K, min_count=2).take_all()
     }
+    exchange_tier()
     rows_d = {
         r["doc_id"]: (r["text_sub"], r["n_kept"], r["n_dropped"])
-        for r in substring_dedup(ds, k=K, min_count=2, broadcast_limit=-1).take_all()
+        for r in substring_dedup(ds, k=K, min_count=2).take_all()
     }
     assert rows_b == rows_d
     assert len(rows_b) == ds.count()
@@ -112,7 +112,7 @@ def test_duplicate_grams_counts(ray_session):
     assert len(rows) == 1 and rows[0]["cnt"] == 9
 
 
-def test_gram_novelty_hand_computed_and_tier_parity(ray_session):
+def test_gram_novelty_hand_computed_and_tier_parity(ray_session, exchange_tier):
     """Novelty vs a tiny archive: positions of new docs whose 3-gram
     never appears in the old corpus; both tiers bit-identical."""
     import pyarrow as pa
@@ -158,5 +158,6 @@ def test_gram_novelty_hand_computed_and_tier_parity(ray_session):
     assert got[3] == (0, 0, 0)
     assert got[4] == (5, 2, 400_000)
     # forced distributed tier must agree exactly
-    got_d = _rows(gram_novelty(old, new, k=3, broadcast_limit=0))
+    exchange_tier()
+    got_d = _rows(gram_novelty(old, new, k=3))
     assert got == got_d

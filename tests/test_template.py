@@ -73,19 +73,14 @@ def test_broadcast_tier(ray_session, corpus):
     _check(out, tbl, expect)
 
 
-def test_distributed_tiers(ray_session, corpus):
-    """broadcast_limit=0 / host_broadcast_limit=0 force the host
+def test_distributed_tiers(ray_session, corpus, exchange_tier):
+    """Forcing ``util.broadcast_fits`` to False takes the host
     hash_join tier AND the explode → anti-join → reassemble strip tier;
     full-range 64-bit gid/key hashes must survive both exchanges."""
     tbl, expect = corpus
     ds = ray.data.from_arrow(tbl).map_batches(lambda b: b, batch_format="pyarrow")
-    out = template_block_strip(
-        ds,
-        min_pages=MIN_PAGES,
-        min_frac_pct=MIN_FRAC,
-        broadcast_limit=0,
-        host_broadcast_limit=0,
-    )
+    exchange_tier()
+    out = template_block_strip(ds, min_pages=MIN_PAGES, min_frac_pct=MIN_FRAC)
     _check(out, tbl, expect)
 
 

@@ -189,7 +189,7 @@ def test_fingerprint_duplicates(ray_session):
     assert (out.n_docs >= 2).all() if len(out) else True
 
 
-def test_bigram_lm_scores_tiers_match_sequential(ray_session):
+def test_bigram_lm_scores_tiers_match_sequential(ray_session, exchange_tier):
     """Both tiers vs a literal token-tuple Counter reference; sub-2-
     token docs score 0 with 0 bigrams."""
     import math
@@ -230,12 +230,13 @@ def test_bigram_lm_scores_tiers_match_sequential(ray_session):
             for j in range(len(tk) - 1)
         ]
         exp[i] = (round(sum(lps) / len(lps), 10) if lps else 0.0, len(lps))
-    for limit in (4_000_000, -1):
+    for exchange in (False, True):
+        exchange_tier(exchange)
         got = {
             r["doc_id"]: (round(r["avg_logp"], 10), r["n_bigrams"])
-            for r in bigram_lm_scores(ds, broadcast_limit=limit).take_all()
+            for r in bigram_lm_scores(ds).take_all()
         }
-        assert got == exp, limit
+        assert got == exp, exchange
 
 
 def test_build_vocab_and_encode(ray_session):

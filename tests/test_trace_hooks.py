@@ -86,7 +86,7 @@ def test_shard_task_layers_recorded(patched_namespaces, tmp_path):
     work = pa.table({"shard": [0], "path": [src], "row_groups": pa.array([None], pa.list_(pa.int64()))})
     cpus, io = pa.cpu_count(), pa.io_thread_count()
     try:
-        metrics = px._run_shard_task(work, out_dir=out_dir, config=ExtractConfig(), batch_size=4, n_shards=1)
+        metrics = px._run_shard_task(work, out_dir=out_dir, config=ExtractConfig(), batch_size=4)
     finally:  # the task pins pyarrow to one thread for its process
         pa.set_cpu_count(cpus)
         pa.set_io_thread_count(io)
