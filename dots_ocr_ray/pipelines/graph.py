@@ -149,7 +149,7 @@ def pagerank(
     if n_nodes == 0:
         return pa.table({"host": pa.array([], pa.int64()), "rank": pa.array([], pa.float64())})
 
-    if util.broadcast_fits(n_nodes, degrees.size_bytes()):
+    if util.broadcast_fits(degrees.size_bytes()):
         hosts_chunks, deg_chunks = [], []
         for b in degrees.iter_batches(batch_format="pyarrow"):
             if b.num_rows:
@@ -967,7 +967,7 @@ def bfs_depths(
 
     from dots_ocr_ray.util import sorted_membership
 
-    if util.broadcast_fits(nodes.count(), nodes.size_bytes()):
+    if util.broadcast_fits(nodes.size_bytes()):
         hosts = [seed_arr]
         depths = [np.zeros(len(seed_arr), dtype=np.int64)]
         visited = seed_arr  # sorted
@@ -1116,7 +1116,7 @@ def hits(
     if n_nodes == 0:
         return empty
 
-    if util.broadcast_fits(n_nodes, degrees.size_bytes()):
+    if util.broadcast_fits(degrees.size_bytes()):
         hosts = np.sort(_collect_int_col(degrees, "host"))
         n = len(hosts)
         hub = np.full(n, 1.0 / n)
@@ -1416,7 +1416,7 @@ def label_propagation(
 
     node_ds = _distinct_nodes(und, num_buckets)
 
-    if util.broadcast_fits(node_ds.count(), node_ds.size_bytes()):
+    if util.broadcast_fits(node_ds.size_bytes()):
         hosts = np.sort(_collect_int_col(node_ds, "host"))
         n = len(hosts)
         ia_chunks, ib_chunks = [], []
@@ -1628,7 +1628,7 @@ def random_walks(
 
     seeds_ds = node_ds.map_batches(_seed_rows, batch_format="pyarrow")
 
-    if util.broadcast_fits(n_nodes, node_ds.size_bytes()):
+    if util.broadcast_fits(node_ds.size_bytes()):
         # CSR: sorted edges give per-node contiguous neighbor runs
         ed = dedges.materialize()
         a_chunks, b_chunks = [], []
@@ -1819,14 +1819,15 @@ def robots_filter(
     rule is allowed.
 
     Broadcast tier (rule table fits
-    :func:`~dots_ocr_ray.util.broadcast_fits`): the rule table
-    ships once (``ray.put`` + per-worker cache) and each batch
-    resolves matches with one vectorized ``starts_with`` pass per RULE
-    (rule tables are small; pages are the corpus-sized side) — zero
-    exchanges.  Distributed tier (web-scale per-host rule sets): one
-    ``hash_join(pages, rules, on=host)`` co-locates each page with its
-    host's rules, then one bucket-keyed fold per url resolves the
-    longest match — two keyed exchanges, nothing driver-sized."""
+    :func:`~dots_ocr_ray.util.broadcast_fits`): the rule table, sorted
+    by host, ships once (``ray.put`` + per-worker cache); each batch
+    finds its own hosts' rule runs with one ``index_in`` and tests only
+    those rules — zero exchanges, and a batch pays for the rules of the
+    hosts it holds, not for the whole table.  Distributed tier
+    (web-scale per-host rule sets): one ``hash_join(pages, rules,
+    on=host)`` co-locates each page with its host's rules, then one
+    bucket-keyed fold per url resolves the longest match — two keyed
+    exchanges, nothing driver-sized."""
     import posixpath as _pp  # noqa: F401  (kept out of the hot path)
     import re
 
@@ -1846,38 +1847,45 @@ def robots_filter(
         return np.asarray(hosts, dtype=object), np.asarray(paths, dtype=object)
 
     rules = rules.materialize()
-    if util.broadcast_fits(rules.count(), rules.size_bytes()):
-        r_host, r_prefix, r_allow = [], [], []
-        for b in rules.iter_batches(batch_format="pyarrow"):
-            if b.num_rows:
-                r_host += b.column("host").to_pylist()
-                r_prefix += b.column("prefix").to_pylist()
-                r_allow += b.column("allow").to_pylist()
-        rules_ref = ray.put((r_host, r_prefix, r_allow))
+    if util.broadcast_fits(rules.size_bytes()):
+        schema = pa.schema([("host", pa.string()), ("prefix", pa.string()), ("allow", pa.bool_())])
+        tbl = pa.concat_tables(
+            [t.select(schema.names) for t in util.collect_arrow_blocks(rules)] or [schema.empty_table()]
+        )
+        # a rule without host or prefix matches no page (as in the
+        # distributed tier)
+        tbl = tbl.filter(pc.and_(pc.is_valid(tbl.column("host")), pc.is_valid(tbl.column("prefix"))))
+        tbl = tbl.sort_by("host")
+        r_host = tbl.column("host").combine_chunks()
+        change = pc.not_equal(r_host[1:], r_host[:-1]).to_numpy(zero_copy_only=False)
+        run_starts = np.flatnonzero(np.r_[len(r_host) > 0, change])
+        rules_ref = ray.put((r_host.take(run_starts), np.r_[run_starts, len(r_host)], tbl))
 
         def _gate(batch: pa.Table, _ref=rules_ref) -> pa.Table:
-            rh, rp, ra = cached_object(_ref)
+            run_host, run_bounds, rt = cached_object(_ref)
             hosts, paths = _split(batch)
             best_len = np.full(len(hosts), -1, dtype=np.int64)
             best_allow = np.ones(len(hosts), dtype=bool)
-            for h, p, a in zip(rh, rp, ra):
-                mask = hosts == h
-                if not mask.any():
-                    continue
-                starts = np.array(
-                    [s.startswith(p) for s in paths[mask]], dtype=bool
-                )
-                if not starts.any():
-                    continue
-                idx = np.flatnonzero(mask)[starts]
-                plen = len(p)
-                # longest wins; equal-length allow beats disallow
-                upgrade = (plen > best_len[idx]) | (
-                    (plen == best_len[idx]) & bool(a) & ~best_allow[idx]
-                )
-                tgt = idx[upgrade]
-                best_len[tgt] = plen
-                best_allow[tgt] = bool(a)
+            uniq, inv = np.unique(hosts, return_inverse=True)
+            run = pc.index_in(pa.array(uniq.tolist(), type=pa.string()), value_set=run_host)
+            run = run.fill_null(-1).to_numpy(zero_copy_only=False)
+            for j in np.flatnonzero(run >= 0):
+                rows = np.flatnonzero(inv == j)
+                lo, hi = run_bounds[run[j]], run_bounds[run[j] + 1]
+                sub = rt.slice(lo, hi - lo)
+                for p, a in zip(sub.column("prefix").to_pylist(), sub.column("allow").to_pylist()):
+                    starts = np.array([s.startswith(p) for s in paths[rows]], dtype=bool)
+                    if not starts.any():
+                        continue
+                    idx = rows[starts]
+                    plen = len(p)
+                    # longest wins; equal-length allow beats disallow
+                    upgrade = (plen > best_len[idx]) | (
+                        (plen == best_len[idx]) & bool(a) & ~best_allow[idx]
+                    )
+                    tgt = idx[upgrade]
+                    best_len[tgt] = plen
+                    best_allow[tgt] = bool(a)
             return batch.append_column("allowed", pa.array(best_allow, type=pa.bool_()))
 
         return pages.map_batches(_gate, batch_format="pyarrow")
@@ -2094,7 +2102,7 @@ def modularity(
         return empty
 
     communities = communities.materialize()
-    if not util.broadcast_fits(communities.count(), communities.size_bytes()):
+    if not util.broadcast_fits(communities.size_bytes()):
         return _modularity_distributed(und, communities, m, num_buckets=num_buckets)
     hosts_chunks, lab_chunks = [], []
     for b in communities.iter_batches(batch_format="pyarrow"):

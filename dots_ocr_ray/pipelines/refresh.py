@@ -204,7 +204,7 @@ def refresh_corpus(
 
 def recrawl_priority(
     diff: ray.data.Dataset,
-    ranks: pa.Table,
+    ranks: pa.Table | ray.data.Dataset,
     *,
     id_col: str = "doc_id",
     host_of=None,
@@ -265,9 +265,10 @@ def recrawl_priority(
     )
 
     if isinstance(ranks, pa.Table):
-        fits = util.broadcast_fits(ranks.num_rows, ranks.nbytes)
+        fits = util.broadcast_fits(ranks.nbytes)
     else:
-        fits = util.broadcast_fits(ranks.count(), ranks.size_bytes())
+        ranks = ranks.materialize()
+        fits = util.broadcast_fits(ranks.size_bytes())
     if not fits:
         # distributed tier: LEFT hash_join of the bounded per-host
         # counts with the rank table on host — hosts absent from the
@@ -324,6 +325,11 @@ def recrawl_priority(
             )
 
         return joined.map_batches(_score_joined, batch_format="pyarrow")
+    if not isinstance(ranks, pa.Table):
+        blocks = [t.select(["host", rank_col]) for t in util.collect_arrow_blocks(ranks)]
+        ranks = pa.concat_tables(blocks) if blocks else pa.table(
+            {"host": pa.array([], pa.int64()), rank_col: pa.array([], pa.float64())}
+        )
     hosts_sorted = ranks.column("host").to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(hosts_sorted, kind="stable")
     rank_pair_ref = ray.put(

@@ -1557,7 +1557,7 @@ def skew_join(
     hot_right = right.map_batches(
         _filter_keys(hot_keys, invert=False), batch_format="pyarrow"
     ).materialize()
-    if not util.broadcast_fits(hot_right.count(), hot_right.size_bytes()):
+    if not util.broadcast_fits(hot_right.size_bytes()):
         return hash_join(
             left, right, on=on, how=how, suffix=suffix,
             left_schema=left_schema, right_schema=right_schema,
@@ -2093,7 +2093,7 @@ def attach_int_column(
 
     out_col = out_col or value_col
     side_mat = side.materialize()
-    if util.broadcast_fits(side_mat.count(), side_mat.size_bytes()):
+    if util.broadcast_fits(side_mat.size_bytes()):
         keys_l, vals_l = [], []
         for b in side_mat.iter_batches(batch_format="pyarrow"):
             keys_l.append(b.column(on).to_numpy(zero_copy_only=False).astype(np.int64))
@@ -2783,8 +2783,8 @@ def waiting_suppliers(
     native per-key aggregate measured ~9 s for 150k orders; this form
     is the engine's standard fix, see dedup.exact_distinct_pairs).
     The status-'F' restriction is :func:`dedup.semi_join_ids`'s
-    budgeted exact tier (sorted id broadcast under 2M, Bloom + verify
-    above).  Per-supplier blame counts fold to a driver-merged partial
+    budgeted exact tier (sorted id broadcast when the ids fit
+    :func:`~dots_ocr_ray.util.broadcast_fits`, Bloom + verify above).  Per-supplier blame counts fold to a driver-merged partial
     top-k; winner names are a ≤k pushed-down probe read."""
     import numpy as np
     import pyarrow.dataset as pads

@@ -241,7 +241,7 @@ def substring_dedup(
         ds, text_col=text_col, k=k, min_count=min_count
     ).materialize()
 
-    if util.broadcast_fits(dup.count(), dup.size_bytes()):
+    if util.broadcast_fits(dup.size_bytes()):
         chunks = [
             b.column("gram").to_numpy(zero_copy_only=False).astype(np.int64)
             for b in dup.iter_batches(batch_format="pyarrow")
@@ -442,7 +442,7 @@ def gram_novelty(
         n_rows = len(offsets) - 1
         return hashes, doc_of_gram, n_rows
 
-    if util.broadcast_fits(old_grams.count(), old_grams.size_bytes()):
+    if util.broadcast_fits(old_grams.size_bytes()):
         chunks = [
             b.column("gram").to_numpy(zero_copy_only=False)
             for b in old_grams.iter_batches(batch_format="pyarrow")

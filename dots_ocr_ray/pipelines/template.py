@@ -189,7 +189,7 @@ def template_block_strip(
     frac = int(min_frac_pct)
     floor = int(min_pages)
 
-    if util.broadcast_fits(hosts_ds.count(), hosts_ds.size_bytes()):
+    if util.broadcast_fits(hosts_ds.size_bytes()):
         hk_parts, hn_parts = [], []
         for b in hosts_ds.iter_batches(batch_format="pyarrow"):
             if b.num_rows:
@@ -262,7 +262,7 @@ def template_block_strip(
 
     frequent = frequent.materialize()  # consumed by count() + one tier
 
-    if util.broadcast_fits(frequent.count(), frequent.size_bytes()):
+    if util.broadcast_fits(frequent.size_bytes()):
         fk_parts = [
             b.column("key").to_numpy(zero_copy_only=False)
             for b in frequent.iter_batches(batch_format="pyarrow")

@@ -1246,7 +1246,7 @@ def bigram_lm_scores(
         [(id_col, pa.int64()), ("avg_logp", pa.float64()), ("n_bigrams", pa.int64())]
     )
 
-    if util.broadcast_fits(n_vocab + big.count(), uni.size_bytes() + big.size_bytes()):
+    if util.broadcast_fits(uni.size_bytes() + big.size_bytes()):
         uni_ref = ray.put(_collect_sorted(uni))
         big_ref = ray.put(_collect_sorted(big))
 

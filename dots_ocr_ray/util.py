@@ -148,7 +148,7 @@ def cached_object(ref):
 
     Bounded LRU (a few slots): long-lived worker processes would
     otherwise pin every broadcast object of every past job — root
-    maps, keep-sets, payload dicts up to the 1 GB broadcast budget —
+    maps, keep-sets, payload arrays up to the 1 GiB broadcast budget —
     in the heap forever, compounding the object-store copy."""
     import ray as _ray
 
@@ -457,20 +457,18 @@ def _fold_in_one_task(rows: int, nbytes: int, rows_per_block: int) -> bool:
 
 
 # The largest side a function broadcasts (``ray.put`` or a driver
-# collect) instead of running an exchange.  2M rows is an int64 id array
-# of 16 MB; 1 GiB is the broadcast budget :func:`cached_object` names.
-# Neither cut is measured: no benchmark workload reaches either side.
-_BROADCAST_ROWS = 2_000_000
+# collect) instead of running an exchange: the budget
+# :func:`cached_object` names.  At (int64, int64) rows it is 64M rows.
 _BROADCAST_BYTES = 1 << 30
 
 
-def broadcast_fits(rows: int, nbytes: int) -> bool:
+def broadcast_fits(nbytes: int) -> bool:
     """The package's one broadcast-or-exchange rule: a side of at most
-    ``_BROADCAST_ROWS`` rows and ``_BROADCAST_BYTES`` bytes (from the
-    materialized side's block metadata: ``count()``, ``size_bytes()``)
-    is broadcast or collected to the driver; a larger one goes through
-    an exchange."""
-    return rows <= _BROADCAST_ROWS and nbytes <= _BROADCAST_BYTES
+    ``_BROADCAST_BYTES`` bytes (the materialized side's
+    ``size_bytes()``) is broadcast or collected to the driver; a larger
+    one goes through an exchange.  Every broadcast tier holds its side
+    as numpy or Arrow arrays, so bytes, not rows, are what it costs."""
+    return nbytes <= _BROADCAST_BYTES
 
 
 def bucket_exchange(ds, keys, fold, *, num_buckets: int = 64, rows_per_block: int = 1_048_576):

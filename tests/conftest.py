@@ -41,6 +41,6 @@ def exchange_tier(monkeypatch):
     real = util.broadcast_fits
 
     def _force(on: bool = True):
-        monkeypatch.setattr(util, "broadcast_fits", (lambda rows, nbytes: False) if on else real)
+        monkeypatch.setattr(util, "broadcast_fits", (lambda nbytes: False) if on else real)
 
     return _force

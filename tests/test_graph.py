@@ -534,6 +534,23 @@ def test_robots_filter_tier_parity(ray_session, exchange_tier):
     assert _robots(ROBOTS_PAGES, ROBOTS_RULES) == ROBOTS_EXPECT
 
 
+def test_robots_filter_tiers_agree_on_random_rules(ray_session, exchange_tier):
+    """Many hosts, several rules each, ties and nested prefixes: the
+    broadcast tier (per-host rule runs) and the join tier agree."""
+    rng = np.random.default_rng(7)
+    segs = ["a", "ab", "b", "x"]
+    paths = ["/" + "/".join(rng.choice(segs, size=rng.integers(0, 4))) for _ in range(300)]
+    pages = [f"https://h{rng.integers(0, 40)}.org{p}" for p in paths] + ["not-a-url"]
+    rules = [
+        (f"h{rng.integers(0, 30)}.org", paths[rng.integers(0, len(paths))][: rng.integers(1, 6)], bool(rng.integers(0, 2)))
+        for _ in range(120)
+    ]
+    broadcast = _robots(pages, rules)
+    exchange_tier()
+    assert _robots(pages, rules) == broadcast
+    assert not all(broadcast.values()) and any(broadcast.values())
+
+
 def test_skipgram_pairs_vs_brute_force(ray_session):
     from dots_ocr_ray.pipelines.graph import skipgram_pairs
 

@@ -175,3 +175,8 @@ def test_recrawl_priority_tier_parity(ray_session, exchange_tier):
     )
     assert base.equals(dist)
     assert (base.loc[30:, "rank_rel"] == 0).all()  # hosts 30..39 unranked
+    # a Dataset rank table takes either tier too
+    for force in (True, False):
+        exchange_tier(force)
+        got = recrawl_priority(diff, ray.data.from_arrow(ranks)).to_pandas().set_index("host").sort_index()
+        assert got.equals(base)
