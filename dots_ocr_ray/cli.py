@@ -31,12 +31,27 @@ def _ensure_ray():
     DataContext.get_current().enable_progress_bars = False
 
 
+def _input_files(pattern: str) -> list[str]:
+    return sorted(glob.glob(pattern)) if any(c in pattern for c in "*?[") else [pattern]
+
+
+def _read_input_pages(args: argparse.Namespace):
+    """The pages Dataset of ``--input``, by ``--input-format``."""
+    if args.input_format == "warc":
+        from dots_ocr_ray.sources.warc import read_warc
+
+        return read_warc(args.input)
+    import ray.data
+
+    return ray.data.read_parquet(_input_files(args.input))
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     from dots_ocr_ray.kernel.extract import ExtractConfig
     from dots_ocr_ray.pipelines.extract import check_fail_gate, extract_shards
 
     _ensure_ray()
-    files = sorted(glob.glob(args.input)) if any(c in args.input for c in "*?[") else [args.input]
+    files = _input_files(args.input)
     if not files:
         print(f"no input files match {args.input}", file=sys.stderr)
         return 2
@@ -76,15 +91,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     from dots_ocr_ray.pipelines.prepare import prepare_training_data
 
     _ensure_ray()
-    if args.input_format == "warc":
-        from dots_ocr_ray.sources.warc import read_warc
-
-        pages = read_warc(args.input)
-    else:
-        from dots_ocr_ray.pipelines.extract import read_pages
-
-        files = sorted(glob.glob(args.input)) if any(c in args.input for c in "*?[") else [args.input]
-        pages = read_pages(files)
+    pages = _read_input_pages(args)
     bench = None
     if args.decontaminate_bench:
         import ray.data
@@ -113,15 +120,7 @@ def cmd_refresh(args: argparse.Namespace) -> int:
     from dots_ocr_ray.pipelines.refresh import refresh_corpus
 
     _ensure_ray()
-    if args.input_format == "warc":
-        from dots_ocr_ray.sources.warc import read_warc
-
-        pages = read_warc(args.input)
-    else:
-        from dots_ocr_ray.pipelines.extract import read_pages
-
-        files = sorted(glob.glob(args.input)) if any(c in args.input for c in "*?[") else [args.input]
-        pages = read_pages(files)
+    pages = _read_input_pages(args)
     counts = refresh_corpus(
         pages,
         args.index,

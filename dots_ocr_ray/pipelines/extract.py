@@ -2,23 +2,30 @@
 
     shard files (parquet / warc) ──units packed by bytes into ~2 blocks
     per CPU slot (util.packed_items)──▶ Dataset
-      └─ [resume] skip units whose done marker exists and parses
+      └─ [resume] skip units whose done marker parses and whose part
+         file's footer holds the marker's row count
       └─ map_batches(_run_shard_task): one task per block; per unit,
-         stream the shard's batches through ExtractorActor →
+         read the shard one batch at a time through ExtractorActor →
          part-XXXXX.parquet + .done marker → one METRICS row
       └─ fold in the metrics of resumed units from their markers
       └─ _job_stats.json: job totals + the Ray Data per-stage stats
       └─ fail gate: failed/total > 10% raises (reference configs.py:79)
 
+A unit's input is read one batch at a time, but its output rows stay in
+memory until its part file is written, so a worker's peak heap grows
+with the unit's output, not only with the batch.
+
 :func:`extract_shards` is the only path that writes extraction output.
 :func:`extract_pages` is the same kernel as a streaming stage over a
-pages Dataset, for queries and pipelines that consume the result
-directly.  The ``html`` payload column is dropped inside the extract
-stage so only narrow result blocks move downstream.
+pages Dataset (read with ``ray.data.read_parquet``), for queries and
+pipelines that consume the result directly.  The ``html`` payload
+column is dropped inside the extract stage so only narrow result blocks
+move downstream.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pyarrow as pa
@@ -27,15 +34,14 @@ import pyarrow.compute as pc
 import ray.data
 
 from dots_ocr_ray.kernel.extract import ExtractConfig
-from dots_ocr_ray.kernel.textops import md5_hex
-from dots_ocr_ray.schema import METRICS_SCHEMA, TASK_FAIL_THRESHOLD
+from dots_ocr_ray.schema import METRICS_SCHEMA, RESULT_SCHEMA, TASK_FAIL_THRESHOLD
 from dots_ocr_ray.stages.extract_stage import ExtractorActor
 from dots_ocr_ray.state.manifest import completed_partitions, write_partition_atomic
 
-
-def read_pages(paths: list[str]) -> ray.data.Dataset:
-    """Read the pages parquet files."""
-    return ray.data.read_parquet(paths)
+# a unit's counters, named once for its metrics row, its marker, the
+# resume fold and the job totals
+_STATUS_COUNTS = {"ok": "finished", "fallback": "fallback", "failed": "failed"}
+_COUNTS = (*_STATUS_COUNTS, "bytes_in")
 
 
 def _extract_batch(batch: pa.Table, *, config: ExtractConfig) -> pa.Table:
@@ -70,26 +76,23 @@ def extract_pages(
 
 
 def _shard_record_batches(path: str, batch_size: int, row_groups: list[int] | None = None):
-    """Stream a shard file as pages batches: parquet shards read
-    column-pruned (optionally only the listed row groups — the
-    mega-shard split unit); ``*.warc`` / ``*.warc.gz`` shards stream
-    through the pure-Python WARC walker (sources/warc.py) — the
-    flagship's partition == input-shard layout is format-agnostic."""
+    """Stream a shard file as pages tables of at most ``batch_size``
+    rows: parquet shards read column-pruned, one batch at a time
+    (optionally only the listed row groups — the mega-shard split
+    unit); ``*.warc`` / ``*.warc.gz`` shards stream through the
+    pure-Python WARC walker (sources/warc.py) — the flagship's
+    partition == input-shard layout is format-agnostic."""
     import pyarrow.parquet as pq
 
+    cols = ["url", "html", "text", "lang"]
     if path.endswith((".warc", ".warc.gz")):
         from dots_ocr_ray.sources.warc import _warc_file_batches
 
         for tbl in _warc_file_batches(path, frozenset({"response"}), batch_size):
-            yield tbl.select(["url", "html", "text", "lang"])
+            yield tbl.select(cols)
         return
-    cols = ["url", "html", "text", "lang"]
-    if row_groups is None:
-        tbl = pq.read_table(path, columns=cols)
-    else:
-        tbl = pq.ParquetFile(path).read_row_groups(list(row_groups), columns=cols)
-    for off in range(0, tbl.num_rows, batch_size):
-        yield tbl.slice(off, batch_size)
+    for batch in pq.ParquetFile(path).iter_batches(batch_size, row_groups=row_groups, columns=cols):
+        yield pa.Table.from_batches([batch])
 
 
 def _shard_units(shard_files: list[str], max_rows_per_task: int | None) -> list[tuple[str, list[int] | None, int]]:
@@ -139,8 +142,9 @@ def _process_one_shard(
     batch_size: int,
     row_groups: list[int] | None = None,
 ) -> dict:
-    """One whole input shard → final partition file + marker; returns
-    the partition's metrics row."""
+    """One work unit → final partition file + marker; returns the
+    partition's metrics row.  An empty unit still commits its 0-row
+    partition and marker, so resume sees it as finished."""
     # honor the task's 1-CPU allocation: pyarrow's internal pool would
     # otherwise fan compression/decompression across every PHYSICAL
     # core, silently oversubscribing the node (and faking scaling
@@ -151,41 +155,17 @@ def _process_one_shard(
 
     t0 = time.perf_counter()
     extractor = ExtractorActor(config=config, partition_id=shard)
-    outs = [extractor(batch) for batch in _shard_record_batches(path, batch_size, row_groups)]
-    group = pa.concat_tables(outs) if outs else None
-    if group is None or group.num_rows == 0:
-        # an EMPTY shard still gets its done marker: without one,
-        # resume never sees the shard as finished and re-downloads and
-        # re-parses the whole file on every run of an already-complete
-        # job (and the job totals fluctuate across resumes)
-        from dots_ocr_ray.schema import RESULT_SCHEMA
-
-        empty = RESULT_SCHEMA.empty_table()
-        write_partition_atomic(
-            out_dir,
-            shard,
-            empty,
-            md5_hex(""),
-            extra={"ok": 0, "fallback": 0, "failed": 0, "bytes_in": 0},
-        )
-        return {
-            "partition_id": shard,
-            "input_rows": 0,
-            "ok": 0,
-            "fallback": 0,
-            "failed": 0,
-            "bytes_in": 0,
-            "wall_ms": int((time.perf_counter() - t0) * 1000),
-        }
-    content = md5_hex("".join(group.column("extracted_text").to_pylist()))
-    statuses = group.column("status").to_pylist()
-    counts = {
-        "ok": sum(s == "finished" for s in statuses),
-        "fallback": sum(s == "fallback" for s in statuses),
-        "failed": sum(s == "failed" for s in statuses),
-        "bytes_in": pc.sum(group.column("bytes_in")).as_py() or 0,
-    }
-    write_partition_atomic(out_dir, shard, group, content, extra=counts)
+    # the md5 of the unit's extracted_text values joined, one batch at a time
+    content = hashlib.md5()
+    outs = []
+    for batch in _shard_record_batches(path, batch_size, row_groups):
+        outs.append(extractor(batch))
+        content.update("".join(outs[-1].column("extracted_text").to_pylist()).encode("utf-8"))
+    group = pa.concat_tables(outs) if outs else RESULT_SCHEMA.empty_table()
+    status = group.column("status")
+    counts = {c: pc.sum(pc.equal(status, s)).as_py() or 0 for c, s in _STATUS_COUNTS.items()}
+    counts["bytes_in"] = pc.sum(group.column("bytes_in")).as_py() or 0
+    write_partition_atomic(out_dir, shard, group, content.hexdigest(), extra=counts)
     return {
         "partition_id": shard,
         "input_rows": group.num_rows,
@@ -247,22 +227,30 @@ def extract_shards(
     split it into row-group runs (deterministic unit ids, so resume is
     exact as long as the file list and threshold are unchanged).
 
-    With ``resume``, a unit whose done marker exists and parses is
-    skipped and its metrics row is rebuilt from the marker; a corrupt
-    marker means the unit is extracted again.  Returns the metrics table
-    for ALL partitions and writes ``_job_stats.json`` next to them.
+    With ``resume``, a unit whose done marker exists and parses, and
+    whose part file's footer holds the marker's ``rows``, is skipped and
+    its metrics row is rebuilt from the marker; a corrupt marker, or a
+    part file that lost rows or its footer, means the unit is extracted
+    again.  Returns the metrics table for ALL partitions and writes
+    ``_job_stats.json`` next to them.
     """
     import functools
 
-    from dots_ocr_ray.state.manifest import read_marker, write_job_stats
+    from dots_ocr_ray.state.manifest import partition_rows, read_marker, write_job_stats
     from dots_ocr_ray.util import packed_items, task_slots
 
     cfg = config or ExtractConfig()
     units = _shard_units(shard_files, max_rows_per_task)
     done = completed_partitions(out_dir) if resume else set()
-    # each marker is read once, here: a marker that does not parse
-    # leaves its unit to be redone instead of crashing the fold below
-    markers = {pid: meta for pid in sorted(done) if (meta := read_marker(out_dir, pid)) is not None}
+    # each marker and its part file's footer are read once, here: a
+    # marker that does not parse, or a part file whose footer does not
+    # read or disagrees with the marker's rows, leaves its unit to be
+    # redone instead of being kept short or crashing the fold below
+    markers = {
+        pid: meta
+        for pid in sorted(done)
+        if (meta := read_marker(out_dir, pid)) is not None and meta.get("rows") == partition_rows(out_dir, pid)
+    }
     todo = [i for i in range(len(units)) if i not in markers]
 
     fresh = []
@@ -293,17 +281,7 @@ def extract_shards(
 
     # fold in already-completed partitions from their markers (resume)
     for pid, meta in markers.items():
-        fresh.append(
-            {
-                "partition_id": pid,
-                "input_rows": meta.get("rows", 0),
-                "ok": meta.get("ok", 0),
-                "fallback": meta.get("fallback", 0),
-                "failed": meta.get("failed", 0),
-                "bytes_in": meta.get("bytes_in", 0),
-                "wall_ms": 0,
-            }
-        )
+        fresh.append({"partition_id": pid, "input_rows": meta["rows"], **{c: meta.get(c, 0) for c in _COUNTS}, "wall_ms": 0})
     tbl = pa.Table.from_pylist(sorted(fresh, key=lambda r: r["partition_id"]), schema=METRICS_SCHEMA)
 
     # persist per-run execution stats next to the outputs (the
@@ -321,7 +299,7 @@ def extract_shards(
             "tasks": tasks,
             "totals": {
                 c: int(pc.sum(tbl.column(c)).as_py() or 0)
-                for c in ("input_rows", "ok", "fallback", "failed", "bytes_in", "wall_ms")
+                for c in ("input_rows", *_COUNTS, "wall_ms")
             },
             "dataset_stats": dataset_stats,
         },

@@ -2,8 +2,7 @@
 :func:`pages_from_documents` deterministically wraps the driver's
 ``documents`` parquet into pages (the per-row rule lives in
 fixtures.page_row_from_document so DuckDB oracle SQL can mirror it).
-An on-disk pages table is read by
-:func:`dots_ocr_ray.pipelines.extract.read_pages`.
+An on-disk pages table is read with ``ray.data.read_parquet``.
 """
 
 from __future__ import annotations

@@ -12,15 +12,16 @@ of an oversized shard):
 Markers commit atomically *after* the partition file (write to a temp
 name, ``os.replace``, then marker) so a crashed run never leaves a
 marker for a half-written partition — resume skips exactly the
-partitions whose markers exist and parse (SURVEY.md §7.4 hard part 5).
+partitions whose markers exist and parse and whose part file's footer
+holds the marker's row count (SURVEY.md §7.4 hard part 5).
 
-All listing and marker IO goes through ``pyarrow.fs`` so ``out_dir``
-may be a filesystem URI (the reference's S6 object storage,
-storage.py:22-163): a bare path resolves to LocalFileSystem, an
-``s3://…``-style URI to the matching FileSystem.  On local paths the
-data file is still committed via tmp-name + ``os.replace``; on object
-stores the single-object PUT is already atomic and the marker (written
-last) remains the commit point either way.
+All IO goes through ``pyarrow.fs`` so ``out_dir`` may be a filesystem
+URI (the reference's S6 object storage, storage.py:22-163): a bare path
+resolves to LocalFileSystem, an ``s3://…``-style URI to the matching
+FileSystem.  Every file (data, marker, ``_job_stats.json``) commits
+through :func:`_commit`: tmp name + ``os.replace`` on a local path, one
+PUT (already atomic) on an object store; the marker, written last,
+remains the commit point either way.
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ def list_partition_files(out_dir: str) -> list[str]:
     return [out_dir.rstrip(sep) + sep + n for _, n in sorted(matched)]
 
 
+def _commit(fs: pafs.FileSystem, path: str, write) -> None:
+    """Commit one file atomically: ``write(stream)`` fills it under a
+    tmp name that is then renamed on a local path, or in one PUT on an
+    object store."""
+    local = isinstance(fs, pafs.LocalFileSystem)
+    with fs.open_output_stream(path + ".tmp" if local else path) as out:
+        write(out)
+    if local:
+        os.replace(path + ".tmp", path)
+
+
 def write_partition_atomic(
     out_dir: str,
     partition_id: int,
@@ -90,35 +102,16 @@ def write_partition_atomic(
     content_hash: str,
     extra: dict | None = None,
 ) -> None:
-    """Data file first (tmp + rename on local fs, direct atomic PUT on
-    object stores), marker last — marker presence implies a complete,
-    readable partition.  ``extra`` fields (e.g. status counts) ride in
-    the marker so resumed runs can rebuild the metrics table without
-    re-reading data."""
+    """Data file first, marker last — marker presence implies a
+    complete, readable partition.  ``extra`` fields (e.g. status counts)
+    ride in the marker so resumed runs can rebuild the metrics table
+    without re-reading data."""
     fs, root = resolve_fs(out_dir)
     fs.create_dir(root, recursive=True)
-    final = f"{root}/part-{partition_id:05d}.parquet"
-    local = isinstance(fs, pafs.LocalFileSystem)
-    if local:
-        tmp = final + ".tmp"
-        pq.write_table(table, tmp, compression="zstd")
-        os.replace(tmp, final)
-    else:
-        with fs.open_output_stream(final) as out:
-            pq.write_table(table, out, compression="zstd")
-    meta = {"partition_id": partition_id, "rows": table.num_rows, "content_md5": content_hash}
-    if extra:
-        meta.update(extra)
+    _commit(fs, f"{root}/part-{partition_id:05d}.parquet", lambda out: pq.write_table(table, out, compression="zstd"))
+    meta = {"partition_id": partition_id, "rows": table.num_rows, "content_md5": content_hash, **(extra or {})}
     payload = json.dumps(meta).encode("utf-8")
-    marker = f"{root}/part-{partition_id:05d}.done"
-    if local:
-        mtmp = marker + ".tmp"
-        with open(mtmp, "wb") as f:
-            f.write(payload)
-        os.replace(mtmp, marker)
-    else:
-        with fs.open_output_stream(marker) as out:
-            out.write(payload)
+    _commit(fs, f"{root}/part-{partition_id:05d}.done", lambda out: out.write(payload))
 
 
 def write_job_stats(out_dir: str, payload: dict) -> str:
@@ -132,14 +125,7 @@ def write_job_stats(out_dir: str, payload: dict) -> str:
     fs.create_dir(root, recursive=True)
     target = f"{root}/_job_stats.json"
     data = json.dumps(payload, indent=2, default=str).encode("utf-8")
-    if isinstance(fs, pafs.LocalFileSystem):
-        tmp = target + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, target)
-    else:
-        with fs.open_output_stream(target) as out:
-            out.write(data)
+    _commit(fs, target, lambda out: out.write(data))
     return target
 
 
@@ -167,3 +153,13 @@ def read_marker(out_dir: str, partition_id: int) -> dict | None:
     except ValueError:  # JSONDecodeError and UnicodeDecodeError
         return None
     return meta if isinstance(meta, dict) else None
+
+
+def partition_rows(out_dir: str, partition_id: int) -> int | None:
+    """The row count in the part file's footer, or None when the file
+    is missing or its footer does not read (a truncated write)."""
+    fs, root = resolve_fs(out_dir)
+    try:
+        return pq.read_metadata(f"{root}/part-{partition_id:05d}.parquet", filesystem=fs).num_rows
+    except (OSError, pa.ArrowInvalid):
+        return None

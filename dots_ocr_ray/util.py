@@ -311,7 +311,10 @@ def parquet_int_minmax(path: str, cols: list[str]):
 
 def quiet_ray_data_schema_warnings() -> None:
     """Silence Ray Data's benign "Failed to hash the schemas (for
-    deduplication): unhashable type: 'dict'" warning in this process.
+    deduplication): unhashable type: 'dict'" warning in this process,
+    and the INFO lines that Ray Data's executor and its dataset-logger
+    registration print at every execution (their warnings and errors
+    still pass; ``Dataset.stats()`` is unaffected).
 
     Root cause: parquet files written through pandas carry a
     ``b'pandas'`` schema-metadata blob whose payload makes
@@ -354,9 +357,21 @@ def make_quiet_hook():
             def filter(self, record):
                 return not record.getMessage().startswith("Failed to hash the schemas")
 
-        log = logging.getLogger("ray.data._internal.arrow_ops.transform_pyarrow")
-        if not any(type(f).__name__ == "_DropSchemaHashWarning" for f in log.filters):
-            log.addFilter(_DropSchemaHashWarning())
+        class _DropInfo(logging.Filter):
+            def filter(self, record):
+                return record.levelno > logging.INFO
+
+        # the schema-hash warning, and the INFO lines ("Registered
+        # dataset logger", "Starting execution", "Execution plan",
+        # "execution finished") printed at every Dataset execution
+        for name, drop in (
+            ("ray.data._internal.arrow_ops.transform_pyarrow", _DropSchemaHashWarning),
+            ("ray.data._internal.logging", _DropInfo),
+            ("ray.data._internal.execution.streaming_executor", _DropInfo),
+        ):
+            log = logging.getLogger(name)
+            if not any(type(f).__name__ == drop.__name__ for f in log.filters):
+                log.addFilter(drop())
 
     return _hook
 

@@ -68,12 +68,49 @@ def test_resume_skips_completed_partitions(ray_session, tmp_path, out_dir):
 
 
 def test_marker_carries_content_hash(ray_session, tmp_path, out_dir):
-    files = _write_shards(tmp_path, make_pages_table(16, seed=42), 4)
-    extract_shards(files, out_dir, batch_size=8)
+    """Each marker's ``content_md5`` is the md5 of its part file's
+    ``extracted_text`` values joined: for a unit read in several batches,
+    for a row-group run of a split shard and for an empty unit."""
+    import hashlib
+
+    pages = make_pages_table(28, seed=42)
+    whole = str(tmp_path / "in-0.parquet")  # one row group, 16 rows: four batches of 5
+    pq.write_table(pages.slice(0, 16), whole)
+    split = str(tmp_path / "in-1.parquet")  # three row groups of 4: runs [0, 1] and [2]
+    pq.write_table(pages.slice(16, 12), split, row_group_size=4)
+    empty = str(tmp_path / "in-2.parquet")
+    pq.write_table(pages.slice(0, 0), empty)
+    extract_shards([whole, split, empty], out_dir, batch_size=5, max_rows_per_task=8)
     assert completed_partitions(out_dir) == {0, 1, 2, 3}
-    for pid in completed_partitions(out_dir):
+    rows = {}
+    for pid in range(4):
         meta = read_marker(out_dir, pid)
-        assert meta["rows"] > 0 and len(meta["content_md5"]) == 32
+        texts = pq.read_table(os.path.join(out_dir, f"part-{pid:05d}.parquet")).column("extracted_text").to_pylist()
+        assert meta["content_md5"] == hashlib.md5("".join(texts).encode("utf-8")).hexdigest()
+        rows[pid] = meta["rows"]
+    assert rows == {0: 16, 1: 8, 2: 4, 3: 0}
+    assert read_marker(out_dir, 3)["content_md5"] == hashlib.md5(b"").hexdigest()
+
+
+@pytest.mark.parametrize("damage", ["fewer_rows", "truncated"])
+def test_resume_redoes_a_part_file_that_disagrees_with_its_marker(ray_session, tmp_path, out_dir, damage):
+    """A marked partition whose part file has lost rows, or whose footer
+    no longer reads, is extracted again on resume; the others are kept."""
+    files = _write_shards(tmp_path, make_pages_table(32, seed=42), 4)
+    extract_shards(files, out_dir, batch_size=8)
+    full = _read_all(out_dir)
+    part = os.path.join(out_dir, "part-00002.parquet")
+    if damage == "fewer_rows":
+        pq.write_table(pq.read_table(part).slice(0, 3), part)
+    else:
+        with open(part, "r+b") as f:
+            f.truncate(os.path.getsize(part) // 2)
+    kept = {pid: os.path.getmtime(os.path.join(out_dir, f"part-{pid:05d}.parquet")) for pid in (0, 1, 3)}
+    metrics = extract_shards(files, out_dir, batch_size=8)
+    assert sum(metrics.column("input_rows").to_pylist()) == 32
+    assert {pid: os.path.getmtime(os.path.join(out_dir, f"part-{pid:05d}.parquet")) for pid in kept} == kept
+    assert read_marker(out_dir, 2)["rows"] == 8
+    assert _read_all(out_dir).equals(full)
 
 
 def test_empty_shard_gets_marker_and_metrics_row(ray_session, tmp_path, out_dir):
