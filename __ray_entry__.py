@@ -5987,24 +5987,18 @@ def _q_ri_orphan_events(sf_dir: str):
 def _q_fd_check_lineitem(sf_dir: str):
     """Functional-dependency audit l_orderkey → l_suppkey over
     lineitem (does each order use one supplier? — profiling before a
-    denormalization): distinct packed pairs via one bucket fold, a
-    determinant-bucketed violation count, two scalars per bucket to
-    the driver (pipelines/profile.py:fd_violations).  SQL oracle:
+    denormalization): distinct suppliers per order in one bucket
+    exchange, two scalars per block to the driver
+    (pipelines/profile.py:fd_violations).  SQL oracle:
     HAVING count(DISTINCT) > 1."""
     import ray.data
 
     from dots_ocr_ray.pipelines.profile import fd_violations
-    from dots_ocr_ray.util import parquet_int_minmax
 
-    # packed-vs-wide decision from parquet row-group stats, no probe scan
-    mm = parquet_int_minmax(
-        f"{sf_dir}/lineitem.parquet", ["l_orderkey", "l_suppkey"]
-    )
-    wide = None if mm is None else bool(mm[0] < 0 or mm[1] >= (1 << 31))
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_suppkey"]
     )
-    return fd_violations(li, det_col="l_orderkey", dep_col="l_suppkey", wide_ids=wide)
+    return fd_violations(li, det_col="l_orderkey", dep_col="l_suppkey")
 
 
 def _q_span_corrupted(sf_dir: str):

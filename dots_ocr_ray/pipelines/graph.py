@@ -2855,55 +2855,40 @@ def degree_assortativity_stats(
     partitioning (r = (S3/m - (S1/2m)^2) / (S2/2m - (S1/2m)^2)).
 
     Plan: exact distinct edges (one bucket exchange), degrees via
-    :func:`~dots_ocr_ray.util.bucket_keyed_fold` (one more), two
-    broadcast-friendly :func:`~dots_ocr_ray.pipelines.relational.
-    hash_join` degree attachments, then a per-batch integer partial
-    reduced on the driver — four bounded exchanges, edge count never
-    driver-resident."""
+    :func:`~dots_ocr_ray.util.bucket_keyed_fold` (one more),
+    materialized once, then two
+    :func:`~dots_ocr_ray.pipelines.relational.attach_int_column`
+    degree attachments — each a broadcast map when the degree table
+    fits :func:`~dots_ocr_ray.util.broadcast_fits`, else one
+    ``hash_join`` exchange — then a per-batch integer partial reduced
+    on the driver; edge count never driver-resident.  Host ids may be
+    any int64."""
     from dots_ocr_ray.pipelines.dedup import exact_distinct_pairs
-    from dots_ocr_ray.pipelines.relational import hash_join
+    from dots_ocr_ray.pipelines.relational import attach_int_column
 
     def _canon(batch: pa.Table) -> pa.Table:
+        # orient each pair and drop self-loops; the distinct fold's
+        # combiner removes the duplicates
         s = batch.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
         d = batch.column(dst).to_numpy(zero_copy_only=False).astype(np.int64)
         keep = s != d
         s, d = s[keep], d[keep]
-        a = np.minimum(s, d)
-        b = np.maximum(s, d)
-        assert (a >= 0).all() and (b < 2**31).all()
-        pairs = np.unique(a << np.int64(32) | b)
-        return pa.table(
-            {
-                "a": pa.array(pairs >> np.int64(32), type=pa.int64()),
-                "b": pa.array(pairs & np.int64(0xFFFFFFFF), type=pa.int64()),
-            }
-        )
+        return pa.table({"a": np.minimum(s, d), "b": np.maximum(s, d)})
+
+    def _probe(names: list):
+        return lambda batch: batch.rename_columns(names)
 
     E = exact_distinct_pairs(edges.map_batches(_canon, batch_format="pyarrow")).materialize()
-
-    degrees = _node_degrees(E)
+    degrees = _node_degrees(E).materialize()
+    with_da = attach_int_column(
+        E.map_batches(_probe(["node", "b"]), batch_format="pyarrow"),
+        degrees, on="node", value_col="deg", out_col="deg_a",
+    )
+    with_deg = attach_int_column(
+        with_da.map_batches(_probe(["a", "node", "deg_a"]), batch_format="pyarrow"),
+        degrees, on="node", value_col="deg", out_col="deg_b",
+    )
     i64 = pa.int64()
-
-    def _deg_named(name: str):
-        def _fn(batch: pa.Table) -> pa.Table:
-            return batch.rename_columns([name, f"deg_{name}"])
-
-        return _fn
-
-    with_da = hash_join(
-        E,
-        degrees.map_batches(_deg_named("a"), batch_format="pyarrow"),
-        on="a",
-        left_schema=pa.schema([("a", i64), ("b", i64)]),
-        right_schema=pa.schema([("a", i64), ("deg_a", i64)]),
-    )
-    with_deg = hash_join(
-        with_da,
-        degrees.map_batches(_deg_named("b"), batch_format="pyarrow"),
-        on="b",
-        left_schema=pa.schema([("a", i64), ("b", i64), ("deg_a", i64)]),
-        right_schema=pa.schema([("b", i64), ("deg_b", i64)]),
-    )
 
     def _stats(batch: pa.Table) -> pa.Table:
         da = batch.column("deg_a").to_numpy(zero_copy_only=False).astype(np.int64)

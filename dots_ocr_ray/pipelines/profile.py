@@ -1072,71 +1072,17 @@ def fd_violations(
     *,
     det_col: str,
     dep_col: str,
-    wide_ids: bool | None = None,
 ) -> pa.Table:
     """Functional-dependency audit (profiling: does ``det_col →
     dep_col`` hold?): the number of determinant keys mapping to more
     than one distinct dependent value, plus total distinct keys.
 
-    Scale shape: ONE :func:`~dots_ocr_ray.util.bucket_keyed_fold`
-    distinct over int64-packed (det, dep) pairs, then a second one
-    counting distinct dependents per determinant — the driver sees
-    only two scalars per block.  Both columns must be int64-castable; 31-bit
-    ids pack exactly (the association_rules convention), and wider or
-    negative ids route to a two-column distinct — exact at any
-    magnitude.  ``wide_ids=None`` probes the id range with one
-    column-pruned pass; pass True/False to skip the probe."""
-    from dots_ocr_ray.util import bucket_keyed_fold
-
-    narrow = ds.select_columns([det_col, dep_col])
-    if wide_ids is None:
-
-        def _minmax(batch: pa.Table) -> pa.Table:
-            det = batch.column(det_col).to_numpy(zero_copy_only=False).astype(np.int64)
-            dep = batch.column(dep_col).to_numpy(zero_copy_only=False).astype(np.int64)
-            if not len(det):
-                return pa.table(
-                    {"lo": pa.array([], pa.int64()), "hi": pa.array([], pa.int64())}
-                )
-            return pa.table(
-                {
-                    "lo": pa.array([min(int(det.min()), int(dep.min()))], pa.int64()),
-                    "hi": pa.array([max(int(det.max()), int(dep.max()))], pa.int64()),
-                }
-            )
-
-        mm = narrow.map_batches(_minmax, batch_format="pyarrow").take_all()
-        wide_ids = bool(mm) and (
-            min(r["lo"] for r in mm) < 0 or max(r["hi"] for r in mm) >= (1 << 31)
-        )
-    if wide_ids:
-        return _fd_violations_wide(narrow, det_col=det_col, dep_col=dep_col)
-
-    def _pairs(batch: pa.Table) -> pa.Table:
-        det = batch.column(det_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        dep = batch.column(dep_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"pair": pa.array((det << np.int64(32)) | dep, type=pa.int64())})
-
-    pairs = bucket_keyed_fold(
-        ds.select_columns([det_col, dep_col]).map_batches(
-            _pairs, batch_format="pyarrow"
-        ),
-        "pair",
-        {},
-    )
-
-    def _det(batch: pa.Table) -> pa.Table:
-        p = batch.column("pair").to_numpy(zero_copy_only=False)
-        return pa.table({"det": pa.array(p >> np.int64(32), type=pa.int64())})
-
-    return _fd_totals(pairs.map_batches(_det, batch_format="pyarrow"), det_col, dep_col)
-
-
-def _fd_totals(det_rows: ray.data.Dataset, det_col: str, dep_col: str) -> pa.Table:
-    """The fd_violations row from one ``det`` row per distinct (det, dep)
-    pair: distinct deps per determinant (one keyed fold), then the
-    driver sums two scalars per block."""
-    from dots_ocr_ray.util import bucket_keyed_fold
+    Scale shape: ONE :func:`~dots_ocr_ray.util.bucket_distinct_counts`
+    (distinct dependents per determinant, one bucket exchange), then a
+    map that leaves two scalars per block for the driver.  The (det,
+    dep) pairs stay two columns, so any int64 or string ids count
+    exactly; a null dependent is skipped, as COUNT(DISTINCT) does."""
+    from dots_ocr_ray.util import bucket_distinct_counts
 
     def _totals(batch: pa.Table) -> pa.Table:
         n = batch.column("n").to_numpy(zero_copy_only=False)
@@ -1148,7 +1094,7 @@ def _fd_totals(det_rows: ray.data.Dataset, det_col: str, dep_col: str) -> pa.Tab
         )
 
     folded = (
-        bucket_keyed_fold(det_rows, "det", {"n": ("count", None)})
+        bucket_distinct_counts(ds.select_columns([det_col, dep_col]), det_col, dep_col, "n")
         .map_batches(_totals, batch_format="pyarrow")
         .to_pandas()
     )
@@ -1160,37 +1106,6 @@ def _fd_totals(det_rows: ray.data.Dataset, det_col: str, dep_col: str) -> pa.Tab
             "n_violating": pa.array([int(folded["n_violating"].sum())], type=pa.int64()),
         }
     )
-
-
-def _fd_violations_wide(
-    narrow: ray.data.Dataset,
-    *,
-    det_col: str,
-    dep_col: str,
-) -> pa.Table:
-    """Wide-id FD audit tier: (det, dep) stays TWO int64 columns.
-    Per-batch lexsort-distinct pairs, one two-key
-    :func:`~dots_ocr_ray.util.bucket_keyed_fold` distinct, then the
-    same determinant fold as the packed tier."""
-    from dots_ocr_ray.util import bucket_keyed_fold
-
-    def _pairs2(batch: pa.Table) -> pa.Table:
-        det = batch.column(det_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        dep = batch.column(dep_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((dep, det))
-        det, dep = det[order], dep[order]
-        keep = np.ones(len(det), dtype=bool)
-        keep[1:] = (det[1:] != det[:-1]) | (dep[1:] != dep[:-1])
-        det, dep = det[keep], dep[keep]
-        return pa.table(
-            {
-                "det": pa.array(det, type=pa.int64()),
-                "dep": pa.array(dep, type=pa.int64()),
-            }
-        )
-
-    pairs = bucket_keyed_fold(narrow.map_batches(_pairs2, batch_format="pyarrow"), ["det", "dep"], {})
-    return _fd_totals(pairs, det_col, dep_col)
 
 
 def ri_orphans(

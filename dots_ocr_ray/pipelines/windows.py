@@ -11,7 +11,9 @@ the user runs (``_sorted_user_apply``); the per-user reduces
 (``asof_last_event``, ``funnel_counts``, ``interval_coverage``,
 ``nearby_event_counts``) use per-run-size-class matrix passes
 (prefix-max, masked-min ladders, row-wise cummax) or row-base-offset
-flat searchsorted.
+flat searchsorted.  ``window_distinct_users`` exchanges on the window
+instead: one :func:`~dots_ocr_ray.util.bucket_distinct_counts`, one
+Python call per bucket, never per window.
 
 Float caution, learned bit-exactly: running sums must accumulate in
 the SAME order AND algorithm as the oracle — np.cumsum over a stitched
@@ -29,7 +31,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from dots_ocr_ray.util import _key_runs, bucket_exchange
+from dots_ocr_ray.util import _key_runs, bucket_distinct_counts, bucket_exchange
 
 
 def sessionize(
@@ -309,56 +311,35 @@ def window_distinct_users(
     number of distinct user_ids -> (window_start, n_users).
 
     Distinct-count is the classic shuffle trap — COUNT(DISTINCT) per
-    key needs every (window, user) pair co-located.  Shape: each batch
-    pre-dedups its own (window, user) pairs (vectorized np.unique on a
-    packed window-index/user key), then ONE groupby(window_start)
-    counts unique users per window with a vectorized np.unique inside
-    the group fn — one Python call per WINDOW, group payload already
-    batch-deduped.  Rows on the wire = distinct pairs per batch, never
-    raw events.  (The approximate counterpart at extreme user
-    cardinality is the mergeable HLL in functions/sketches.py — see
-    the approx_distinct_users query.)"""
-    import numpy as np
-    import pyarrow as pa
-
+    key needs every (window, user) pair co-located.  Shape: each event
+    maps to its int64 window start, then
+    :func:`~dots_ocr_ray.util.bucket_distinct_counts` keeps each
+    batch's distinct (window, user) pairs and counts them per window
+    in ONE bucket exchange on the window — one Python call per bucket,
+    never per window, and rows on the wire = distinct pairs per batch,
+    never raw events.  The window start is cast to ``timestamp[us]`` in
+    a map that fuses into the fold.  (The approximate counterpart at
+    extreme user cardinality is the mergeable HLL in
+    functions/sketches.py — see the approx_distinct_users query.)"""
     window_us = window_minutes * 60 * 1_000_000
     events = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
 
-    def _pairs(batch: pa.Table) -> pa.Table:
+    def _window(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        users = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        widx = ts // window_us
-        # exact 2-key dedup via lexsort + boundary diff — NO packing
-        # constant (a multiplicative pack silently corrupted counts for
-        # any user_id at or above it, fabricating phantom windows)
-        order = np.lexsort((users, widx))
-        w, u = widx[order], users[order]
-        if len(w):
-            keep = np.concatenate([[True], (w[1:] != w[:-1]) | (u[1:] != u[:-1])])
-            w, u = w[keep], u[keep]
         return pa.table(
             {
-                "window_start": pa.array(w * window_us, type=pa.int64()),
-                "user_id": pa.array(u, type=pa.int64()),
+                "window_start": pa.array(ts // window_us * window_us, type=pa.int64()),
+                "user_id": batch.column("user_id"),
             }
         )
 
-    from dots_ocr_ray.util import bounded_blocks
+    def _as_timestamp(batch: pa.Table) -> pa.Table:
+        ts = batch.column("window_start").cast(pa.timestamp("us"))
+        return batch.set_column(0, "window_start", ts)
 
-    pairs = bounded_blocks(
-        events.map_batches(_pairs, batch_format="pyarrow"), rows_per_block=262144
-    )
-
-    def _count(group: pa.Table) -> pa.Table:
-        users = group.column("user_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "window_start": group.column("window_start").slice(0, 1).cast(pa.timestamp("us")),
-                "n_users": pa.array([len(np.unique(users))], type=pa.int64()),
-            }
-        )
-
-    return pairs.groupby("window_start").map_groups(_count, batch_format="pyarrow")
+    return bucket_distinct_counts(
+        events.map_batches(_window, batch_format="pyarrow"), "window_start", "user_id", "n_users"
+    ).map_batches(_as_timestamp, batch_format="pyarrow")
 
 
 def event_gaps(sf_dir: str) -> ray.data.Dataset:

@@ -681,3 +681,27 @@ def bucket_keyed_fold(
         num_buckets=num_buckets,
         rows_per_block=rows_per_block,
     )
+
+
+def bucket_distinct_counts(ds, key: str, col: str, out: str):
+    """``SELECT key, COUNT(DISTINCT col) AS out ... GROUP BY key`` as one
+    :func:`bucket_exchange` on ``key``.
+
+    Each input batch keeps its distinct (key, col) pairs (a combiner);
+    each bucket then drops the pairs repeated across batches and counts
+    the non-null pairs per key.  Null ``col`` values are skipped, as SQL
+    does, so a key whose values are all null counts 0; a null key
+    groups as one key.  The pairs stay two columns, so any int64 or
+    string values count exactly.  Output: ``key`` (signed integer keys
+    as int64), then ``out`` (int64); not key-ordered."""
+    import pyarrow.compute as pc
+
+    def _pairs(batch: "pa.Table") -> "pa.Table":
+        return _fold_table(batch, [key, col], {})
+
+    def _count(group: "pa.Table") -> "pa.Table":
+        pairs = _fold_table(group, [key, col], {})
+        pairs = pairs.append_column("__valid", pc.is_valid(pairs.column(col)))
+        return _fold_table(pairs, [key], {out: ("sum", "__valid")})
+
+    return bucket_exchange(ds.map_batches(_pairs, batch_format="pyarrow"), key, _count)

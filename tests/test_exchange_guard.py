@@ -14,9 +14,9 @@ golden-ratio constant is spelled out only in ``util.py``
 (``util.GOLDEN64``).  A Dataset ``groupby(<key>).map_groups(...)``
 on any other key than ``"__bucket"`` (a per-key Python fold) may appear
 only in ``util.py`` and at the ``RAW_KEY_ALLOWED`` sites, and the
-per-key scans that sort each key's rows (``ONE_EXCHANGE``) each run
-exactly one ``bucket_exchange``, with no Dataset sort and no raw-key
-fold.  A broadcast-or-exchange choice asks ``util.broadcast_fits``: no
+per-key scans that sort each key's rows and the per-key distinct
+counts (``ONE_EXCHANGE``) each run exactly one ``bucket_exchange``,
+with no Dataset sort and no raw-key fold.  A broadcast-or-exchange choice asks ``util.broadcast_fits``: no
 function takes its own tier cut (a ``*_limit`` parameter from
 ``TIER_OPTION``, or any ``*_budget`` parameter outside
 ``BUDGET_ALLOWED``) or a ``method`` switch on ``TIER_SWITCH``
@@ -60,11 +60,6 @@ _AGG_METHODS = {"sum", "count", "min", "max", "mean", "aggregate"}
 # (file, top-level function, reason): raw-key groupby(k).map_groups
 # folds outside util.py
 RAW_KEY_ALLOWED = {
-    (
-        "dots_ocr_ray/pipelines/windows.py",
-        "window_distinct_users",
-        "keys are time windows, a bounded set; one distinct count per window",
-    ),
     (
         "dots_ocr_ray/pipelines/dedup.py",
         "embedding_dedup",
@@ -123,7 +118,8 @@ RAW_KEY_ALLOWED = {
 }
 
 # (file, top-level function) → the one exchange call of each sorted
-# per-key scan: bucket_exchange, or the window scaffold that wraps it
+# per-key scan or distinct count: bucket_exchange, or the helper that
+# wraps it
 ONE_EXCHANGE = {
     ("dots_ocr_ray/pipelines/dedup.py", "sorted_group_first"): "bucket_exchange",
     ("dots_ocr_ray/pipelines/rollup.py", "keyed_top_rollup"): "bucket_exchange",
@@ -134,6 +130,9 @@ ONE_EXCHANGE = {
     ("dots_ocr_ray/pipelines/windows.py", "user_event_sequence"): "_sorted_user_apply",
     ("dots_ocr_ray/pipelines/windows.py", "event_gaps"): "_sorted_user_apply",
     ("dots_ocr_ray/pipelines/windows.py", "late_event_audit"): "_sorted_user_apply",
+    ("dots_ocr_ray/pipelines/windows.py", "window_distinct_users"): "bucket_distinct_counts",
+    ("dots_ocr_ray/pipelines/profile.py", "fd_violations"): "bucket_distinct_counts",
+    ("dots_ocr_ray/util.py", "bucket_distinct_counts"): "bucket_exchange",
 }
 # parameters that would pick a broadcast-or-exchange tier by a caller's
 # option instead of util.broadcast_fits

@@ -840,6 +840,67 @@ def test_degree_assortativity_hand_computed(ray_session):
     }
 
 
+def _assortativity_by_pandas(src: list, dst: list) -> dict:
+    """The four sums from a pandas degree self-join over the distinct
+    undirected edges (self-loops dropped)."""
+    import pandas as pd
+
+    e = pd.DataFrame({"s": src, "d": dst})
+    e = e[e.s != e.d]
+    e = pd.DataFrame({"a": e[["s", "d"]].min(axis=1), "b": e[["s", "d"]].max(axis=1)}).drop_duplicates()
+    deg = pd.concat([e.a, e.b]).value_counts().rename_axis("node").reset_index(name="deg")
+    j = e.merge(deg.rename(columns={"node": "a", "deg": "da"}), on="a").merge(
+        deg.rename(columns={"node": "b", "deg": "db"}), on="b"
+    )
+    return {
+        "n_edges": len(j),
+        "sum_deg": int((j.da + j.db).sum()),
+        "sum_deg_sq": int((j.da * j.da + j.db * j.db).sum()),
+        "sum_deg_prod": int((j.da * j.db).sum()),
+    }
+
+
+def test_degree_assortativity_wide_and_negative_host_ids(ray_session):
+    """Host ids of 2^40 and below zero: the stats equal a pandas degree
+    self-join (they once tripped a 32-bit pair packing)."""
+    import pyarrow as pa
+
+    import ray.data
+
+    from dots_ocr_ray.pipelines.graph import degree_assortativity_stats
+
+    big = 1 << 40
+    src = [big, 1, 1, -3, big, 2, -3, 2, big]
+    dst = [1, big, 2, big, -3, -3, 1, 2, 7]
+    edges = ray.data.from_arrow(
+        pa.table({"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())})
+    ).repartition(3)
+    assert degree_assortativity_stats(edges).to_pylist()[0] == _assortativity_by_pandas(src, dst)
+
+
+def test_degree_assortativity_tier_parity(ray_session, exchange_tier):
+    """The hash_join degree attach (exchange tier) gives the table of
+    the broadcast attach."""
+    import numpy as np
+    import pyarrow as pa
+
+    import ray.data
+
+    from dots_ocr_ray.pipelines.graph import degree_assortativity_stats
+
+    rng = np.random.default_rng(3)
+    src = rng.integers(-20, 60, 400).tolist()
+    dst = rng.integers(-20, 60, 400).tolist()
+    edges = ray.data.from_arrow(
+        pa.table({"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())})
+    ).repartition(4)
+    broadcast = degree_assortativity_stats(edges)
+    exchange_tier()
+    exchanged = degree_assortativity_stats(edges)
+    assert exchanged.equals(broadcast)
+    assert broadcast.to_pylist()[0] == _assortativity_by_pandas(src, dst)
+
+
 def test_betweenness_path_graph(ray_session):
     # directed path 0→1→2→3: betweenness(1) = 2 (pairs 0→2, 0→3 via 1... plus 1 is
     # on 0→2, 0→3; node 2 on 0→3, 1→3) — classic closed form: interior node i

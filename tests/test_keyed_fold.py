@@ -335,3 +335,72 @@ def test_fold_counts_rows_with_null_values(ray_session):
     t = pa.table({"k": pa.array([1, 1], pa.int64()), "price": pa.array([5, None], pa.int64())})
     got = _fold(ray.data.from_arrow(t), ["k"], {"n": ("count", None)})
     assert got.column("n").to_pylist() == [2]
+
+
+def _distinct_counts_table() -> pa.Table:
+    """int, string and timestamp keys (the string key has nulls) over
+    int64 values of 2^40 and below zero, some null."""
+    rng = np.random.default_rng(17)
+    n = 3_000
+    k = rng.integers(-40, 40, size=n).astype(np.int64)
+    host = np.array([f"h{x % 23}" for x in k.tolist()], dtype=object)
+    host[rng.random(n) < 0.05] = None
+    v = rng.choice(np.array([1 << 40, -(1 << 40), -7, 0, 3, 1 << 62], dtype=np.int64), size=n)
+    v = v + rng.integers(0, 4, size=n)
+    return pa.table(
+        {
+            "k": pa.array(k),
+            "host": pa.array(host.tolist(), type=pa.string()),
+            "ts": pa.array(((k % 11) * 3_600_000_000).astype("datetime64[us]")),
+            "v": pa.array(v, mask=rng.random(n) < 0.1),
+            "s": pa.array([f"u{x}" for x in (v % 50).tolist()], type=pa.string()),
+        }
+    )
+
+
+def _distinct_counts(ds, key: str, col: str) -> pa.Table:
+    from dots_ocr_ray.util import bucket_distinct_counts
+
+    blocks = ray.get(bucket_distinct_counts(ds, key, col, "n").to_arrow_refs())
+    return _sorted(pa.concat_tables(blocks), [key])
+
+
+@pytest.mark.parametrize("key,col", [("k", "v"), ("host", "v"), ("ts", "v"), ("k", "s"), ("host", "s")])
+def test_distinct_counts_vs_arrow(ray_session, monkeypatch, key, col):
+    """COUNT(DISTINCT col) per key ≡ pyarrow's ``count_distinct`` (null
+    values skipped, a null key one group) under both fold tiers."""
+    t = _distinct_counts_table()
+    want = t.group_by(key, use_threads=False).aggregate([(col, "count_distinct")])
+    want = _sorted(pa.table({key: want.column(key), "n": want.column(f"{col}_count_distinct")}), [key])
+    if pa.types.is_integer(want.column(key).type):
+        want = want.set_column(0, key, want.column(key).cast(pa.int64()))
+    ds = ray.data.from_arrow(t).repartition(7)
+    for got in _both_fold_tiers(monkeypatch, lambda: _distinct_counts(ds, key, col)):
+        assert got.column_names == [key, "n"]
+        assert got.schema.field("n").type == pa.int64()
+        assert got.column(key).to_pylist() == want.column(key).to_pylist()
+        assert got.column("n").to_pylist() == want.column("n").to_pylist()
+
+
+def test_distinct_counts_null_values_and_keys(ray_session, monkeypatch):
+    """A key whose values are all null counts 0; null keys group as one."""
+    t = pa.table(
+        {
+            "k": pa.array([1, 1, 1, 2, None, None, None, 3], pa.int64()),
+            "v": pa.array([1 << 40, 1 << 40, None, None, -5, -5, 6, None], pa.int64()),
+        }
+    )
+    ds = ray.data.from_arrow(t).repartition(3)
+    for got in _both_fold_tiers(monkeypatch, lambda: _distinct_counts(ds, "k", "v")):
+        assert got.column("k").to_pylist() == [1, 2, 3, None]
+        assert got.column("n").to_pylist() == [1, 0, 0, 2]
+
+
+def test_distinct_counts_empty_input(ray_session, monkeypatch):
+    from dots_ocr_ray.util import bucket_distinct_counts
+
+    t = pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.int64())})
+    for n in _both_fold_tiers(
+        monkeypatch, lambda: bucket_distinct_counts(ray.data.from_arrow(t), "k", "v", "n").count()
+    ):
+        assert n == 0

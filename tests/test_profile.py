@@ -1,6 +1,7 @@
 """profile_table: one-pass mergeable column profiling."""
 
 import pyarrow as pa
+import pytest
 
 import ray.data
 
@@ -565,8 +566,8 @@ def test_fd_violations_hand_computed(ray_session):
 
 
 def test_fd_violations_wide_ids_auto_fallback(ray_session):
-    """Ids above 2^31 (and negative ids) route via the auto probe to
-    the two-column tier and produce exact counts."""
+    """Ids above 2^31 (and negative ids) give exact counts: the (det,
+    dep) pairs are never packed."""
     import pyarrow as pa
     import ray.data
 
@@ -586,24 +587,27 @@ def test_fd_violations_wide_ids_auto_fallback(ray_session):
     assert out["n_keys"] == 3 and out["n_violating"] == 1
 
 
-def test_fd_violations_tier_parity(ray_session):
-    """wide_ids=True forced on narrow input must match the packed
-    tier exactly."""
+@pytest.mark.parametrize("ids", ["narrow", "wide"])
+def test_fd_violations_vs_pandas_nunique(ray_session, ids):
+    """n_keys and n_violating equal pandas ``groupby(det).nunique()``,
+    on small ids and on ids of 2^40 and below zero."""
+    import numpy as np
+    import pandas as pd
     import pyarrow as pa
     import ray.data
 
     from dots_ocr_ray.pipelines.profile import fd_violations
 
-    t = pa.table(
-        {
-            "k": pa.array([1, 1, 2, 2, 2, 3, 4, 4], type=pa.int64()),
-            "v": pa.array([10, 10, 10, 20, 20, 30, 1, 2], type=pa.int64()),
-        }
-    )
-    ds = ray.data.from_arrow(t).repartition(3)
-    a = fd_violations(ds, det_col="k", dep_col="v", wide_ids=False).to_pylist()
-    b = fd_violations(ds, det_col="k", dep_col="v", wide_ids=True).to_pylist()
-    assert a == b
+    rng = np.random.default_rng(9)
+    k = rng.integers(0, 300, 2_000).astype(np.int64)
+    v = rng.integers(0, 4, 2_000).astype(np.int64) * (k % 3 == 0) + k
+    if ids == "wide":
+        k, v = k * (1 << 40) - 7, v - (1 << 41)
+    nunique = pd.DataFrame({"k": k, "v": v}).groupby("k")["v"].nunique()
+    t = pa.table({"k": pa.array(k), "v": pa.array(v)})
+    out = fd_violations(ray.data.from_arrow(t).repartition(5), det_col="k", dep_col="v").to_pylist()[0]
+    assert out["n_keys"] == len(nunique)
+    assert out["n_violating"] == int((nunique > 1).sum()) > 0
 
 
 def test_ri_orphans(ray_session):
