@@ -5098,8 +5098,8 @@ def _q_deletion_vector_read(sf_dir: str):
 
 def _q_host_reciprocity(sf_dir: str):
     """Directed reciprocity of the 40-host link fixture: distinct
-    self-loop-free edges hash-joined with their own swapped copy (no
-    broadcast assumption), exact integer mutual fraction
+    self-loop-free edges oriented to (lo, hi) with direction flags in
+    one keyed fold, exact integer mutual fraction
     (pipelines/graph.py:reciprocity).  Oracle: DISTINCT edge CTE +
     reversed self-join in SQL."""
     from dots_ocr_ray.pipelines.graph import host_edges_from_documents, reciprocity

@@ -99,6 +99,7 @@ def sorted_group_first(
         perm, starts = _key_runs(table, keys, [order_col])
         return table.take(perm[starts])
 
+    @util.rows_out(1)
     def _combine(batch: pa.Table) -> pa.Table:
         # parquet-read blocks carry a `pandas` schema-metadata blob
         # that pyarrow can't hash; dropping it here (schema-only, zero
@@ -120,6 +121,7 @@ def add_content_md5(
     no normalization) can never diverge between the index and a later
     corpus pass."""
 
+    @util.rows_out(1)
     def _add(batch: pa.Table) -> pa.Table:
         hashes = [md5_hex(t or "") for t in batch.column(text_col).to_pylist()]
         return batch.append_column("content_md5", pa.array(hashes, type=pa.string()))

@@ -37,6 +37,7 @@ from dots_ocr_ray.util import GOLDEN64, bounded_blocks, bucket_exchange, cached_
 def _endpoints(pairs: ray.data.Dataset, col: str) -> ray.data.Dataset:
     """Both endpoints of every (a, b) pair row, as one int64 column."""
 
+    @util.rows_out(2)
     def _ends(batch: pa.Table) -> pa.Table:
         a = batch.column("a").to_numpy(zero_copy_only=False)
         b = batch.column("b").to_numpy(zero_copy_only=False)
@@ -74,6 +75,7 @@ def degree_table(
     (measured ~12 s at 10^6 nodes; web graphs have 10^9)."""
     from dots_ocr_ray.util import bucket_keyed_fold
 
+    @util.rows_out(2)
     def _ends(batch: pa.Table) -> pa.Table:
         s = batch.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
         d = batch.column(dst).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -369,6 +371,7 @@ def host_edges_from_documents(sf_dir: str) -> ray.data.Dataset:
     ``src = doc_id % 40, dst = (doc_id * m) % 40``."""
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
+    @util.rows_out(len(EDGE_MULTIPLIERS))
     def _edges(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         srcs = np.concatenate([ids % N_HOSTS for _ in EDGE_MULTIPLIERS])
@@ -622,7 +625,7 @@ def triangle_count(
        close it;
     5. closure test = semi hash_join of wedge endpoint pairs against
        the edge set on an exact packed int64 key (requires node ids
-       < 2^31 — asserted per batch).
+       < 2^31 — checked per batch, ``ValueError`` otherwise).
 
     Two tiers, the :func:`cluster_assign` discipline: below
     ``pair_budget`` distinct edges the count runs on the DRIVER as one
@@ -648,7 +651,8 @@ def triangle_count(
         s, d = s[keep], d[keep]
         a = np.minimum(s, d)
         b = np.maximum(s, d)
-        assert (a >= 0).all() and (b < 2**31).all(), "triangle_count: node ids must fit 31 bits for exact pair packing"
+        if not ((a >= 0).all() and (b < 2**31).all()):
+            raise ValueError("triangle_count: node ids must fit 31 bits for exact pair packing")
         pairs = np.unique(a << np.int64(32) | b)
         return pa.table(
             {
@@ -2701,8 +2705,8 @@ def common_neighbor_scores(
     same declared approximation as the dedup family's
     HOT_BUCKET_CAP.  Default None = exact (required by the oracle).
 
-    Node ids must fit 31 bits (asserted) — pairs pack into one int64
-    key for counting and the anti join."""
+    Node ids must fit 31 bits (``ValueError`` otherwise) — pairs pack
+    into one int64 key for counting and the anti join."""
     from dots_ocr_ray.pipelines.dedup import anti_join_ids, exact_distinct_pairs
 
     def _canon(batch: pa.Table) -> pa.Table:
@@ -2712,9 +2716,8 @@ def common_neighbor_scores(
         s, d = s[keep], d[keep]
         a = np.minimum(s, d)
         b = np.maximum(s, d)
-        assert (a >= 0).all() and (
-            b < 2**31
-        ).all(), "common_neighbor_scores: node ids must fit 31 bits"
+        if not ((a >= 0).all() and (b < 2**31).all()):
+            raise ValueError("common_neighbor_scores: node ids must fit 31 bits")
         pairs = np.unique(a << np.int64(32) | b)
         return pa.table(
             {
@@ -2866,6 +2869,7 @@ def degree_assortativity_stats(
     from dots_ocr_ray.pipelines.dedup import exact_distinct_pairs
     from dots_ocr_ray.pipelines.relational import attach_int_column
 
+    @util.rows_out(1)
     def _canon(batch: pa.Table) -> pa.Table:
         # orient each pair and drop self-loops; the distinct fold's
         # combiner removes the duplicates
@@ -2986,8 +2990,9 @@ def betweenness_centrality(
 
     Bounded tier ONLY by design: exact betweenness needs all-pairs
     shortest paths, so the edge set must fit a worker
-    (``BETWEENNESS_EDGE_BUDGET`` asserted).  For open web graphs use
-    the sampled :func:`harmonic_centrality` family instead."""
+    (``BETWEENNESS_EDGE_BUDGET``, ``ValueError`` past it).  For open
+    web graphs use the sampled :func:`harmonic_centrality` family
+    instead."""
     from dots_ocr_ray.util import bucket_keyed_fold, cached_object
 
     def _canon(batch: pa.Table) -> pa.Table:
@@ -2995,10 +3000,8 @@ def betweenness_centrality(
         d = batch.column(dst).to_numpy(zero_copy_only=False).astype(np.int64)
         keep = s != d
         s, d = s[keep], d[keep]
-        if len(s):
-            assert (
-                s.min() >= 0 and d.min() >= 0 and max(s.max(), d.max()) < 2**31
-            ), "betweenness_centrality: node ids must fit 31 bits (packed pairs)"
+        if len(s) and not (s.min() >= 0 and d.min() >= 0 and max(s.max(), d.max()) < 2**31):
+            raise ValueError("betweenness_centrality: node ids must fit 31 bits (packed pairs)")
         u = np.unique(s << np.int64(32) | (d & np.int64(0xFFFFFFFF)))
         return pa.table(
             {
@@ -3007,14 +3010,14 @@ def betweenness_centrality(
             }
         )
 
-    assert_msg = "betweenness_centrality: distinct edges exceed the bounded tier"
     # materialize so the budget count and the driver collect execute the
     # dedup exchange ONCE (blocks stay in the object store either way)
     pruned = bucket_keyed_fold(
         edges.select_columns([src, dst]).map_batches(_canon, batch_format="pyarrow"), ["src", "dst"], {}
     ).materialize()
     n_edges = pruned.count()  # metadata-only on a materialized dataset
-    assert n_edges <= BETWEENNESS_EDGE_BUDGET, assert_msg
+    if n_edges > BETWEENNESS_EDGE_BUDGET:
+        raise ValueError("betweenness_centrality: distinct edges exceed the bounded tier")
     if n_edges == 0:
         return ray.data.from_arrow(
             pa.table(
@@ -3071,62 +3074,43 @@ def reciprocity(
     a very different crawl neighborhood than a one-way citation DAG).
 
     Exact integer output: one row ``(n_edges, n_mutual,
-    reciprocity_micro = 10⁶·n_mutual // n_edges)``.  Shape: distinct
-    edges via one packed-key fold, then ONE
-    :func:`~dots_ocr_ray.pipelines.relational.hash_join` of the edge
-    set with its own swapped copy (both sides corpus-sized — no
-    broadcast assumption), per-batch match-count partials folded on
-    the driver."""
-    from dots_ocr_ray.pipelines.relational import hash_join
+    reciprocity_micro = 10⁶·n_mutual // n_edges)``.  Shape: each edge
+    is oriented to ``(lo, hi)`` with a forward or backward flag, one
+    :func:`~dots_ocr_ray.util.bucket_keyed_fold` on ``(lo, hi)`` keeps
+    the max of each flag, and per-batch partials of Σ(fwd + bwd) and
+    2·#(fwd ∧ bwd) are summed on the driver.  Host ids may be any
+    int64."""
     from dots_ocr_ray.util import bucket_keyed_fold
 
-    def _canon(batch: pa.Table) -> pa.Table:
+    @util.rows_out(1)
+    def _orient(batch: pa.Table) -> pa.Table:
         s = batch.column(src).to_numpy(zero_copy_only=False).astype(np.int64)
         d = batch.column(dst).to_numpy(zero_copy_only=False).astype(np.int64)
         keep = s != d
         s, d = s[keep], d[keep]
-        if len(s):
-            assert (
-                s.min() >= 0 and d.min() >= 0 and max(s.max(), d.max()) < 2**31
-            ), "reciprocity: node ids must fit 31 bits (packed pairs)"
-        u = np.unique(s << np.int64(32) | d)
-        return pa.table({"key": pa.array(u, type=pa.int64())})
+        fwd = (s < d).astype(np.int64)
+        return pa.table({"lo": np.minimum(s, d), "hi": np.maximum(s, d), "fwd": fwd, "bwd": 1 - fwd})
 
-    distinct = bucket_keyed_fold(
-        edges.select_columns([src, dst]).map_batches(_canon, batch_format="pyarrow"), "key", {}
-    ).materialize()
-    n_edges = distinct.count()
-    if n_edges == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "n_edges": pa.array([0], pa.int64()),
-                    "n_mutual": pa.array([0], pa.int64()),
-                    "reciprocity_micro": pa.array([0], pa.int64()),
-                }
-            )
-        )
+    def _totals(batch: pa.Table) -> pa.Table:
+        f = batch.column("fwd").to_numpy(zero_copy_only=False)
+        b = batch.column("bwd").to_numpy(zero_copy_only=False)
+        return pa.table({"n_edges": [int((f + b).sum())], "n_mutual": [2 * int((f & b).sum())]})
 
-    def _swap(batch: pa.Table) -> pa.Table:
-        k = batch.column("key").to_numpy(zero_copy_only=False).astype(np.int64)
-        rev = (k & np.int64(0xFFFFFFFF)) << np.int64(32) | (k >> np.int64(32))
-        return pa.table({"key": pa.array(rev, type=pa.int64())})
-
-    joined = hash_join(
-        distinct,
-        distinct.map_batches(_swap, batch_format="pyarrow"),
-        on="key",
-        how="inner",
+    pairs = bucket_keyed_fold(
+        edges.select_columns([src, dst]).map_batches(_orient, batch_format="pyarrow"),
+        ["lo", "hi"],
+        {"fwd": ("max", "fwd"), "bwd": ("max", "bwd")},
     )
-    n_mutual = joined.count()
+    n_edges = n_mutual = 0
+    for t in util.collect_arrow_blocks(pairs.map_batches(_totals, batch_format="pyarrow")):
+        n_edges += pc.sum(t.column("n_edges")).as_py()
+        n_mutual += pc.sum(t.column("n_mutual")).as_py()
     return ray.data.from_arrow(
         pa.table(
             {
                 "n_edges": pa.array([n_edges], pa.int64()),
                 "n_mutual": pa.array([n_mutual], pa.int64()),
-                "reciprocity_micro": pa.array(
-                    [1_000_000 * n_mutual // n_edges], pa.int64()
-                ),
+                "reciprocity_micro": pa.array([1_000_000 * n_mutual // max(n_edges, 1)], pa.int64()),
             }
         )
     )

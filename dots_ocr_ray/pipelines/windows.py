@@ -31,7 +31,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from dots_ocr_ray.util import _key_runs, bucket_distinct_counts, bucket_exchange
+from dots_ocr_ray.util import _key_runs, bucket_distinct_counts, bucket_exchange, rows_out
 
 
 def sessionize(
@@ -324,6 +324,7 @@ def window_distinct_users(
     window_us = window_minutes * 60 * 1_000_000
     events = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
 
+    @rows_out(1)
     def _window(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
         return pa.table(

@@ -186,7 +186,8 @@ def bounded_blocks(ds, rows_per_block: int = 65536):
     exchanges at fixed cost while leaving big datasets partitioned for
     full parallelism.  (:func:`bucket_exchange` folds an input of at
     most 65,536 rows and one block's bytes in one task, with no shuffle
-    to bound.)"""
+    to bound; when :func:`row_bound` shows that from the plan, the
+    input is not materialized either.)"""
     import math
 
     ds = ds.materialize()
@@ -471,6 +472,63 @@ def _fold_in_one_task(rows: int, nbytes: int, rows_per_block: int) -> bool:
     return rows <= min(_ONE_TASK_ROWS, rows_per_block) and (cap is None or nbytes <= cap)
 
 
+def rows_out(k: int):
+    """Declare that a ``map_batches`` function returns at most ``k``
+    rows per row in, so :func:`row_bound` can carry a bound through it.
+    Declare only a body that has been checked: an understated fan-out
+    makes :func:`bucket_exchange` raise when a batch overruns the
+    bound, but a combiner between the map and the exchange can shrink
+    the overrun out of sight."""
+
+    def declare(fn):
+        fn.rows_out = k
+        return fn
+
+    return declare
+
+
+def row_bound(ds):
+    """An upper bound ``(rows, nbytes)`` on what ``ds`` yields, read
+    off its lazy plan without running anything; ``None`` when the plan
+    gives none.
+
+    Rows are a bound: block metadata of a materialized or in-memory
+    source, parquet footers of a read, the sum over a union, the input's
+    through a projection or a filter, and ``k`` times the input's
+    through a map declared ``@rows_out(k)``.  Any other operator (an
+    undeclared map, a shuffle, a join) gives ``None``.  Bytes are Ray's
+    in-memory estimate scaled the same way: they guard one task's
+    memory, and no answer depends on them.
+
+    Every Ray-internal name the package reads to plan an exchange is in
+    this function; if Ray moves one, the bound is ``None`` and
+    :func:`bucket_exchange` counts the input instead."""
+    try:
+        from ray.data._internal.logical.operators.from_operators import AbstractFrom
+        from ray.data._internal.logical.operators.input_data_operator import InputData
+        from ray.data._internal.logical.operators.map_operator import Filter, MapBatches, Project
+        from ray.data._internal.logical.operators.n_ary_operator import Union
+        from ray.data._internal.logical.operators.read_operator import Read
+
+        def bound(op):
+            if isinstance(op, (Read, InputData, AbstractFrom)):
+                meta = op.infer_metadata()
+                known = meta.num_rows is not None and meta.size_bytes is not None
+                return (meta.num_rows, int(meta.size_bytes)) if known else None
+            if isinstance(op, Union):
+                sides = [bound(o) for o in op.input_dependencies]
+                return None if None in sides else tuple(map(sum, zip(*sides)))
+            k = getattr(op._fn, "rows_out", None) if isinstance(op, MapBatches) else 1
+            if not isinstance(op, (Project, Filter, MapBatches)) or k is None:
+                return None
+            b = bound(op.input_dependencies[0])
+            return None if b is None else (k * b[0], k * b[1])
+
+        return bound(ds._plan._logical_plan.dag)
+    except (ImportError, AttributeError):
+        return None
+
+
 # The largest side a function broadcasts (``ray.put`` or a driver
 # collect) instead of running an exchange: the budget
 # :func:`cached_object` names.  At (int64, int64) rows it is 64M rows.
@@ -502,36 +560,56 @@ def bucket_exchange(ds, keys, fold, *, num_buckets: int = 64, rows_per_block: in
     keys); ``fold`` should be one vectorized pass (sort, then reduce
     runs).  Returns the lazy folded dataset.
 
-    The tagged input is materialized and its row count and byte size
-    read from block metadata.  A small input (at most 65,536 and
+    The tier is chosen by :func:`_fold_in_one_task` from the tagged
+    input's rows and bytes.  A small input (at most 65,536 and
     ``rows_per_block`` rows, and at most Ray's ``target_max_block_size``
-    bytes; :func:`_fold_in_one_task`) is folded by one ``map_batches``
-    task that stable-sorts every row by ``__bucket`` and folds each
-    bucket, skipping the sort shuffle's sample, map and reduce rounds;
-    a larger input bounds its block count (:func:`bounded_blocks`) and
-    runs ``groupby("__bucket").map_groups``."""
+    bytes) is folded by one ``map_batches`` task that stable-sorts
+    every row by ``__bucket`` and folds each bucket, skipping the sort
+    shuffle's sample, map and reduce rounds; a larger input bounds its
+    block count (:func:`bounded_blocks`) and runs
+    ``groupby("__bucket").map_groups``.
+
+    The rows and bytes come from :func:`row_bound` when the lazy plan
+    bounds them: the fold is then one more lazy map in the execution
+    that produces its input, which Ray may fuse with the maps in front
+    of it.  A batch of more rows than the bound (a ``rows_out``
+    declaration upstream understated its fan-out) raises
+    ``RuntimeError`` instead of being folded.  Without a bound, or
+    past the cut, the tagged input is materialized and its exact count
+    from block metadata picks the tier.  The result is lazy either way:
+    a caller that reads it twice materializes it first."""
     import pyarrow as pa
 
     keys = [keys] if isinstance(keys, str) else list(keys)
 
+    @rows_out(1)
     def _tag(batch: "pa.Table") -> "pa.Table":
         bkt = key_buckets(batch, keys, num_buckets)
         return batch.append_column("__bucket", pa.array(bkt, type=pa.int32()))
 
+    tagged = [d.map_batches(_tag, batch_format="pyarrow") for d in (ds if isinstance(ds, list) else [ds])]
+    tagged = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    bound = row_bound(tagged)
+    one_task = bound is not None and _fold_in_one_task(*bound, rows_per_block)
+    if not one_task:
+        tagged = tagged.materialize()
+        bound = (tagged.count(), tagged.size_bytes())
+        one_task = _fold_in_one_task(*bound, rows_per_block)
+    rows = bound[0]
+
     def _fold_buckets(table: "pa.Table"):
+        # Ray forms a batch past the bound only when a rows_out
+        # declaration understated its fan-out
+        if table.num_rows > rows:
+            raise RuntimeError(f"bucket_exchange: a batch of {table.num_rows} rows exceeds the plan's bound of {rows} rows")
         # an int column without nulls sorts by value: ascending buckets
         perm, starts = _key_runs(table, ["__bucket"])
         table = table.take(perm)
         for start, end in zip(starts, [*starts[1:], table.num_rows]):
             yield fold(table.slice(start, end - start))
 
-    tagged = [d.map_batches(_tag, batch_format="pyarrow") for d in (ds if isinstance(ds, list) else [ds])]
-    if len(tagged) > 1:
-        tagged = [tagged[0].union(*tagged[1:])]
-    tagged = tagged[0].materialize()
-    rows = tagged.count()
-    if _fold_in_one_task(rows, tagged.size_bytes(), rows_per_block):
-        return tagged.map_batches(_fold_buckets, batch_size=max(rows, 1), batch_format="pyarrow")
+    if one_task:
+        return tagged.map_batches(_fold_buckets, batch_size=rows + 1, batch_format="pyarrow")
     return (
         bounded_blocks(tagged, rows_per_block=rows_per_block)
         .groupby("__bucket")
@@ -668,6 +746,7 @@ def bucket_keyed_fold(
             raise ValueError(f"op={op!r} for {out!r} needs a value column")
     merge = {out: ("sum" if op == "count" else op, out) for out, (op, _) in aggs.items()}
 
+    @rows_out(1)
     def _combine(batch: "pa.Table") -> "pa.Table":
         return _fold_table(batch, keys, aggs)
 
@@ -696,6 +775,7 @@ def bucket_distinct_counts(ds, key: str, col: str, out: str):
     as int64), then ``out`` (int64); not key-ordered."""
     import pyarrow.compute as pc
 
+    @rows_out(1)
     def _pairs(batch: "pa.Table") -> "pa.Table":
         return _fold_table(batch, [key, col], {})
 

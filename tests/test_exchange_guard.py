@@ -20,8 +20,11 @@ with no Dataset sort and no raw-key fold.  A broadcast-or-exchange choice asks `
 function takes its own tier cut (a ``*_limit`` parameter from
 ``TIER_OPTION``, or any ``*_budget`` parameter outside
 ``BUDGET_ALLOWED``) or a ``method`` switch on ``TIER_SWITCH``
-functions, and the deleted driver-side count merges stay gone.  Scans
-the package and ``__ray_entry__.py``.
+functions, and the deleted driver-side count merges stay gone.  Ray Data's
+internal plan (``_logical_plan``, ``._plan.``, the
+``ray.data._internal.logical`` operators) is read only inside
+``util.row_bound``, so a Ray upgrade that moves it touches one
+function.  Scans the package and ``__ray_entry__.py``.
 """
 
 import ast
@@ -428,3 +431,43 @@ def test_tier_option_guard_sees_the_patterns():
         (7, "method"),
     ]
     assert _deleted_name_hits(src) == [10]
+
+
+RAY_PLAN_NAMES = ("_logical_plan", "._plan.", "ray.data._internal.logical")
+
+
+def _ray_plan_hits(src: str) -> list:
+    """(line, top-level function) of every line of ``src`` that spells
+    one of ``RAY_PLAN_NAMES``."""
+    tree = ast.parse(src)
+    return [
+        (i, _top_level_function(tree, i))
+        for i, line in enumerate(src.splitlines(), 1)
+        if any(n in line for n in RAY_PLAN_NAMES)
+    ]
+
+
+def test_ray_plan_read_only_in_row_bound():
+    outside, inside = [], 0
+    for rel in _sources():
+        with open(os.path.join(ROOT, rel)) as f:
+            for ln, fn in _ray_plan_hits(f.read()):
+                if (rel, fn) == ("dots_ocr_ray/util.py", "row_bound"):
+                    inside += 1
+                else:
+                    outside.append((rel, ln, fn))
+    assert not outside, f"Ray's internal plan is read only in util.row_bound: {outside}"
+    assert inside, "util.row_bound no longer reads the plan; drop this guard with it"
+
+
+def test_ray_plan_guard_sees_the_patterns():
+    """The scan flags each spelling, inside or outside a function."""
+    src = (
+        "from ray.data._internal.logical.operators.map_operator import MapBatches\n"
+        "def f(ds):\n"
+        "    dag = ds._plan._logical_plan.dag\n"
+        "    return ds._plan.execute(), ds._logical_plan\n"
+        "def row_bound(ds):\n"
+        "    return ds.count()\n"
+    )
+    assert _ray_plan_hits(src) == [(1, "<module>"), (3, "f"), (4, "f")]

@@ -3,6 +3,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 import ray.data
 
@@ -988,6 +989,45 @@ def test_reciprocity_empty(ray_session):
     edges = pa.table({"src": [5], "dst": [5]})  # self-loop only
     out = reciprocity(ray.data.from_arrow(edges)).to_pandas()
     assert out["n_edges"][0] == 0 and out["reciprocity_micro"][0] == 0
+
+
+def test_reciprocity_any_int64_ids(ray_session):
+    """Wide and negative host ids: no packing, so nothing is rejected or
+    aliased; the counts match a pandas self-merge of the distinct
+    self-loop-free edges."""
+    import pandas as pd
+
+    from dots_ocr_ray.pipelines.graph import reciprocity
+
+    big = 1 << 40
+    rows = [(big, 1), (1, big), (-3, 5), (5, -3), (2, 9), (4, 4), (big, 1), (2, 9)]
+    out = reciprocity(_edges(rows).repartition(3)).to_pandas()
+    e = pd.DataFrame(rows, columns=["src", "dst"]).drop_duplicates()
+    e = e[e.src != e.dst]
+    mutual = len(e.merge(e, left_on=["src", "dst"], right_on=["dst", "src"]))
+    assert (len(e), mutual) == (5, 4)
+    assert out.to_dict("records") == [{"n_edges": 5, "n_mutual": 4, "reciprocity_micro": 800_000}]
+
+
+@pytest.mark.parametrize("fn", ["triangle_count", "common_neighbor_scores", "betweenness_centrality"])
+def test_packed_pair_ops_reject_wide_ids(ray_session, fn):
+    """The 31-bit id check holds under ``python -O`` too: a ValueError,
+    never an assert.  Ray Data re-raises a task's ValueError as a
+    UserCodeException that carries the original's type and message."""
+    import dots_ocr_ray.pipelines.graph as graph
+
+    with pytest.raises(Exception, match=r"ValueError: \w+: node ids must fit 31 bits"):
+        out = getattr(graph, fn)(_edges([(1 << 40, 1), (1, 2)]))
+        if isinstance(out, ray.data.Dataset):
+            out.materialize()
+
+
+def test_betweenness_edge_budget_raises(ray_session, monkeypatch):
+    import dots_ocr_ray.pipelines.graph as graph
+
+    monkeypatch.setattr(graph, "BETWEENNESS_EDGE_BUDGET", 1)
+    with pytest.raises(ValueError, match="bounded tier"):
+        graph.betweenness_centrality(_edges([(0, 1), (1, 2)]))
 
 
 def test_resolve_redirects_driver_tier(ray_session):
