@@ -23,7 +23,8 @@ phase by replacing a name in this module's globals, so
 :func:`extract_page` must keep calling ``segment_html``,
 ``prune_boilerplate``, ``remove_duplicate_pairs_and_bboxes`` and
 ``strip_tags`` through them (and the stage must keep calling
-``extract_page`` through ``stages.extract_stage``'s globals).
+``extract_page`` through ``stages.extract_stage``'s globals, once per
+row, with its flat span lists as the ``columns`` keyword).
 ``tests/test_trace_hooks.py`` fails when one is renamed or bypassed.
 """
 
@@ -85,10 +86,16 @@ def extract_page(
     html: bytes | str | None,
     text: str | None = None,
     config: ExtractConfig = ExtractConfig(),
+    *,
+    columns: tuple[list, ...] | None = None,
 ) -> dict:
     """Extract one page.  Returns
-    ``{extracted_text, extracted_text_nohf, spans, status}`` where spans
-    carry char_start/char_end offsets into ``extracted_text``."""
+    ``{url, extracted_text, extracted_text_nohf, spans, status}`` where
+    spans carry char_start/char_end offsets into ``extracted_text``.
+
+    With ``columns`` (five lists: category, bbox, char_start, char_end,
+    text) each span's fields are appended there instead and ``spans`` is
+    None (:func:`~dots_ocr_ray.kernel.serialize.serialize_spans`)."""
     html_text = _decode_html(html)
     spans: list[dict] = []
     status = STATUS_FINISHED
@@ -127,7 +134,7 @@ def extract_page(
         for s in spans:
             s["text"] = ""
 
-    extracted, extracted_nohf, out_spans = serialize_spans(spans)
+    extracted, extracted_nohf, out_spans = serialize_spans(spans, columns)
     return {
         "url": url,
         "extracted_text": extracted,

@@ -12,11 +12,14 @@ link-density).  The scanner is hand-rolled (not stdlib
 ``html.parser``) because this loop dominates extraction CPU at corpus
 scale.  It is one loop over one token regex with no per-block objects
 or closures, and it reads attributes, self-closing slashes and entities
-only when a decision needs them.  On the benchmark's ``cc_pages`` job
-(``python3 perfbench/run.py``, ``nproc`` 1, shared 4-vCPU VM) this
-rewrite took the traced ``kernel.segment_html_s`` from 0.88 s to
-0.39 s per job and ``kernel.extract_page_s`` from 1.14 s to 0.66 s,
-and the median ``docs_per_s`` over ten seeds from 345 to 525.
+only when a decision needs them.  A plain leaf block (an attribute-less
+lowercase ``<p>``, ``<li>`` or ``<h1>``-``<h6>`` whose text holds no
+``<``) is one token: open tag, text and close tag in one loop turn.  On
+the benchmark's ``cc_pages`` job (``python3 perfbench/run.py --trace 1
+--seed 7``, ``nproc`` 1, shared 4-vCPU VM, median of 3 alternating
+runs), taking those blocks whole, with the stage's span columns, took
+the traced ``kernel.segment_html_s`` from 0.377 s to 0.248 s per job
+and ``kernel.extract_page_s`` from 0.628 s to 0.443 s.
 
 Determinism: pure function of the input string; tolerant of
 unclosed/truncated/malformed markup (a lone ``<`` is text, an unclosed
@@ -75,11 +78,14 @@ _VOID_TAGS = frozenset(
     ["img", "br", "hr", "meta", "link", "input", "area", "base", "col", "embed", "source", "track", "wbr"]
 )
 
-# one token at each '<': a tag (groups: closing slash, name, attribute
-# text), else a comment, else a declaration / processing instruction; a
-# '<' none of them matches is text
+# one token at each '<': a whole attribute-less lowercase leaf block
+# whose text holds no '<' (groups: name, text), else a tag (groups:
+# closing slash, name, attribute text), else a comment, else a
+# declaration / processing instruction; a '<' none of them matches is
+# text
 _TOKEN_RE = re.compile(
-    r"<(?:(/?)([a-zA-Z][a-zA-Z0-9]*)((?:[^>'\"]|\"[^\"]*\"|'[^']*')*)>|!--.*?-->|![^>]*>|\?[^>]*>)",
+    r"<(?:(p|li|h[1-6])>([^<]*)</\1>|(/?)([a-zA-Z][a-zA-Z0-9]*)((?:[^>'\"]|\"[^\"]*\"|'[^']*')*)>"
+    r"|!--.*?-->|![^>]*>|\?[^>]*>)",
     re.DOTALL,
 )
 _ATTR_RE = re.compile(r"(class|id|alt)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s>]+))", re.IGNORECASE)
@@ -156,10 +162,22 @@ def _scan(html_text: str, extra_re=None) -> list[tuple]:
         if m is None:
             break
         pos = end
-        closing, tag, attr_str = m.groups()
-        if tag is None:  # comment or declaration
+        leaf, leaf_text, closing, tag, attr_str = m.groups()
+        if leaf is not None:
+            if not (drop_depth or table_depth):
+                # the open tag, its text and its close in one turn
+                if cat is not None:
+                    emit((cat, start, classes, parts, link))
+                    cat = None
+                emit((TAG_CATEGORY[leaf], lt, "", [leaf_text], len(leaf_text) if link_depth else 0))
+                continue
+            # replayed as the plain open tag; its text and close follow
+            pos = lt + len(leaf) + 2
+            closing, tag, attr_str = "", leaf, ""
+        elif tag is None:  # comment or declaration
             continue
-        tag = tag.lower()
+        else:
+            tag = tag.lower()
 
         if closing:
             if drop_depth:

@@ -106,17 +106,21 @@ def spans_to_markdown(spans: list[dict], no_page_hf: bool = False) -> str:
     return "\n\n".join(items)
 
 
-def serialize_spans(spans: list[dict]) -> tuple[str, str, list[dict]]:
+def serialize_spans(spans: list[dict], columns: tuple[list, ...] | None = None) -> tuple[str, str, list[dict] | None]:
     """One walk over spans in reading order → ``(markdown, markdown
     without Page-header/Page-footer, output spans)``.
 
     The two markdowns are byte-equal to :func:`spans_to_markdown` with
     and without ``no_page_hf``; each output span is ``{category, bbox,
     char_start, char_end, text}`` with the offsets of its item in the
-    first markdown.  The bbox list is passed through, not copied."""
+    first markdown.  The bbox list is passed through, not copied.  With
+    ``columns`` (five lists, one per field in that order) each span's
+    fields are appended there instead, the bbox as its four ints, and
+    the third result is None."""
     items: list[str] = []
     nohf: list[str] = []
-    out: list[dict] = []
+    out = [] if columns is None else None
+    cats, bboxes, starts, ends, texts = columns or ((),) * 5
     pos = 0
     for span in spans:
         text = span.get("text", "") or ""
@@ -126,14 +130,13 @@ def serialize_spans(spans: list[dict]) -> tuple[str, str, list[dict]]:
         if category not in ("Page-header", "Page-footer"):
             nohf.append(item)
         end = pos + len(item)
-        out.append(
-            {
-                "category": category,
-                "bbox": span["bbox"],
-                "char_start": pos,
-                "char_end": end,
-                "text": text,
-            }
-        )
+        if out is None:
+            cats.append(category)
+            bboxes.extend(span["bbox"])
+            starts.append(pos)
+            ends.append(end)
+            texts.append(text)
+        else:
+            out.append({"category": category, "bbox": span["bbox"], "char_start": pos, "char_end": end, "text": text})
         pos = end + 2  # the "\n\n" joiner
     return "\n\n".join(items), "\n\n".join(nohf), out

@@ -47,12 +47,11 @@ class ExtractorActor:
         streaming stage whose rows belong to no written partition."""
         self.config = config or ExtractConfig()
         self.partition_id = partition_id
-        self.kernel_fn = kernel_fn or extract_page
-        # the built-in kernel's result shape is trusted (its own tests
-        # pin it); a CUSTOM kernel's result is validated per row so one
-        # malformed span degrades that row instead of poisoning the
-        # whole batch (the fail-soft contract below)
-        self._trusted_kernel = kernel_fn is None or kernel_fn is extract_page
+        # None: the built-in kernel, whose result shape is trusted (its
+        # own tests pin it); a CUSTOM kernel's result is validated per
+        # row so one malformed span degrades that row instead of
+        # poisoning the whole batch (the fail-soft contract below)
+        self.kernel_fn = None if kernel_fn is extract_page else kernel_fn
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch.column("url").to_pylist()
@@ -60,60 +59,42 @@ class ExtractorActor:
         texts = batch.column("text").to_pylist() if "text" in batch.column_names else [None] * len(urls)
         langs = batch.column("lang").to_pylist() if "lang" in batch.column_names else [""] * len(urls)
 
-        out = {name: [] for name in RESULT_SCHEMA.names if name not in ("spans", "partition_id")}
-        # spans go into FLAT builders — constructing list<struct> via
-        # pa.array(list-of-list-of-dicts) was measured 10x slower than
-        # the whole extraction kernel; ListArray.from_arrays over flat
-        # child arrays is near-free
+        rows = []  # (extracted_text, extracted_text_nohf, status, n_spans)
+        # spans go into FLAT column lists (category, bbox, char_start,
+        # char_end, text) that the built-in kernel's serialize walk fills
+        # itself (extract_page's ``columns``): a dict per span, or
+        # pa.array over list-of-list-of-dicts (measured 10x slower than
+        # the whole kernel), is never built
+        cols = ([], [], [], [], [])
+        f_cat, f_bbox, f_start, f_end, f_text = cols
         span_offsets = [0]
-        f_cat: list[str] = []
-        f_bbox: list[int] = []
-        f_start: list[int] = []
-        f_end: list[int] = []
-        f_text: list[str] = []
-        for url, html, text, lang in zip(urls, htmls, texts, langs):
+        for url, html, text in zip(urls, htmls, texts):
             # row-level containment: a pathological row degrades, never
             # poisons the block (reference fail-soft stance, SURVEY §4)
             # — including a CUSTOM kernel returning a malformed result
-            # (missing keys, non-4 bbox), which is validated/coerced
-            # inside the same per-row try
+            # (missing keys, non-4 bbox), validated/coerced inside the
+            # same per-row try; a failed row's spans are cut off again
+            marks = [len(col) for col in cols]
             try:
-                res = self.kernel_fn(url, html, text, self.config)
-                text_v = res["extracted_text"]
-                nohf_v = res["extracted_text_nohf"]
-                status_v = res["status"]
-                if self._trusted_kernel:
-                    spans_v = res["spans"]
+                if self.kernel_fn is None:
+                    res = extract_page(url, html, text, self.config, columns=cols)
                 else:
-                    spans_v = [
-                        {
-                            "category": str(sp["category"]),
-                            "bbox": [int(sp["bbox"][0]), int(sp["bbox"][1]),
-                                     int(sp["bbox"][2]), int(sp["bbox"][3])],
-                            "char_start": int(sp["char_start"]),
-                            "char_end": int(sp["char_end"]),
-                            "text": str(sp["text"]),
-                        }
-                        for sp in res["spans"]
-                        if len(sp["bbox"]) == 4
-                    ]
+                    res = self.kernel_fn(url, html, text, self.config)
+                    for sp in res["spans"]:
+                        if len(sp["bbox"]) == 4:
+                            f_cat.append(str(sp["category"]))
+                            f_bbox.extend([int(v) for v in sp["bbox"]])
+                            f_start.append(int(sp["char_start"]))
+                            f_end.append(int(sp["char_end"]))
+                            f_text.append(str(sp["text"]))
+                rows.append((res["extracted_text"], res["extracted_text_nohf"], res["status"], len(f_cat) - marks[0]))
             except Exception:
-                text_v, nohf_v, status_v, spans_v = "", "", "failed", []
-            out["url"].append(url)
-            out["lang"].append(lang or "")
-            out["extracted_text"].append(text_v)
-            out["extracted_text_nohf"].append(nohf_v)
-            out["status"].append(status_v)
-            out["n_spans"].append(len(spans_v))
-            out["bytes_in"].append(len(html) if html is not None else 0)
-            for s in spans_v:
-                f_cat.append(s["category"])
-                f_bbox.extend(s["bbox"])
-                f_start.append(s["char_start"])
-                f_end.append(s["char_end"])
-                f_text.append(s["text"])
+                for col, mark in zip(cols, marks):
+                    del col[mark:]
+                rows.append(("", "", "failed", 0))
             span_offsets.append(len(f_cat))
 
+        text_v, nohf_v, status_v, n_spans = zip(*rows) if rows else ((),) * 4
         bbox_child = pa.FixedSizeListArray.from_arrays(pa.array(f_bbox, type=pa.int32()), 4)
         span_struct = pa.StructArray.from_arrays(
             [
@@ -127,14 +108,14 @@ class ExtractorActor:
         )
         spans_arr = pa.ListArray.from_arrays(pa.array(span_offsets, type=pa.int32()), span_struct)
         arrays = [
-            pa.array(out["url"], type=pa.string()),
-            pa.array(out["lang"], type=pa.string()),
-            pa.array(out["extracted_text"], type=pa.string()),
-            pa.array(out["extracted_text_nohf"], type=pa.string()),
+            pa.array(urls, type=pa.string()),
+            pa.array([lang or "" for lang in langs], type=pa.string()),
+            pa.array(text_v, type=pa.string()),
+            pa.array(nohf_v, type=pa.string()),
             spans_arr,
-            pa.array(out["status"], type=pa.string()),
-            pa.array(out["n_spans"], type=pa.int32()),
-            pa.array(out["bytes_in"], type=pa.int64()),
+            pa.array(status_v, type=pa.string()),
+            pa.array(n_spans, type=pa.int32()),
+            pa.array([len(html) if html is not None else 0 for html in htmls], type=pa.int64()),
             pa.array([self.partition_id] * len(urls), type=pa.int32()),
         ]
         result = pa.Table.from_arrays(arrays, schema=RESULT_SCHEMA)

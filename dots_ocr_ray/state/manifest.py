@@ -22,6 +22,20 @@ FileSystem.  Every file (data, marker, ``_job_stats.json``) commits
 through :func:`_commit`: tmp name + ``os.replace`` on a local path, one
 PUT (already atomic) on an object store; the marker, written last,
 remains the commit point either way.
+
+A part file is zstd-compressed.  Dictionary encoding is kept for the
+columns whose values repeat (``lang``, ``status`` and the span
+``category``) and statistics for the scalar columns a reader may filter
+on (``url``, ``lang``, ``status``, ``n_spans``, ``bytes_in``,
+``partition_id``).  The text columns, the span offsets and the bboxes
+are nearly all distinct: a dictionary there is built, outgrows its page
+and is thrown away, and their min/max statistics prune nothing, so
+both would only cost writer CPU and bytes.  Over the 17 part files of
+the benchmark's ``cc_pages`` job (seed 7, one pyarrow thread, median of
+21 interleaved passes) this took ``pq.write_table`` from 0.169 to
+0.125 s of CPU and the bytes from 4.44 to 4.18 MB.  Any other table
+written here (a packed pages shard) gets the same settings by column
+name.
 """
 
 from __future__ import annotations
@@ -33,6 +47,10 @@ import re
 import pyarrow as pa
 import pyarrow.fs as pafs
 import pyarrow.parquet as pq
+
+# the part-file writer settings (see the module docstring)
+_DICTIONARY_COLUMNS = ["lang", "status", "spans.list.element.category"]
+_STATISTICS_COLUMNS = ["url", "lang", "status", "n_spans", "bytes_in", "partition_id"]
 
 # \d{5,}: {pid:05d} spills past five digits above 99,999 partitions
 # (the petabyte shard-count design point) — a fixed-width match would
@@ -108,7 +126,17 @@ def write_partition_atomic(
     without re-reading data."""
     fs, root = resolve_fs(out_dir)
     fs.create_dir(root, recursive=True)
-    _commit(fs, f"{root}/part-{partition_id:05d}.parquet", lambda out: pq.write_table(table, out, compression="zstd"))
+    _commit(
+        fs,
+        f"{root}/part-{partition_id:05d}.parquet",
+        lambda out: pq.write_table(
+            table,
+            out,
+            compression="zstd",
+            use_dictionary=_DICTIONARY_COLUMNS,
+            write_statistics=_STATISTICS_COLUMNS,
+        ),
+    )
     meta = {"partition_id": partition_id, "rows": table.num_rows, "content_md5": content_hash, **(extra or {})}
     payload = json.dumps(meta).encode("utf-8")
     _commit(fs, f"{root}/part-{partition_id:05d}.done", lambda out: out.write(payload))

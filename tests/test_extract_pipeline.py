@@ -40,6 +40,7 @@ def test_byte_identity_vs_oracle(ray_session, pages_table):
             assert g["category"] == e["category"]
             assert list(g["bbox"]) == e["bbox"]
             assert g["char_start"] == e["char_start"] and g["char_end"] == e["char_end"]
+            assert g["text"] == e["text"]
 
 
 def test_determinism_under_parallelism(ray_session, pages_table):

@@ -1,5 +1,7 @@
 """Unit tests for the HTML segmentation + per-row extraction kernel."""
 
+import pytest
+
 from dots_ocr_ray.kernel.extract import (
     MODE_GROUNDING,
     MODE_LAYOUT_ONLY,
@@ -201,6 +203,16 @@ def test_extract_table_cells_basic_and_hostile():
     assert extract_table_cells("<table><td>stray</td></table>") == [
         {"table_idx": 0, "row_idx": 0, "col_idx": 0, "cell": "stray"}
     ]
+    # leaf blocks inside cells are cell text (the scanner replays them
+    # tag by tag inside a table)
+    assert extract_table_cells(
+        "<table><tr><td><p>a</p></td><td><p>b &amp; c</p></td></tr>"
+        "<tr><th><h2>h</h2></th></tr></table><p>after</p>"
+    ) == [
+        {"table_idx": 0, "row_idx": 0, "col_idx": 0, "cell": "a"},
+        {"table_idx": 0, "row_idx": 0, "col_idx": 1, "cell": "b & c"},
+        {"table_idx": 0, "row_idx": 1, "col_idx": 0, "cell": "h"},
+    ]
 
 
 def test_fixture_table_rule_roundtrip():
@@ -257,3 +269,50 @@ def test_sniff_charset_precedence_and_aliases():
     assert sniff_charset(far) == "utf-8"
     assert sniff_charset(b"") == "utf-8"
     assert sniff_charset(None) == "utf-8"
+
+
+# The scanner takes an attribute-less lowercase <p>, <li> or <h1>-<h6>
+# whose text holds no '<' in one token.  Each case's spans are the ones
+# the tag-by-tag scan gives; the fast path must not change one of them.
+_LEAF_CASES = {
+    # dropped subtree: the block is replayed as a plain open tag
+    "in_nav": (
+        "<h2>T</h2><nav><p>x</p></nav><p>y</p>",
+        [("Section-header", [0, 1, 1, 2], "T", 0.0), ("Text", [29, 1, 30, 2], "y", 0.0)],
+    ),
+    "in_table": (
+        "<table><tr><td><p>x</p></td></tr></table>",
+        [("Table", [0, 1, 49, 2], "<table> <tr> <td> <p> x </p> </td> </tr> </table>", 0.0)],
+    ),
+    # inside an unclosed <a> every char of the block is a link char
+    "in_link": (
+        "<li>a <a href=#><p>xy</p></li>",
+        [("List-item", [0, 1, 1, 2], "a", 0.0), ("Text", [16, 1, 18, 2], "xy", 1.0)],
+    ),
+    "after_unclosed_h2": (
+        "<h2>Head<p>x</p>",
+        [("Section-header", [0, 1, 4, 2], "Head", 0.0), ("Text", [8, 1, 9, 2], "x", 0.0)],
+    ),
+    "entity": ("<p>a &amp; b</p>", [("Text", [0, 1, 5, 2], "a & b", 0.0)]),
+    # not fast-path tokens: upper case, a space in the close tag, another close tag
+    "upper_case": ("<P>x</P>", [("Text", [0, 1, 1, 2], "x", 0.0)]),
+    "space_in_close": ("<p>x</p >", [("Text", [0, 1, 1, 2], "x", 0.0)]),
+    "other_close": ("<p>x</li>", [("Text", [0, 1, 1, 2], "x", 0.0)]),
+    "empty": ("<p></p><p>y</p>", [("Text", [0, 1, 1, 2], "", 0.0), ("Text", [7, 1, 8, 2], "y", 0.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LEAF_CASES))
+def test_scan_leaf_block_spans(case):
+    html, expected = _LEAF_CASES[case]
+    got = [(s["category"], s["bbox"], s["text"], s["link_density"]) for s in segment_html(html)]
+    assert got == expected
+
+
+def test_scan_leaf_block_is_one_token():
+    from dots_ocr_ray.kernel.html_parse import _TOKEN_RE
+
+    assert _TOKEN_RE.match("<p>a &amp; b</p>").span() == (0, 16)
+    assert _TOKEN_RE.match("<h3>x</h3>").span() == (0, 10)
+    for html in ("<P>x</P>", "<p>x</p >", "<p>x</li>", "<p>a<b>c</b></p>", '<p class="c">x</p>'):
+        assert _TOKEN_RE.match(html).group(1) is None, html

@@ -173,6 +173,37 @@ def test_manifest_via_filesystem_uri(tmp_path):
     assert pq.read_table(files[0]).num_rows == 2
 
 
+def test_part_file_writer_settings(tmp_path):
+    """A part file keeps dictionary pages only on the repeating columns
+    and statistics only on the scalar columns, reads back equal to the
+    table written, and its footer still gives the row count."""
+    from dots_ocr_ray.stages.extract_stage import ExtractorActor
+    from dots_ocr_ray.state.manifest import partition_file, partition_rows, write_partition_atomic
+
+    d = str(tmp_path / "out")
+    tbl = ExtractorActor(partition_id=4)(make_pages_table(16, seed=42))
+    write_partition_atomic(d, 4, tbl, "x" * 32)
+    meta = pq.read_metadata(partition_file(d, 4))
+    assert meta.num_row_groups >= 1
+    for g in range(meta.num_row_groups):
+        chunks = [meta.row_group(g).column(c) for c in range(meta.num_columns)]
+        assert {c.path_in_schema for c in chunks if c.has_dictionary_page} == {
+            "lang",
+            "status",
+            "spans.list.element.category",
+        }
+        assert {c.path_in_schema for c in chunks if c.is_stats_set} == {
+            "url",
+            "lang",
+            "status",
+            "n_spans",
+            "bytes_in",
+            "partition_id",
+        }
+    assert pq.read_table(partition_file(d, 4)).equals(tbl)
+    assert partition_rows(d, 4) == tbl.num_rows == 16
+
+
 def test_extract_pages_with_uri_out_dir(ray_session, tmp_path):
     """A file:// URI out_dir for the writer gives the same rows as the
     streaming extract_pages stage over the same pages (partition_id

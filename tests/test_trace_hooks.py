@@ -52,9 +52,10 @@ def test_kernel_layers_recorded(patched_namespaces):
     from dots_ocr_ray.fixtures import make_pages_table
 
     # row 0 runs the structured parse; row 9 (empty html) falls back
-    out = sx.ExtractorActor()(make_pages_table(10, seed=42))
+    pages = make_pages_table(10, seed=42)
+    out = sx.ExtractorActor()(pages)
     assert set(out.column("status").to_pylist()) == {"finished", "fallback"}
-    names = {s[3] for s in rec.spans}
+    names = [s[3] for s in rec.spans]
     for name in (
         "stages.call",
         "kernel.extract_page",
@@ -64,6 +65,12 @@ def test_kernel_layers_recorded(patched_namespaces):
         "kernel.strip_tags",
     ):
         assert name in names, name
+    # the stage's column path still makes one kernel call per row, and
+    # the kernel one segmentation per row with html
+    with_html = sum(1 for h in pages.column("html").to_pylist() if h and h.strip())
+    assert 0 < with_html < pages.num_rows
+    assert names.count("kernel.extract_page") == pages.num_rows
+    assert names.count("kernel.segment_html") == with_html
 
 
 def test_shard_task_layers_recorded(patched_namespaces, tmp_path):
