@@ -10,6 +10,8 @@ semantics, update the constants in the same commit and say why.
 
 import json
 
+import pytest
+
 from dots_ocr_ray.fixtures import make_mega_page, make_pages_table
 from dots_ocr_ray.kernel.extract import ExtractConfig, extract_page
 from dots_ocr_ray.kernel.textops import md5_hex
@@ -74,3 +76,53 @@ def test_golden_tag_soup_hashes():
     config = ExtractConfig(extra_blocklist=("lead",), describe_pictures=True, rebuild_directory=True)
     configured = [extract_page(f"https://soup.test/{i}", d, None, config) for i, d in enumerate(docs)]
     assert _digest(configured) == GOLDEN["tag_soup_config"]
+
+
+# every mode on its own, so a change that only one mode sees is caught
+MODES = {
+    "text_only": ExtractConfig(mode="text_only"),
+    "layout_only": ExtractConfig(mode="layout_only"),
+    "grounding": ExtractConfig(mode="grounding", grounding_bbox=(0, 0, 10_000, 30)),
+    "describe_pictures": ExtractConfig(describe_pictures=True),
+    "rebuild_directory": ExtractConfig(rebuild_directory=True),
+    "extra_blocklist": ExtractConfig(extra_blocklist=("lead", "page-header")),
+}
+
+GOLDEN_MODES = {
+    "cc_pages/text_only": "e8b1475056cb26049eff37b18b2fbb1e",
+    "mega_page/text_only": "4d971ec31de79b0f26447bbe183e4fe7",
+    "tag_soup/text_only": "0b0e78b84d24c11b8b2db324174c01da",
+    "cc_pages/layout_only": "df2b4c6aa3ab4b4b7894ff326c5dec11",
+    "mega_page/layout_only": "89c4582bb7befb936aa1d8792a1377b2",
+    "tag_soup/layout_only": "ec7f48e9224ceba93da97de8ef7ed4e7",
+    "cc_pages/grounding": "e69fc8429ee9738a2a10d1ab662fbd9a",
+    "mega_page/grounding": "9e07ca6aa262a9599eedea6c18f8a227",
+    "tag_soup/grounding": "382c0f116565669ba285359c94336ac5",
+    "cc_pages/describe_pictures": "084465fc9b84d5a7e8fd7adb72cdae30",
+    "mega_page/describe_pictures": "b1ac37d79e3e7f4e06a577b21b1b9325",
+    "tag_soup/describe_pictures": "2aacac5938376ce0f6ab9362b37461f4",
+    "cc_pages/rebuild_directory": "23df634641c030d2bb859fb1ed968f03",
+    "mega_page/rebuild_directory": "160beb6121fdd76a72483ca3767a549d",
+    "tag_soup/rebuild_directory": "557f3e41f4f165516639adf5411ca192",
+    "cc_pages/extra_blocklist": "afa582285073e142c9749076f37926be",
+    "mega_page/extra_blocklist": "b1ac37d79e3e7f4e06a577b21b1b9325",
+    "tag_soup/extra_blocklist": "7e1e1edea89ca63b6e2183ba2b176f41",
+}
+
+
+def _mode_rows(corpus: str) -> list[tuple]:
+    """(url, html, text) of each page of a golden corpus."""
+    if corpus == "cc_pages":
+        return [(p["url"], p["html"], p["text"]) for p in make_pages_table(64, seed=42, scale=12).to_pylist()]
+    if corpus == "mega_page":
+        page = make_mega_page(seed=42)
+        return [(page["url"], page["html"], page["text"])]
+    return [(f"https://soup.test/{i}", d, None) for i, d in enumerate(make_tag_soup(300, seed=42))]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_MODES))
+def test_golden_mode_hashes(key):
+    corpus, mode = key.split("/")
+    config = MODES[mode]
+    results = [extract_page(url, html, text, config) for url, html, text in _mode_rows(corpus)]
+    assert _digest(results) == GOLDEN_MODES[key]
