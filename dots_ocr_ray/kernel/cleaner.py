@@ -171,48 +171,42 @@ def clean_string_data(data_str: str) -> list[dict] | None:
         return None
 
 
-def remove_duplicate_pairs_and_bboxes(data_list: list[dict]) -> list[dict]:
-    """Repetition dedup (output_cleaner.py:347-416): (category,text)
-    occurring ≥5 times → keep first; identical bbox occurring ≥2 times →
-    keep first; original order preserved.  Returns ``data_list`` itself
-    when nothing repeats."""
-    if not data_list or len(data_list) <= 1:
-        return data_list
-    pairs = [
-        (item["category"], item["text"])
-        if isinstance(item, dict) and "category" in item and "text" in item
-        else None
-        for item in data_list
-    ]
-    bboxes = [
-        tuple(bbox)
-        if isinstance(item, dict) and isinstance(bbox := item.get("bbox"), (list, tuple)) and bbox
-        else None
-        for item in data_list
-    ]
-    pair_counts = Counter(pairs)
-    bbox_counts = Counter(bboxes)
-    pair_counts.pop(None, None)
-    bbox_counts.pop(None, None)
-    if (
-        max(pair_counts.values(), default=0) < PAIR_DUP_THRESHOLD
-        and max(bbox_counts.values(), default=0) < BBOX_DUP_THRESHOLD
-    ):
-        return data_list
-    seen_pairs: set = set()
-    seen_bboxes: set = set()
-    out = []
-    for item, pair, bbox in zip(data_list, pairs, bboxes):
-        repeat = False
-        if pair is not None and pair_counts[pair] >= PAIR_DUP_THRESHOLD:
-            repeat = pair in seen_pairs
-            seen_pairs.add(pair)
-        if bbox is not None and bbox_counts[bbox] >= BBOX_DUP_THRESHOLD:
-            repeat = repeat or bbox in seen_bboxes
-            seen_bboxes.add(bbox)
-        if not repeat:
-            out.append(item)
-    return out
+def remove_duplicate_pairs_and_bboxes(cats: list, texts: list, bboxes: list) -> list[int]:
+    """Repetition dedup (output_cleaner.py:347-416) as keep-indices over
+    parallel columns: a (category, text) pair occurring ≥5 times keeps
+    its first occurrence; a bbox (hashable) occurring ≥2 times keeps its
+    first occurrence; original order preserved."""
+    n = len(texts)
+    # a key seen k times makes its set k-1 smaller than the list, and
+    # pairs are at least as many as texts: when neither set is short
+    # enough no key reaches its threshold (the usual page), no Counter
+    if n - len(set(texts)) < PAIR_DUP_THRESHOLD - 1 and n - len(set(bboxes)) < BBOX_DUP_THRESHOLD - 1:
+        return list(range(n))
+    drop: set[int] = set()
+    for keys, threshold in ((list(zip(cats, texts)), PAIR_DUP_THRESHOLD), (bboxes, BBOX_DUP_THRESHOLD)):
+        counts = Counter(keys)
+        first: dict = {}
+        drop.update(i for i, key in enumerate(keys) if counts[key] >= threshold and first.setdefault(key, i) != i)
+    return [i for i in range(n) if i not in drop]
+
+
+def dedup_items(data_list: list) -> list:
+    """:func:`remove_duplicate_pairs_and_bboxes` over a list of block
+    dicts; returns ``data_list`` itself when nothing repeats.  An item
+    with no category/text pair, or no non-empty list/tuple bbox, gets a
+    key of its own there, which never repeats."""
+    cats, texts, bboxes = [], [], []
+    for item in data_list:
+        if isinstance(item, dict) and "category" in item and "text" in item:
+            cats.append(item["category"])
+            texts.append(item["text"])
+        else:
+            cats.append(None)
+            texts.append(object())
+        bbox = item.get("bbox") if isinstance(item, dict) else None
+        bboxes.append(tuple(bbox) if isinstance(bbox, (list, tuple)) and bbox else object())
+    keep = remove_duplicate_pairs_and_bboxes(cats, texts, bboxes)
+    return data_list if len(keep) == len(data_list) else [data_list[i] for i in keep]
 
 
 def clean_model_output(model_output) -> list[dict]:
@@ -228,7 +222,7 @@ def clean_model_output(model_output) -> list[dict]:
         # crashes downstream; we contain them at the source instead)
         cleaned = [c for c in (cleaned or []) if isinstance(c, dict)]
         if cleaned:
-            cleaned = remove_duplicate_pairs_and_bboxes(cleaned)
+            cleaned = dedup_items(cleaned)
         return cleaned or []
     except Exception:
         return []

@@ -19,18 +19,22 @@ deterministic — the distributed pipeline and the single-process oracle
 both call :func:`extract_page`.
 
 The benchmark's traced run (``perfbench/spans.py``) times each kernel
-phase by replacing a name in this module's globals, so
-:func:`extract_page` must keep calling ``segment_html``,
-``prune_boilerplate``, ``remove_duplicate_pairs_and_bboxes`` and
-``strip_tags`` through them (and the stage must keep calling
-``extract_page`` through ``stages.extract_stage``'s globals, once per
-row, with its flat span lists as the ``columns`` keyword).
-``tests/test_trace_hooks.py`` fails when one is renamed or bypassed.
+phase by replacing a name in this module's globals.  The phases pass
+span columns (parallel lists: category, bbox tuple, text, ...), not a
+dict per block, and :func:`extract_page` must keep calling
+``segment_html``, ``prune_boilerplate`` (once per page with html each),
+``remove_duplicate_pairs_and_bboxes`` and ``strip_tags`` through those
+globals.  The stage must keep calling ``extract_page`` through
+``stages.extract_stage``'s globals, once per row, with its flat span
+columns as ``columns``; a dict per span is built only without them (the
+oracle's API).  ``tests/test_trace_hooks.py`` fails when one is renamed
+or bypassed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from dots_ocr_ray.kernel.cleaner import remove_duplicate_pairs_and_bboxes
 from dots_ocr_ray.kernel.headings import rebuild_directory_by_toc
@@ -77,10 +81,6 @@ def _decode_html(html: bytes | str | None) -> str:
     return html.lstrip("﻿")
 
 
-def _intersects(b, g) -> bool:
-    return not (b[2] <= g[0] or g[2] <= b[0] or b[3] <= g[1] or g[3] <= b[1])
-
-
 def extract_page(
     url: str,
     html: bytes | str | None,
@@ -93,29 +93,34 @@ def extract_page(
     ``{url, extracted_text, extracted_text_nohf, spans, status}`` where
     spans carry char_start/char_end offsets into ``extracted_text``.
 
-    With ``columns`` (five lists: category, bbox, char_start, char_end,
-    text) each span's fields are appended there instead and ``spans`` is
-    None (:func:`~dots_ocr_ray.kernel.serialize.serialize_spans`)."""
+    With ``columns`` (five lists: category, bbox ints, char_start,
+    char_end, text) each span's fields are appended there instead and
+    ``spans`` is None (:func:`~dots_ocr_ray.kernel.serialize.serialize_spans`)."""
     html_text = _decode_html(html)
-    spans: list[dict] = []
+    has_html = bool(html_text.strip())
+    spans = None  # (categories, bboxes, texts)
     status = STATUS_FINISHED
 
     if config.mode == MODE_TEXT_ONLY:
         # prompt_ocr analog: whole-page text, no layout.
-        page_text = strip_tags(html_text) if html_text.strip() else fold_newlines(text or "")
+        page_text = strip_tags(html_text) if has_html else fold_newlines(text or "")
         if page_text:
-            spans = [_full_page_span(page_text)]
+            spans = _full_page_span(page_text)
         else:
             status = STATUS_FAILED
     else:
-        try:
-            candidates = segment_html(html_text, config.extra_blocklist) if html_text.strip() else []
-            content = prune_boilerplate(candidates, config.extra_blocklist)
-        except Exception:
-            content = []
-        if config.mode == MODE_GROUNDING and config.grounding_bbox is not None:
-            content = [s for s in content if _intersects(s["bbox"], config.grounding_bbox)]
-        if content:
+        content = None
+        if has_html:
+            try:
+                content = segment_html(html_text, config.extra_blocklist)
+                content = prune_boilerplate(content, config.extra_blocklist)
+            except Exception:
+                content = None
+        if content and config.mode == MODE_GROUNDING and config.grounding_bbox is not None:
+            g = config.grounding_bbox
+            keep = [not (b[2] <= g[0] or g[2] <= b[0] or b[3] <= g[1] or g[3] <= b[1]) for b in content[1]]
+            content = tuple(list(compress(col, keep)) for col in content)
+        if content and content[0]:
             spans = _finalize_spans(content, config)
         else:
             # tier 2: fallback ladder (inference.py:235-253 analog).
@@ -123,18 +128,18 @@ def extract_page(
             if not fallback_text:
                 fallback_text = fold_newlines(text or "")
             if fallback_text:
-                spans = [_full_page_span(fallback_text)]
+                spans = _full_page_span(fallback_text)
                 status = STATUS_FALLBACK
             else:
                 status = STATUS_FAILED
 
+    cats, bboxes, texts = spans or ([], [], [])
     if config.mode == MODE_LAYOUT_ONLY:
         # detection-only mode: keep categories/bboxes, blank the text
         # (prompt_layout_only_en analog).
-        for s in spans:
-            s["text"] = ""
+        texts = [""] * len(texts)
 
-    extracted, extracted_nohf, out_spans = serialize_spans(spans, columns)
+    extracted, extracted_nohf, out_spans = serialize_spans(cats, bboxes, texts, columns)
     return {
         "url": url,
         "extracted_text": extracted,
@@ -144,51 +149,38 @@ def extract_page(
     }
 
 
-def _full_page_span(page_text: str) -> dict:
+def _full_page_span(page_text: str) -> tuple[list, list, list]:
     """One whole-page Text span — how the reference wraps its fallback
     result (inference.py:245-253: single cell covering the page)."""
-    return {
-        "category": "Text",
-        "bbox": [0, 0, max(1, len(page_text)), 1],
-        "text": page_text,
-        "link_density": 0.0,
-        "classes": "",
-        "alt": "",
-    }
+    return ["Text"], [(0, 0, max(1, len(page_text)), 1)], [page_text]
 
 
-def _finalize_spans(content: list[dict], config: ExtractConfig) -> list[dict]:
+def _finalize_spans(content: tuple[list, ...], config: ExtractConfig) -> tuple[list, list, list]:
     """Tier-1 span post-processing in the reference's order
     (post_process_output, layout_utils.py:206-262): dedup → heading
     rebuild; order preserved throughout."""
+    cats, bboxes, texts, _, _, alts = content
     if config.describe_pictures:
-        for s in content:
-            if s["category"] == "Picture" and s.get("alt"):
-                s["text"] = s["alt"]
+        texts = [alt if alt and cat == "Picture" else t for cat, t, alt in zip(cats, texts, alts)]
     # D1/D2 repetition dedup with the reference thresholds (≥5 identical
     # (category,text) pairs; ≥2 identical bboxes).
-    spans = remove_duplicate_pairs_and_bboxes(content)
+    keep = remove_duplicate_pairs_and_bboxes(cats, texts, bboxes)
+    if len(keep) < len(cats):
+        cats, bboxes, texts = ([col[i] for i in keep] for col in (cats, bboxes, texts))
     if config.rebuild_directory:
-        toc = _outline_from_spans(spans)
         try:
-            rebuild_directory_by_toc(spans, toc)
+            rebuild_directory_by_toc(cats, bboxes, texts, _outline_from_spans(cats, bboxes, texts))
         except Exception:
             pass  # reference continues on rebuild errors (layout_utils.py:258-260)
-    return spans
+    return cats, bboxes, texts
 
 
-def _outline_from_spans(spans: list[dict]) -> list[dict]:
+def _outline_from_spans(cats: list, bboxes: list, texts: list) -> list[dict]:
     """The HTML analog of the PDF TOC (pdf_extractor.py:94-121): the
     document's own heading outline.  Title → level 1, Section-header →
-    2..6 by order of first appearance of each distinct text."""
-    toc = []
-    for s in spans:
-        if s["category"] == "Title":
-            level = 1
-        elif s["category"] == "Section-header":
-            level = 2
-        else:
-            continue
-        x1, y1, x2, y2 = s["bbox"]
-        toc.append({"level": level, "text": s.get("text", ""), "to": [x1, y1]})
-    return toc
+    level 2."""
+    return [
+        {"level": 1 if cat == "Title" else 2, "text": text, "to": [bbox[0], bbox[1]]}
+        for cat, bbox, text in zip(cats, bboxes, texts)
+        if cat == "Title" or cat == "Section-header"
+    ]

@@ -14,12 +14,12 @@ scale.  It is one loop over one token regex with no per-block objects
 or closures, and it reads attributes, self-closing slashes and entities
 only when a decision needs them.  A plain leaf block (an attribute-less
 lowercase ``<p>``, ``<li>`` or ``<h1>``-``<h6>`` whose text holds no
-``<``) is one token: open tag, text and close tag in one loop turn.  On
-the benchmark's ``cc_pages`` job (``python3 perfbench/run.py --trace 1
---seed 7``, ``nproc`` 1, shared 4-vCPU VM, median of 3 alternating
-runs), taking those blocks whole, with the stage's span columns, took
-the traced ``kernel.segment_html_s`` from 0.377 s to 0.248 s per job
-and ``kernel.extract_page_s`` from 0.628 s to 0.443 s.
+``<``) is one token: open tag, text and close tag in one loop turn.
+Blocks leave as six parallel span columns, not one dict per block:
+on the benchmark's traced ``cc_pages`` job (``python3 perfbench/run.py
+--trace 1``, seeds 7-9, Ray on 1 CPU of a shared VM, medians of 3
+parent/change pairs) that took ``kernel.segment_html_s`` from 0.186 to
+0.150 s per job and ``kernel.prune_boilerplate_s`` from 0.013 to 0.009 s.
 
 Determinism: pure function of the input string; tolerant of
 unclosed/truncated/malformed markup (a lone ``<`` is text, an unclosed
@@ -29,8 +29,10 @@ stance (output_cleaner.py).
 
 from __future__ import annotations
 
+import functools
 import html as html_mod
 import re
+from itertools import compress
 
 from dots_ocr_ray.kernel.textops import fold_newlines
 
@@ -106,9 +108,6 @@ def _classes_and_alt(attr_str: str) -> tuple[str, str]:
 
 def _decode_text(raw: str) -> str:
     return html_mod.unescape(raw) if "&" in raw and _HAS_ENTITY.search(raw) else raw
-
-
-import functools
 
 
 @functools.lru_cache(maxsize=64)
@@ -249,26 +248,27 @@ def _scan(html_text: str, extra_re=None) -> list[tuple]:
     return blocks
 
 
-def segment_html(html_text: str, extra_blocklist: tuple[str, ...] = ()) -> list[dict]:
+def segment_html(html_text: str, extra_blocklist: tuple[str, ...] = ()) -> tuple[list, ...]:
     """Segment an HTML document into category-labeled candidate blocks.
 
-    Returns span dicts ``{category, bbox, text, link_density, classes}``
-    in DOM order.  bbox is a deterministic source-position box
-    ``[col, line, col+len(text), line+1]``.  ``extra_blocklist`` extends
-    the boilerplate class blocklist per run (compiled once per process).
-    No pruning here — see :func:`prune_boilerplate`.
+    Returns six parallel lists, one entry per block in DOM order:
+    category, bbox, text, link density, classes and alt.  bbox is a
+    deterministic source-position box ``(col, line, col+len(text),
+    line+1)``.  ``extra_blocklist`` extends the boilerplate class
+    blocklist per run (compiled once per process).  No pruning here —
+    see :func:`prune_boilerplate`.
     """
     try:
         blocks = _scan(html_text, _extra_blocklist_re(extra_blocklist))
     except Exception:
         # guarantee no-raise regardless (repair-don't-crash stance)
         blocks = []
+    cats, bboxes, texts, link_density, classes_col, alts = columns = ([], [], [], [], [], [])
     # blocks start in increasing offset order: count the newlines since
     # the previous block for the 1-based line, and keep the last one for
     # the column
     line, last_nl, prev = 1, -1, 0
     count, rfind = html_text.count, html_text.rfind
-    spans: list[dict] = []
     for category, start, classes, payload, link in blocks:
         k = count("\n", prev, start)
         if k:
@@ -276,7 +276,7 @@ def segment_html(html_text: str, extra_blocklist: tuple[str, ...] = ()) -> list[
             last_nl = rfind("\n", prev, start)
         prev = start
         alt = ""
-        link_density = 0.0
+        ld = 0.0
         if category == "Table":
             text = " ".join(payload)
         elif category == "Picture":
@@ -286,38 +286,35 @@ def segment_html(html_text: str, extra_blocklist: tuple[str, ...] = ()) -> list[
             raw = "".join(payload)
             text = fold_newlines(_decode_text(raw))
             if link:
-                link_density = link / len(raw)
+                ld = link / len(raw)
         col = start - last_nl - 1
-        spans.append(
-            {
-                "category": category,
-                "bbox": [col, line, col + (len(text) or 1), line + 1],
-                "text": text,
-                "link_density": link_density,
-                "classes": classes,
-                "alt": alt,
-            }
-        )
-    return spans
+        cats.append(category)
+        bboxes.append((col, line, col + (len(text) or 1), line + 1))
+        texts.append(text)
+        link_density.append(ld)
+        classes_col.append(classes)
+        alts.append(alt)
+    return columns
 
 
-def prune_boilerplate(spans: list[dict], extra_blocklist: tuple[str, ...] = ()) -> list[dict]:
-    """Trafilatura-style pruning over segmented blocks: blocklisted
-    class/id, high link-density Text/List-item blocks, and empty
-    non-Picture blocks are removed.  Order preserved."""
+def prune_boilerplate(spans: tuple[list, ...], extra_blocklist: tuple[str, ...] = ()) -> tuple[list, ...]:
+    """Trafilatura-style pruning over :func:`segment_html`'s columns:
+    blocklisted class/id, high link-density Text/List-item blocks, and
+    empty non-Picture blocks are removed.  Order preserved; the columns
+    come back unchanged when nothing is removed."""
+    cats, _, texts, link_density, classes, _ = spans
     extra_re = _extra_blocklist_re(extra_blocklist)
-    out = []
-    for s in spans:
-        if s.get("classes") and (
-            BLOCKLIST_RE.search(s["classes"]) or (extra_re and extra_re.search(s["classes"]))
-        ):
-            continue
-        if s["category"] in ("Text", "List-item") and s.get("link_density", 0.0) > LINK_DENSITY_THRESHOLD:
-            continue
-        if s["category"] != "Picture" and not s["text"].strip():
-            continue
-        out.append(s)
-    return out
+    keep = [
+        not (
+            (cls and (BLOCKLIST_RE.search(cls) or (extra_re and extra_re.search(cls))))
+            or (ld > LINK_DENSITY_THRESHOLD and cat in ("Text", "List-item"))
+            or (cat != "Picture" and not text.strip())
+        )
+        for cat, text, ld, cls in zip(cats, texts, link_density, classes)
+    ]
+    if all(keep):
+        return spans
+    return tuple(list(compress(col, keep)) for col in spans)
 
 
 _TAG_STRIP_RE = re.compile(r"<[^>]*>")

@@ -10,6 +10,8 @@ with ``"\n\n"`` in list order.  This join order defines byte-identity.
 from __future__ import annotations
 
 import re
+import struct
+from itertools import starmap
 
 _LATEX_PATTERNS = [
     re.compile(r"\$\$.*?\$\$", re.DOTALL),
@@ -29,6 +31,9 @@ _PREAMBLE_PATTERNS = [
     re.compile(r"\\end\{document\}", re.IGNORECASE),
 ]
 
+# one bbox as the four native C ints of the stage's array("i") column
+_BBOX_BYTES = struct.Struct("4i")
+_PAGE_HF = ("Page-header", "Page-footer")
 _INLINE_FORMULA = re.compile(r"\$([^$]+)\$")
 _BRACKET_DISPLAY = re.compile(r".*\\\[.*\\\].*")
 
@@ -93,50 +98,61 @@ def spans_to_markdown(spans: list[dict], no_page_hf: bool = False) -> str:
     Picture adds an empty item, so the ``"\n\n"`` join reproduces the
     reference byte-for-byte.
     """
-    items: list[str] = []
-    for span in spans:
-        text = span.get("text", "") or ""
-        category = span.get("category", "Text")
-        if no_page_hf and category in ("Page-header", "Page-footer"):
-            continue
-        elif category == "Formula":
-            items.append(get_formula_in_markdown(text))
-        else:
-            items.append(clean_text(text))
-    return "\n\n".join(items)
+    cats = [span.get("category", "Text") for span in spans]
+    return _markdowns(cats, [span.get("text", "") or "" for span in spans])[2 if no_page_hf else 1]
 
 
-def serialize_spans(spans: list[dict], columns: tuple[list, ...] | None = None) -> tuple[str, str, list[dict] | None]:
-    """One walk over spans in reading order → ``(markdown, markdown
-    without Page-header/Page-footer, output spans)``.
+def _markdowns(cats: list, texts: list) -> tuple[list, str, str]:
+    """Each span's item, the items joined, and the items of all but
+    Page-header/Page-footer joined."""
+    # clean_text is a plain strip unless an item starts with "`$"; a
+    # Formula goes through its own normalizer
+    items = list(map(str.strip, texts))
+    markdown = "\n\n".join(items)
+    if "Formula" in cats or "`$" in markdown:
+        items = [get_formula_in_markdown(t) if c == "Formula" else clean_text(t) for c, t in zip(cats, texts)]
+        markdown = "\n\n".join(items)
+    nohf = markdown
+    if "Page-header" in cats or "Page-footer" in cats:
+        nohf = "\n\n".join([item for c, item in zip(cats, items) if c not in _PAGE_HF])
+    return items, markdown, nohf
 
-    The two markdowns are byte-equal to :func:`spans_to_markdown` with
-    and without ``no_page_hf``; each output span is ``{category, bbox,
-    char_start, char_end, text}`` with the offsets of its item in the
-    first markdown.  The bbox list is passed through, not copied.  With
-    ``columns`` (five lists, one per field in that order) each span's
-    fields are appended there instead, the bbox as its four ints, and
-    the third result is None."""
-    items: list[str] = []
-    nohf: list[str] = []
-    out = [] if columns is None else None
-    cats, bboxes, starts, ends, texts = columns or ((),) * 5
+
+def serialize_spans(
+    cats: list, bboxes: list, texts: list, columns: tuple | None = None
+) -> tuple[str, str, list[dict] | None]:
+    """Span columns in reading order → ``(markdown, markdown without
+    Page-header/Page-footer, output spans)``, the markdowns byte-equal
+    to :func:`spans_to_markdown`'s.
+
+    Each output span is ``{category, bbox, char_start, char_end, text}``
+    with the offsets of its item in the first markdown.  With
+    ``columns`` (category, bbox, char_start, char_end and text; the bbox
+    one an ``array("i")``, the others lists) the spans' fields are
+    appended there instead, each bbox as its four ints, and the third
+    result is None: no dict is built per span.  With the dedup's
+    keep-indices on the same columns, that took the traced ``cc_pages``
+    rows ``kernel.self_s`` from 0.049 to 0.041 s and ``kernel.dedup_s``
+    from 0.041 to 0.013 s per job (measured as in the html_parse
+    module docstring)."""
+    items, markdown, nohf = _markdowns(cats, texts)
+    # item k spans [its start, + its length); "\n\n" joins the items
+    starts, ends = ([], []) if columns is None else columns[2:4]
+    add_start, add_end = starts.append, ends.append
     pos = 0
-    for span in spans:
-        text = span.get("text", "") or ""
-        category = span.get("category", "Text")
-        item = get_formula_in_markdown(text) if category == "Formula" else clean_text(text)
-        items.append(item)
-        if category not in ("Page-header", "Page-footer"):
-            nohf.append(item)
-        end = pos + len(item)
-        if out is None:
-            cats.append(category)
-            bboxes.extend(span["bbox"])
-            starts.append(pos)
-            ends.append(end)
-            texts.append(text)
-        else:
-            out.append({"category": category, "bbox": span["bbox"], "char_start": pos, "char_end": end, "text": text})
-        pos = end + 2  # the "\n\n" joiner
-    return "\n\n".join(items), "\n\n".join(nohf), out
+    for item in items:
+        add_start(pos)
+        pos += len(item)
+        add_end(pos)
+        pos += 2
+    if columns is not None:
+        f_cat, f_bbox, _, _, f_text = columns
+        f_cat.extend(cats)
+        f_bbox.frombytes(b"".join(starmap(_BBOX_BYTES.pack, bboxes)))
+        f_text.extend(texts)
+        return markdown, nohf, None
+    out = [
+        {"category": c, "bbox": list(b), "char_start": s, "char_end": e, "text": t}
+        for c, b, s, e, t in zip(cats, bboxes, starts, ends, texts)
+    ]
+    return markdown, nohf, out

@@ -25,11 +25,13 @@ move downstream.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray.data
 
@@ -82,8 +84,6 @@ def _shard_record_batches(path: str, batch_size: int, row_groups: list[int] | No
     unit); ``*.warc`` / ``*.warc.gz`` shards stream through the
     pure-Python WARC walker (sources/warc.py) — the flagship's
     partition == input-shard layout is format-agnostic."""
-    import pyarrow.parquet as pq
-
     cols = ["url", "html", "text", "lang"]
     if path.endswith((".warc", ".warc.gz")):
         from dots_ocr_ray.sources.warc import _warc_file_batches
@@ -105,8 +105,6 @@ def _shard_units(shard_files: list[str], max_rows_per_task: int | None) -> list[
     compressed column chunks), the weight the task planner packs by.
     Unit ids (= partition ids) depend only on the file list and the
     split threshold, so resume stays exact."""
-    import pyarrow.parquet as pq
-
     from dots_ocr_ray.util import file_sizes
 
     units: list[tuple[str, list[int] | None, int]] = []
@@ -155,12 +153,18 @@ def _process_one_shard(
 
     t0 = time.perf_counter()
     extractor = ExtractorActor(config=config, partition_id=shard)
-    # the md5 of the unit's extracted_text values joined, one batch at a time
+    # the md5 of the unit's extracted_text values joined, one batch at a
+    # time: the utf-8 bytes between each chunk's first and last offsets
     content = hashlib.md5()
     outs = []
     for batch in _shard_record_batches(path, batch_size, row_groups):
         outs.append(extractor(batch))
-        content.update("".join(outs[-1].column("extracted_text").to_pylist()).encode("utf-8"))
+        for chunk in outs[-1].column("extracted_text").chunks:
+            if not len(chunk):
+                continue
+            _, offsets, data = chunk.buffers()
+            offsets = memoryview(offsets).cast("i")
+            content.update(memoryview(data)[offsets[chunk.offset] : offsets[chunk.offset + len(chunk)]])
     group = pa.concat_tables(outs) if outs else RESULT_SCHEMA.empty_table()
     status = group.column("status")
     counts = {c: pc.sum(pc.equal(status, s)).as_py() or 0 for c, s in _STATUS_COUNTS.items()}
@@ -188,7 +192,14 @@ def _run_shard_task(
     """map_batches wrapper around :func:`_process_one_shard`, one call
     per packed block, looping over its units (module-level so Ray
     pickles it by reference and worker processes keep the imported
-    module warm across tasks)."""
+    module warm across tasks).
+
+    The first call in a worker process freezes the garbage collector's
+    view of everything imported so far (Ray, pyarrow, the package): the
+    span lists each page builds start collections, and a full collection
+    would otherwise walk those ~100k long-lived objects every time."""
+    if not gc.get_freeze_count():
+        gc.freeze()
     rows = [
         _process_one_shard(u["shard"], u["path"], out_dir, config, batch_size, u["row_groups"])
         for u in batch.to_pylist()

@@ -76,11 +76,11 @@ def _page_blocks(url: str, html) -> tuple[str, list[tuple[str, str]]]:
         text = html or ""
     m = _HOST_RE.match(url or "")
     host = m.group(1) if m else ""
-    spans = prune_boilerplate(segment_html(text))
+    cats, _, texts, *_ = prune_boilerplate(segment_html(text))
     # Picture blocks have empty text and would all collide per host —
     # media is never template-stripped here (a frequency rule on empty
     # strings says nothing about chrome)
-    return host, [(s["category"], s["text"]) for s in spans if s["category"] != "Picture"]
+    return host, [(c, t) for c, t in zip(cats, texts) if c != "Picture"]
 
 
 def _block_keys(host: str, blocks: list[tuple[str, str]]) -> np.ndarray:

@@ -57,21 +57,19 @@ class PictureDescribeActor:
         urls = batch.column("url").to_pylist()
         new_spans, new_md, new_nohf = [], [], []
         for url, spans in zip(urls, spans_col):
-            spans = [dict(s) for s in (spans or [])]
-            changed = False
-            for i, s in enumerate(spans):
-                if s["category"] in self.categories and (
-                    self.overwrite or not (s.get("text") or "")
-                ):
-                    s["text"] = self.caption_fn(f"{url}#{i}")
-                    changed = True
-            if changed:
-                # the kernel's own serialize walk: markdown and offsets
+            spans = spans or []
+            cats = [s["category"] for s in spans]
+            texts = [s.get("text") or "" for s in spans]
+            hits = [
+                i for i, (c, t) in enumerate(zip(cats, texts)) if c in self.categories and (self.overwrite or not t)
+            ]
+            for i in hits:
+                texts[i] = self.caption_fn(f"{url}#{i}")
+            md = nohf = None
+            if hits:
+                # the kernel's own serialize step: markdown and offsets
                 # can never drift from what extract_page wrote
-                md, nohf, spans = serialize_spans(spans)
-            else:
-                md = None
-                nohf = None
+                md, nohf, spans = serialize_spans(cats, [s["bbox"] for s in spans], texts)
             new_spans.append(spans)
             new_md.append(md)
             new_nohf.append(nohf)

@@ -16,6 +16,8 @@ out so downstream blocks stay small.
 
 from __future__ import annotations
 
+from array import array
+
 import pyarrow as pa
 
 from dots_ocr_ray.kernel.extract import ExtractConfig, extract_page
@@ -60,12 +62,12 @@ class ExtractorActor:
         langs = batch.column("lang").to_pylist() if "lang" in batch.column_names else [""] * len(urls)
 
         rows = []  # (extracted_text, extracted_text_nohf, status, n_spans)
-        # spans go into FLAT column lists (category, bbox, char_start,
-        # char_end, text) that the built-in kernel's serialize walk fills
-        # itself (extract_page's ``columns``): a dict per span, or
-        # pa.array over list-of-list-of-dicts (measured 10x slower than
-        # the whole kernel), is never built
-        cols = ([], [], [], [], [])
+        # spans go into FLAT columns (category, bbox ints, char_start,
+        # char_end, text) that the built-in kernel's serialize step
+        # extends itself (extract_page's ``columns``), the bbox ints in a
+        # C int buffer that becomes the bbox child array without a copy
+        # (traced cc_pages stages.arrow_build_s 0.037 -> 0.026 s per job)
+        cols = ([], array("i"), [], [], [])
         f_cat, f_bbox, f_start, f_end, f_text = cols
         span_offsets = [0]
         for url, html, text in zip(urls, htmls, texts):
@@ -95,7 +97,8 @@ class ExtractorActor:
             span_offsets.append(len(f_cat))
 
         text_v, nohf_v, status_v, n_spans = zip(*rows) if rows else ((),) * 4
-        bbox_child = pa.FixedSizeListArray.from_arrays(pa.array(f_bbox, type=pa.int32()), 4)
+        bbox_ints = pa.Array.from_buffers(pa.int32(), len(f_bbox), [None, pa.py_buffer(f_bbox)])
+        bbox_child = pa.FixedSizeListArray.from_arrays(bbox_ints, 4)
         span_struct = pa.StructArray.from_arrays(
             [
                 pa.array(f_cat, type=pa.string()),

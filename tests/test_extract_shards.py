@@ -197,3 +197,57 @@ def test_packed_job_many_small_shards(ray_session, tmp_path):
         assert os.path.getmtime(os.path.join(out_dir, f"part-{p:05d}.parquet")) == mtime
     assert completed_partitions(out_dir) == set(range(20))
     assert _read_out(out_dir).equals(full)
+
+
+def test_marker_content_md5_is_the_units_texts(ray_session, shard_files, tmp_path):
+    """A unit's marker carries the md5 of its extracted_text values
+    joined, in part-file order."""
+    import hashlib
+
+    from dots_ocr_ray.state.manifest import read_marker
+
+    files, _ = shard_files
+    out_dir = str(tmp_path / "out")
+    extract_shards(files, out_dir)
+    for p in range(len(files)):
+        texts = pq.read_table(os.path.join(out_dir, f"part-{p:05d}.parquet")).column("extracted_text").to_pylist()
+        assert read_marker(out_dir, p)["content_md5"] == hashlib.md5("".join(texts).encode("utf-8")).hexdigest()
+
+
+def test_worker_heap_frozen_after_one_shard_task(ray_session, shard_files, tmp_path):
+    """The first shard task in a Ray worker freezes the collector's view
+    of its imports (Ray, pyarrow, the package); the worker setup hook
+    stays a by-value closure that loads where the package does not."""
+    import subprocess
+    import sys
+
+    import ray
+    from ray import cloudpickle
+
+    import dots_ocr_ray.pipelines.extract as px
+    from dots_ocr_ray.kernel.extract import ExtractConfig
+    from dots_ocr_ray.util import make_quiet_hook
+
+    @ray.remote(num_cpus=1)
+    def one_shard_task(path, out_dir):
+        import gc
+
+        work = pa.table({"shard": [0], "path": [path], "row_groups": pa.array([None], pa.list_(pa.int64()))})
+        px._run_shard_task(work, out_dir=out_dir, config=ExtractConfig(), batch_size=8)
+        return gc.get_freeze_count()
+
+    files, _ = shard_files
+    assert ray.get(one_shard_task.remote(files[0], str(tmp_path / "out"))) >= 100_000
+
+    load = "import pickle, sys; pickle.loads(sys.stdin.buffer.read())(); print('ok')"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", load],
+        input=cloudpickle.dumps(make_quiet_hook()),
+        cwd=str(tmp_path),
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "ok"

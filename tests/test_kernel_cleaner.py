@@ -11,6 +11,7 @@ from dots_ocr_ray.kernel.cleaner import (
     clean_model_output,
     clean_string_data,
     dedup_dict_substrings,
+    dedup_items,
     ensure_json_format,
     fix_missing_delimiters,
     remove_duplicate_pairs_and_bboxes,
@@ -86,9 +87,9 @@ def test_pair_dedup_threshold_is_five():
     four = [dict(_cell(i), text="same") for i in range(4)]
     for i, c in enumerate(four):
         c["bbox"] = [i, 0, i + 1, 1]
-    assert remove_duplicate_pairs_and_bboxes(list(four)) == four  # 4 < 5 → kept
+    assert dedup_items(list(four)) == four  # 4 < 5 → kept
     five = four + [{"bbox": [9, 0, 10, 1], "category": "Text", "text": "same"}]
-    out = remove_duplicate_pairs_and_bboxes(five)
+    out = dedup_items(five)
     assert len(out) == 1 and out[0] == five[0]  # first occurrence kept
 
 
@@ -96,8 +97,21 @@ def test_bbox_dedup_threshold_is_two():
     a = {"bbox": [0, 0, 5, 5], "category": "Text", "text": "x"}
     b = {"bbox": [0, 0, 5, 5], "category": "Title", "text": "y"}
     c = {"bbox": [9, 9, 10, 10], "category": "Text", "text": "z"}
-    out = remove_duplicate_pairs_and_bboxes([a, b, c])
+    out = dedup_items([a, b, c])
     assert out == [a, c]
+
+
+def test_dedup_keep_indices_over_columns():
+    """The one dedup body: keep-indices over parallel category, text and
+    bbox columns, as the kernel calls it with its span columns."""
+    cats = ["Text"] * 6 + ["Title"]
+    texts = ["same"] * 5 + ["other", "same"]
+    bboxes = [(i, 0, i + 1, 1) for i in range(5)] + [(0, 0, 1, 1), (9, 9, 9, 9)]
+    # pair 0 kept of its five; the bbox of 5 repeats 0's; a Title "same"
+    # is another pair
+    assert remove_duplicate_pairs_and_bboxes(cats, texts, bboxes) == [0, 6]
+    assert remove_duplicate_pairs_and_bboxes(cats[4:], texts[4:], bboxes[4:]) == [0, 1, 2]
+    assert remove_duplicate_pairs_and_bboxes([], [], []) == []
 
 
 def test_clean_model_output_never_raises():
@@ -144,6 +158,6 @@ _ITEMS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_ITEMS, max_size=14))
 def test_dedup_matches_position_reference(items):
-    out = remove_duplicate_pairs_and_bboxes(items)
+    out = dedup_items(items)
     expected = _dedup_by_positions(items)
     assert [id(x) for x in out] == [id(x) for x in expected]

@@ -29,8 +29,7 @@ HTML = b"""<html><head><title>t</title><style>p{}</style></head><body>
 
 
 def test_segment_categories_and_order():
-    spans = prune_boilerplate(segment_html(HTML.decode()))
-    cats = [s["category"] for s in spans]
+    cats, _, texts, *_ = prune_boilerplate(segment_html(HTML.decode()))
     assert cats == [
         "Page-header",
         "Title",
@@ -46,9 +45,9 @@ def test_segment_categories_and_order():
         "Page-footer",
     ]
     # nav link farm and cookie banner pruned
-    assert not any("cookie" in (s["text"] or "").lower() for s in spans)
-    table = [s for s in spans if s["category"] == "Table"][0]
-    assert table["text"].startswith("<table>") and "</table>" in table["text"]
+    assert not any("cookie" in (t or "").lower() for t in texts)
+    table = texts[cats.index("Table")]
+    assert table.startswith("<table>") and "</table>" in table
 
 
 def test_extract_finished_and_nohf():
@@ -305,7 +304,8 @@ _LEAF_CASES = {
 @pytest.mark.parametrize("case", sorted(_LEAF_CASES))
 def test_scan_leaf_block_spans(case):
     html, expected = _LEAF_CASES[case]
-    got = [(s["category"], s["bbox"], s["text"], s["link_density"]) for s in segment_html(html)]
+    cats, bboxes, texts, link_density, _, _ = segment_html(html)
+    got = list(zip(cats, map(list, bboxes), texts, link_density))
     assert got == expected
 
 

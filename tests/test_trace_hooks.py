@@ -66,11 +66,12 @@ def test_kernel_layers_recorded(patched_namespaces):
     ):
         assert name in names, name
     # the stage's column path still makes one kernel call per row, and
-    # the kernel one segmentation per row with html
+    # the kernel one segmentation and one prune per row with html
     with_html = sum(1 for h in pages.column("html").to_pylist() if h and h.strip())
     assert 0 < with_html < pages.num_rows
     assert names.count("kernel.extract_page") == pages.num_rows
     assert names.count("kernel.segment_html") == with_html
+    assert names.count("kernel.prune_boilerplate") == with_html
 
 
 def test_shard_task_layers_recorded(patched_namespaces, tmp_path):
