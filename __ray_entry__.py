@@ -489,8 +489,7 @@ def _q_merge_docs(sf_dir: str):
 
 def _q_docs_outside_blocklist(sf_dir: str):
     """Broadcast ANTI-join: drop documents whose (synthetic) domain is
-    on a blocklist — the exact small-side anti-join surface (the Bloom
-    variant in functions/bloom.py is its approximate sibling)."""
+    on a blocklist — the exact small-side anti-join surface."""
     import pyarrow as pa
 
     import ray
@@ -2724,12 +2723,10 @@ def _q_event_funnel(sf_dir: str):
 def _q_shipping_priority(sf_dir: str):
     """TPC-H Q3 shape: three-table join (customer segment filter →
     orders semi-join → lineitem revenue rollup).  The segment filter
-    is the BUDGETED semi-join tier (sorted-array broadcast under the
-    driver limit; EXACT Bloom-prefilter + hash semi-join above it,
-    because this filter defines the output — dedup.semi_join_ids
-    (exact=True)); lineitem is pre-filtered to the surviving order
-    keys by the SAME budgeted semi-join BEFORE any rollup (two-sided
-    Q3 pushdown), the per-order revenue reduces through ONE
+    is the exact semi-join dedup.semi_join_ids (hash_join's sorted-id
+    broadcast under the size rule, one keyed exchange above it);
+    lineitem is pre-filtered to the surviving order keys by the SAME
+    semi-join BEFORE any rollup (two-sided Q3 pushdown), the per-order revenue reduces through ONE
     bucket-keyed exchange with a vectorized lexsort+reduceat fold
     (Python cost O(buckets), not O(orders) — the native per-key Sum
     measured ~6 s at 150k orders; cent-scale integer quantities make
@@ -2806,19 +2803,15 @@ def _q_shipping_priority(sf_dir: str):
         customer.map_batches(_building, batch_format="pyarrow"),
         id_col="o_custkey",
         id_cols=("c_custkey",),
-        exact=True,  # output-defining filter: Bloom over-keep would
-        # admit non-BUILDING orders into the revenue at >2M customers
     ).materialize()
 
     # two-sided pushdown: only lineitems of surviving orders enter the
-    # revenue rollup (same budgeted exact semi-join tiering — sorted
-    # int64 broadcast under the limit, Bloom+hash semi-join above)
+    # revenue rollup (the same exact semi-join)
     lineitem_kept = semi_join_ids(
         lineitem.map_batches(_rev_rows, batch_format="pyarrow"),
         orders_building,
         id_col="l_orderkey",
         id_cols=("o_orderkey",),
-        exact=True,
     )
     revenue = bucket_exchange(lineitem_kept, "l_orderkey", _rev_reduce, num_buckets=64)
 
@@ -6973,10 +6966,10 @@ def _q_sitemap_gap(sf_dir: str):
     sitemap fixture but never crawled.  The declared side re-reads and
     re-parses the `sitemap_urls` XML shards; the crawled side is the
     corpus minus the planted-uncrawled docs (``doc_id % 9 == 5``);
-    both sides key by a 63-bit url hash and the filter runs the
-    budgeted EXACT anti-join tier (pipelines/dedup.py:anti_join_ids —
-    broadcast array under the limit, Bloom-prefilter + exact hash
-    anti-join above it).  Oracle: the membership arithmetic in SQL."""
+    both sides key by a 63-bit url hash and the filter runs the EXACT
+    anti-join (pipelines/dedup.py:anti_join_ids — hash_join's sorted
+    broadcast when the keys fit, one keyed exchange above).  Oracle:
+    the membership arithmetic in SQL."""
     import pyarrow as pa
 
     import ray.data
@@ -7018,8 +7011,8 @@ def _q_sitemap_gap(sf_dir: str):
 
 def hash_url(url: str) -> int:
     """Deterministic 63-bit url key (blake2b) — the anti-join id for
-    string keys (dedup.anti_join_ids wants int64 ids at scale; hashing
-    beats shipping full urls through the Bloom tier)."""
+    string keys (dedup.anti_join_ids takes int64 ids; 8 bytes a key
+    beat shipping full urls through the join)."""
     import hashlib as _hashlib
 
     return int.from_bytes(

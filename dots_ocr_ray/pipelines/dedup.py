@@ -26,8 +26,8 @@ Scale notes (single-node test, multi-node design):
   instead candidate pairs are verified AFTER the bucket stage against
   the signature side-table, which is first cut to candidate endpoints
   (:func:`filter_payload_to_pair_endpoints`) and then joined to the
-  pairs (:func:`attach_pair_payloads`: budgeted broadcast dict, or the
-  fully distributed two-exchange join above the budget).
+  pairs (:func:`attach_pair_payloads`: two ``hash_join`` calls, each a
+  broadcast when the side fits and one keyed exchange above).
 - candidate-pair volume is tamed twice: star-linking caps hot buckets
   at O(n), and :func:`distinct_pairs` collapses cross-band duplicates
   with a sort + vectorized per-block unique (duplicate pairs are
@@ -255,47 +255,6 @@ def _int_col(batch: pa.Table, name: str) -> np.ndarray:
     return batch.column(name).to_numpy(zero_copy_only=False).astype(np.int64)
 
 
-def build_bloom_distributed(
-    ids_ds: ray.data.Dataset,
-    id_cols: tuple[str, ...],
-    *,
-    capacity: int,
-    fp_rate: float = 0.001,
-):
-    """Distributed Bloom build: per-batch PARTIAL filters with shared
-    bit parameters (vectorized splitmix64 int hashing), OR-merged in a
-    log-fan-in tree of map rounds — the sketch-combiner pattern (same
-    as HLL), so the driver never streams the raw keys.  Returns the
-    merged :class:`~dots_ocr_ray.functions.bloom.BloomFilter`."""
-    from dots_ocr_ray.functions.bloom import BloomFilter
-
-    n_bits, n_hashes = BloomFilter.params(max(1, capacity), fp_rate)
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        bf = BloomFilter.from_params(n_bits, n_hashes)
-        for col in id_cols:
-            bf.add_int_array(_int_col(batch, col))
-        return pa.table({"bits": pa.array([bf.bits.tobytes()], type=pa.binary())})
-
-    def _or_rows(batch: pa.Table) -> pa.Table:
-        acc = np.frombuffer(batch.column("bits")[0].as_py(), dtype=np.uint8).copy()
-        for i in range(1, batch.num_rows):
-            np.bitwise_or(
-                acc, np.frombuffer(batch.column("bits")[i].as_py(), dtype=np.uint8), out=acc
-            )
-        return pa.table({"bits": pa.array([acc.tobytes()], type=pa.binary())})
-
-    parts = ids_ds.map_batches(_partial, batch_format="pyarrow").materialize()
-    # tree reduce: each round bundles up to 64 one-row blocks per task
-    while parts.count() > 1:
-        parts = parts.map_batches(_or_rows, batch_format="pyarrow", batch_size=64).materialize()
-    bf = BloomFilter.from_params(n_bits, n_hashes)
-    merged = parts.take(1)
-    if merged:
-        bf.merge_bits(merged[0]["bits"])
-    return bf
-
-
 def _collect_sorted_ids(
     ids_ds: ray.data.Dataset, id_cols: tuple[str, ...]
 ) -> np.ndarray:
@@ -310,76 +269,16 @@ def _collect_sorted_ids(
     return np.unique(np.concatenate(chunks)) if chunks else np.array([], np.int64)
 
 
-def _bloom_verify_join(
-    payload_ds: ray.data.Dataset,
-    ids_ds: ray.data.Dataset,
-    *,
-    id_col: str,
-    id_cols: tuple[str, ...],
-    n_ids: int,
-    fp_rate: float,
-    how: str,
-) -> ray.data.Dataset:
-    """Shared EXACT scale tier of :func:`semi_join_ids` /
-    :func:`anti_join_ids`: a distributed Bloom PREFILTER routes payload
-    rows, then one distributed hash join verifies only the Bloom's
-    accepts (true members + ~``fp_rate`` of the rest) — exchange volume
-    O(members + fp_rate·corpus), result exact.
+def _ids_as(ids_ds: ray.data.Dataset, id_col: str, id_cols: tuple[str, ...]) -> ray.data.Dataset:
+    """Every id of ``ids_ds``'s ``id_cols`` as one int64 ``id_col``
+    column: the right side of :func:`semi_join_ids` /
+    :func:`anti_join_ids`."""
 
-    ``how="semi"`` keeps verified members (payload consumed ONCE — the
-    rejects are simply dropped, so no materialization barrier);
-    ``how="anti"`` keeps the rejects exchange-free and unions them with
-    the anti-verified accepts (payload consumed twice — materialized
-    here if needed)."""
-    from dots_ocr_ray.pipelines.relational import hash_join
+    @util.rows_out(len(id_cols))
+    def _flat(batch: pa.Table) -> pa.Table:
+        return pa.table({id_col: pa.array(np.concatenate([_int_col(batch, c) for c in id_cols]), type=pa.int64())})
 
-    if how == "anti":
-        from ray.data.dataset import MaterializedDataset
-
-        if not isinstance(payload_ds, MaterializedDataset):
-            payload_ds = payload_ds.materialize()
-    # schema() on the semi path may execute a small plan prefix to
-    # infer — acceptable; the alternative (materializing the corpus
-    # for a single-consumption filter) is not
-    payload_schema = payload_ds.schema().base_schema
-    id_type = payload_schema.field(id_col).type
-
-    bf = build_bloom_distributed(
-        ids_ds, id_cols, capacity=n_ids, fp_rate=fp_rate
-    )
-    bf_ref = ray.put(bf)
-
-    def _route(want_member: bool):
-        def _fn(batch: pa.Table) -> pa.Table:
-            obj = cached_object(bf_ref)
-            m = obj.contains_int_array(_int_col(batch, id_col))
-            return batch.filter(pa.array(m if want_member else ~m, type=pa.bool_()))
-
-        return _fn
-
-    def _ids_flat(batch: pa.Table) -> pa.Table:
-        # the right side must carry the PAYLOAD's id dtype, or the
-        # join's union concatenates schema-mismatched blocks (uint64
-        # ids reinterpret through the same int64 view _int_col uses)
-        vals = np.concatenate([_int_col(batch, c) for c in id_cols])
-        if pa.types.is_unsigned_integer(id_type):
-            arr = pa.array(vals.view(np.uint64)).cast(id_type)
-        else:
-            arr = pa.array(vals, type=pa.int64()).cast(id_type)
-        return pa.table({id_col: arr})
-
-    verified = hash_join(
-        payload_ds.map_batches(_route(True), batch_format="pyarrow"),
-        ids_ds.map_batches(_ids_flat, batch_format="pyarrow"),
-        on=id_col,
-        how=how,
-        left_schema=payload_schema,
-        right_schema=pa.schema([(id_col, id_type)]),
-    )
-    if how == "semi":
-        return verified
-    definite_keep = payload_ds.map_batches(_route(False), batch_format="pyarrow")
-    return definite_keep.union(verified)
+    return ids_ds.map_batches(_flat, batch_format="pyarrow")
 
 
 def semi_join_ids(
@@ -388,61 +287,15 @@ def semi_join_ids(
     *,
     id_col: str,
     id_cols: tuple[str, ...] = ("id",),
-    fp_rate: float = 0.001,
-    exact: bool = False,
 ) -> ray.data.Dataset:
-    """Broadcast semi-join: keep payload rows whose ``id_col`` value
-    appears in any of ``ids_ds``'s ``id_cols`` columns.  Two tiers:
+    """Exact semi-join: keep payload rows whose ``id_col`` value
+    appears in any of ``ids_ds``'s ``id_cols`` columns —
+    :func:`~dots_ocr_ray.pipelines.relational.hash_join`
+    ``how="semi"`` against the flattened ids, so the ids broadcast
+    when they fit and meet the payload in one exchange when not."""
+    from dots_ocr_ray.pipelines.relational import hash_join  # lazy: avoid cycle
 
-    * exact — when the ids (rows × id columns) fit
-      :func:`~dots_ocr_ray.util.broadcast_fits`, the distinct ids
-      collect on the driver as ONE sorted int64 numpy array (8 B/id),
-      broadcast once, membership via vectorized ``searchsorted``;
-    * Bloom — above the cut, :func:`build_bloom_distributed` (no
-      driver key streaming); false positives let ~``fp_rate`` extra
-      payload rows through, which downstream inner joins ignore — use
-      the default ``exact=False`` only where over-keeping is safe.
-      With ``exact=True`` the Bloom is a PREFILTER whose accepts are
-      verified by ONE distributed hash semi-join
-      (:func:`_bloom_verify_join`) — exact at every scale, payload
-      still consumed once.
-    """
-    # one execution of the ids plan: count() on a lazy dataset and the
-    # iter/Bloom pass below would otherwise each run it in full —
-    # seconds of fixed plan cost per execution even for tiny id tables
-    ids_ds = ids_ds.materialize()
-    n_ids = ids_ds.count() * len(id_cols)
-    if util.broadcast_fits(ids_ds.size_bytes()):
-        member_ref = ray.put(_collect_sorted_ids(ids_ds, id_cols))
-
-        def _mask(members_obj, vals: np.ndarray) -> np.ndarray:
-            return sorted_membership(members_obj, vals)
-
-    elif exact:
-        return _bloom_verify_join(
-            payload_ds,
-            ids_ds,
-            id_col=id_col,
-            id_cols=id_cols,
-            n_ids=n_ids,
-            fp_rate=fp_rate,
-            how="semi",
-        )
-    else:
-        bf = build_bloom_distributed(
-            ids_ds, id_cols, capacity=n_ids, fp_rate=fp_rate
-        )
-        member_ref = ray.put(bf)
-
-        def _mask(members_obj, vals: np.ndarray) -> np.ndarray:
-            return members_obj.contains_int_array(vals)
-
-    def _filter(batch: pa.Table) -> pa.Table:
-        members_obj = cached_object(member_ref)
-        keep = _mask(members_obj, _int_col(batch, id_col))
-        return batch.filter(pa.array(keep, type=pa.bool_()))
-
-    return payload_ds.map_batches(_filter, batch_format="pyarrow")
+    return hash_join(payload_ds, _ids_as(ids_ds, id_col, id_cols), on=id_col, how="semi")
 
 
 def anti_join_ids(
@@ -451,53 +304,14 @@ def anti_join_ids(
     *,
     id_col: str,
     id_cols: tuple[str, ...] = ("id",),
-    fp_rate: float = 0.001,
 ) -> ray.data.Dataset:
-    """EXACT anti-join at every scale: drop payload rows whose
-    ``id_col`` value appears in any of ``ids_ds``'s ``id_cols``.
+    """Exact anti-join: drop payload rows whose ``id_col`` value
+    appears in any of ``ids_ds``'s ``id_cols`` — the OUTPUT-defining
+    keep filter of dedup (it must drop exactly the duplicate set);
+    :func:`semi_join_ids`'s complement, tiered the same way."""
+    from dots_ocr_ray.pipelines.relational import hash_join  # lazy: avoid cycle
 
-    Unlike :func:`semi_join_ids`'s Bloom tier (approximate — use only
-    where over-keeping is safe), this is the OUTPUT-defining filter:
-    dedup keep-filters must drop exactly the duplicate set, so the
-    scale tier routes through the Bloom as a PREFILTER and then
-    verifies only the possible members with one exact distributed hash
-    anti-join:
-
-    * exact tier — id rows that fit
-      :func:`~dots_ocr_ray.util.broadcast_fits`, one sorted int64
-      broadcast array (8 B/id), vectorized ``searchsorted`` NOT-member
-      mask, zero exchange;
-    * scale tier — rows the Bloom rejects are DEFINITE non-members
-      (kept, zero exchange; that is ~all of the corpus when the id set
-      is a duplicate list); rows the Bloom accepts (true members +
-      ~``fp_rate`` of the rest) go through
-      :func:`~dots_ocr_ray.pipelines.relational.hash_join`
-      ``how="anti"`` against the distinct ids — exchange volume is
-      O(members + fp_rate·corpus), never O(corpus).
-
-    ``payload_ds`` is consumed twice on the scale tier; it is
-    materialized there if it isn't already."""
-    ids_ds = ids_ds.materialize()
-    n_ids = ids_ds.count() * len(id_cols)
-    if util.broadcast_fits(ids_ds.size_bytes()):
-        member_ref = ray.put(_collect_sorted_ids(ids_ds, id_cols))
-
-        def _drop(batch: pa.Table) -> pa.Table:
-            arr = cached_object(member_ref)
-            hit = sorted_membership(arr, _int_col(batch, id_col))
-            return batch.filter(pa.array(~hit, type=pa.bool_()))
-
-        return payload_ds.map_batches(_drop, batch_format="pyarrow")
-
-    return _bloom_verify_join(
-        payload_ds,
-        ids_ds,
-        id_col=id_col,
-        id_cols=id_cols,
-        n_ids=n_ids,
-        fp_rate=fp_rate,
-        how="anti",
-    )
+    return hash_join(payload_ds, _ids_as(ids_ds, id_col, id_cols), on=id_col, how="anti")
 
 
 def filter_payload_to_pair_endpoints(
@@ -528,126 +342,47 @@ def attach_pair_payloads(
     payload_type: pa.DataType,
 ) -> ray.data.Dataset:
     """(a, b) pairs + (id, payload) side-table → (a, b, payload_a,
-    payload_b).  Two tiers:
-
-    FAST PATH — when the (endpoint-filtered) side-table fits
-    :func:`~dots_ocr_ray.util.broadcast_fits`: build sorted ids and
-    their payload array once, broadcast via ``ray.put``, and join with
-    a streaming ``map_batches`` over the pairs (searchsorted + Arrow
-    take, zero exchanges).  Unlike the
-    round-1 driver-dict pattern this is explicitly BUDGETED — the side
-    table has already been cut to candidate endpoints
-    (:func:`filter_payload_to_pair_endpoints`), and over the budget the
-    code falls through to the fully distributed form, so no corpus-
-    proportional driver materialization is possible.
-
-    SCALE PATH — two distributed hash joins
-    (:func:`~dots_ocr_ray.pipelines.relational.hash_join`): pairs ⋈
-    payload on ``a``, then ⋈ payload on ``b``.  Each join is ONE
-    bucket-keyed exchange with a vectorized per-bucket merge, so the
-    Python cost is O(num_buckets), not O(pairs) — the per-pair
-    ``map_groups`` reduce this replaced paid ~0.2 ms of Python per
-    candidate pair.  (Ray's Dataset.join would express this directly,
-    but its hash-shuffle aggregator actors carry multi-second fixed
-    costs and can deadlock against busy actor pools on small CPU
-    counts.)
+    payload_b): two :func:`~dots_ocr_ray.pipelines.relational.hash_join`
+    calls, pairs ⋈ payload on ``a``, then on ``b``.  The side table is
+    shaped and materialized once; each join broadcasts it when it fits
+    (searchsorted + Arrow take, zero exchanges) and runs one keyed
+    exchange when not.  The side table has usually been cut to
+    candidate endpoints first (:func:`filter_payload_to_pair_endpoints`).
 
     Pairs whose endpoint is missing from the side-table are dropped
-    (inner joins).  Duplicate candidate pairs — allowed upstream —
-    pass through duplicated, which every consumer (vectorized verify,
-    connected components) treats idempotently."""
-    side = payload_ds.materialize()
-    if util.broadcast_fits(side.size_bytes()):
-        # broadcast a (sorted ids, payload array) pair instead of a
-        # Python dict: membership + gather are then vectorized
-        # (searchsorted + Arrow take) — no per-pair Python lookups
-        id_chunks: list[np.ndarray] = []
-        pay_chunks: list[pa.Array] = []
-        for b in side.iter_batches(batch_format="pyarrow"):
-            id_chunks.append(_int_col(b, id_col))
-            col = b.column(payload_col)
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            pay_chunks.append(col.cast(payload_type))
-        if id_chunks:
-            ids_all = np.concatenate(id_chunks)
-            order = np.argsort(ids_all, kind="stable")
-            ids_sorted = ids_all[order]
-            pays_sorted = pa.concat_arrays(pay_chunks).take(pa.array(order))
-        else:
-            ids_sorted = np.array([], dtype=np.int64)
-            pays_sorted = pa.array([], type=payload_type)
-        lookup_ref = ray.put((ids_sorted, pays_sorted))
-
-        def _broadcast_join(batch: pa.Table) -> pa.Table:
-            ids_s, pays_s = cached_object(lookup_ref)
-            an = _int_col(batch, "a")
-            bn = _int_col(batch, "b")
-
-            hit_a, idx_a = sorted_lookup(ids_s, an)
-            hit_b, idx_b = sorted_lookup(ids_s, bn)
-            keep = hit_a & hit_b
-            return pa.table(
-                {
-                    "a": pa.array(an[keep], type=pa.int64()),
-                    "b": pa.array(bn[keep], type=pa.int64()),
-                    "payload_a": pays_s.take(pa.array(idx_a[keep])),
-                    "payload_b": pays_s.take(pa.array(idx_b[keep])),
-                }
-            )
-
-        return pairs_ds.map_batches(_broadcast_join, batch_format="pyarrow")
-
+    (inner joins); a payload id that repeats matches every copy.
+    Duplicate candidate pairs — allowed upstream — pass through
+    duplicated, which every consumer (vectorized verify, connected
+    components) treats idempotently."""
     from dots_ocr_ray.pipelines.relational import hash_join  # lazy: avoid cycle
 
-    def _as_side(key_out: str, pay_out: str):
-        def _fn(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    key_out: batch.column(id_col).cast(pa.int64()),
-                    pay_out: batch.column(payload_col).cast(payload_type),
-                }
-            )
+    i64 = pa.int64()
 
-        return _fn
+    def _side(batch: pa.Table) -> pa.Table:
+        return pa.table({"__id": batch.column(id_col).cast(i64), "__pay": batch.column(payload_col).cast(payload_type)})
 
-    side_a = side.map_batches(_as_side("a", "payload_a"), batch_format="pyarrow")
-    side_b = side.map_batches(_as_side("b", "payload_b"), batch_format="pyarrow")
+    side = payload_ds.map_batches(_side, batch_format="pyarrow").materialize()
+    side_schema = pa.schema([("__id", i64), ("__pay", payload_type)])
 
-    def _typed(batch: pa.Table) -> pa.Table:
-        # the join emits pandas blocks; pin exact arrow types between /
-        # after the joins so schema introspection and consumers see
-        # (int64, int64, payload_type, ...) rather than object dtypes
-        cols = {
-            "a": batch.column("a").cast(pa.int64()),
-            "b": batch.column("b").cast(pa.int64()),
-            "payload_a": batch.column("payload_a").cast(payload_type),
-        }
-        if "payload_b" in batch.column_names:
-            cols["payload_b"] = batch.column("payload_b").cast(payload_type)
-        return pa.table(cols)
+    def _cols(names: dict):
+        # the endpoint to join on travels as __id; renames fuse into the
+        # probe tasks, so the side is the only thing materialized
+        return lambda batch: pa.table({new: batch.column(old) for new, old in names.items()})
 
-    # explicit schemas: pairs are (a, b) int64 by contract everywhere
-    # in this module — without them the join would introspect by
-    # EXECUTING a prefix of the (map-heavy) pairs plan
-    pairs_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-    side_schema = lambda key, pay: pa.schema([(key, pa.int64()), (pay, payload_type)])  # noqa: E731
-    joined = hash_join(
-        pairs_ds,
-        side_a,
-        on="a",
-        left_schema=pairs_schema,
-        right_schema=side_schema("a", "payload_a"),
-    ).map_batches(_typed, batch_format="pyarrow")
+    with_a = hash_join(
+        pairs_ds.map_batches(_cols({"__id": "a", "b": "b"}), batch_format="pyarrow"),
+        side,
+        on="__id",
+        left_schema=pa.schema([("__id", i64), ("b", i64)]),
+        right_schema=side_schema,
+    ).map_batches(_cols({"a": "__id", "__id": "b", "payload_a": "__pay"}), batch_format="pyarrow")
     return hash_join(
-        joined,
-        side_b,
-        on="b",
-        left_schema=pa.schema(
-            [("a", pa.int64()), ("b", pa.int64()), ("payload_a", payload_type)]
-        ),
-        right_schema=side_schema("b", "payload_b"),
-    ).map_batches(_typed, batch_format="pyarrow")
+        with_a,
+        side,
+        on="__id",
+        left_schema=pa.schema([("a", i64), ("__id", i64), ("payload_a", payload_type)]),
+        right_schema=side_schema,
+    ).map_batches(_cols({"a": "a", "b": "__id", "payload_a": "payload_a", "payload_b": "__pay"}), batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

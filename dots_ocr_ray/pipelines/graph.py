@@ -2695,7 +2695,7 @@ def common_neighbor_scores(
       locally; a :func:`~dots_ocr_ray.util.bucket_keyed_fold` sums
       partial counts per packed pair key (second exchange); existing
       edges are removed with the exact
-      :func:`~dots_ocr_ray.pipelines.dedup.anti_join_ids` tiering.
+      :func:`~dots_ocr_ray.pipelines.dedup.anti_join_ids`.
       The driver never holds an edge.
 
     ``star_cap`` (distributed tier only): a mega-hub of degree D
@@ -2860,14 +2860,14 @@ def degree_assortativity_stats(
     Plan: exact distinct edges (one bucket exchange), degrees via
     :func:`~dots_ocr_ray.util.bucket_keyed_fold` (one more),
     materialized once, then two
-    :func:`~dots_ocr_ray.pipelines.relational.attach_int_column`
-    degree attachments — each a broadcast map when the degree table
-    fits :func:`~dots_ocr_ray.util.broadcast_fits`, else one
-    ``hash_join`` exchange — then a per-batch integer partial reduced
+    :func:`~dots_ocr_ray.pipelines.relational.hash_join` degree
+    attachments — each a broadcast map when the degree table fits
+    :func:`~dots_ocr_ray.util.broadcast_fits`, else one keyed
+    exchange — then a per-batch integer partial reduced
     on the driver; edge count never driver-resident.  Host ids may be
     any int64."""
     from dots_ocr_ray.pipelines.dedup import exact_distinct_pairs
-    from dots_ocr_ray.pipelines.relational import attach_int_column
+    from dots_ocr_ray.pipelines.relational import hash_join
 
     @util.rows_out(1)
     def _canon(batch: pa.Table) -> pa.Table:
@@ -2884,19 +2884,16 @@ def degree_assortativity_stats(
 
     E = exact_distinct_pairs(edges.map_batches(_canon, batch_format="pyarrow")).materialize()
     degrees = _node_degrees(E).materialize()
-    with_da = attach_int_column(
-        E.map_batches(_probe(["node", "b"]), batch_format="pyarrow"),
-        degrees, on="node", value_col="deg", out_col="deg_a",
-    )
-    with_deg = attach_int_column(
-        with_da.map_batches(_probe(["a", "node", "deg_a"]), batch_format="pyarrow"),
-        degrees, on="node", value_col="deg", out_col="deg_b",
-    )
+    # the probe side is renamed, not the materialized degree table, so
+    # each join broadcasts the table as it is: (node, b, deg), then
+    # (a, node, deg_a, deg)
+    with_da = hash_join(E.map_batches(_probe(["node", "b"]), batch_format="pyarrow"), degrees, on="node")
+    with_deg = hash_join(with_da.map_batches(_probe(["a", "node", "deg_a"]), batch_format="pyarrow"), degrees, on="node")
     i64 = pa.int64()
 
     def _stats(batch: pa.Table) -> pa.Table:
         da = batch.column("deg_a").to_numpy(zero_copy_only=False).astype(np.int64)
-        db = batch.column("deg_b").to_numpy(zero_copy_only=False).astype(np.int64)
+        db = batch.column("deg").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
                 "n_edges": pa.array([len(da)], type=i64),
@@ -3305,7 +3302,7 @@ def resolve_redirects(
         from dots_ocr_ray.pipelines.dedup import semi_join_ids
 
         looped = semi_join_ids(
-            out, srcs_ds, id_col="final", id_cols=("sid",), exact=True
+            out, srcs_ds, id_col="final", id_cols=("sid",)
         ).map_batches(
             lambda t: pa.table(
                 {

@@ -513,8 +513,8 @@ def write_position_deletes(
     order), membership is a
     vectorized ``searchsorted`` against the broadcast sorted delete-id
     array (deletes are the designed-small side; for a delete set past
-    the broadcast budget, swap in the Bloom-prefilter + verify tier of
-    ``dedup.anti_join_ids`` — same seam), and each task commits its
+    the broadcast budget, swap in ``dedup.anti_join_ids``, whose
+    ``hash_join`` exchanges a side that large), and each task commits its
     delete file data-then-marker so a crashed run resumes by skipping
     finished files.  Returns ``{"n_files", "n_deletes"}``."""
     import json as _json

@@ -17,10 +17,10 @@ of this engine runs over a web crawl.
 Everything before and after the dedup exchange streams with
 backpressure.  The exact-dedup path consumes the survivor ROWS
 directly (no keep filter at all); the minhash path anti-joins the
-corpus against the DUPLICATE ids (sorted-array broadcast under the
-driver limit; Bloom-prefilter + exact distributed hash anti-join
-above it) — exact at every scale, and no driver-side collection ever
-scales with the survivor count.
+corpus against the DUPLICATE ids (``hash_join(how="anti")``: a sorted
+broadcast when the ids fit, one keyed exchange above) — exact at
+every scale, and no driver-side collection ever scales with the
+survivor count.
 Returns per-stage row counts (the job-level lineage the reference
 tracks per job, dotsocr_service.py:430-443).
 """
@@ -123,12 +123,9 @@ def prepare_training_data(
             duplicates = clusters.map_batches(_dups, batch_format="pyarrow").materialize()
             # the keep filter is EXACT at every scale and inverted to
             # the SMALL side: anti-join the corpus against the
-            # duplicate ids (dups << survivors ≈ corpus, so the sorted-
-            # array broadcast tier covers far larger corpora, and the
-            # scale tier's Bloom-prefilter + exact hash anti-join
-            # verification never over-keeps a duplicate into the
-            # training output the way a survivor-side Bloom semi-join
-            # would).  Nothing survivor-proportional lands anywhere.
+            # duplicate ids (dups << survivors ≈ corpus, so the
+            # broadcast tier covers far larger corpora).  Nothing
+            # survivor-proportional lands anywhere.
             docs = anti_join_ids(docs, duplicates, id_col="doc_id", id_cols=("doc_id",))
         else:
             raise ValueError(f"unknown dedup mode: {dedup}")

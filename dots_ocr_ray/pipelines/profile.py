@@ -1118,11 +1118,10 @@ def ri_orphans(
 ) -> pa.Table:
     """Referential-integrity audit: how many child rows point at a
     missing parent key (the orphan count a pipeline checks before
-    trusting a join).  Orphans come from the tiered exact anti-join
+    trusting a join).  Orphans come from the exact anti-join
     (:func:`~dots_ocr_ray.pipelines.dedup.anti_join_ids` — broadcast
-    sorted-ids under the driver budget, Bloom-prefilter + verified
-    distributed semi-join above it), then ONE count aggregate; the
-    driver sees three scalars."""
+    sorted ids when they fit, one keyed exchange above), then ONE
+    count aggregate; the driver sees three scalars."""
     from dots_ocr_ray.pipelines.dedup import anti_join_ids
 
     n_child = child_ds.count()

@@ -149,9 +149,7 @@ def refresh_corpus(
 
         from dots_ocr_ray.pipelines.dedup import anti_join_ids
 
-        # anti-join against the DUPLICATE ids: exact at every scale
-        # (the survivor-side Bloom semi-join could over-keep dups into
-        # the persisted index), and the smaller id side besides
+        # anti-join against the DUPLICATE ids: the smaller id side
         survivors = anti_join_ids(
             fresh,
             clusters.map_batches(_dup_ids, batch_format="pyarrow").materialize(),
@@ -224,20 +222,16 @@ def recrawl_priority(
     (relative PageRank), ``priority``.
 
     Scale shape: the diff streams through ONE bounded host-keyed fold
-    of the per-class counts; the rank table
-    rides the package's one broadcast rule
-    (:func:`~dots_ocr_ray.util.broadcast_fits`) — a table that fits
-    ships once via ``ray.put`` as a (sorted hosts, ranks) pair and
-    joins with a vectorized ``searchsorted`` gather inside
-    ``map_batches`` (zero exchange); above the cut swap in
-    :func:`~dots_ocr_ray.pipelines.relational.hash_join` on host.
+    of the per-class counts; the rank table joins on host through
+    :func:`~dots_ocr_ray.pipelines.relational.hash_join` (a broadcast
+    ``searchsorted`` gather when it fits, one keyed exchange above).
 
     ``host_of``: vectorized ``np.ndarray[int64] -> np.ndarray[int64]``
     mapping row ids to host ids (the driver fixture uses
     ``doc_id % 40``; a real crawl passes a url→host hash)."""
     import numpy as np
 
-    from dots_ocr_ray.util import bucket_keyed_fold, cached_object, sorted_lookup
+    from dots_ocr_ray.util import bucket_keyed_fold
 
     if host_of is None:
         host_of = lambda ids: ids % 40  # noqa: E731 — driver fixture rule
@@ -264,89 +258,46 @@ def recrawl_priority(
         {"added": ("sum", "added"), "changed": ("sum", "changed"), "compared": ("sum", "compared")},
     )
 
-    if isinstance(ranks, pa.Table):
-        fits = util.broadcast_fits(ranks.nbytes)
-    else:
-        ranks = ranks.materialize()
-        fits = util.broadcast_fits(ranks.size_bytes())
-    if not fits:
-        # distributed tier: LEFT hash_join of the bounded per-host
-        # counts with the rank table on host — hosts absent from the
-        # rank table score rank 0.0, same as the broadcast gather
-        from dots_ocr_ray.pipelines.relational import hash_join
+    # LEFT join on host: hosts absent from the rank table score rank 0.0
+    from dots_ocr_ray.pipelines.relational import hash_join
 
-        rank_ds = ray.data.from_arrow(ranks) if isinstance(ranks, pa.Table) else ranks
+    rank_ds = ray.data.from_arrow(ranks) if isinstance(ranks, pa.Table) else ranks
 
-        def _rank_norm(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "host": batch.column("host").cast(pa.int64()),
-                    "__rank": batch.column(rank_col).cast(pa.float64()),
-                }
-            )
-
-        joined = hash_join(
-            per_host,
-            rank_ds.map_batches(_rank_norm, batch_format="pyarrow"),
-            on="host",
-            how="left",
-            left_schema=pa.schema(
-                [
-                    ("host", pa.int64()),
-                    ("added", pa.int64()),
-                    ("changed", pa.int64()),
-                    ("compared", pa.int64()),
-                ]
-            ),
-            right_schema=pa.schema([("host", pa.int64()), ("__rank", pa.float64())]),
+    @util.rows_out(1)
+    def _rank_norm(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "host": batch.column("host").cast(pa.int64()),
+                "__rank": batch.column(rank_col).cast(pa.float64()),
+            }
         )
 
-        def _score_joined(batch: pa.Table) -> pa.Table:
-            h = batch.column("host").to_numpy(zero_copy_only=False).astype(np.int64)
-            added = batch.column("added").to_numpy(zero_copy_only=False)
-            changed = batch.column("changed").to_numpy(zero_copy_only=False)
-            compared = batch.column("compared").to_numpy(zero_copy_only=False)
-            rank = (
-                pc.fill_null(batch.column("__rank"), 0.0)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.float64)
-            )
-            rate = changed / np.maximum(compared, 1)
-            return pa.table(
-                {
-                    "host": pa.array(h, type=pa.int64()),
-                    "n_added": pa.array(added, type=pa.int64()),
-                    "n_changed": pa.array(changed, type=pa.int64()),
-                    "n_compared": pa.array(compared, type=pa.int64()),
-                    "change_rate": pa.array(rate, type=pa.float64()),
-                    "rank_rel": pa.array(rank, type=pa.float64()),
-                    "priority": pa.array(rate * rank, type=pa.float64()),
-                }
-            )
-
-        return joined.map_batches(_score_joined, batch_format="pyarrow")
-    if not isinstance(ranks, pa.Table):
-        blocks = [t.select(["host", rank_col]) for t in util.collect_arrow_blocks(ranks)]
-        ranks = pa.concat_tables(blocks) if blocks else pa.table(
-            {"host": pa.array([], pa.int64()), rank_col: pa.array([], pa.float64())}
-        )
-    hosts_sorted = ranks.column("host").to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(hosts_sorted, kind="stable")
-    rank_pair_ref = ray.put(
-        (
-            hosts_sorted[order],
-            ranks.column(rank_col).to_numpy(zero_copy_only=False)[order],
-        )
+    joined = hash_join(
+        per_host,
+        rank_ds.map_batches(_rank_norm, batch_format="pyarrow"),
+        on="host",
+        how="left",
+        left_schema=pa.schema(
+            [
+                ("host", pa.int64()),
+                ("added", pa.int64()),
+                ("changed", pa.int64()),
+                ("compared", pa.int64()),
+            ]
+        ),
+        right_schema=pa.schema([("host", pa.int64()), ("__rank", pa.float64())]),
     )
 
-    def _score(batch: pa.Table) -> pa.Table:
-        rh, rv = cached_object(rank_pair_ref)
+    def _score_joined(batch: pa.Table) -> pa.Table:
         h = batch.column("host").to_numpy(zero_copy_only=False).astype(np.int64)
         added = batch.column("added").to_numpy(zero_copy_only=False)
         changed = batch.column("changed").to_numpy(zero_copy_only=False)
         compared = batch.column("compared").to_numpy(zero_copy_only=False)
-        found, idx = sorted_lookup(rh, h)
-        rank = np.where(found, rv[idx] if len(rh) else 0.0, 0.0)
+        rank = (
+            pc.fill_null(batch.column("__rank"), 0.0)
+            .to_numpy(zero_copy_only=False)
+            .astype(np.float64)
+        )
         rate = changed / np.maximum(compared, 1)
         return pa.table(
             {
@@ -360,4 +311,4 @@ def recrawl_priority(
             }
         )
 
-    return per_host.map_batches(_score, batch_format="pyarrow")
+    return joined.map_batches(_score_joined, batch_format="pyarrow")

@@ -5,8 +5,8 @@ aggregations G1-G3 generalized; SURVEY.md §2.5-2.6).
 Patterns demonstrated:
 * keyed aggregates through ``util.bucket_keyed_fold`` (a per-batch
   combiner, so no full-row shuffle for wide aggregations),
-* broadcast hash join (ray.put once, dict lookup per batch — no
-  shuffle for small dimension tables),
+* one equi-join (:func:`hash_join`) that broadcasts a right side
+  which fits and exchanges a larger one,
 * tumbling-window aggregate over an event stream (a keyed fold over
   a derived window key),
 * global top-k without a global sort (per-batch heap + tiny merge).
@@ -669,7 +669,67 @@ def top_customers_by_spend(sf_dir: str, k: int = 10) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# distributed large × large equi-join
+# equi-join: broadcast or one keyed exchange, by the right side's size
+
+
+def _join_keys(col):
+    """numpy array of a null-free key column that sorts and compares
+    like the keys: int64 for any integer type, else numpy's own
+    conversion (objects for strings)."""
+    import numpy as np
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if pa.types.is_integer(col.type):
+        return col.to_numpy(zero_copy_only=False).astype(np.int64)
+    return col.to_numpy(zero_copy_only=False)
+
+
+def _broadcast_probe(right, on: str, how: str, suffix: str, right_schema):
+    """The broadcast tier of :func:`hash_join`: collect ``right`` once,
+    sort it by key and ``ray.put`` it; return the ``map_batches``
+    function that joins one left batch against it."""
+    import numpy as np
+
+    right = right.materialize()  # to_arrow_refs on a lazy plan runs it twice
+    # an empty block keeps the side's columns when it has no rows; a
+    # side with no typed block takes its declared schema (or the key alone)
+    blocks = [b for b in ray.get(right.to_arrow_refs()) if on in b.column_names]
+    if not blocks:
+        schema = right_schema if right_schema is not None else right.schema()
+        names, types = (schema.names, schema.types) if schema is not None else ([on], [pa.int64()])
+        blocks = [pa.schema(list(zip(names, types))).empty_table()]
+    side = pa.concat_tables(blocks, promote_options="default")
+    side = side.filter(pc.is_valid(side.column(on)))
+    keys = _join_keys(side.column(on))
+    order = np.argsort(keys, kind="stable")
+    payload = side.drop_columns([on]).take(order) if how in ("inner", "left") else None
+    ref = ray.put((keys[order], payload))
+
+    def _probe(batch: pa.Table) -> pa.Table:
+        keys, payload = util.cached_object(ref)
+        col = batch.column(on)
+        is_valid = pc.is_valid(col)
+        valid = is_valid.to_numpy(zero_copy_only=False)
+        probe = _join_keys(col.filter(is_valid))
+        lo = np.zeros(batch.num_rows, dtype=np.int64)
+        n = np.zeros(batch.num_rows, dtype=np.int64)
+        lo[valid] = np.searchsorted(keys, probe, side="left")
+        n[valid] = np.searchsorted(keys, probe, side="right") - lo[valid]
+        if how in ("semi", "anti"):
+            return batch.filter(pa.array(n > 0 if how == "semi" else n == 0))
+        # one output row per match; a left join keeps an unmatched row once
+        reps = n if how == "inner" else np.maximum(n, 1)
+        starts = np.cumsum(reps) - reps
+        ri = np.repeat(lo - starts, reps) + np.arange(int(reps.sum()), dtype=np.int64)
+        miss = np.repeat(n == 0, reps)
+        out = batch.take(pa.array(np.repeat(np.arange(batch.num_rows), reps)))
+        gathered = payload.take(pa.array(ri, mask=miss) if miss.any() else pa.array(ri))
+        for name, column in zip(gathered.column_names, gathered.columns):
+            out = out.append_column(name + suffix if name in batch.column_names else name, column)
+        return out
+
+    return util.rows_out(1)(_probe) if how in ("semi", "anti") else _probe
 
 
 def hash_join(
@@ -683,36 +743,48 @@ def hash_join(
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
 ) -> ray.data.Dataset:
-    """Distributed equi-join for two LARGE datasets (neither side fits
-    a broadcast): ONE keyed exchange over hash buckets, vectorized
-    pandas merge per bucket.
+    """The package's one equi-join: ``left`` ⋈ ``right`` on ``on``,
+    in the tier that the right side's size picks.
 
-    Both sides tag each row with ``bucket = hash(key) % num_buckets``
-    and a side marker, union, and group by bucket — co-locating every
-    key's rows in exactly one group.  The per-group reduce then runs
-    ONE vectorized merge over ~|rows|/num_buckets rows, so Python cost
-    is O(num_buckets), not O(distinct keys).  (Ray's built-in
-    Dataset.join is avoided deliberately: its hash-shuffle aggregator
-    actors carry multi-second fixed costs and can deadlock against
-    busy actor pools on small CPU counts — see attach_pair_payloads.)
+    * Broadcast tier — the right side fits
+      :func:`~dots_ocr_ray.util.broadcast_fits`: it is collected once,
+      its null keys dropped, sorted by key and shipped with
+      ``ray.put``; every left batch is probed in one ``map_batches``
+      (``searchsorted`` for each key's run, Arrow ``take`` to gather),
+      with no exchange.
+    * Exchange tier — above the cut: both sides tag each row with a
+      side marker and meet in ONE keyed exchange
+      (:func:`~dots_ocr_ray.util.bucket_exchange`), one vectorized
+      pandas merge per bucket, so Python cost is O(num_buckets), not
+      O(distinct keys).  A single HOT KEY still lands whole in one
+      bucket (:func:`skew_join` splits those off).  Size
+      ``num_buckets`` ≥ 2× task slots.
 
-    Scale notes: size ``num_buckets`` ≥ 2× task slots so one bucket
-    never holds a wave hostage; a single HOT KEY still lands whole in
-    one bucket (inherent to hash joins) — pre-aggregate or salt such
-    keys upstream.  ``how`` is "inner", "left", "semi" or "anti"
-    (semi/anti return LEFT columns only — the distributed filter form
-    for a right side too large to broadcast as a Bloom/set; for small
-    right sides prefer the broadcast semi/anti in functions/bloom.py);
-    overlapping non-key columns from the right side get ``suffix``.
+    The side's bytes come from :func:`~dots_ocr_ray.util.row_bound`
+    when the lazy plan bounds them; otherwise the side is materialized
+    and its ``size_bytes()`` read.  Both tiers give the same rows:
+    ``how`` is "inner", "left", "semi" or "anti" (semi/anti return
+    LEFT columns only); every match of a repeated right key is
+    returned; left joins pad rows without a match with typed nulls;
+    overlapping non-key right columns get ``suffix``; int64 values
+    stay exact above 2^53.  NULL join keys follow SQL semantics: they
+    never match (dropped on inner/semi, null-padded on left, kept on
+    anti).  Only row order differs: the broadcast tier keeps the left
+    side's order.
 
-    NULL join keys follow SQL semantics: they never match (dropped
-    from the right side and from the left on inner/semi; kept
-    null-padded on left joins and kept on anti joins).  Without the
-    filter they would hash to one shared bucket and pandas' NA == NA
-    merge would fabricate null⋈null matches.
+    ``left_schema`` / ``right_schema`` spare the exchange tier a
+    ``.schema()`` call, which EXECUTES a prefix of a plan with maps in
+    it.  (Ray's built-in Dataset.join is avoided: its hash-shuffle
+    aggregator actors carry multi-second fixed costs and can deadlock
+    against busy actor pools on small CPU counts.)
     """
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"unsupported how={how!r}")
+    bound = util.row_bound(right)
+    if bound is None:
+        right = right.materialize()
+    if util.broadcast_fits(right.size_bytes() if bound is None else bound[1]):
+        return left.map_batches(_broadcast_probe(right, on, how, suffix, right_schema), batch_format="pyarrow")
 
     def _tag(side: int):
         drop_null_keys = side == 1 or how in ("inner", "semi")
@@ -1453,6 +1525,10 @@ def interval_agg_join(
     return bucket_keyed_fold(partials, key, {"agg_sum": ("sum", "s"), "agg_count": ("sum", "n")})
 
 
+# keys the hot-key sketch of :func:`skew_join` keeps per batch
+_SKETCH_CAPACITY = 256
+
+
 def skew_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -1461,34 +1537,27 @@ def skew_join(
     how: str = "inner",
     suffix: str = "_r",
     hot_threshold: int = 1_000_000,
-    sketch_capacity: int = 256,
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
 ) -> ray.data.Dataset:
-    """Skew-aware large × large equi-join: HOT keys (a SpaceSaving
-    sketch pass estimates per-key frequency without a groupby) take a
-    broadcast path — their right-side rows ship once via ``ray.put``
-    and join batch-locally with zero exchange — while the cold
-    remainder goes through the ordinary :func:`hash_join` bucket
-    exchange.  A single mega-key no longer lands whole in one bucket
-    and holds the join wave hostage (hash_join's documented inherent
-    limitation).
+    """Skew-aware large × large equi-join: HOT keys (a per-batch top-M
+    sketch estimates per-key frequency without a groupby) join apart
+    from the cold remainder, each half through :func:`hash_join`.  The
+    hot half's right rows are few, so they take the broadcast tier and
+    join batch-locally with zero exchange; a single mega-key no longer
+    lands whole in one bucket of the cold exchange and holds the join
+    wave hostage.
 
     Correctness never depends on the sketch: ANY hot-key set yields
-    the same exact join output (both paths are exact; the split is
-    disjoint), so the approximate detection affects only performance.
-    If the hot keys' right-side rows do not fit
-    :func:`~dots_ocr_ray.util.broadcast_fits` the operator degrades to
-    a plain hash_join rather than risk an unbounded broadcast.
+    the same exact join output (both halves are exact joins over a
+    disjoint split of the keys), so the approximate detection affects
+    only performance.
 
     ``left`` is consumed three times (frequency scan + hot pass + cold
     pass), so it is materialized here if it isn't already — an
     expensive un-materialized upstream would otherwise re-execute in
     full per pass.  ``how`` is "inner" or "left"."""
     import numpy as np
-    import pandas as pd
-
-    from dots_ocr_ray.util import cached_object
 
     if how not in ("inner", "left"):
         raise ValueError(f"unsupported how={how!r}")
@@ -1498,8 +1567,6 @@ def skew_join(
         left = left.materialize()
     if left_schema is None:
         left_schema = left.schema()
-    if right_schema is None:
-        right_schema = right.schema()
     # .names/.types work on both pa.Schema and Ray's Schema wrapper
     key_type = dict(zip(left_schema.names, left_schema.types))[on]
 
@@ -1508,122 +1575,43 @@ def skew_join(
     # — ≤ M rows per batch move.  A key can evade detection by
     # spreading thin across batches, but hot keys concentrate by
     # definition, and correctness never depends on the hot set.
-    top_m = sketch_capacity
-
     def _vc_partial(batch: pa.Table) -> pa.Table:
         vc = pc.value_counts(batch.column(on))
         keys, counts = vc.field("values"), vc.field("counts")
-        if len(vc) > top_m:
+        if len(vc) > _SKETCH_CAPACITY:
             cn = counts.to_numpy(zero_copy_only=False)
-            idx = np.argpartition(cn, len(cn) - top_m)[-top_m:]
+            idx = np.argpartition(cn, len(cn) - _SKETCH_CAPACITY)[-_SKETCH_CAPACITY:]
             take = pa.array(np.sort(idx))
             keys, counts = keys.take(take), counts.take(take)
         return pa.table({"k": keys, "c": counts.cast(pa.int64())})
 
-    _vc_batches = list(
-        left.select_columns([on])
-        .map_batches(_vc_partial, batch_format="pyarrow", batch_size=65536)
-        .iter_batches(batch_format="pyarrow")
+    vc_parts = util.collect_arrow_blocks(
+        left.select_columns([on]).map_batches(_vc_partial, batch_format="pyarrow", batch_size=65536)
     )
-    vc_parts = (
-        pa.concat_tables(_vc_batches)
-        if _vc_batches
-        else pa.table({"k": pa.array([], type=pa.int64()), "c": pa.array([], type=pa.int64())})
-    )
-    hot_keys = None
-    if vc_parts.num_rows:
-        merged = vc_parts.group_by("k").aggregate([("c", "sum")])
-        mask = pc.greater_equal(merged.column("c_sum"), hot_threshold)
-        hot = merged.filter(mask).column("k")
-        if len(hot):
-            hot_keys = (
-                hot.combine_chunks() if isinstance(hot, pa.ChunkedArray) else hot
-            ).cast(key_type)
-    if hot_keys is None or len(hot_keys) == 0:
-        return hash_join(
-            left, right, on=on, how=how, suffix=suffix,
-            left_schema=left_schema, right_schema=right_schema,
-        )
+    join = dict(on=on, how=how, suffix=suffix, left_schema=left_schema, right_schema=right_schema)
+    if not vc_parts:
+        return hash_join(left, right, **join)
+    merged = pa.concat_tables(vc_parts).group_by("k").aggregate([("c", "sum")])
+    hot_keys = merged.filter(pc.greater_equal(merged.column("c_sum"), hot_threshold)).column("k")
+    if not len(hot_keys):
+        return hash_join(left, right, **join)
+    hot_keys = hot_keys.combine_chunks().cast(key_type)
 
-    def _filter_keys(keys: pa.Array, invert: bool):
+    def _filter_keys(invert: bool):
         def _fn(batch: pa.Table) -> pa.Table:
-            mask = pc.is_in(batch.column(on), value_set=keys)
-            if invert:
-                mask = pc.invert(mask)
-            return batch.filter(mask)
+            mask = pc.is_in(batch.column(on), value_set=hot_keys)
+            return batch.filter(pc.invert(mask) if invert else mask)
 
         return _fn
 
-    hot_right = right.map_batches(
-        _filter_keys(hot_keys, invert=False), batch_format="pyarrow"
-    ).materialize()
-    if not util.broadcast_fits(hot_right.size_bytes()):
+    def _half(invert: bool) -> ray.data.Dataset:
         return hash_join(
-            left, right, on=on, how=how, suffix=suffix,
-            left_schema=left_schema, right_schema=right_schema,
+            left.map_batches(_filter_keys(invert), batch_format="pyarrow"),
+            right.map_batches(_filter_keys(invert), batch_format="pyarrow"),
+            **join,
         )
-    # Arrow-backed dtypes end-to-end in the hot-path merge: a plain
-    # to_pandas would float64-upcast int64 columns under left-join
-    # nulls (lossy above 2^53 — the hash_join rule)
-    _hot_batches = list(hot_right.iter_batches(batch_format="pyarrow"))
-    hot_right_tbl = (
-        pa.concat_tables(_hot_batches)
-        if _hot_batches
-        else pa.table(
-            {
-                n: pa.array([], type=t)
-                for n, t in zip(right_schema.names, right_schema.types)
-            }
-        )
-    )
-    hot_right_df = hot_right_tbl.to_pandas(types_mapper=pd.ArrowDtype)
-    # pre-apply the suffix the same way hash_join does, and pin the
-    # output schema so empty batches and left-join null typing stay
-    # union-compatible with the cold path
-    overlap = {
-        c for c in right_schema.names if c != on and c in set(left_schema.names)
-    }
-    if overlap:
-        hot_right_df = hot_right_df.rename(columns={c: c + suffix for c in overlap})
-    types: dict[str, pa.DataType] = dict(
-        zip(left_schema.names, left_schema.types)
-    )
-    for n, t in zip(right_schema.names, right_schema.types):
-        types.setdefault(n, t)
-    out_fields: list[tuple[str, pa.DataType]] = [
-        (n, types[n]) for n in left_schema.names
-    ] + [
-        (n + suffix if n in overlap else n, types[n])
-        for n in right_schema.names
-        if n != on
-    ]
-    hot_ref = ray.put(hot_right_df)
 
-    def _hot_local_join(batch: pa.Table) -> pa.Table:
-        rdf = cached_object(hot_ref)
-        ldf = batch.filter(pc.is_in(batch.column(on), value_set=hot_keys)).to_pandas(
-            types_mapper=pd.ArrowDtype
-        )
-        if not len(ldf):
-            return pa.table(
-                {n: pa.array([], type=t) for n, t in out_fields}
-            )
-        merged = ldf.merge(rdf, on=on, how=how, suffixes=("", suffix), sort=False)
-        tbl = pa.Table.from_pandas(merged, preserve_index=False)
-        return pa.table({n: tbl.column(n).cast(t) for n, t in out_fields})
-
-    hot_joined = left.map_batches(_hot_local_join, batch_format="pyarrow")
-    cold_left = left.map_batches(
-        _filter_keys(hot_keys, invert=True), batch_format="pyarrow"
-    )
-    cold_right = right.map_batches(
-        _filter_keys(hot_keys, invert=True), batch_format="pyarrow"
-    )
-    cold_joined = hash_join(
-        cold_left, cold_right, on=on, how=how, suffix=suffix,
-        left_schema=left_schema, right_schema=right_schema,
-    )
-    return hot_joined.union(cold_joined)
+    return _half(False).union(_half(True))
 
 
 def pivot_agg(
@@ -1972,13 +1960,12 @@ def regional_supplier_volume(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     ).map_batches(_cust, batch_format="pyarrow")
 
-    orders_cust = attach_int_column(
+    orders_cust = hash_join(
         orders,
         customer,
         on="custkey",
-        value_col="c_nation",
         left_schema=pa.schema([("o_orderkey", pa.int64()), ("custkey", pa.int64())]),
-        side_schema=pa.schema([("custkey", pa.int64()), ("c_nation", pa.int64())]),
+        right_schema=pa.schema([("custkey", pa.int64()), ("c_nation", pa.int64())]),
     ).select_columns(["o_orderkey", "c_nation"])
 
     def _lines(batch: pa.Table) -> pa.Table:
@@ -2007,15 +1994,14 @@ def regional_supplier_volume(
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(_lines, batch_format="pyarrow")
 
-    joined = attach_int_column(
+    joined = hash_join(
         lines,
         orders_cust,
         on="o_orderkey",
-        value_col="c_nation",
         left_schema=pa.schema(
             [("o_orderkey", pa.int64()), ("s_nation", pa.int64()), ("rev_sum", pa.float64())]
         ),
-        side_schema=pa.schema([("o_orderkey", pa.int64()), ("c_nation", pa.int64())]),
+        right_schema=pa.schema([("o_orderkey", pa.int64()), ("c_nation", pa.int64())]),
     )
 
     def _same_nation(batch: pa.Table) -> pa.Table:
@@ -2064,82 +2050,6 @@ def grouped_count_histogram(
         return pa.table({out_key: pa.array(bucket, type=pa.int64())})
 
     return bucket_keyed_fold(counts.map_batches(_bucket, batch_format="pyarrow"), out_key, {out_count: ("count", None)})
-
-
-def attach_int_column(
-    ds: ray.data.Dataset,
-    side: ray.data.Dataset,
-    *,
-    on: str,
-    value_col: str,
-    out_col: str | None = None,
-    left_schema: pa.Schema | None = None,
-    side_schema: pa.Schema | None = None,
-) -> ray.data.Dataset:
-    """Attach ONE int64 value column from a (key, value) side table to
-    every matching row of ``ds`` (inner-join semantics: rows whose key
-    is absent from the side table drop) — the budgeted two-tier
-    dimension-attach used by the star-join queries.
-
-    Tier 1 (side fits :func:`~dots_ocr_ray.util.broadcast_fits`): the
-    side table collapses to a broadcast (sorted keys, values) numpy
-    pair and the attach is a zero-exchange ``map_batches`` (searchsorted gather —
-    no per-row Python).  Tier 2: :func:`hash_join` — one bucket-keyed
-    exchange.  Same contract either way, so callers pick nothing: the
-    data's size picks."""
-    import numpy as np
-
-    from dots_ocr_ray.util import cached_object, sorted_lookup
-
-    out_col = out_col or value_col
-    side_mat = side.materialize()
-    if util.broadcast_fits(side_mat.size_bytes()):
-        keys_l, vals_l = [], []
-        for b in side_mat.iter_batches(batch_format="pyarrow"):
-            keys_l.append(b.column(on).to_numpy(zero_copy_only=False).astype(np.int64))
-            vals_l.append(b.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64))
-        if keys_l:
-            keys = np.concatenate(keys_l)
-            order = np.argsort(keys, kind="stable")
-            keys, vals = keys[order], np.concatenate(vals_l)[order]
-        else:
-            keys = vals = np.array([], dtype=np.int64)
-        ref = ray.put((keys, vals))
-
-        def _attach(batch: pa.Table) -> pa.Table:
-            ks, vs = cached_object(ref)
-            probe = batch.column(on).to_numpy(zero_copy_only=False).astype(np.int64)
-            hit, idx = sorted_lookup(ks, probe)
-            batch = batch.filter(pa.array(hit))
-            return batch.append_column(
-                out_col, pa.array(vs[idx[hit]], type=pa.int64())
-            )
-
-        return ds.map_batches(_attach, batch_format="pyarrow")
-
-    renamed = side_mat
-    if out_col != value_col:
-
-        def _rename(batch: pa.Table) -> pa.Table:
-            return batch.rename_columns(
-                [out_col if n == value_col else n for n in batch.column_names]
-            )
-
-        renamed = side_mat.map_batches(_rename, batch_format="pyarrow")
-        if side_schema is not None:
-            side_schema = pa.schema(
-                [
-                    (out_col, f.type) if f.name == value_col else (f.name, f.type)
-                    for f in side_schema
-                ]
-            )
-    return hash_join(
-        ds,
-        renamed,
-        on=on,
-        left_schema=left_schema,
-        right_schema=side_schema,
-    )
 
 
 def _first_k_per_run(sorted_keys, k: int):
@@ -2654,9 +2564,8 @@ def large_volume_orders(
     (integer-valued doubles, so the float sum is exact and
     order-independent); the survivor set after the HAVING filter is
     rare by construction and attaches to a streamed orders scan via
-    :func:`attach_int_column`'s budgeted two-tier seam (sorted-array
-    broadcast + searchsorted under the budget — ZERO exchange — one
-    :func:`hash_join` above it); top-k is per-batch partial heaps
+    :func:`hash_join` (sorted-array broadcast + searchsorted when it
+    fits — ZERO exchange — one keyed exchange above it); top-k is per-batch partial heaps
     merged on the driver (no global sort), and only the ≤k winners'
     customer rows are probe-read with a pushed-down filter."""
     import numpy as np
@@ -2706,11 +2615,10 @@ def large_volume_orders(
         lambda t: t.rename_columns(["l_orderkey", "o_custkey", "o_totalprice"]),
         batch_format="pyarrow",
     )
-    joined = attach_int_column(
+    joined = hash_join(
         orders,
         survivors,
         on="l_orderkey",
-        value_col="sum_qty",
         left_schema=pa.schema(
             [
                 ("l_orderkey", pa.int64()),
@@ -2718,7 +2626,7 @@ def large_volume_orders(
                 ("o_totalprice", pa.float64()),
             ]
         ),
-        side_schema=pa.schema(
+        right_schema=pa.schema(
             [("l_orderkey", pa.int64()), ("sum_qty", pa.int64())]
         ),
     )
@@ -2782,9 +2690,8 @@ def waiting_suppliers(
     supplier) — so Python cost is O(buckets), never O(orders) (the
     native per-key aggregate measured ~9 s for 150k orders; this form
     is the engine's standard fix, see dedup.exact_distinct_pairs).
-    The status-'F' restriction is :func:`dedup.semi_join_ids`'s
-    budgeted exact tier (sorted id broadcast when the ids fit
-    :func:`~dots_ocr_ray.util.broadcast_fits`, Bloom + verify above).  Per-supplier blame counts fold to a driver-merged partial
+    The status-'F' restriction is the exact
+    :func:`dedup.semi_join_ids` (a :func:`hash_join` semi-join).  Per-supplier blame counts fold to a driver-merged partial
     top-k; winner names are a ≤k pushed-down probe read."""
     import numpy as np
     import pyarrow.dataset as pads
@@ -2853,7 +2760,7 @@ def waiting_suppliers(
         batch_format="pyarrow",
     )
     blamed = semi_join_ids(
-        per_order, orders_f, id_col="l_orderkey", id_cols=("o_orderkey",), exact=True
+        per_order, orders_f, id_col="l_orderkey", id_cols=("o_orderkey",)
     ).map_batches(
         lambda t: t.filter(
             pc.and_(pc.greater(t.column("ns"), 1), pc.equal(t.column("nr"), 1))
@@ -2912,8 +2819,8 @@ def dormant_rich_customers(
     n) partials to ONE driver scalar (fixed ``scents * 1.0 /
     (100 * n)`` operand order mirrored by the oracle); recent-orderer
     ids flow into :func:`dedup.anti_join_ids` — exact at every scale
-    (sorted-array broadcast under the budget, Bloom prefilter + one
-    distributed hash anti-join above it); the survivor rollup is a
+    (a :func:`hash_join` anti-join: sorted ids broadcast when they fit,
+    one keyed exchange above); the survivor rollup is a
     bounded per-nation groupby decorated from the KB nation dim."""
     import datetime
 

@@ -22,9 +22,10 @@ rather than block text shipped — CPU is local, exchanges are not):
    ``key = blake2b64(host ⊕ category ⊕ text)`` deduped per page, plus
    one host row per page with ≥1 block → ONE keyed fold counting them,
    whose rows are 32 B regardless of block text size.
-2. threshold — hosts table broadcast when it fits
-   :func:`~dots_ocr_ray.util.broadcast_fits` (vectorized searchsorted
-   gather), distributed hash_join above it;
+2. threshold — block rows ⋈ host rows through
+   :func:`~dots_ocr_ray.pipelines.relational.hash_join` (a broadcast
+   searchsorted gather when the host table fits, one keyed exchange
+   above it);
    ``frequent`` keeps keys seen on ≥ max(min_pages,
    ceil(min_frac_pct% · host_pages)) DISTINCT pages — integer
    arithmetic only, so the Ray side and any SQL oracle agree exactly.
@@ -52,7 +53,6 @@ from dots_ocr_ray import util
 from dots_ocr_ray.util import (
     bucket_exchange,
     cached_object,
-    sorted_lookup,
     sorted_membership,
 )
 
@@ -175,92 +175,35 @@ def template_block_strip(
         {"n": ("count", None)},
     ).materialize()
 
-    def _split(want_host: int):
-        def _fn(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.equal(batch.column("is_host"), want_host)).drop_columns(
-                ["is_host"]
-            )
+    def _blocks(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.equal(batch.column("is_host"), 0)).select(["key", "host_key", "n"])
 
-        return _fn
-
-    hosts_ds = agg.map_batches(_split(1), batch_format="pyarrow").materialize()
-    blocks_ds = agg.map_batches(_split(0), batch_format="pyarrow")
+    def _hosts(batch: pa.Table) -> pa.Table:
+        hosts = batch.filter(pc.equal(batch.column("is_host"), 1))
+        return pa.table({"host_key": hosts.column("key"), "host_pages": hosts.column("n")})
 
     frac = int(min_frac_pct)
     floor = int(min_pages)
+    # each block row gets its host's page count: a broadcast gather
+    # when the host table fits, one keyed exchange above
+    from dots_ocr_ray.pipelines.relational import hash_join
 
-    if util.broadcast_fits(hosts_ds.size_bytes()):
-        hk_parts, hn_parts = [], []
-        for b in hosts_ds.iter_batches(batch_format="pyarrow"):
-            if b.num_rows:
-                hk_parts.append(b.column("key").to_numpy(zero_copy_only=False))
-                hn_parts.append(b.column("n").to_numpy(zero_copy_only=False))
-        hk = np.concatenate(hk_parts) if hk_parts else np.empty(0, np.int64)
-        hn = np.concatenate(hn_parts) if hn_parts else np.empty(0, np.int64)
-        order = np.argsort(hk)
-        hosts_ref = ray.put((hk[order], hn[order]))
+    joined = hash_join(
+        agg.map_batches(_blocks, batch_format="pyarrow"),
+        agg.map_batches(_hosts, batch_format="pyarrow"),
+        on="host_key",
+        left_schema=pa.schema([("key", pa.int64()), ("host_key", pa.int64()), ("n", pa.int64())]),
+        right_schema=pa.schema([("host_key", pa.int64()), ("host_pages", pa.int64())]),
+    )
 
-        def _threshold(batch: pa.Table) -> pa.Table:
-            hkeys, hpages = cached_object(hosts_ref)
-            bh = batch.column("host_key").to_numpy(zero_copy_only=False)
-            n = batch.column("n").to_numpy(zero_copy_only=False)
-            found, pos = sorted_lookup(hkeys, bh)
-            hp = np.where(found, hpages[pos] if hkeys.size else 0, 0)
-            keep = (n >= floor) & (100 * n >= frac * hp) & (hp > 0)
-            return batch.filter(pa.array(keep)).select(["key"])
+    def _threshold(batch: pa.Table) -> pa.Table:
+        n = batch.column("n").to_numpy(zero_copy_only=False)
+        hp = batch.column("host_pages").to_numpy(zero_copy_only=False)
+        keep = (n >= floor) & (100 * n >= frac * hp)
+        return batch.filter(pa.array(keep)).select(["key"])
 
-        frequent = blocks_ds.map_batches(_threshold, batch_format="pyarrow")
-    else:
-        # 10^8+-host tier: join page counts in, then the same filter.
-        # hash_join's union pads non-key columns with typed nulls, which
-        # round-trips int64 through pandas float64 (lossy above 2^53) —
-        # full-range hash values must ride as two 32-bit halves (the
-        # text_analysis.py substring-exchange convention)
-        from dots_ocr_ray.pipelines.relational import hash_join
-
-        def _split_key(batch: pa.Table) -> pa.Table:
-            k = batch.column("key").to_numpy(zero_copy_only=False).view(np.uint64)
-            return pa.table(
-                {
-                    "key_hi": pa.array((k >> np.uint64(32)).astype(np.int64)),
-                    "key_lo": pa.array(
-                        (k & np.uint64(0xFFFFFFFF)).astype(np.int64)
-                    ),
-                    "host_key": batch.column("host_key"),
-                    "n": batch.column("n"),
-                }
-            )
-
-        joined = hash_join(
-            blocks_ds.map_batches(_split_key, batch_format="pyarrow"),
-            hosts_ds.select_columns(["key", "n"]).map_batches(
-                lambda b: b.rename_columns(["host_key", "host_pages"]),
-                batch_format="pyarrow",
-            ),
-            on="host_key",
-            left_schema=pa.schema(
-                [
-                    ("key_hi", pa.int64()),
-                    ("key_lo", pa.int64()),
-                    ("host_key", pa.int64()),
-                    ("n", pa.int64()),
-                ]
-            ),
-            right_schema=pa.schema([("host_key", pa.int64()), ("host_pages", pa.int64())]),
-        )
-
-        def _threshold_joined(batch: pa.Table) -> pa.Table:
-            n = batch.column("n").to_numpy(zero_copy_only=False)
-            hp = batch.column("host_pages").to_numpy(zero_copy_only=False)
-            keep = (n >= floor) & (100 * n >= frac * hp)
-            hi = batch.column("key_hi").to_numpy(zero_copy_only=False).astype(np.uint64)
-            lo = batch.column("key_lo").to_numpy(zero_copy_only=False).astype(np.uint64)
-            key = ((hi << np.uint64(32)) | lo).view(np.int64)
-            return pa.table({"key": pa.array(key[keep])})
-
-        frequent = joined.map_batches(_threshold_joined, batch_format="pyarrow")
-
-    frequent = frequent.materialize()  # consumed by count() + one tier
+    # consumed by size_bytes() + one tier
+    frequent = joined.map_batches(_threshold, batch_format="pyarrow").materialize()
 
     if util.broadcast_fits(frequent.size_bytes()):
         fk_parts = [
@@ -305,15 +248,15 @@ def template_block_strip(
     from dots_ocr_ray.functions.hashing import stable_u64
     from dots_ocr_ray.pipelines.relational import hash_join
 
-    # full-range page-id hashes cannot ride the anti-join as a non-key
-    # int64 (typed-null padding → pandas float64, lossy above 2^53) —
-    # ship gid as two 32-bit halves, recombined after the exchange
+    def _gid(url) -> int:
+        return int(np.uint64(stable_u64(url or "")).view(np.int64))
+
     def _explode(batch: pa.Table) -> pa.Table:
         urls = batch.column(url_col).to_pylist()
         htmls = batch.column(html_col).to_pylist()
-        ghi, glo, ords, keys, txts = [], [], [], [], []
+        gids, ords, keys, txts = [], [], [], []
         for u, h in zip(urls, htmls):
-            g = int(stable_u64(u or ""))
+            g = _gid(u)
             host, blocks = _page_blocks(u, h)
             bk = _block_keys(host, blocks)
             rows = [(j, int(bk[j]), t) for j, (_, t) in enumerate(blocks)]
@@ -321,15 +264,13 @@ def template_block_strip(
                 (-1, int(np.uint64(stable_u64(f"{_SENT_PREFIX}{u}")).view(np.int64)), "")
             )
             for j, k, t in rows:
-                ghi.append(g >> 32)
-                glo.append(g & 0xFFFFFFFF)
+                gids.append(g)
                 ords.append(j)
                 keys.append(k)
                 txts.append(t)
         return pa.table(
             {
-                "gid_hi": pa.array(ghi, type=pa.int64()),
-                "gid_lo": pa.array(glo, type=pa.int64()),
+                "gid": pa.array(gids, type=pa.int64()),
                 "ord": pa.array(ords, type=pa.int64()),
                 "key": pa.array(keys, type=pa.int64()),
                 "block_text": pa.array(txts, type=pa.string()),
@@ -344,8 +285,7 @@ def template_block_strip(
         how="anti",
         left_schema=pa.schema(
             [
-                ("gid_hi", pa.int64()),
-                ("gid_lo", pa.int64()),
+                ("gid", pa.int64()),
                 ("ord", pa.int64()),
                 ("key", pa.int64()),
                 ("block_text", pa.string()),
@@ -354,41 +294,35 @@ def template_block_strip(
         right_schema=pa.schema([("key", pa.int64())]),
     )
 
-    # coarse 256-way exchange on the mixed (gid_hi, gid_lo) hash + one
-    # run-offset binary_join per bucket — no Python call per page
-    # (same fold as dedup.line_dedup's reassembly)
+    # coarse 256-way exchange on the gid hash + one run-offset
+    # binary_join per bucket — no Python call per page (same fold as
+    # dedup.line_dedup's reassembly)
     def _reassemble(group: pa.Table) -> pa.Table:
-        hi = group.column("gid_hi").to_numpy(zero_copy_only=False).astype(np.int64)
-        lo = group.column("gid_lo").to_numpy(zero_copy_only=False).astype(np.int64)
+        gid = group.column("gid").to_numpy(zero_copy_only=False).astype(np.int64)
         ords = group.column("ord").to_numpy(zero_copy_only=False).astype(np.int64)
         texts = group.column("block_text")
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()
-        order = np.lexsort((ords, lo, hi))
-        hi, lo, ords = hi[order], lo[order], ords[order]
+        order = np.lexsort((ords, gid))
+        gid, ords = gid[order], ords[order]
         texts = texts.take(pa.array(order))
-        new_run = np.ones(len(hi), dtype=bool)
-        new_run[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+        new_run = np.ones(len(gid), dtype=bool)
+        new_run[1:] = gid[1:] != gid[:-1]
         starts = np.flatnonzero(new_run)
         # sentinels (ord = -1, one per page) sort first in each run
         real = ords >= 0
         values = texts.take(pa.array(np.flatnonzero(real)))
         creal = np.concatenate([[0], np.cumsum(real)])
-        off = creal[np.concatenate([starts, [len(hi)]])]
+        off = creal[np.concatenate([starts, [len(gid)]])]
         joined = pc.binary_join(
             pa.ListArray.from_arrays(
                 pa.array(off.astype(np.int32)), pc.fill_null(values, "")
             ),
             "\n",
         )
-        with np.errstate(over="ignore"):
-            gid = (
-                (hi[starts].astype(np.uint64) << np.uint64(32))
-                | lo[starts].astype(np.uint64)
-            ).astype(np.int64)
         return pa.table(
             {
-                "gid": pa.array(gid, type=pa.int64()),
+                "gid": pa.array(gid[starts], type=pa.int64()),
                 "text_clean": joined,
                 "n_kept": pa.array(np.diff(off).astype(np.int64), type=pa.int64()),
             }
@@ -396,7 +330,7 @@ def template_block_strip(
 
     reassembled = bucket_exchange(
         kept.drop_columns(["key"]),
-        ["gid_hi", "gid_lo"],
+        "gid",
         _reassemble,
         num_buckets=256,
         rows_per_block=262144,
@@ -407,7 +341,7 @@ def template_block_strip(
         htmls = batch.column(html_col).to_pylist()
         gids, totals = [], []
         for u, h in zip(urls, htmls):
-            gids.append(int(np.uint64(stable_u64(u or "")).view(np.int64)))
+            gids.append(_gid(u))
             totals.append(len(_page_blocks(u, h)[1]))
         out = pa.table(
             {

@@ -594,10 +594,10 @@ def cohort_retention(sf_dir: str) -> ray.data.Dataset:
        to user-weeks BEFORE any join;
     2. per-user cohort = a ``min`` keyed fold over the user-week table
        (no per-group Python);
-    3. user-week ⋈ cohort via :func:`~.relational.attach_int_column`
-       (budget-tiered: broadcast gather while the cohort table fits,
-       one bucket-keyed hash-join exchange above — both sides are
-       user-cardinality at 10^9 users);
+    3. user-week ⋈ cohort via :func:`~.relational.hash_join`
+       (broadcast gather while the cohort table fits, one bucket-keyed
+       exchange above — both sides are user-cardinality at 10^9
+       users);
     4. final (cohort_week, offset) count: a ≤ weeks² keyed fold.
 
     Output: (cohort_week, offset_weeks, n_users); counts are exact
@@ -609,7 +609,7 @@ def cohort_retention(sf_dir: str) -> ray.data.Dataset:
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from dots_ocr_ray.pipelines.relational import attach_int_column
+    from dots_ocr_ray.pipelines.relational import hash_join
     from dots_ocr_ray.util import bucket_keyed_fold
 
     events = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
@@ -623,13 +623,12 @@ def cohort_retention(sf_dir: str) -> ray.data.Dataset:
     uw = bucket_keyed_fold(events.map_batches(_week, batch_format="pyarrow"), ["user_id", "week"], {})
     cohort = bucket_keyed_fold(uw, "user_id", {"cohort_week": ("min", "week")})
 
-    joined = attach_int_column(
+    joined = hash_join(
         uw,
         cohort,
         on="user_id",
-        value_col="cohort_week",
         left_schema=pa.schema([("user_id", pa.int64()), ("week", pa.int64())]),
-        side_schema=pa.schema([("user_id", pa.int64()), ("cohort_week", pa.int64())]),
+        right_schema=pa.schema([("user_id", pa.int64()), ("cohort_week", pa.int64())]),
     )
 
     US_PER_WEEK = 7 * 86400 * 10**6

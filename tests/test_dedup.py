@@ -140,9 +140,10 @@ def test_hot_duplicate_cluster_is_linear(ray_session):
 
 
 def test_attach_distributed_path_matches_broadcast(ray_session, exchange_tier):
-    """The scale-path pair-payload join (union + two keyed exchanges,
-    forced by patching ``util.broadcast_fits``) must produce exactly the
-    fast broadcast-dict join's output."""
+    """The pair-payload join's two ``hash_join`` calls give the same
+    rows in the exchange tier (forced by patching
+    ``util.broadcast_fits``) as in the broadcast tier, including every
+    match of a payload id that repeats."""
     import pyarrow as pa
 
     from dots_ocr_ray.pipelines.dedup import attach_pair_payloads
@@ -150,36 +151,37 @@ def test_attach_distributed_path_matches_broadcast(ray_session, exchange_tier):
     pairs = ray.data.from_items([{"a": 1, "b": 2}, {"a": 2, "b": 5}, {"a": 3, "b": 9}])
     payload = ray.data.from_items(
         [{"doc_id": i, "blob": bytes([i]) * 8} for i in (1, 2, 3, 5)]  # 9 missing
+        + [{"doc_id": 5, "blob": b"\x06" * 8}]  # id 5 repeats
     )
 
     def _run():
         out = attach_pair_payloads(
             pairs, payload, id_col="doc_id", payload_col="blob", payload_type=pa.binary()
         ).to_pandas()
-        return out.sort_values(["a", "b"]).reset_index(drop=True)
+        return out.sort_values(["a", "b", "payload_b"]).reset_index(drop=True)
 
     fast = _run()
     exchange_tier()
     dist = _run()
-    assert len(fast) == 2  # (3,9) dropped: endpoint 9 has no payload
+    assert len(fast) == 3  # (3,9) dropped: endpoint 9 has no payload; (2,5) twice
     assert fast.equals(dist)
     assert bytes(fast.payload_a[0]) == b"\x01" * 8 and bytes(fast.payload_b[0]) == b"\x02" * 8
+    assert sorted(bytes(p) for p in fast.payload_b[1:]) == [b"\x05" * 8, b"\x06" * 8]
 
 
-def test_endpoint_filter_bloom_path(ray_session, exchange_tier):
-    """Above the broadcast cut the endpoint semi-join switches to a Bloom
-    filter: every true endpoint must pass (no false negatives); false
-    positives only add harmless extra payload rows."""
+def test_endpoint_filter_exact_at_both_tiers(ray_session, exchange_tier):
+    """The endpoint semi-join keeps exactly the payload rows whose id is
+    a pair endpoint, once each, in the broadcast tier and in the
+    exchange tier."""
     from dots_ocr_ray.pipelines.dedup import filter_payload_to_pair_endpoints
 
     pairs = ray.data.from_items([{"a": i, "b": i + 100} for i in range(50)]).materialize()
     payload = ray.data.from_items([{"doc_id": i, "sig": b"x"} for i in range(300)])
-    exchange_tier()  # force Bloom
-    out = filter_payload_to_pair_endpoints(payload, pairs, id_col="doc_id").to_pandas()
-    got = set(out.doc_id)
-    want = set(range(50)) | set(range(100, 150))
-    assert want <= got  # no false negatives ever
-    assert len(got) <= 300
+    want = list(range(50)) + list(range(100, 150))
+    for forced in (False, True):
+        exchange_tier(forced)
+        out = filter_payload_to_pair_endpoints(payload, pairs, id_col="doc_id").to_pandas()
+        assert sorted(out.doc_id) == want
 
 
 def test_attach_distributed_path_tolerates_duplicate_pairs(ray_session, exchange_tier):
@@ -236,17 +238,17 @@ def test_sorted_group_first_exact(ray_session):
 
 
 def test_semi_join_ids_tiers_match(ray_session, exchange_tier):
-    """Exact tier (sorted-array searchsorted) and Bloom tier must agree
-    on true members; Bloom adds no false negatives."""
+    """The broadcast and exchange tiers of ``hash_join(how="semi")``
+    keep exactly the member rows."""
     from dots_ocr_ray.pipelines.dedup import semi_join_ids
 
     ids = ray.data.from_items([{"id": i} for i in range(0, 400, 4)]).materialize()
     payload = ray.data.from_items([{"doc_id": i, "x": i} for i in range(400)])
-    exact = semi_join_ids(payload, ids, id_col="doc_id").to_pandas()
-    assert sorted(exact.doc_id) == list(range(0, 400, 4))
+    broadcast = semi_join_ids(payload, ids, id_col="doc_id").to_pandas()
+    assert sorted(broadcast.doc_id) == list(range(0, 400, 4))
     exchange_tier()
-    bloom = semi_join_ids(payload, ids, id_col="doc_id").to_pandas()
-    assert set(range(0, 400, 4)) <= set(bloom.doc_id)  # no false negatives
+    exchanged = semi_join_ids(payload, ids, id_col="doc_id").to_pandas()
+    assert sorted(exchanged.doc_id) == list(range(0, 400, 4))
 
 
 def test_min_labels_numpy_matches_dict_union_find():
@@ -471,7 +473,7 @@ def test_attach_pair_payloads_scale_path_full_range_ids(ray_session, exchange_ti
 
 def test_anti_join_ids_exact_at_both_tiers(ray_session, exchange_tier):
     """anti_join_ids is the OUTPUT-defining dedup keep-filter: both the
-    broadcast tier and the Bloom-prefilter + hash-anti-join scale tier
+    broadcast tier and the exchange tier of ``hash_join(how="anti")``
     must drop exactly the member rows — no over-keep (a duplicate
     leaking into training data) and no over-drop (a survivor lost)."""
     from dots_ocr_ray.pipelines.dedup import anti_join_ids
@@ -494,9 +496,8 @@ def test_anti_join_ids_exact_at_both_tiers(ray_session, exchange_tier):
 
 
 def test_prepare_minhash_scale_tier_is_exact(ray_session, tmp_path, exchange_tier):
-    """Forcing the anti-join scale tier must yield the
-    same deduped doc set as the broadcast tier — the Bloom is only a
-    prefilter, never the decision."""
+    """Forcing the anti-join exchange tier must yield the same deduped
+    doc set as the broadcast tier."""
     from dots_ocr_ray.pipelines.dedup import anti_join_ids, minhash_lsh_dedup
 
     import pyarrow.compute as pc
@@ -526,9 +527,8 @@ def test_prepare_minhash_scale_tier_is_exact(ray_session, tmp_path, exchange_tie
 
 
 def test_semi_join_ids_exact_scale_tier(ray_session, exchange_tier):
-    """exact=True must return precisely the member rows even when the
-    Bloom tier is forced: the Bloom is a prefilter and
-    the hash semi-join is the decision."""
+    """The semi-join's exchange tier returns precisely the member rows,
+    ids above 2^53 included."""
     from dots_ocr_ray.pipelines.dedup import semi_join_ids
 
     big = 2**61
@@ -537,7 +537,7 @@ def test_semi_join_ids_exact_scale_tier(ray_session, exchange_tier):
         [{"doc_id": big + i, "x": i} for i in range(300)]
     ).materialize()
     exchange_tier()
-    out = semi_join_ids(payload, ids, id_col="doc_id", id_cols=("id",), exact=True)
+    out = semi_join_ids(payload, ids, id_col="doc_id", id_cols=("id",))
     got = sorted(r["doc_id"] for r in out.take_all())
     assert got == [big + i for i in range(0, 300, 3)]
 

@@ -20,7 +20,11 @@ with no Dataset sort and no raw-key fold.  A broadcast-or-exchange choice asks `
 function takes its own tier cut (a ``*_limit`` parameter from
 ``TIER_OPTION``, or any ``*_budget`` parameter outside
 ``BUDGET_ALLOWED``) or a ``method`` switch on ``TIER_SWITCH``
-functions, and the deleted driver-side count merges stay gone.  Ray Data's
+functions, and the deleted driver-side count merges stay gone.  A join
+picks its own tier: no top-level function other than
+``relational.hash_join`` both asks ``util.broadcast_fits`` and calls
+``hash_join`` (a hand-rolled broadcast-or-join fork), outside the
+``FORK_ALLOWED`` functions, whose broadcast tier is not a join.  Ray Data's
 internal plan (``_logical_plan``, ``._plan.``, the
 ``ray.data._internal.logical`` operators) is read only inside
 ``util.row_bound``, so a Ray upgrade that moves it touches one
@@ -155,6 +159,25 @@ BUDGET_ALLOWED = {
     (_GRAPH, "resolve_redirects", "edge_budget"): "open: ROADMAP item 7",
 }
 TIER_SWITCH = {"cluster_assign", "connected_hosts"}
+
+# (file, top-level function) → reason: functions that both ask
+# util.broadcast_fits and call hash_join, because their broadcast tier
+# is not a join; the list may only shrink
+_IN_PLACE = "broadcast tier works on each {} in place; the exchange tier explodes {} to join them"
+_ITERATIVE = "iterative: the broadcast tier keeps the algorithm's state on the driver"
+FORK_ALLOWED = {
+    ("dots_ocr_ray/pipelines/dedup.py", "line_dedup"): _IN_PLACE.format("document's lines", "lines"),
+    ("dots_ocr_ray/pipelines/substring.py", "substring_dedup"): _IN_PLACE.format("document's grams", "grams"),
+    ("dots_ocr_ray/pipelines/substring.py", "gram_novelty"): _IN_PLACE.format("document's grams", "grams"),
+    ("dots_ocr_ray/pipelines/text_analysis.py", "bigram_lm_scores"): _IN_PLACE.format("document's bigrams", "bigrams"),
+    ("dots_ocr_ray/pipelines/template.py", "template_block_strip"): _IN_PLACE.format("page's blocks", "blocks"),
+    ("dots_ocr_ray/pipelines/graph.py", "robots_filter"): _IN_PLACE.format("page's host rules", "pages"),
+    (_GRAPH, "pagerank"): _ITERATIVE,
+    (_GRAPH, "bfs_depths"): _ITERATIVE,
+    (_GRAPH, "hits"): _ITERATIVE,
+    (_GRAPH, "label_propagation"): _ITERATIVE,
+    (_GRAPH, "random_walks"): _ITERATIVE,
+}
 DELETED = ("merge_int_counts", "merge_pair_counts")
 _RAY_AGG_NAME = re.compile(r"^(sum|count|min|max|mean|std)\([^()]*\)$")
 
@@ -471,3 +494,51 @@ def test_ray_plan_guard_sees_the_patterns():
         "    return ds.count()\n"
     )
     assert _ray_plan_hits(src) == [(1, "<module>"), (3, "f"), (4, "f")]
+
+
+def _fork_hits(tree: ast.Module) -> list:
+    """Top-level functions of ``tree`` whose body (nested functions
+    included) both calls ``broadcast_fits`` and calls ``hash_join``."""
+    hits = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {
+                c.func.attr if isinstance(c.func, ast.Attribute) else getattr(c.func, "id", None)
+                for c in ast.walk(node)
+                if isinstance(c, ast.Call)
+            }
+            if {"broadcast_fits", "hash_join"} <= called:
+                hits.append(node.name)
+    return hits
+
+
+def test_join_forks_only_in_hash_join():
+    found = set()
+    for rel in _sources():
+        with open(os.path.join(ROOT, rel)) as f:
+            found |= {(rel, fn) for fn in _fork_hits(ast.parse(f.read()))}
+    outside = sorted(found - set(FORK_ALLOWED))
+    assert not outside, f"hand-rolled broadcast-or-join forks; call relational.hash_join, which picks the tier: {outside}"
+    stale = sorted(set(FORK_ALLOWED) - found)
+    assert not stale, f"no longer a broadcast-or-join fork; drop from FORK_ALLOWED: {stale}"
+
+
+def test_join_fork_guard_sees_the_pattern():
+    """The scan flags a function that forks on the size rule around a
+    join, also when the two calls sit in nested functions; it skips a
+    function that only joins or only asks the rule."""
+    src = (
+        "def fork(side, ds):\n"
+        "    if util.broadcast_fits(side.size_bytes()):\n"
+        "        return ds.map_batches(probe)\n"
+        "    return relational.hash_join(ds, side, on='k')\n"
+        "def nested(side, ds):\n"
+        "    def _fits():\n"
+        "        return broadcast_fits(1)\n"
+        "    return [hash_join(ds, side, on='k') for _ in range(2)]\n"
+        "def only_join(ds, side):\n"
+        "    return hash_join(ds, side, on='k')\n"
+        "def only_rule(side):\n"
+        "    return util.broadcast_fits(side.size_bytes())\n"
+    )
+    assert _fork_hits(ast.parse(src)) == ["fork", "nested"]

@@ -276,3 +276,19 @@ def test_fold_query_executions(ray_session, monkeypatch):
         assert len(out if isinstance(out, pd.DataFrame) else out.to_pandas())
         seen[name] = count[0]
     assert seen == EXECUTIONS
+
+
+def test_cached_object_lru_bounded(ray_session):
+    """cached_object, which holds the broadcast side of every broadcast
+    tier in a worker, keeps only a few broadcast objects per worker
+    process (bounded LRU) instead of pinning every past job's
+    broadcasts forever."""
+    import ray
+
+    util._BROADCAST_CACHE.clear()
+    refs = [ray.put(f"obj-{i}") for i in range(util._BROADCAST_CACHE_SLOTS + 3)]
+    for r in refs:
+        assert util.cached_object(r).startswith("obj-")
+    assert len(util._BROADCAST_CACHE) == util._BROADCAST_CACHE_SLOTS
+    # most recent entries survive; the oldest were evicted
+    assert util.cached_object(refs[-1]) == f"obj-{len(refs)-1}"

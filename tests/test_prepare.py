@@ -64,9 +64,9 @@ def test_prepare_minhash_dedup_drops_near_dups(ray_session, tmp_path, exchange_t
     assert counts["chunks_written"] == len(df)
     assert counts["deduped"] == df.url.nunique()
 
-    # forcing the fully distributed keep path (the Bloom tier built
-    # with zero driver-side id collection) must reproduce the default
-    # run's output exactly on this corpus
+    # forcing the fully distributed keep path (the anti-join's keyed
+    # exchange, zero driver-side id collection) must reproduce the
+    # default run's output exactly on this corpus
     out2 = str(tmp_path / "prep2")
     exchange_tier()
     counts2 = prepare_training_data(

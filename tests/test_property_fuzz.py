@@ -171,26 +171,6 @@ def test_normalize_url_total_and_idempotent(url):
     assert normalize_url(out) == out  # canonical form is a fixpoint
 
 
-@given(st.lists(st.integers(min_value=-(2**62), max_value=2**62), min_size=1, max_size=300))
-def test_bloom_int_no_false_negatives(keys):
-    import numpy as np
-
-    from dots_ocr_ray.functions.bloom import BloomFilter
-
-    arr = np.array(keys, dtype=np.int64)
-    bf = BloomFilter(capacity=max(1, len(keys)), fp_rate=0.01)
-    bf.add_int_array(arr)
-    assert bf.contains_int_array(arr).all()
-    # partial build with shared params ORs to the same filter
-    p1 = BloomFilter.from_params(bf.n_bits, bf.n_hashes)
-    p2 = BloomFilter.from_params(bf.n_bits, bf.n_hashes)
-    mid = len(arr) // 2
-    p1.add_int_array(arr[:mid])
-    p2.add_int_array(arr[mid:])
-    p1.merge_bits(p2.bits)
-    assert bytes(p1.bits) == bytes(bf.bits)
-
-
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1e9, allow_nan=False), min_size=1, max_size=400),
     st.integers(1, 5),

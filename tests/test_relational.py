@@ -140,10 +140,10 @@ def test_exact_int_quantiles_matches_duckdb(ray_session, con):
         assert v == want, (q, v, want)
 
 
-def test_hash_join_inner_and_left(ray_session):
-    """Distributed hash-bucket join equals a pandas merge: inner and
-    left semantics, overlapping non-key columns suffixed, keys split
-    across many buckets/blocks."""
+def test_hash_join_inner_and_left(ray_session, exchange_tier):
+    """Both join tiers equal a pandas merge: inner and left semantics,
+    overlapping non-key columns suffixed, keys split across many
+    buckets/blocks."""
     import pandas as pd
 
     import ray.data
@@ -155,7 +155,8 @@ def test_hash_join_inner_and_left(ray_session):
     left = ray.data.from_items(left_rows).repartition(8)
     right = ray.data.from_items(right_rows).repartition(3)
 
-    for how in ("inner", "left"):
+    for forced, how in [(f, h) for f in (False, True) for h in ("inner", "left")]:
+        exchange_tier(forced)
         got = (
             hash_join(left, right, on="k", how=how, num_buckets=16)
             .to_pandas()
@@ -172,16 +173,21 @@ def test_hash_join_inner_and_left(ray_session):
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_hash_join_string_keys_deterministic(ray_session):
+def test_hash_join_string_keys_deterministic(ray_session, exchange_tier):
     import ray.data
 
     from dots_ocr_ray.pipelines.relational import hash_join
 
     left = ray.data.from_items([{"u": f"url-{i%11}", "x": i} for i in range(100)])
     right = ray.data.from_items([{"u": f"url-{k}", "y": k} for k in range(0, 11, 3)])
-    a = hash_join(left, right, on="u").to_pandas().sort_values(["u", "x"]).reset_index(drop=True)
-    b = hash_join(left, right, on="u").to_pandas().sort_values(["u", "x"]).reset_index(drop=True)
-    assert a.equals(b)
+
+    def run():
+        return hash_join(left, right, on="u").to_pandas().sort_values(["u", "x"]).reset_index(drop=True)
+
+    a = run()  # broadcast tier
+    exchange_tier()
+    b, c = run(), run()
+    assert a.equals(b) and b.equals(c)
     assert set(a.u) == {f"url-{k}" for k in range(0, 11, 3)}
 
 
@@ -209,22 +215,24 @@ def test_grouped_topk_combiner_and_ascending(ray_session):
         pd.testing.assert_frame_equal(got[["g", "v", "i"]], want[["g", "v", "i"]], check_dtype=False)
 
 
-def test_hash_join_semi_anti(ray_session):
+def test_hash_join_semi_anti(ray_session, exchange_tier):
     """semi keeps exactly the matched left rows, anti the complement;
-    left columns only, int dtypes restored."""
+    left columns only, int dtypes restored; in both tiers."""
     import ray.data
 
     from dots_ocr_ray.pipelines.relational import hash_join
 
     left = ray.data.from_items([{"k": i, "v": i * 10} for i in range(20)])
     right = ray.data.from_items([{"k": i} for i in range(0, 20, 3)])  # 0,3,..,18
-    semi = hash_join(left, right, on="k", how="semi").to_pandas()
-    anti = hash_join(left, right, on="k", how="anti").to_pandas()
-    assert sorted(semi.k) == list(range(0, 20, 3))
-    assert sorted(anti.k) == [i for i in range(20) if i % 3 != 0]
-    assert list(semi.columns) == ["k", "v"] and list(anti.columns) == ["k", "v"]
-    assert semi.k.dtype.kind == "i" and anti.v.dtype.kind == "i"
-    assert (semi.v == semi.k * 10).all() and (anti.v == anti.k * 10).all()
+    for forced in (False, True):
+        exchange_tier(forced)
+        semi = hash_join(left, right, on="k", how="semi").to_pandas()
+        anti = hash_join(left, right, on="k", how="anti").to_pandas()
+        assert sorted(semi.k) == list(range(0, 20, 3))
+        assert sorted(anti.k) == [i for i in range(20) if i % 3 != 0]
+        assert list(semi.columns) == ["k", "v"] and list(anti.columns) == ["k", "v"]
+        assert semi.k.dtype.kind == "i" and anti.v.dtype.kind == "i"
+        assert (semi.v == semi.k * 10).all() and (anti.v == anti.k * 10).all()
 
 
 def test_range_join_matches_bruteforce(ray_session):
@@ -476,7 +484,7 @@ def test_skew_join_matches_hash_join(ray_session):
         df = ds.to_pandas()
         return df[sorted(df.columns)].sort_values(sorted(df.columns)).reset_index(drop=True)
 
-    got = _canon(skew_join(left, right, on="k", hot_threshold=1000, sketch_capacity=64))
+    got = _canon(skew_join(left, right, on="k", hot_threshold=1000))
     ref = _canon(hash_join(left, right, on="k"))
     pd.testing.assert_frame_equal(got, ref, check_dtype=False)
     assert len(got) == n  # every key has a right match
@@ -598,9 +606,9 @@ def test_zscore_outliers(ray_session):
     assert {500.0, -300.0} <= got
 
 
-def test_hash_join_full_range_int64(ray_session):
-    """Non-key int64 columns must survive the bucket exchange exactly:
-    the union's typed-null padding once round-tripped them through
+def test_hash_join_full_range_int64(ray_session, exchange_tier):
+    """Non-key int64 columns must survive both tiers exactly: the
+    exchange's typed-null padding once round-tripped them through
     float64 (lossy above 2^53), silently missing any subsequent join on
     that column — 60-bit md5-prefix doc_ids hit this."""
     import pyarrow as pa
@@ -621,12 +629,14 @@ def test_hash_join_full_range_int64(ray_session):
     right = ray.data.from_arrow(
         pa.table({"k": pa.array([1, 2, 4], pa.int64()), "w": pa.array([10, 20, 40], pa.int64())})
     )
-    inner = {r["payload_id"]: r["w"] for r in hash_join(left, right, on="k").take_all()}
-    assert inner == {big[0]: 10, big[1]: 20, big[3]: 40}
-    left_rows = sorted(
-        (r["k"], r["payload_id"], r["w"]) for r in hash_join(left, right, on="k", how="left").take_all()
-    )
-    assert left_rows == [(1, big[0], 10), (2, big[1], 20), (3, big[2], None), (4, big[3], 40)]
+    for forced in (False, True):
+        exchange_tier(forced)
+        inner = {r["payload_id"]: r["w"] for r in hash_join(left, right, on="k").take_all()}
+        assert inner == {big[0]: 10, big[1]: 20, big[3]: 40}
+        left_rows = sorted(
+            (r["k"], r["payload_id"], r["w"]) for r in hash_join(left, right, on="k", how="left").take_all()
+        )
+        assert left_rows == [(1, big[0], 10), (2, big[1], 20), (3, big[2], None), (4, big[3], 40)]
 
 
 def test_range_and_skew_join_full_range_int64(ray_session):
@@ -676,10 +686,10 @@ def test_range_and_skew_join_full_range_int64(ray_session):
     ]
 
 
-def test_hash_join_null_keys_follow_sql_semantics(ray_session):
-    """NULL join keys never match (SQL): no fabricated null-x-null rows
-    on inner, null-padded survival on left, kept on anti, dropped on
-    semi."""
+def test_hash_join_null_keys_follow_sql_semantics(ray_session, exchange_tier):
+    """NULL join keys never match (SQL), in either tier: no fabricated
+    null-x-null rows on inner, null-padded survival on left, kept on
+    anti, dropped on semi."""
     import pyarrow as pa
 
     import ray.data
@@ -702,15 +712,17 @@ def test_hash_join_null_keys_follow_sql_semantics(ray_session):
             }
         )
     )
-    inner = hash_join(left, right, on="k").take_all()
-    assert [(r["k"], r["rv"]) for r in inner] == [(1, 100)]
-    lj = sorted(hash_join(left, right, on="k", how="left").take_all(),
-                key=lambda r: r["lv"])
-    assert len(lj) == 3 and lj[1]["k"] is None and lj[1]["rv"] is None
-    semi = hash_join(left, right, on="k", how="semi").take_all()
-    assert [r["lv"] for r in semi] == [10]
-    anti = sorted(r["lv"] for r in hash_join(left, right, on="k", how="anti").take_all())
-    assert anti == [20, 30]  # null left key kept (NOT EXISTS semantics)
+    for forced in (False, True):
+        exchange_tier(forced)
+        inner = hash_join(left, right, on="k").take_all()
+        assert [(r["k"], r["rv"]) for r in inner] == [(1, 100)]
+        lj = sorted(hash_join(left, right, on="k", how="left").take_all(),
+                    key=lambda r: r["lv"])
+        assert len(lj) == 3 and lj[1]["k"] is None and lj[1]["rv"] is None
+        semi = hash_join(left, right, on="k", how="semi").take_all()
+        assert [r["lv"] for r in semi] == [10]
+        anti = sorted(r["lv"] for r in hash_join(left, right, on="k", how="anti").take_all())
+        assert anti == [20, 30]  # null left key kept (NOT EXISTS semantics)
 
 
 def test_range_join_keeps_overlapping_right_columns(ray_session):
@@ -852,30 +864,38 @@ def test_grouped_count_histogram(ray_session):
 
 
 def test_attach_int_column_tier_parity(ray_session, exchange_tier):
+    """Attaching an int column from a (key, value) side table gives the
+    same rows in both tiers of ``hash_join``, including every match of
+    a key the side table repeats (the fan-out a sorted gather of one
+    position per key would drop)."""
     import ray.data
 
-    from dots_ocr_ray.pipelines.relational import attach_int_column
+    from dots_ocr_ray.pipelines.relational import hash_join
 
     left = ray.data.from_items([{"k": i % 7, "x": i} for i in range(50)]).repartition(4)
-    side = ray.data.from_items([{"k": k, "v": k * 10} for k in range(5)])  # keys 5,6 drop
+    # keys 5,6 drop; key 1 repeats
+    side = ray.data.from_items([{"k": k, "v": k * 10} for k in range(5)] + [{"k": 1, "v": 11}])
     import pyarrow as pa
 
     ls = pa.schema([("k", pa.int64()), ("x", pa.int64())])
     ss = pa.schema([("k", pa.int64()), ("v", pa.int64())])
 
     def run():
-        out = attach_int_column(
-            left, side, on="k", value_col="v", left_schema=ls, side_schema=ss,
-        ).to_pandas().sort_values(["k", "x"]).reset_index(drop=True)
+        out = hash_join(
+            left, side, on="k", left_schema=ls, right_schema=ss,
+        ).to_pandas().sort_values(["k", "x", "v"]).reset_index(drop=True)
         return out
 
     a = run()  # broadcast tier
     exchange_tier()
-    b = run()  # hash-join tier
-    assert sorted(a.columns) == sorted(b.columns)
-    assert (a[sorted(a.columns)].values == b[sorted(b.columns)].values).all()
+    b = run()  # exchange tier
+    assert list(a.columns) == list(b.columns) == ["k", "x", "v"]
+    assert (a.values == b.values).all()
     assert set(a["k"]) == {0, 1, 2, 3, 4}
-    assert (a["v"] == a["k"] * 10).all()
+    ones = a[a["k"] == 1]
+    assert len(ones) == 2 * len(set(ones["x"])) and sorted(set(ones["v"])) == [10, 11]
+    rest = a[a["k"] != 1]
+    assert (rest["v"] == rest["k"] * 10).all()
 
 
 def test_interval_overlap_join_matches_bruteforce(ray_session):
